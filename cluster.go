@@ -4,10 +4,10 @@ import "knnjoin/internal/mapreduce"
 
 // Cluster mode: with Options.Workers > 0 every MapReduce job runs on
 // separate worker processes — re-executions of the current binary —
-// coordinated over an HTTP/JSON RPC protocol, with lease-based failure
-// detection and task re-execution. Output is byte-identical to the
-// default in-process engine; the mode exists to exercise and measure
-// the coordination itself (see internal/mapreduce).
+// speaking an HTTP/JSON RPC protocol to the same scheduler that by
+// default drives goroutine workers, with failure detection and task
+// re-execution. Output is byte-identical either way; the mode exists to
+// exercise and measure the coordination itself (see internal/mapreduce).
 
 // RunWorkerIfSpawned turns the current process into a MapReduce worker
 // when it was spawned as one (the coordinator re-executes the binary
@@ -19,10 +19,10 @@ import "knnjoin/internal/mapreduce"
 // parsing or any other work — and any test binary in its TestMain.
 func RunWorkerIfSpawned() { mapreduce.RunWorkerIfSpawned() }
 
-// FaultPlan is a deterministic fault-injection plan for worker
-// processes: a testing hook that kills, stalls, freezes or corrupts
-// workers at fixed task checkpoints. See the mapreduce package for the
-// event fields.
+// FaultPlan is a deterministic fault-injection plan for the workers,
+// goroutines or processes: a testing hook that kills, fails, stalls,
+// freezes or corrupts them at fixed task checkpoints. See the mapreduce
+// package for the event fields.
 type FaultPlan = mapreduce.FaultPlan
 
 // FaultEvent is one injected fault of a FaultPlan.
@@ -45,4 +45,5 @@ const (
 	ActSleep       = mapreduce.ActSleep
 	ActFreeze      = mapreduce.ActFreeze
 	ActTruncateRun = mapreduce.ActTruncateRun
+	ActError       = mapreduce.ActError
 )

@@ -145,6 +145,92 @@ func TestClusterModeRecoversFromKilledWorker(t *testing.T) {
 	}
 }
 
+// TestClusterModeHonorsMemLimit runs the worker processes under a
+// MemLimit small enough to force multi-pass reduce-side merges: output
+// stays byte-identical, and the limit shows as intermediate merge files
+// spilled beyond what the same workers spill without it.
+func TestClusterModeHonorsMemLimit(t *testing.T) {
+	skipClusterShort(t)
+	r := dataset.Uniform(300, 4, 100, 51)
+	s := dataset.Uniform(340, 4, 100, 52)
+	opts := Options{K: 3, Algorithm: PGBJ, Nodes: 4, Seed: 5, ChunkRecords: 40}
+	want, _, err := Join(r, s, opts)
+	if err != nil {
+		t.Fatalf("in-process: %v", err)
+	}
+	spilled := func(st *Stats) (n int64) {
+		for _, j := range st.Jobs {
+			n += j.SpilledBytes
+		}
+		return n
+	}
+	opts.Workers = 2
+	_, unlimited, err := Join(r, s, opts)
+	if err != nil {
+		t.Fatalf("2 workers: %v", err)
+	}
+	opts.MemLimit = 16 << 10
+	got, limited, err := Join(r, s, opts)
+	if err != nil {
+		t.Fatalf("2 workers under a 16K limit: %v", err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatal("output differs on worker processes under a MemLimit")
+	}
+	assertRanOnWorkers(t, limited)
+	if spilled(limited) <= spilled(unlimited) {
+		t.Fatalf("spilled %d bytes under the limit, %d without: the limit was ignored",
+			spilled(limited), spilled(unlimited))
+	}
+}
+
+// TestTracedJoinInProcess: tracing the default engine changes no output
+// byte and records the spans a traced cluster-mode run does — a job span
+// per MapReduce job, a committed task span per task, filed under the
+// goroutine workers' worker-N lanes.
+func TestTracedJoinInProcess(t *testing.T) {
+	r := dataset.Uniform(300, 4, 100, 41)
+	s := dataset.Uniform(340, 4, 100, 42)
+	opts := Options{K: 3, Algorithm: PGBJ, Nodes: 4, Seed: 5}
+	want, wantSt, err := Join(r, s, opts)
+	if err != nil {
+		t.Fatalf("untraced: %v", err)
+	}
+	opts.TraceDir = t.TempDir()
+	got, _, err := Join(r, s, opts)
+	if err != nil {
+		t.Fatalf("traced: %v", err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatal("tracing perturbed the join output")
+	}
+	spans, err := obs.ReadDir(opts.TraceDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	jobs, committed := 0, 0
+	for _, sp := range spans {
+		switch {
+		case strings.HasPrefix(sp.Name, "job:"):
+			jobs++
+			if sp.Proc != "coord" {
+				t.Fatalf("job span %q recorded by %q, want coord", sp.Name, sp.Proc)
+			}
+		case sp.Name == "task" && sp.Attrs["outcome"] == "committed":
+			committed++
+			if !strings.HasPrefix(sp.Proc, "worker-") || sp.Attrs["task"] == "" || sp.Attrs["attempt"] != "1" {
+				t.Fatalf("task span proc=%q attrs=%v", sp.Proc, sp.Attrs)
+			}
+		}
+	}
+	if jobs != len(wantSt.Jobs) {
+		t.Fatalf("%d job spans for %d jobs", jobs, len(wantSt.Jobs))
+	}
+	if committed == 0 {
+		t.Fatal("no committed task spans")
+	}
+}
+
 // TestTracedFaultedJoinProducesMergedTrace is the observability PR's
 // acceptance scenario: a FaultPlan-killed three-worker PGBJ join with
 // tracing enabled must (a) stay byte-identical to the untraced

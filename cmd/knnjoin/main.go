@@ -63,11 +63,11 @@ func run(args []string) error {
 	radius := fs.Float64("range", 0, "θ-range join with this radius instead of a kNN join")
 	covtype := fs.Bool("covtype", false, "inputs are UCI covtype.data[.gz] files (10 quantitative attributes)")
 	spillDir := fs.String("spill-dir", "", "out-of-core backend: spill DFS chunks and shuffle runs under this directory")
-	memLimitFlag := fs.String("mem-limit", "", "resident shuffle budget, e.g. 64M (spills to -spill-dir or a temp dir)")
+	memLimitFlag := fs.String("mem-limit", "", "resident shuffle budget, e.g. 64M (spills to -spill-dir or a temp dir; with -workers it bounds the merge buffers)")
 	explain := fs.Bool("explain", false, "print the planner's ranked candidate plans and exit without joining")
 	kernelName := fs.String("kernel", "block", "distance kernel tier: scalar | block | f32 | quantized | auto")
-	workers := fs.Int("workers", 0, "run MapReduce jobs on this many worker processes (0 = in-process engine)")
-	traceDir := fs.String("trace", "", "with -workers: write observability spans as JSONL under this directory (render with knntrace)")
+	workers := fs.Int("workers", 0, "run MapReduce jobs on this many worker processes (0 = goroutine workers in this process)")
+	traceDir := fs.String("trace", "", "write observability spans as JSONL under this directory (render with knntrace)")
 	pprofOn := fs.Bool("pprof", false, "with -workers: expose net/http/pprof on the coordinator's HTTP server")
 	verbose := fs.Bool("v", false, "print the per-job breakdown (shuffle, spill, map/reduce walls)")
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile to this file")

@@ -63,18 +63,16 @@ type Config struct {
 	MemLimit int64
 	// Workers, when positive, runs every job on that many worker
 	// processes coordinated over RPC (see mapreduce.NewDistCluster)
-	// instead of the in-process engine. Output is byte-identical either
-	// way. Workers takes the place of the MemLimit spill engine: the
-	// distributed engine always stages intermediate runs on disk.
+	// instead of goroutine workers. Output is byte-identical either
+	// way. Worker processes always stage intermediate runs on disk;
+	// under a MemLimit their reducers merge within the same budget.
 	Workers int
 	// Faults is an optional deterministic fault-injection plan for the
-	// worker processes; nil injects nothing. Only meaningful with
-	// Workers > 0.
+	// workers; nil injects nothing.
 	Faults *mapreduce.FaultPlan
-	// TraceDir, when non-empty, enables span tracing on the distributed
-	// engine: coordinator and workers write per-process JSONL span
-	// files there (see internal/obs and cmd/knntrace). Only meaningful
-	// with Workers > 0; tracing never changes any output byte.
+	// TraceDir, when non-empty, enables span tracing: the scheduler and
+	// every worker write JSONL span files there (see internal/obs and
+	// cmd/knntrace). Tracing never changes any output byte.
 	TraceDir string
 	// TraceParent optionally parents the engine's cluster span under a
 	// caller-owned span (e.g. a CLI root span).
@@ -99,52 +97,43 @@ func New(nodes, chunkRecords int) *Env {
 // spill root without colliding. Call Close when the run's results have
 // been read.
 func NewEnv(cfg Config) (*Env, error) {
-	if cfg.Workers > 0 {
-		fs := dfs.New(cfg.ChunkRecords)
-		cluster, err := mapreduce.NewDistCluster(fs, cfg.Nodes, mapreduce.DistConfig{
-			Workers:     cfg.Workers,
-			Faults:      cfg.Faults,
-			TraceDir:    cfg.TraceDir,
-			TraceParent: cfg.TraceParent,
-			Pprof:       cfg.Pprof,
-		})
+	env := &Env{FS: dfs.New(cfg.ChunkRecords)}
+	var eng mapreduce.Engine
+	if cfg.SpillDir != "" || cfg.MemLimit > 0 {
+		root := cfg.SpillDir
+		if root == "" {
+			root = os.TempDir()
+		} else if err := os.MkdirAll(root, 0o755); err != nil {
+			return nil, fmt.Errorf("driver: spill dir: %w", err)
+		}
+		dir, err := os.MkdirTemp(root, "knnjoin-env-*")
 		if err != nil {
+			return nil, fmt.Errorf("driver: spill dir: %w", err)
+		}
+		env.ownedDir = dir
+		if env.FS, err = dfs.NewDisk(filepath.Join(dir, "dfs"), cfg.ChunkRecords); err != nil {
+			env.Close()
 			return nil, err
 		}
-		return &Env{FS: fs, Cluster: cluster}, nil
+		eng = mapreduce.Engine{SpillDir: filepath.Join(dir, "shuffle"), MemLimit: cfg.MemLimit}
+		if err := os.MkdirAll(eng.SpillDir, 0o755); err != nil {
+			env.Close()
+			return nil, fmt.Errorf("driver: spill dir: %w", err)
+		}
 	}
-	if cfg.SpillDir == "" && cfg.MemLimit <= 0 {
-		return New(cfg.Nodes, cfg.ChunkRecords), nil
-	}
-	root := cfg.SpillDir
-	if root == "" {
-		root = os.TempDir()
-	} else if err := os.MkdirAll(root, 0o755); err != nil {
-		return nil, fmt.Errorf("driver: spill dir: %w", err)
-	}
-	dir, err := os.MkdirTemp(root, "knnjoin-env-*")
-	if err != nil {
-		return nil, fmt.Errorf("driver: spill dir: %w", err)
-	}
-	env := &Env{ownedDir: dir}
-	fs, err := dfs.NewDisk(filepath.Join(dir, "dfs"), cfg.ChunkRecords)
-	if err != nil {
-		env.Close()
-		return nil, err
-	}
-	shuffleDir := filepath.Join(dir, "shuffle")
-	if err := os.MkdirAll(shuffleDir, 0o755); err != nil {
-		env.Close()
-		return nil, fmt.Errorf("driver: spill dir: %w", err)
-	}
-	cluster, err := mapreduce.NewClusterEngine(fs, cfg.Nodes, mapreduce.Engine{
-		SpillDir: shuffleDir, MemLimit: cfg.MemLimit,
+	cluster, err := mapreduce.NewDistCluster(env.FS, cfg.Nodes, mapreduce.DistConfig{
+		Engine:      eng,
+		Workers:     cfg.Workers,
+		Faults:      cfg.Faults,
+		TraceDir:    cfg.TraceDir,
+		TraceParent: cfg.TraceParent,
+		Pprof:       cfg.Pprof,
 	})
 	if err != nil {
 		env.Close()
 		return nil, err
 	}
-	env.FS, env.Cluster = fs, cluster
+	env.Cluster = cluster
 	return env, nil
 }
 

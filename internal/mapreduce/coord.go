@@ -4,36 +4,42 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
+	"sync"
 	"time"
 
 	"knnjoin/internal/dfs"
 	"knnjoin/internal/obs"
 )
 
-// The coordinator side of the distributed engine: job/task state, lease
-// bookkeeping, and the scheduling decisions behind /poll, /done and
-// /heartbeat. All state is guarded by distEngine.mu; handlers do no I/O
-// under the lock — output assembly happens on the job's driving
-// goroutine after the last task commits.
+// The scheduler: job/task state, lease bookkeeping, and every retry,
+// re-dispatch and commit decision of the engine. Workers — goroutines
+// through a localLink, processes through /poll, /done and /heartbeat —
+// only ask it for a task and tell it how the task went. All state is
+// guarded by Cluster.mu; nothing here does I/O under the lock — output
+// assembly happens on the job's driving goroutine after the last task
+// commits.
 //
 // Task lifecycle: pending → running → done. A running task carries one
 // or more active attempts (more than one only under speculation). An
-// attempt disappears by reporting completion, or by missing heartbeats
-// past its lease — in which case the task returns to pending and is
-// re-dispatched. Completion is a commit gate: the first successful
-// report wins the task, later reports (a presumed-dead worker coming
-// back, or the loser of a speculative race) are acknowledged and
-// discarded, which is what makes task attempts exactly-once in effect
-// even though execution is at-least-once.
+// attempt disappears by reporting completion, by its worker exiting, or
+// by missing heartbeats past its lease — in the last two cases the task
+// returns to pending and is re-dispatched. Completion is a commit gate:
+// the first successful report wins the task, later reports (a
+// presumed-dead worker coming back, or the loser of a speculative race)
+// are acknowledged and discarded, which is what makes task attempts
+// exactly-once in effect even though execution is at-least-once — and
+// why only committed attempts reach the job's output and statistics.
 
-// Task states of the distributed scheduler.
+// Task states of the scheduler.
 const (
 	taskPending = iota
 	taskRunning
 	taskDone
 )
 
-// attemptRec is one in-flight attempt's lease record.
+// attemptRec is one in-flight attempt's lease record. A zero deadline
+// means the attempt carries no lease.
 type attemptRec struct {
 	attempt  int
 	worker   int
@@ -41,8 +47,8 @@ type attemptRec struct {
 	deadline time.Time
 }
 
-// distTask is the coordinator's state for one map or reduce task.
-type distTask struct {
+// taskState is the scheduler's state for one map or reduce task.
+type taskState struct {
 	phase    string
 	index    int
 	state    int
@@ -50,28 +56,32 @@ type distTask struct {
 	failures int // error-reported attempts (not lease losses)
 	active   []attemptRec
 
-	// Committed results, valid once state == taskDone.
-	mapRuns      []wireMapRun
-	output       wireRun
-	records      int64
-	groups       int64
-	work         int64
-	spilledRuns  int64
-	spilledBytes int64
-	counters     map[string]int64
+	// done is the committed attempt's report, valid once state == taskDone.
+	done *completion
 }
 
-// coordJob is the coordinator's state for the one running job.
+// coordJob is the scheduler's state for one running job.
 type coordJob struct {
 	id          int64
 	job         *Job
+	splits      []dfs.Split
 	nReduce     int
 	mapOnly     bool
 	maxAttempts int
-	dir         string
 
-	maps        []distTask
-	reduces     []distTask
+	// local jobs run on goroutine workers started for the job; the
+	// others on the cluster's worker processes.
+	local bool
+	live  int // workers still serving the job
+
+	dir     string // where run files go; "" keeps every run resident
+	mem     *memAccount
+	fanIn   int
+	bufSize int
+	lease   time.Duration // zero: attempts carry no lease
+
+	maps        []taskState
+	reduces     []taskState
 	mapsDone    int
 	reducesDone int
 
@@ -91,15 +101,15 @@ type coordJob struct {
 	mapDoneAt time.Time
 	stats     JobStats
 
-	// span is the coordinator's job span (nil when tracing is off);
-	// scheduling decisions — lease losses, speculation, duplicate
+	// span is the job span (nil when tracing is off); scheduling
+	// decisions — lease losses, worker exits, speculation, duplicate
 	// discards, bad-run repairs — land on it as events.
 	span *obs.Span
 }
 
 // task returns the addressed task, or nil.
-func (j *coordJob) task(phase string, index int) *distTask {
-	var ts []distTask
+func (j *coordJob) task(phase string, index int) *taskState {
+	var ts []taskState
 	switch phase {
 	case "map":
 		ts = j.maps
@@ -114,23 +124,41 @@ func (j *coordJob) task(phase string, index int) *distTask {
 	return &ts[index]
 }
 
-// finishLocked ends the job exactly once. Caller holds e.mu.
-func (e *distEngine) finishLocked(j *coordJob, err error) {
+// taskID names a task of the job, e.g. "knn/map/3".
+func (j *coordJob) taskID(t *taskState) string {
+	return fmt.Sprintf("%s/%s/%d", j.job.Name, t.phase, t.index)
+}
+
+// finishLocked ends the job exactly once. Caller holds c.mu.
+func (c *Cluster) finishLocked(j *coordJob, err error) {
 	if j.completed {
 		return
 	}
 	j.completed = true
 	j.err = err
 	close(j.finished)
+	c.wake.Broadcast()
 }
 
-// expireLeases drops attempts whose lease lapsed and returns their
-// tasks to pending for re-dispatch. A job that keeps losing attempts
-// (e.g. a fault plan killing every worker that touches a task) fails
-// once the re-dispatch budget is exhausted rather than spinning forever.
-// Caller holds e.mu.
-func (e *distEngine) expireLeases(j *coordJob, now time.Time) {
-	for _, tasks := range [][]distTask{j.maps, j.reduces} {
+// redispatchedLocked counts one failure-forced re-execution. A job that
+// keeps losing attempts (e.g. a fault plan killing every worker that
+// touches a task) fails once the budget is exhausted rather than
+// spinning forever. Caller holds c.mu.
+func (c *Cluster) redispatchedLocked(j *coordJob, t *taskState, cause string) {
+	j.stats.ReexecutedAttempts++
+	c.mReexec.Inc()
+	j.redispatches++
+	if j.redispatches > j.maxRedispatch {
+		c.finishLocked(j, fmt.Errorf("mapreduce: job %q: %d re-dispatches, last of task %s/%d (%s) — giving up",
+			j.job.Name, j.redispatches, t.phase, t.index, cause))
+	}
+}
+
+// reclaimLocked drops the running attempts lost reports true for and
+// returns tasks left without an attempt to pending, for re-dispatch.
+// Caller holds c.mu.
+func (c *Cluster) reclaimLocked(j *coordJob, event string, lost func(attemptRec) bool) {
+	for _, tasks := range [][]taskState{j.maps, j.reduces} {
 		for i := range tasks {
 			t := &tasks[i]
 			if t.state != taskRunning {
@@ -138,7 +166,7 @@ func (e *distEngine) expireLeases(j *coordJob, now time.Time) {
 			}
 			kept := t.active[:0]
 			for _, a := range t.active {
-				if a.deadline.After(now) {
+				if !lost(a) {
 					kept = append(kept, a)
 				}
 			}
@@ -148,197 +176,194 @@ func (e *distEngine) expireLeases(j *coordJob, now time.Time) {
 			t.active = kept
 			if len(t.active) == 0 {
 				t.state = taskPending
-				j.span.Event("lease-expired",
-					"task", fmt.Sprintf("%s/%s/%d", j.job.Name, t.phase, t.index))
-				j.stats.ReexecutedAttempts++
-				e.mReexec.Inc()
-				j.redispatches++
-				if j.redispatches > j.maxRedispatch {
-					e.finishLocked(j, fmt.Errorf("mapreduce: job %q: task %s/%d re-dispatched %d times — giving up",
-						j.job.Name, t.phase, t.index, j.redispatches))
+				j.span.Event(event, "task", j.taskID(t))
+				c.redispatchedLocked(j, t, event)
+				if j.completed {
 					return
 				}
 			}
 		}
 	}
+	c.wake.Broadcast()
 }
 
-// assign answers one /poll: a pending map task first, then — once every
-// map has committed — a pending reduce task, then (when configured) a
-// speculative backup attempt against the longest-running straggler.
-func (e *distEngine) assign(worker int) pollResponse {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.closed.Load() {
-		return pollResponse{Shutdown: true}
+// expireLeasesLocked reclaims attempts whose lease lapsed.
+func (c *Cluster) expireLeasesLocked(j *coordJob, now time.Time) {
+	if j.lease > 0 && !j.completed {
+		c.reclaimLocked(j, "lease-expired", func(a attemptRec) bool { return !a.deadline.After(now) })
 	}
-	j := e.cur
-	if j == nil || j.completed {
-		return pollResponse{WaitMs: 10}
-	}
-	now := time.Now()
-	e.expireLeases(j, now)
+}
+
+// workerExitedLocked reclaims a gone worker's attempts at once — a
+// worker that exited is seen, not waited out — and fails the job when
+// nobody is left to run it. Caller holds c.mu.
+func (c *Cluster) workerExitedLocked(j *coordJob, worker int) {
 	if j.completed {
-		return pollResponse{WaitMs: 10}
+		return
+	}
+	j.live--
+	c.reclaimLocked(j, "worker-exit", func(a attemptRec) bool { return a.worker == worker })
+	if j.live == 0 {
+		c.finishLocked(j, fmt.Errorf("mapreduce: job %q: all workers exited", j.job.Name))
+	}
+}
+
+// assignLocked picks the next attempt for worker: a pending map task
+// first, then — once every map has committed — a pending reduce task,
+// then (when configured) a speculative backup attempt against the
+// longest-running straggler. Nil means nothing to do right now. Caller
+// holds c.mu.
+func (c *Cluster) assignLocked(j *coordJob, worker int, now time.Time) *assignment {
+	c.expireLeasesLocked(j, now)
+	if j.completed {
+		return nil
 	}
 	for i := range j.maps {
 		if t := &j.maps[i]; t.state == taskPending {
-			return pollResponse{Task: e.assignTask(j, t, worker, now)}
+			return c.dispatchLocked(j, t, worker, now)
 		}
 	}
+	cands := j.maps
 	if j.mapsDone == len(j.maps) {
 		for i := range j.reduces {
 			if t := &j.reduces[i]; t.state == taskPending {
-				return pollResponse{Task: e.assignTask(j, t, worker, now)}
+				return c.dispatchLocked(j, t, worker, now)
 			}
 		}
+		cands = j.reduces
 	}
-	if e.cfg.SpeculativeAfter > 0 {
-		cands := j.maps
-		if j.mapsDone == len(j.maps) {
-			cands = j.reduces
-		}
+	if c.cfg.SpeculativeAfter > 0 {
 		for i := range cands {
 			t := &cands[i]
 			// Back up a task only when its sole attempt has been running
 			// past the speculation threshold on some other worker.
 			if t.state == taskRunning && len(t.active) == 1 &&
 				t.active[0].worker != worker &&
-				now.Sub(t.active[0].started) >= e.cfg.SpeculativeAfter {
+				now.Sub(t.active[0].started) >= c.cfg.SpeculativeAfter {
 				j.span.Event("speculative-attempt",
-					"task", fmt.Sprintf("%s/%s/%d", j.job.Name, t.phase, t.index),
+					"task", j.taskID(t),
 					"worker", fmt.Sprint(worker))
 				j.stats.SpeculativeAttempts++
-				e.mSpec.Inc()
-				return pollResponse{Task: e.assignTask(j, t, worker, now)}
+				c.mSpec.Inc()
+				return c.dispatchLocked(j, t, worker, now)
 			}
 		}
 	}
-	return pollResponse{WaitMs: 10}
+	return nil
 }
 
-// assignTask dispatches a new attempt of t to worker. Caller holds e.mu.
-func (e *distEngine) assignTask(j *coordJob, t *distTask, worker int, now time.Time) *wireTask {
+// dispatchLocked hands a new attempt of t to worker. Caller holds c.mu.
+func (c *Cluster) dispatchLocked(j *coordJob, t *taskState, worker int, now time.Time) *assignment {
 	t.attempts++
 	att := t.attempts
 	t.state = taskRunning
-	lease := e.lease()
-	t.active = append(t.active, attemptRec{attempt: att, worker: worker,
-		started: now, deadline: now.Add(lease)})
-	wt := &wireTask{
+	rec := attemptRec{attempt: att, worker: worker, started: now}
+	if j.lease > 0 {
+		rec.deadline = now.Add(j.lease)
+	}
+	t.active = append(t.active, rec)
+	a := &assignment{
 		JobID: j.id, JobName: j.job.Name, Kind: j.job.Kind, Spec: j.job.Spec,
 		Phase: t.phase, Index: t.index, Attempt: att,
 		NumReducers: j.nReduce, MapOnly: j.mapOnly,
-		SplitIndex: t.index,
-		RunDir:     filepath.Join(j.dir, fmt.Sprintf("%s%d-a%d-w%d", t.phase, t.index, att, worker)),
-		LeaseMs:    lease.Milliseconds(),
+		RunDir: j.dir, FanIn: j.fanIn, BufSize: j.bufSize,
+		job: j.job, mem: j.mem,
+	}
+	if !j.local {
+		a.RunDir = filepath.Join(j.dir, fmt.Sprintf("%s%d-a%d-w%d", t.phase, t.index, att, worker))
 	}
 	ctx := j.span.Context()
-	wt.TraceID, wt.SpanParent = ctx.TraceID, ctx.SpanID
+	a.TraceID, a.SpanParent = ctx.TraceID, ctx.SpanID
 	if att > 1 {
 		j.span.Event("re-dispatch",
-			"task", fmt.Sprintf("%s/%s/%d", j.job.Name, t.phase, t.index),
+			"task", j.taskID(t),
 			"attempt", fmt.Sprint(att),
 			"worker", fmt.Sprint(worker))
 	}
-	if t.phase == "reduce" {
-		// The fan-in list is derived at assignment time from currently
-		// committed map runs, so an attempt dispatched after a bad-run
-		// repair sees the re-executed producer's fresh files.
-		for mi := range j.maps {
-			for _, mr := range j.maps[mi].mapRuns {
-				if mr.Reducer == t.index {
-					wt.Runs = append(wt.Runs, wireRun{Path: mr.Path, Records: mr.Records, Bytes: mr.Bytes})
-				}
-			}
+	if t.phase == "map" {
+		a.split = j.splits[t.index]
+		return a
+	}
+	// The fan-in list is derived at dispatch time from currently
+	// committed map runs, so an attempt dispatched after a bad-run
+	// repair sees the re-executed producer's fresh runs.
+	for mi := range j.maps {
+		if run := j.maps[mi].done.Runs[t.index]; run.records() > 0 {
+			a.Runs = append(a.Runs, run)
 		}
 	}
-	return wt
+	return a
 }
 
-// complete processes one /done report.
-func (e *distEngine) complete(c *completion) completionResponse {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	j := e.cur
-	if j == nil || j.completed || c.JobID != j.id {
-		return completionResponse{}
-	}
-	t := j.task(c.Phase, c.Index)
-	if t == nil {
-		return completionResponse{}
+// completeLocked processes one finished attempt's report and says
+// whether it was committed. Caller holds c.mu.
+func (c *Cluster) completeLocked(j *coordJob, comp *completion) bool {
+	t := j.task(comp.Phase, comp.Index)
+	if j.completed || t == nil {
+		return false
 	}
 	for i, a := range t.active {
-		if a.attempt == c.Attempt {
+		if a.attempt == comp.Attempt {
 			t.active = append(t.active[:i], t.active[i+1:]...)
 			break
 		}
 	}
-	if c.Err != "" {
-		if len(c.BadRuns) > 0 {
+	if t.state == taskDone {
+		// A speculative loser or a presumed-dead worker coming back. The
+		// first commit won; whatever this one has to say is discarded.
+		if comp.err == nil {
+			j.span.Event("duplicate-discarded",
+				"task", j.taskID(t),
+				"attempt", fmt.Sprint(comp.Attempt),
+				"worker", fmt.Sprint(comp.Worker))
+		}
+		return false
+	}
+	if comp.err != nil {
+		if len(comp.BadRuns) > 0 {
 			// Damaged intermediates are an environment failure, not a task
 			// failure: un-commit the producing map tasks so they re-execute,
 			// and retry this task without charging its failure budget.
-			for _, path := range c.BadRuns {
+			for _, path := range comp.BadRuns {
 				mi, ok := j.runProducer[path]
 				if !ok {
 					continue
 				}
 				m := &j.maps[mi]
-				if m.state != taskDone {
-					continue
+				for _, run := range m.done.Runs {
+					if run.File != nil {
+						delete(j.runProducer, run.File.Path)
+					}
 				}
-				for _, mr := range m.mapRuns {
-					delete(j.runProducer, mr.Path)
-				}
-				m.mapRuns = nil
-				m.counters = nil
+				m.done = nil
 				m.state = taskPending
 				j.mapsDone--
-				j.span.Event("bad-run-repair", "path", path,
-					"producer", fmt.Sprintf("%s/map/%d", j.job.Name, mi))
-				j.stats.ReexecutedAttempts++
-				e.mReexec.Inc()
+				j.span.Event("bad-run-repair", "path", path, "producer", j.taskID(m))
+				c.redispatchedLocked(j, m, comp.Err)
 			}
-			j.stats.ReexecutedAttempts++
-			e.mReexec.Inc()
-		} else {
-			t.failures++
-			if t.failures >= j.maxAttempts {
-				e.finishLocked(j, fmt.Errorf("mapreduce: task %s/%s/%d failed after %d attempts: %s",
-					j.job.Name, c.Phase, c.Index, t.failures, c.Err))
-				return completionResponse{}
-			}
+			c.redispatchedLocked(j, t, comp.Err)
+		} else if t.failures++; t.failures >= j.maxAttempts {
+			c.finishLocked(j, fmt.Errorf("mapreduce: task %s failed after %d attempts: %w",
+				j.taskID(t), t.failures, comp.err))
 		}
 		if t.state == taskRunning && len(t.active) == 0 {
 			t.state = taskPending
 		}
-		return completionResponse{}
-	}
-	if t.state == taskDone {
-		// Duplicate completion — a speculative loser or a presumed-dead
-		// worker coming back. The first commit won; discard this one.
-		j.span.Event("duplicate-discarded",
-			"task", fmt.Sprintf("%s/%s/%d", j.job.Name, c.Phase, c.Index),
-			"attempt", fmt.Sprint(c.Attempt),
-			"worker", fmt.Sprint(c.Worker))
-		return completionResponse{}
+		c.wake.Broadcast()
+		return false
 	}
 	t.state = taskDone
 	t.active = nil
-	t.mapRuns = c.MapRuns
-	t.output = c.Output
-	t.records = c.Records
-	t.groups = c.Groups
-	t.work = c.Work
-	t.spilledRuns = c.SpilledRuns
-	t.spilledBytes = c.SpilledBytes
-	t.counters = c.Counters
-	j.stats.WorkerTasks++
-	e.mTasks.Inc()
-	if c.Phase == "map" {
-		for _, mr := range c.MapRuns {
-			j.runProducer[mr.Path] = c.Index
+	t.done = comp
+	if !j.local {
+		j.stats.WorkerTasks++
+		c.mTasks.Inc()
+	}
+	if comp.Phase == "map" {
+		for _, run := range comp.Runs {
+			if run.File != nil {
+				j.runProducer[run.File.Path] = comp.Index
+			}
 		}
 		j.mapsDone++
 		if j.mapsDone == len(j.maps) && j.mapDoneAt.IsZero() {
@@ -348,198 +373,269 @@ func (e *distEngine) complete(c *completion) completionResponse {
 		j.reducesDone++
 	}
 	if j.mapsDone == len(j.maps) && j.reducesDone == len(j.reduces) {
-		e.finishLocked(j, nil)
+		c.finishLocked(j, nil)
 	}
-	return completionResponse{Accepted: true}
+	c.wake.Broadcast()
+	return true
 }
 
-// heartbeat renews an attempt's lease.
-func (e *distEngine) heartbeat(h *heartbeatMsg) heartbeatResponse {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	j := e.cur
-	if j == nil || j.completed || h.JobID != j.id {
-		return heartbeatResponse{Abandoned: true}
-	}
+// heartbeatLocked renews an attempt's lease and says whether the
+// attempt is still wanted. Caller holds c.mu.
+func (c *Cluster) heartbeatLocked(j *coordJob, h *heartbeatMsg) bool {
 	t := j.task(h.Phase, h.Index)
-	if t == nil || t.state != taskRunning {
-		return heartbeatResponse{Abandoned: true}
+	if j.completed || t == nil || t.state != taskRunning {
+		return false
 	}
 	for i := range t.active {
 		if t.active[i].attempt == h.Attempt {
-			t.active[i].deadline = time.Now().Add(e.lease())
-			return heartbeatResponse{}
+			t.active[i].deadline = time.Now().Add(j.lease)
+			return true
 		}
 	}
-	return heartbeatResponse{Abandoned: true}
+	return false
 }
 
-// run executes one job on the worker pool: install the task table, wait
-// for the commit of every task (watchdogging leases and worker
-// liveness), then assemble the output and statistics from the committed
-// attempts — and only from those, which is why job output is
-// byte-identical to the in-process engine no matter how many attempts
-// died or duplicated along the way.
-func (e *distEngine) run(job *Job, nReduce, maxAttempts int) (*JobStats, error) {
-	splits, err := e.fs.Splits(job.Input...)
-	if err != nil {
-		return nil, fmt.Errorf("mapreduce: job %q: %w", job.Name, err)
+// localLink connects a goroutine worker to the scheduler: direct calls
+// under the lock, a wake-up instead of a poll interval.
+type localLink struct {
+	c *Cluster
+	j *coordJob
+}
+
+func (l localLink) next(worker int) *assignment {
+	l.c.mu.Lock()
+	defer l.c.mu.Unlock()
+	for !l.j.completed {
+		if a := l.c.assignLocked(l.j, worker, time.Now()); a != nil {
+			return a
+		}
+		if !l.j.completed {
+			l.c.wake.Wait()
+		}
 	}
-	id := e.jobSeq.Add(1)
+	return nil
+}
+
+func (l localLink) report(comp *completion) (accepted, delivered bool) {
+	l.c.mu.Lock()
+	defer l.c.mu.Unlock()
+	return l.c.completeLocked(l.j, comp), true
+}
+
+func (l localLink) heartbeat(h *heartbeatMsg) {
+	l.c.mu.Lock()
+	defer l.c.mu.Unlock()
+	l.c.heartbeatLocked(l.j, h)
+}
+
+// runJob executes one job: build the task table, put workers on it, wait
+// for the commit of every task (watchdogging leases), then assemble the
+// output and statistics from the committed attempts — and only from
+// those, which is why job output is byte-identical no matter which
+// workers ran it or how many attempts died or duplicated along the way.
+func (c *Cluster) runJob(job *Job, splits []dfs.Split) (*JobStats, error) {
 	j := &coordJob{
-		id: id, job: job, nReduce: nReduce, mapOnly: job.Reduce == nil,
-		maxAttempts: maxAttempts,
-		dir:         filepath.Join(e.dir, fmt.Sprintf("job-%d", id)),
+		job: job, splits: splits, nReduce: job.NumReducers, mapOnly: job.Reduce == nil,
+		maxAttempts: job.MaxAttempts,
+		local:       job.Kind == "" || c.procs == nil,
+		mem:         &memAccount{limit: c.cfg.Engine.MemLimit},
 		runProducer: make(map[string]int),
 		finished:    make(chan struct{}),
-		start:       time.Now(),
 	}
-	if err := os.MkdirAll(j.dir, 0o755); err != nil {
-		return nil, fmt.Errorf("mapreduce: job %q: %w", job.Name, err)
+	if j.nReduce <= 0 {
+		j.nReduce = c.nodes
 	}
-	defer os.RemoveAll(j.dir)
-	j.maps = make([]distTask, len(splits))
+	if j.maxAttempts <= 0 {
+		j.maxAttempts = 1
+	}
+	j.fanIn, j.bufSize = c.cfg.Engine.mergeBudget(c.nodes)
+	j.maps = make([]taskState, len(splits))
 	for i := range j.maps {
-		j.maps[i] = distTask{phase: "map", index: i, state: taskPending}
+		j.maps[i] = taskState{phase: "map", index: i}
 	}
 	if !j.mapOnly {
-		j.reduces = make([]distTask, nReduce)
+		j.reduces = make([]taskState, j.nReduce)
 		for i := range j.reduces {
-			j.reduces[i] = distTask{phase: "reduce", index: i, state: taskPending}
+			j.reduces[i] = taskState{phase: "reduce", index: i}
 		}
 	}
 	j.maxRedispatch = 16 + 8*(len(j.maps)+len(j.reduces))
 	j.stats = JobStats{Job: job.Name, MapTasks: len(j.maps), ReduceTasks: len(j.reduces)}
-	e.mJobs.Inc()
-	j.span = e.tracer.StartSpan("job:"+job.Name, e.rootSpan.Context())
+
+	// Run files: worker processes exchange everything through the shared
+	// scratch directory; goroutine workers need one only to spill runs.
+	root := c.cfg.Engine.SpillDir
+	if !j.local {
+		root = c.procs.dir
+	} else if j.mapOnly {
+		root = ""
+	}
+	if root != "" {
+		dir, err := os.MkdirTemp(root, "job-*")
+		if err != nil {
+			return nil, fmt.Errorf("mapreduce: job %q: spill dir: %w", job.Name, err)
+		}
+		j.dir = dir
+		defer os.RemoveAll(dir)
+	}
+
+	c.mJobs.Inc()
+	j.span = c.tracer.StartSpan("job:"+job.Name, c.rootSpan.Context())
 	j.span.SetAttr("kind", job.Kind)
 	j.span.SetAttr("maps", fmt.Sprint(len(j.maps)))
 	j.span.SetAttr("reduces", fmt.Sprint(len(j.reduces)))
 	defer j.span.End()
 
-	e.mu.Lock()
-	if e.closed.Load() {
-		e.mu.Unlock()
-		return nil, fmt.Errorf("mapreduce: job %q: cluster closed", job.Name)
-	}
-	if e.cur != nil {
-		name := e.cur.job.Name
-		e.mu.Unlock()
-		return nil, fmt.Errorf("mapreduce: job %q: cluster already running job %q", job.Name, name)
+	j.start = time.Now()
+	c.mu.Lock()
+	c.jobSeq++
+	j.id = c.jobSeq
+	switch {
+	case c.closed:
+		c.finishLocked(j, fmt.Errorf("mapreduce: job %q: cluster closed", job.Name))
+	case j.local:
+		j.live = c.nodes
+		if c.cfg.Faults != nil {
+			j.lease = c.lease()
+		}
+	case c.cur != nil:
+		c.finishLocked(j, fmt.Errorf("mapreduce: job %q: cluster already running job %q", job.Name, c.cur.job.Name))
+	default:
+		c.cur = j
+		j.live, j.lease = c.procs.live, c.lease()
+		if j.live == 0 {
+			c.finishLocked(j, fmt.Errorf("mapreduce: job %q: all %d worker processes exited", job.Name, c.cfg.Workers))
+		}
 	}
 	if len(j.maps)+len(j.reduces) == 0 {
-		j.completed = true
-		close(j.finished)
+		c.finishLocked(j, nil)
 	}
-	e.cur = j
-	e.mu.Unlock()
+	c.mu.Unlock()
 
-	// Drive the job: tasks commit via /done; the watchdog expires leases
-	// even when no worker is polling, and aborts if every worker died.
-	tick := time.NewTicker(25 * time.Millisecond)
-	defer tick.Stop()
+	var wg sync.WaitGroup
+	if j.local {
+		for i := 0; i < c.nodes; i++ {
+			w := &worker{index: i, link: localLink{c, j}, inj: c.injectors[i], tracer: c.tracers[i],
+				kill: runtime.Goexit, quit: j.finished, hbEvery: j.lease / 4}
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				defer func() { // also how an ActKill'd worker is noticed
+					c.mu.Lock()
+					c.workerExitedLocked(j, w.index)
+					c.mu.Unlock()
+				}()
+				w.loop()
+			}()
+		}
+	}
+
+	// Tasks commit through the workers' reports; the watchdog expires
+	// leases even when no worker is asking, and wakes idle goroutine
+	// workers to reconsider speculation.
+	var tick <-chan time.Time
+	if j.lease > 0 || c.cfg.SpeculativeAfter > 0 {
+		t := time.NewTicker(25 * time.Millisecond)
+		defer t.Stop()
+		tick = t.C
+	}
 	for running := true; running; {
 		select {
 		case <-j.finished:
 			running = false
-		case <-tick.C:
-			e.mu.Lock()
-			if !j.completed {
-				if e.live.Load() == 0 {
-					e.finishLocked(j, fmt.Errorf("mapreduce: job %q: all %d worker processes exited",
-						job.Name, e.cfg.Workers))
-				} else {
-					e.expireLeases(j, time.Now())
-				}
-			}
-			e.mu.Unlock()
+		case now := <-tick:
+			c.mu.Lock()
+			c.expireLeasesLocked(j, now)
+			c.wake.Broadcast()
+			c.mu.Unlock()
 		}
 	}
-	e.mu.Lock()
-	e.cur = nil
-	jerr := j.err
-	e.mu.Unlock()
+	wg.Wait()
+	end := time.Now()
+	c.mu.Lock()
+	if c.cur == j {
+		c.cur = nil
+	}
+	c.mu.Unlock()
 	j.span.SetAttr("reexecuted", fmt.Sprint(j.stats.ReexecutedAttempts))
 	j.span.SetAttr("speculative", fmt.Sprint(j.stats.SpeculativeAttempts))
-	if jerr != nil {
+	if j.err != nil {
 		j.span.SetAttr("outcome", "error")
-		j.span.SetAttr("err", jerr.Error())
-		return nil, jerr
+		j.span.SetAttr("err", j.err.Error())
+		return nil, j.err
 	}
 	j.span.SetAttr("outcome", "ok")
-	return e.assemble(j)
-}
-
-// assemble reads the committed output files — map tasks in index order
-// for map-only jobs, reduce tasks in index order otherwise, the exact
-// concatenation order of the in-process engine — writes the job output,
-// and folds the committed attempts' metrics into JobStats.
-func (e *distEngine) assemble(j *coordJob) (*JobStats, error) {
-	stats := &j.stats
-	outTasks := j.reduces
-	if j.mapOnly {
-		outTasks = j.maps
-	}
-	var out []dfs.Record
-	for i := range outTasks {
-		t := &outTasks[i]
-		if t.output.Path == "" {
-			continue
-		}
-		recs, err := readFramedFile(t.output.Path, t.output.Records)
-		if err != nil {
-			return nil, fmt.Errorf("mapreduce: job %q: %w", j.job.Name, err)
-		}
-		out = append(out, recs...)
-	}
-	if err := e.fs.Write(j.job.Output, out); err != nil {
-		return nil, fmt.Errorf("mapreduce: job %q: %w", j.job.Name, err)
-	}
-	stats.OutputRecords = int64(len(out))
-
-	counters := NewCounterSet()
-	mapWork := make([]int64, len(j.maps))
-	if !j.mapOnly {
-		stats.ReduceInputRecords = make([]int64, j.nReduce)
-	}
-	for i := range j.maps {
-		t := &j.maps[i]
-		stats.MapInputRecords += t.records
-		mapWork[i] = t.work
-		stats.SpilledRuns += t.spilledRuns
-		stats.SpilledBytes += t.spilledBytes
-		for _, mr := range t.mapRuns {
-			stats.ShuffleBytes += mr.Bytes
-			stats.ShuffleRecords += mr.Records
-			stats.ReduceInputRecords[mr.Reducer] += mr.Records
-		}
-		for name, v := range t.counters { //lint:allow maprange: integer counter merge, CounterSet.Add is commutative
-			counters.Add(name, v)
-		}
-	}
-	stats.SimMapMakespan = makespan(mapWork, e.nodes)
-	if !j.mapOnly {
-		reduceWork := make([]int64, len(j.reduces))
-		for i := range j.reduces {
-			t := &j.reduces[i]
-			stats.ReduceGroups += t.groups
-			reduceWork[i] = t.work
-			stats.SpilledRuns += t.spilledRuns
-			stats.SpilledBytes += t.spilledBytes
-			for name, v := range t.counters { //lint:allow maprange: integer counter merge, CounterSet.Add is commutative
-				counters.Add(name, v)
-			}
-		}
-		stats.SimReduceMakespan = makespan(reduceWork, e.nodes)
-	}
-	stats.Counters = counters.Snapshot()
-	e.mShufB.Add(stats.ShuffleBytes)
-	e.mSpillB.Add(stats.SpilledBytes)
-	end := time.Now()
 	if j.mapDoneAt.IsZero() {
 		j.mapDoneAt = end
 	}
-	stats.MapWall = j.mapDoneAt.Sub(j.start)
-	stats.ReduceWall = end.Sub(j.mapDoneAt)
+	j.stats.MapWall = j.mapDoneAt.Sub(j.start)
+	j.stats.ReduceWall = end.Sub(j.mapDoneAt)
+	return c.assemble(j)
+}
+
+// assemble concatenates the committed outputs — map tasks in index
+// order for map-only jobs, reduce tasks in index order otherwise —
+// writes the job output, and folds the committed attempts' metrics into
+// JobStats: the shuffle volume is every key and value byte of the
+// committed runs, the paper's "shuffling cost".
+func (c *Cluster) assemble(j *coordJob) (*JobStats, error) {
+	stats := &j.stats
+	counters := NewCounterSet()
+	fold := func(tasks []taskState, each func(*completion)) ([]dfs.Record, int64, error) {
+		var out []dfs.Record
+		work := make([]int64, len(tasks))
+		for i := range tasks {
+			d := tasks[i].done
+			recs := d.out
+			if d.OutFile != nil {
+				var err error
+				if recs, err = readFramedFile(d.OutFile.Path, d.OutFile.Records); err != nil {
+					return nil, 0, fmt.Errorf("mapreduce: job %q: %w", j.job.Name, err)
+				}
+			}
+			out = append(out, recs...)
+			work[i] = d.Work
+			stats.SpilledRuns += d.SpilledRuns
+			stats.SpilledBytes += d.SpilledBytes
+			for name, v := range d.Counters { //lint:allow maprange: integer counter merge, CounterSet.Add is commutative
+				counters.Add(name, v)
+			}
+			each(d)
+		}
+		return out, makespan(work, c.nodes), nil
+	}
+
+	if !j.mapOnly {
+		stats.ReduceInputRecords = make([]int64, j.nReduce)
+	}
+	out, span, err := fold(j.maps, func(d *completion) {
+		stats.MapInputRecords += d.Records
+		for r, run := range d.Runs {
+			if n := run.records(); n > 0 {
+				stats.ShuffleBytes += run.shuffleBytes()
+				stats.ShuffleRecords += n
+				stats.ReduceInputRecords[r] += n
+			}
+		}
+	})
+	if err != nil {
+		return nil, err
+	}
+	stats.SimMapMakespan = span
+	if !j.mapOnly {
+		out, span, err = fold(j.reduces, func(d *completion) { stats.ReduceGroups += d.Groups })
+		if err != nil {
+			return nil, err
+		}
+		stats.SimReduceMakespan = span
+	}
+	if err := c.fs.Write(j.job.Output, out); err != nil {
+		return nil, fmt.Errorf("mapreduce: job %q: %w", j.job.Name, err)
+	}
+	stats.OutputRecords = int64(len(out))
+	stats.PeakResidentBytes = j.mem.peak.Load()
+	stats.Counters = counters.Snapshot()
+	c.mShufB.Add(stats.ShuffleBytes)
+	c.mSpillB.Add(stats.SpilledBytes)
 	return stats, nil
 }

@@ -8,33 +8,36 @@ import (
 	"net/http"
 	"os"
 	"os/exec"
-	"path/filepath"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"knnjoin/internal/dfs"
 	"knnjoin/internal/obs"
 )
 
-// DistConfig configures a distributed cluster: a coordinator in this
+// DistConfig configures a distributed cluster: the scheduler in this
 // process plus Workers spawned worker processes (re-executions of the
 // current binary — main or TestMain must call RunWorkerIfSpawned). Jobs
-// submitted through Cluster.Run execute on the workers when they carry a
-// registered Kind; kindless jobs fall back to the in-process backend.
+// submitted through Cluster.Run execute on the processes when they carry
+// a registered Kind; kindless jobs — and every job when Workers is zero —
+// run on goroutine workers of the same scheduler, under the same fault
+// plan and tracing.
 type DistConfig struct {
-	// Workers is the number of worker processes; required, positive.
+	// Workers is the number of worker processes; zero starts none.
 	Workers int
 
-	// Dir is the shared scratch directory for intermediate run files;
-	// empty creates (and removes on Close) a temporary directory.
-	// Coordinator and workers must see the same filesystem — the
-	// engine distributes compute across processes, not machines.
-	Dir string
+	// Engine says where runs live between the phases and how reducers
+	// merge them (see Engine). Worker processes always exchange runs as
+	// files — in a scratch directory created under Engine.SpillDir, or
+	// the system temp directory, and removed on Close — so for them only
+	// the merge budget matters. Coordinator and workers must see the
+	// same filesystem — the engine distributes compute across processes,
+	// not machines.
+	Engine Engine
 
 	// LeaseTimeout is how long a task attempt may go without a
 	// heartbeat before it is presumed dead and its task re-dispatched.
-	// Zero selects 800ms.
+	// Zero selects 800ms. Attempts on goroutine workers carry a lease
+	// only under a fault plan — nothing else can make one go silent.
 	LeaseTimeout time.Duration
 
 	// SpeculativeAfter, when positive, launches a backup attempt for a
@@ -43,162 +46,143 @@ type DistConfig struct {
 	// the MapReduce paper. Zero disables speculation.
 	SpeculativeAfter time.Duration
 
-	// Faults is an optional deterministic fault-injection plan shipped
-	// to every worker; see FaultPlan. Nil injects nothing.
+	// Faults is an optional deterministic fault-injection plan every
+	// worker evaluates; see FaultPlan. Nil injects nothing.
 	Faults *FaultPlan
 
-	// TraceDir, when non-empty, enables tracing: the coordinator and
-	// every worker process record spans to per-process JSONL files in
-	// this directory (merge and render them with cmd/knntrace).
+	// TraceDir, when non-empty, enables tracing: the scheduler and
+	// every worker record spans to per-worker JSONL files in this
+	// directory (merge and render them with cmd/knntrace).
 	TraceDir string
 
 	// Pprof exposes net/http/pprof under /debug/pprof on the
-	// coordinator's HTTP server.
+	// coordinator's HTTP server (Workers > 0).
 	Pprof bool
 
-	// TraceParent, when valid, parents the coordinator's cluster span
-	// under a caller-owned span (e.g. a CLI root span), joining the
-	// cluster's spans to the caller's trace.
+	// TraceParent, when valid, parents the cluster span under a
+	// caller-owned span (e.g. a CLI root span), joining the cluster's
+	// spans to the caller's trace.
 	TraceParent obs.SpanContext
 }
 
 // defaultLease is the lease timeout when DistConfig leaves it zero.
 const defaultLease = 800 * time.Millisecond
 
-// distEngine is the coordinator: an HTTP server workers poll for tasks,
-// plus the spawned worker processes themselves.
-type distEngine struct {
-	cfg    DistConfig
-	fs     dfs.Store
-	nodes  int
-	dir    string
-	ownDir bool
-
-	srv  *http.Server
-	base string
-
-	workers []*exec.Cmd
-	exited  []chan struct{}
-	live    atomic.Int32
-
-	closed atomic.Bool
-	mu     sync.Mutex
-	cur    *coordJob
-	jobSeq atomic.Int64
-
-	// Observability: nil tracer/span when DistConfig.TraceDir is empty
-	// (every use no-ops); the metrics registry always exists and backs
-	// the coordinator's /metrics endpoint.
-	tracer   *obs.Tracer
-	rootSpan *obs.Span
-	metrics  *obs.Registry
-	mJobs    *obs.Counter
-	mTasks   *obs.Counter
-	mReexec  *obs.Counter
-	mSpec    *obs.Counter
-	mShufB   *obs.Counter
-	mSpillB  *obs.Counter
-	mDfsB    *obs.Counter
-}
-
 // lease returns the configured lease timeout.
-func (e *distEngine) lease() time.Duration {
-	if e.cfg.LeaseTimeout > 0 {
-		return e.cfg.LeaseTimeout
+func (c *Cluster) lease() time.Duration {
+	if c.cfg.LeaseTimeout > 0 {
+		return c.cfg.LeaseTimeout
 	}
 	return defaultLease
 }
 
-// NewDistCluster starts a distributed cluster over fs: a coordinator
-// serving on loopback and cfg.Workers worker processes. The caller must
-// Close the cluster to reap the workers and the scratch directory. The
-// simulated node count n still governs NumReducers defaults and
-// makespan accounting, exactly as on the in-process backends.
+// workerProcs is the process transport's coordinator side: an HTTP
+// server the worker processes poll, and the processes themselves.
+type workerProcs struct {
+	dir  string // scratch directory shared with the workers
+	srv  *http.Server
+	base string
+
+	cmds   []*exec.Cmd
+	exited []chan struct{}
+	live   int // processes not yet exited; guarded by Cluster.mu
+
+	// metrics backs the coordinator's /metrics endpoint.
+	metrics *obs.Registry
+}
+
+// NewDistCluster starts a distributed cluster over fs: the scheduler,
+// tracing and fault plan of cfg, and cfg.Workers worker processes polling
+// a coordinator on loopback. The caller must Close the cluster to reap
+// the workers, the scratch directory and the trace files. The simulated
+// node count n governs NumReducers defaults, makespan accounting and the
+// number of goroutine workers, as on any cluster.
 func NewDistCluster(fs dfs.Store, n int, cfg DistConfig) (*Cluster, error) {
-	if cfg.Workers <= 0 {
-		return nil, fmt.Errorf("mapreduce: DistConfig.Workers must be positive, got %d", cfg.Workers)
+	if cfg.Workers < 0 {
+		return nil, fmt.Errorf("mapreduce: DistConfig.Workers must not be negative, got %d", cfg.Workers)
 	}
-	c := NewCluster(fs, n)
-	eng, err := startDistEngine(fs, n, cfg)
+	c, err := NewClusterEngine(fs, n, cfg.Engine)
 	if err != nil {
 		return nil, err
 	}
-	c.dist = eng
+	c.cfg = cfg
+	for i := range c.injectors {
+		c.injectors[i] = newInjector(i, cfg.Faults)
+	}
+	if cfg.TraceDir != "" {
+		if c.tracer, err = obs.NewTracer(cfg.TraceDir, "coord"); err != nil {
+			return nil, err
+		}
+		for i := range c.tracers {
+			if c.tracers[i], err = obs.NewTracer(cfg.TraceDir, fmt.Sprintf("worker-%d", i)); err != nil {
+				c.Close()
+				return nil, err
+			}
+		}
+		c.rootSpan = c.tracer.StartSpan("cluster", cfg.TraceParent)
+		c.rootSpan.SetAttr("workers", fmt.Sprint(cfg.Workers))
+	}
+	if cfg.Workers > 0 {
+		if err := c.startProcs(); err != nil {
+			c.Close()
+			return nil, err
+		}
+	}
 	return c, nil
 }
 
-func startDistEngine(fs dfs.Store, nodes int, cfg DistConfig) (*distEngine, error) {
-	e := &distEngine{cfg: cfg, fs: fs, nodes: nodes}
-	if cfg.TraceDir != "" {
-		tr, err := obs.NewTracer(cfg.TraceDir, "coord")
-		if err != nil {
-			return nil, err
-		}
-		e.tracer = tr
-		e.rootSpan = tr.StartSpan("cluster", cfg.TraceParent)
-		e.rootSpan.SetAttr("workers", fmt.Sprint(cfg.Workers))
+// startProcs brings up the coordinator's HTTP server and spawns the
+// worker processes. On error the caller Closes the cluster, which tears
+// down whatever was started.
+func (c *Cluster) startProcs() error {
+	p := &workerProcs{metrics: obs.NewRegistry()}
+	c.procs = p
+	c.mJobs = p.metrics.Counter("mr_jobs_total", "Jobs run on this cluster.")
+	c.mTasks = p.metrics.Counter("mr_worker_tasks_total", "Task attempts committed by worker processes.")
+	c.mReexec = p.metrics.Counter("mr_reexecuted_attempts_total", "Attempts lost to lease expiry, worker exit or bad-run repair and re-dispatched.")
+	c.mSpec = p.metrics.Counter("mr_speculative_attempts_total", "Speculative backup attempts launched against stragglers.")
+	c.mShufB = p.metrics.Counter("mr_shuffle_bytes_total", "Bytes of committed map-side shuffle runs.")
+	c.mSpillB = p.metrics.Counter("mr_spill_bytes_total", "Bytes spilled to disk under memory pressure.")
+	dfsBytes := p.metrics.Counter("mr_dfs_chunk_bytes_total", "Bytes served by the coordinator's DFS chunk service.")
+
+	dir, err := os.MkdirTemp(c.cfg.Engine.SpillDir, "knnjoin-mr-*")
+	if err != nil {
+		return fmt.Errorf("mapreduce: scratch dir: %w", err)
 	}
-	e.metrics = obs.NewRegistry()
-	e.mJobs = e.metrics.Counter("mr_jobs_total", "Jobs run on this cluster.")
-	e.mTasks = e.metrics.Counter("mr_worker_tasks_total", "Task attempts committed by workers.")
-	e.mReexec = e.metrics.Counter("mr_reexecuted_attempts_total", "Attempts lost to lease expiry or bad-run repair and re-dispatched.")
-	e.mSpec = e.metrics.Counter("mr_speculative_attempts_total", "Speculative backup attempts launched against stragglers.")
-	e.mShufB = e.metrics.Counter("mr_shuffle_bytes_total", "Bytes of committed map-side shuffle runs.")
-	e.mSpillB = e.metrics.Counter("mr_spill_bytes_total", "Bytes spilled to disk under memory pressure.")
-	e.mDfsB = e.metrics.Counter("mr_dfs_chunk_bytes_total", "Bytes served by the coordinator's DFS chunk service.")
-	if cfg.Dir == "" {
-		dir, err := os.MkdirTemp("", "knnjoin-mr-*")
-		if err != nil {
-			return nil, fmt.Errorf("mapreduce: scratch dir: %w", err)
-		}
-		e.dir, e.ownDir = dir, true
-	} else {
-		abs, err := filepath.Abs(cfg.Dir)
-		if err != nil {
-			return nil, fmt.Errorf("mapreduce: scratch dir: %w", err)
-		}
-		if err := os.MkdirAll(abs, 0o755); err != nil {
-			return nil, fmt.Errorf("mapreduce: scratch dir: %w", err)
-		}
-		e.dir = abs
-	}
+	p.dir = dir
 
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
-		e.closeTracer()
-		e.cleanupDir()
-		return nil, fmt.Errorf("mapreduce: coordinator listen: %w", err)
+		return fmt.Errorf("mapreduce: coordinator listen: %w", err)
 	}
-	e.base = "http://" + ln.Addr().String()
+	p.base = "http://" + ln.Addr().String()
 	mux := http.NewServeMux()
-	mux.HandleFunc("/poll", jsonHandler(func(r *pollRequest) pollResponse { return e.assign(r.Worker) }))
-	mux.HandleFunc("/done", jsonHandler(func(c *completion) completionResponse { return e.complete(c) }))
-	mux.HandleFunc("/heartbeat", jsonHandler(func(h *heartbeatMsg) heartbeatResponse { return e.heartbeat(h) }))
-	mux.Handle("/dfs/", http.StripPrefix("/dfs", countBytes(dfs.NewServer(fs), e.mDfsB)))
-	metricsHandler := e.metrics.Handler()
+	mux.HandleFunc("/poll", jsonHandler(c.poll))
+	mux.HandleFunc("/done", jsonHandler(c.done))
+	mux.HandleFunc("/heartbeat", jsonHandler(c.heartbeat))
+	mux.Handle("/dfs/", http.StripPrefix("/dfs", countBytes(dfs.NewServer(c.fs), dfsBytes)))
+	metricsHandler := p.metrics.Handler()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
-		e.refreshTaskGauges()
+		c.refreshTaskGauges()
 		metricsHandler.ServeHTTP(w, r)
 	})
-	if cfg.Pprof {
+	if c.cfg.Pprof {
 		obs.RegisterPprof(mux)
 	}
-	e.srv = &http.Server{Handler: mux}
-	go e.srv.Serve(ln)
+	p.srv = &http.Server{Handler: mux}
+	go p.srv.Serve(ln)
 
 	exe, err := os.Executable()
 	if err != nil {
-		e.shutdown()
-		return nil, fmt.Errorf("mapreduce: locate own binary for worker re-exec: %w", err)
+		return fmt.Errorf("mapreduce: locate own binary for worker re-exec: %w", err)
 	}
-	hb := e.lease() / 4
-	for i := 0; i < cfg.Workers; i++ {
-		wc := workerConfig{URL: e.base, Index: i, HeartbeatMs: hb.Milliseconds(),
-			Faults: cfg.Faults, TraceDir: cfg.TraceDir}
+	hb := c.lease() / 4
+	for i := 0; i < c.cfg.Workers; i++ {
+		wc := workerConfig{URL: p.base, Index: i, HeartbeatMs: hb.Milliseconds(),
+			Faults: c.cfg.Faults, TraceDir: c.cfg.TraceDir}
 		raw, err := json.Marshal(wc)
 		if err != nil {
-			e.shutdown()
-			return nil, fmt.Errorf("mapreduce: worker config: %w", err)
+			return fmt.Errorf("mapreduce: worker config: %w", err)
 		}
 		cmd := exec.Command(exe)
 		cmd.Env = append(os.Environ(), workerEnv+"="+string(raw))
@@ -207,39 +191,88 @@ func startDistEngine(fs dfs.Store, nodes int, cfg DistConfig) (*distEngine, erro
 		cmd.Stdout = os.Stderr
 		cmd.Stderr = os.Stderr
 		if err := cmd.Start(); err != nil {
-			e.shutdown()
-			return nil, fmt.Errorf("mapreduce: spawn worker %d: %w", i, err)
+			return fmt.Errorf("mapreduce: spawn worker %d: %w", i, err)
 		}
 		done := make(chan struct{})
-		e.workers = append(e.workers, cmd)
-		e.exited = append(e.exited, done)
-		e.live.Add(1)
+		p.cmds = append(p.cmds, cmd)
+		p.exited = append(p.exited, done)
+		c.mu.Lock()
+		p.live++
+		c.mu.Unlock()
 		go func() {
 			cmd.Wait()
-			e.live.Add(-1)
+			c.mu.Lock()
+			p.live--
+			if c.cur != nil {
+				c.workerExitedLocked(c.cur, i)
+			}
+			c.mu.Unlock()
 			close(done)
 		}()
 	}
-	return e, nil
+	return nil
 }
 
-// CoordinatorURL returns the coordinator's base URL for a distributed
-// cluster ("" for in-process clusters) — its /metrics endpoint serves
-// the engine's metric families in Prometheus text format.
+// poll answers one /poll.
+func (c *Cluster) poll(r *pollRequest) pollResponse {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.closed {
+		return pollResponse{Shutdown: true}
+	}
+	if c.cur != nil {
+		if a := c.assignLocked(c.cur, r.Worker, time.Now()); a != nil {
+			return pollResponse{Task: a}
+		}
+	}
+	return pollResponse{WaitMs: 10}
+}
+
+// done processes one /done report. What arrives is another process's
+// word: the error is a string again, and a map attempt's run list is
+// checked before the scheduler indexes it by reducer.
+func (c *Cluster) done(comp *completion) completionResponse {
+	if comp.Err != "" {
+		comp.err = errors.New(comp.Err)
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	j := c.cur
+	if j == nil || comp.JobID != j.id {
+		return completionResponse{}
+	}
+	if comp.err == nil && comp.Phase == "map" && !j.mapOnly && len(comp.Runs) != j.nReduce {
+		comp.Err = fmt.Sprintf("mapreduce: map attempt reported %d runs for %d reducers", len(comp.Runs), j.nReduce)
+		comp.err = errors.New(comp.Err)
+	}
+	return completionResponse{Accepted: c.completeLocked(j, comp)}
+}
+
+// heartbeat processes one /heartbeat.
+func (c *Cluster) heartbeat(h *heartbeatMsg) heartbeatResponse {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	j := c.cur
+	return heartbeatResponse{Abandoned: j == nil || h.JobID != j.id || !c.heartbeatLocked(j, h)}
+}
+
+// CoordinatorURL returns the coordinator's base URL for a cluster with
+// worker processes ("" otherwise) — its /metrics endpoint serves the
+// engine's metric families in Prometheus text format.
 func (c *Cluster) CoordinatorURL() string {
-	if c.dist == nil {
+	if c.procs == nil {
 		return ""
 	}
-	return c.dist.base
+	return c.procs.base
 }
 
 // refreshTaskGauges recomputes the task-state gauges from the current
 // job's task table on each /metrics scrape.
-func (e *distEngine) refreshTaskGauges() {
+func (c *Cluster) refreshTaskGauges() {
 	var pending, running, done int64
-	e.mu.Lock()
-	if j := e.cur; j != nil {
-		for _, tasks := range [][]distTask{j.maps, j.reduces} {
+	c.mu.Lock()
+	if j := c.cur; j != nil {
+		for _, tasks := range [][]taskState{j.maps, j.reduces} {
 			for i := range tasks {
 				switch tasks[i].state {
 				case taskPending:
@@ -252,11 +285,13 @@ func (e *distEngine) refreshTaskGauges() {
 			}
 		}
 	}
-	e.mu.Unlock()
-	e.metrics.Gauge("mr_tasks_pending", "Tasks awaiting dispatch in the current job.").Set(pending)
-	e.metrics.Gauge("mr_tasks_running", "Tasks with at least one live attempt in the current job.").Set(running)
-	e.metrics.Gauge("mr_tasks_done", "Tasks committed in the current job.").Set(done)
-	e.metrics.Gauge("mr_workers_live", "Worker processes currently alive.").Set(int64(e.live.Load()))
+	live := int64(c.procs.live)
+	c.mu.Unlock()
+	m := c.procs.metrics
+	m.Gauge("mr_tasks_pending", "Tasks awaiting dispatch in the current job.").Set(pending)
+	m.Gauge("mr_tasks_running", "Tasks with at least one live attempt in the current job.").Set(running)
+	m.Gauge("mr_tasks_done", "Tasks committed in the current job.").Set(done)
+	m.Gauge("mr_workers_live", "Worker processes currently alive.").Set(live)
 }
 
 // countBytes wraps a handler, adding every response body byte to c.
@@ -279,12 +314,6 @@ func (w *countingWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// closeTracer ends the engine's cluster span and closes its tracer.
-func (e *distEngine) closeTracer() {
-	e.rootSpan.End()
-	e.tracer.Close()
-}
-
 // jsonHandler adapts a request/response function to an HTTP endpoint.
 func jsonHandler[Req, Resp any](fn func(*Req) Resp) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
@@ -298,52 +327,23 @@ func jsonHandler[Req, Resp any](fn func(*Req) Resp) http.HandlerFunc {
 	}
 }
 
-// close shuts the cluster down: fails any in-flight job, kills the
-// workers, stops the coordinator server, and removes an owned scratch
-// directory once every worker has been reaped.
-func (e *distEngine) close() error {
-	if !e.closed.CompareAndSwap(false, true) {
-		return nil
+// stop kills the workers, stops the coordinator server, and removes the
+// scratch directory once every worker has been reaped. It copes with a
+// partially started transport.
+func (p *workerProcs) stop() {
+	for _, cmd := range p.cmds {
+		cmd.Process.Kill()
 	}
-	e.mu.Lock()
-	if e.cur != nil {
-		e.finishLocked(e.cur, errors.New("mapreduce: cluster closed"))
-	}
-	e.mu.Unlock()
-	for _, cmd := range e.workers {
-		if cmd.Process != nil {
-			cmd.Process.Kill()
-		}
-	}
-	for _, done := range e.exited {
+	for _, done := range p.exited {
 		select {
 		case <-done:
 		case <-time.After(5 * time.Second):
 		}
 	}
-	e.srv.Close()
-	e.closeTracer()
-	e.cleanupDir()
-	return nil
-}
-
-func (e *distEngine) cleanupDir() {
-	if e.ownDir {
-		os.RemoveAll(e.dir)
+	if p.srv != nil {
+		p.srv.Close()
 	}
-}
-
-// shutdown tears down a partially started engine.
-func (e *distEngine) shutdown() {
-	e.closed.Store(true)
-	for _, cmd := range e.workers {
-		if cmd.Process != nil {
-			cmd.Process.Kill()
-		}
+	if p.dir != "" {
+		os.RemoveAll(p.dir)
 	}
-	if e.srv != nil {
-		e.srv.Close()
-	}
-	e.closeTracer()
-	e.cleanupDir()
 }

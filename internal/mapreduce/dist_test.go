@@ -3,11 +3,13 @@ package mapreduce
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math/rand"
 	"os"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"knnjoin/internal/dfs"
@@ -29,13 +31,29 @@ func TestMain(m *testing.M) {
 type testJobSpec struct {
 	In, Out     string
 	NumReducers int
-	Mode        string // "wordcount" | "grouped" | "maponly"
+	Mode        string // "wordcount" | "grouped" | "maponly" | "countfail"
 	MaxAttempts int
-	FailTask    string // inject a task error: fail this task ...
-	FailBelow   int    // ... on attempts below this number
 }
 
 var testKind = DefineKind("mr-test-job", buildTestJob)
+
+var errBoom = errors.New("boom")
+
+// onBothTransports runs fn twice: with the workers as goroutines of this
+// process, and — unless -short — as cfg.Workers worker processes.
+func onBothTransports(t *testing.T, cfg DistConfig, fn func(t *testing.T, cfg DistConfig)) {
+	t.Run("goroutines", func(t *testing.T) {
+		local := cfg
+		local.Workers = 0
+		fn(t, local)
+	})
+	t.Run("processes", func(t *testing.T) {
+		if testing.Short() {
+			t.Skip("spawns worker processes; skipped with -short")
+		}
+		fn(t, cfg)
+	})
+}
 
 func buildTestJob(s testJobSpec) *Job {
 	job := &Job{
@@ -44,15 +62,6 @@ func buildTestJob(s testJobSpec) *Job {
 		Output:      s.Out,
 		NumReducers: s.NumReducers,
 		MaxAttempts: s.MaxAttempts,
-	}
-	if s.FailTask != "" {
-		ft, below := s.FailTask, s.FailBelow
-		job.FailTask = func(taskID string, attempt int) error {
-			if taskID == ft && attempt < below {
-				return fmt.Errorf("injected error: %s attempt %d", taskID, attempt)
-			}
-			return nil
-		}
 	}
 	count := func(n int64) []byte {
 		var b [8]byte
@@ -124,6 +133,18 @@ func buildTestJob(s testJobSpec) *Job {
 			emit(rec, []byte(strings.ToUpper(string(rec))))
 			return nil
 		}
+	case "countfail":
+		// Counts every record it sees, and fails the third call this
+		// process makes — mid-attempt, after the attempt has counted.
+		var calls atomic.Int64
+		job.Map = func(ctx *TaskContext, rec dfs.Record, emit Emit) error {
+			ctx.Counter("records", 1)
+			if calls.Add(1) == 3 {
+				return errBoom
+			}
+			emit(rec, rec)
+			return nil
+		}
 	default:
 		panic("unknown test job mode " + s.Mode)
 	}
@@ -171,14 +192,11 @@ func runInProcess(t *testing.T, spec testJobSpec, input func(dfs.Store)) ([]dfs.
 	return out, js
 }
 
-// runDist executes the spec's job on a fresh distributed cluster.
+// runDist executes the spec's job on a fresh cluster of cfg's shape.
 func runDist(t *testing.T, spec testJobSpec, input func(dfs.Store), cfg DistConfig) ([]dfs.Record, *JobStats, error) {
 	t.Helper()
 	fs := dfs.New(8)
 	input(fs)
-	if cfg.Workers == 0 {
-		cfg.Workers = 3
-	}
 	c, err := NewDistCluster(fs, 4, cfg)
 	if err != nil {
 		t.Fatalf("NewDistCluster: %v", err)
@@ -195,8 +213,9 @@ func runDist(t *testing.T, spec testJobSpec, input func(dfs.Store), cfg DistConf
 	return out, js, nil
 }
 
-// assertIdentical compares a distributed run against the in-process
-// reference: byte-identical output and matching deterministic stats.
+// assertIdentical compares a run on cfg's cluster against the fault-free
+// in-process reference: byte-identical output and matching deterministic
+// stats, every task committed by worker processes iff there are any.
 func assertIdentical(t *testing.T, spec testJobSpec, input func(dfs.Store), cfg DistConfig) (*JobStats, *JobStats) {
 	t.Helper()
 	want, wantJS := runInProcess(t, spec, input)
@@ -214,9 +233,13 @@ func assertIdentical(t *testing.T, spec testJobSpec, input func(dfs.Store), cfg 
 	if gotJS.MapInputRecords != wantJS.MapInputRecords {
 		t.Fatalf("MapInputRecords = %d, want %d", gotJS.MapInputRecords, wantJS.MapInputRecords)
 	}
-	if gotJS.WorkerTasks != gotJS.MapTasks+gotJS.ReduceTasks {
-		t.Fatalf("WorkerTasks = %d, want %d map + %d reduce — job fell back in-process?",
-			gotJS.WorkerTasks, gotJS.MapTasks, gotJS.ReduceTasks)
+	wantTasks := 0
+	if cfg.Workers > 0 {
+		wantTasks = gotJS.MapTasks + gotJS.ReduceTasks
+	}
+	if gotJS.WorkerTasks != wantTasks {
+		t.Fatalf("WorkerTasks = %d, want %d with %d worker processes",
+			gotJS.WorkerTasks, wantTasks, cfg.Workers)
 	}
 	return gotJS, wantJS
 }
@@ -235,7 +258,7 @@ func firstDiff(got, want []dfs.Record) string {
 
 func TestDistWordCountMatchesInProcess(t *testing.T) {
 	spec := testJobSpec{In: "in", Out: "out", NumReducers: 4, Mode: "wordcount"}
-	gotJS, wantJS := assertIdentical(t, spec, wordRecords("in", 200), DistConfig{})
+	gotJS, wantJS := assertIdentical(t, spec, wordRecords("in", 200), DistConfig{Workers: 3})
 	// The combiner makes shuffle volume deterministic, so it must agree
 	// across engines too.
 	if gotJS.ShuffleRecords != wantJS.ShuffleRecords || gotJS.ShuffleBytes != wantJS.ShuffleBytes {
@@ -259,12 +282,12 @@ func TestDistWordCountMatchesInProcess(t *testing.T) {
 
 func TestDistGroupedSecondarySortMatchesInProcess(t *testing.T) {
 	spec := testJobSpec{In: "in", Out: "out", NumReducers: 3, Mode: "grouped"}
-	assertIdentical(t, spec, groupRecords("in", 150), DistConfig{})
+	assertIdentical(t, spec, groupRecords("in", 150), DistConfig{Workers: 3})
 }
 
 func TestDistMapOnlyMatchesInProcess(t *testing.T) {
 	spec := testJobSpec{In: "in", Out: "out", NumReducers: 2, Mode: "maponly"}
-	assertIdentical(t, spec, wordRecords("in", 90), DistConfig{})
+	assertIdentical(t, spec, wordRecords("in", 90), DistConfig{Workers: 3})
 }
 
 func TestDistEmptyInput(t *testing.T) {
@@ -279,6 +302,8 @@ func TestDistEmptyInput(t *testing.T) {
 	}
 }
 
+// A job without a kind cannot be rebuilt in another process: on a
+// distributed cluster it runs on goroutine workers of the same scheduler.
 func TestDistKindlessJobFallsBackInProcess(t *testing.T) {
 	fs := dfs.New(8)
 	wordRecords("in", 40)(fs)
@@ -306,20 +331,102 @@ func TestDistKindlessJobFallsBackInProcess(t *testing.T) {
 }
 
 func TestDistTaskErrorRetriesThenSucceeds(t *testing.T) {
-	spec := testJobSpec{In: "in", Out: "out", NumReducers: 2, Mode: "wordcount",
-		MaxAttempts: 3, FailTask: "t-wordcount/map/0", FailBelow: 3}
-	assertIdentical(t, spec, wordRecords("in", 60), DistConfig{})
+	plan := &FaultPlan{Events: []FaultEvent{
+		{Worker: -1, Task: "t-wordcount/map/0", Attempt: 1, Point: AtMidTask, Action: ActError},
+		{Worker: -1, Task: "t-wordcount/map/0", Attempt: 2, Point: AtPreCommit, Action: ActError},
+	}}
+	spec := testJobSpec{In: "in", Out: "out", NumReducers: 2, Mode: "wordcount", MaxAttempts: 3}
+	onBothTransports(t, DistConfig{Workers: 3, Faults: plan}, func(t *testing.T, cfg DistConfig) {
+		assertIdentical(t, spec, wordRecords("in", 60), cfg)
+	})
 }
 
 func TestDistTaskErrorExhaustsAttempts(t *testing.T) {
-	spec := testJobSpec{In: "in", Out: "out", NumReducers: 2, Mode: "wordcount",
-		MaxAttempts: 2, FailTask: "t-wordcount/reduce/1", FailBelow: 100}
-	_, _, err := runDist(t, spec, wordRecords("in", 60), DistConfig{Workers: 2})
-	if err == nil {
-		t.Fatal("job with an always-failing task succeeded")
+	plan := &FaultPlan{Events: []FaultEvent{
+		{Worker: -1, Task: "t-wordcount/reduce/1", Attempt: 1, Point: AtTaskStart, Action: ActError},
+		{Worker: -1, Task: "t-wordcount/reduce/1", Attempt: 2, Point: AtTaskStart, Action: ActError},
+	}}
+	spec := testJobSpec{In: "in", Out: "out", NumReducers: 2, Mode: "wordcount", MaxAttempts: 2}
+	onBothTransports(t, DistConfig{Workers: 2, Faults: plan}, func(t *testing.T, cfg DistConfig) {
+		_, _, err := runDist(t, spec, wordRecords("in", 60), cfg)
+		if err == nil {
+			t.Fatal("job with an always-failing task succeeded")
+		}
+		if !strings.Contains(err.Error(), "failed after 2 attempts") {
+			t.Fatalf("unexpected error: %v", err)
+		}
+	})
+}
+
+// A failed attempt's counters must not leak into the job's: the map
+// function counts each record, then fails its third call, so the first
+// attempt dies having counted three. Only the retry commits. One worker
+// process, so the retry meets the same call count a goroutine retry does.
+func TestDistFailedAttemptCountersDiscarded(t *testing.T) {
+	four := func(fs dfs.Store) { fs.Write("in", []dfs.Record{[]byte("a"), []byte("b"), []byte("c"), []byte("d")}) }
+	spec := testJobSpec{In: "in", Out: "out", NumReducers: 2, Mode: "countfail", MaxAttempts: 2}
+	onBothTransports(t, DistConfig{Workers: 1}, func(t *testing.T, cfg DistConfig) {
+		_, js, err := runDist(t, spec, four, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if js.MapInputRecords != 4 || js.Counters["records"] != js.MapInputRecords {
+			t.Fatalf("Counters[records] = %d with %d map input records — a failed attempt's count leaked",
+				js.Counters["records"], js.MapInputRecords)
+		}
+	})
+}
+
+// Task errors keep their identity on goroutine workers: no wire in
+// between turns them into strings.
+func TestTaskErrorUnwraps(t *testing.T) {
+	fs := dfs.New(8)
+	fs.Write("in", []dfs.Record{[]byte("a"), []byte("b"), []byte("c")})
+	job := buildTestJob(testJobSpec{In: "in", Out: "out", NumReducers: 2, Mode: "countfail"})
+	if _, err := NewCluster(fs, 2).Run(job); !errors.Is(err, errBoom) {
+		t.Fatalf("err = %v, want one that unwraps to errBoom", err)
 	}
-	if !strings.Contains(err.Error(), "failed after 2 attempts") {
-		t.Fatalf("unexpected error: %v", err)
+}
+
+// The process transport merges under the engine's budget like goroutine
+// workers do: the multi-pass input of TestSpillFanInMultiPassMerge over
+// worker processes spills intermediate merges beyond the map tasks' own
+// runs and stays byte-identical.
+func TestDistFanInMultiPassMerge(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns worker processes; skipped with -short")
+	}
+	spec := testJobSpec{In: "in", Out: "out", NumReducers: 4, Mode: "wordcount"}
+	run := func(cfg DistConfig) ([]dfs.Record, *JobStats) {
+		fs := dfs.New(4) // 60 map tasks
+		writeLines(fs, "in", randomLines(240)...)
+		c, err := NewDistCluster(fs, 4, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		js, err := c.Run(testKind.New(spec))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, err := fs.Read("out")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out, js
+	}
+	want, _ := run(DistConfig{})
+	got, js := run(DistConfig{Workers: 2, Engine: Engine{MergeFanIn: 3}})
+	if js.WorkerTasks != js.MapTasks+js.ReduceTasks {
+		t.Fatalf("WorkerTasks = %d, want %d", js.WorkerTasks, js.MapTasks+js.ReduceTasks)
+	}
+	// At most one run file per map task and reducer; the rest are merges.
+	if js.SpilledRuns <= int64(js.MapTasks*js.ReduceTasks) {
+		t.Fatalf("fan-in 3 over %d map tasks produced no intermediate merges (%d spilled runs)",
+			js.MapTasks, js.SpilledRuns)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("output differs under multi-pass merge: %s", firstDiff(got, want))
 	}
 }
 

@@ -1,21 +1,20 @@
 package mapreduce
 
 import (
-	"os"
 	"strings"
 	"sync"
 	"time"
 )
 
-// Deterministic fault injection for the distributed engine. A FaultPlan
-// is a list of events, each naming a checkpoint in a task attempt's
-// lifecycle (worker, task, attempt, point) and an action to take there —
-// kill the process, stall with or without heartbeats, or corrupt a
-// committed run file. The plan is shipped to every worker process and
-// evaluated at fixed checkpoints on the task execution path, never from
-// timers or randomness, so a recovery scenario replays identically on
-// every run. Tests drive the whole matrix of §6-style failures (worker
-// killed mid-map, mid-reduce, mid-commit; stragglers; truncated
+// Deterministic fault injection. A FaultPlan is a list of events, each
+// naming a checkpoint in a task attempt's lifecycle (worker, task,
+// attempt, point) and an action to take there — kill the worker, fail
+// the attempt, stall with or without heartbeats, or corrupt a committed
+// run file. Every worker — goroutine or process — evaluates the plan at
+// fixed checkpoints on the task execution path, never from timers or
+// randomness, so a recovery scenario replays identically on every run.
+// Tests drive the whole matrix of §6-style failures (worker killed
+// mid-map, mid-reduce, mid-commit; task errors; stragglers; truncated
 // intermediates) from plans alone.
 
 // FaultPoint identifies a checkpoint in a task attempt's lifecycle where
@@ -37,9 +36,9 @@ const (
 // FaultAction is what a triggered FaultEvent does to the worker.
 type FaultAction int
 
-// The actions. ActKill exits the worker process immediately — the
-// crash-stop failure the coordinator's lease machinery must recover
-// from. ActSleep stalls the task for Delay while heartbeats continue (a
+// The actions. ActKill ends the worker immediately, without a report —
+// a worker process exits, a goroutine worker's goroutine ends — the
+// crash-stop failure the scheduler must recover from. ActSleep stalls the task for Delay while heartbeats continue (a
 // straggler, triggering speculative re-execution but never lease
 // expiry). ActFreeze stalls the task for Delay with heartbeats
 // suspended, so the coordinator presumes the worker dead and re-runs the
@@ -47,19 +46,22 @@ type FaultAction int
 // ActTruncateRun chops TruncateBytes off the attempt's last committed
 // map-run file (fires at AtPostCommit), planting the torn intermediate
 // that reducers must detect and the coordinator must repair by
-// re-running the producing map task.
+// re-running the producing map task (a no-op on a run that stayed
+// resident). ActError fails the attempt with an injected error — the
+// task failure Job.MaxAttempts bounds.
 const (
 	ActKill FaultAction = iota
 	ActSleep
 	ActFreeze
 	ActTruncateRun
+	ActError
 )
 
 // FaultEvent matches one task-attempt checkpoint and performs an action
 // there. Zero-valued selector fields are wildcards, except Worker, where
 // only -1 is (worker indexes start at 0).
 type FaultEvent struct {
-	// Worker selects the worker process by index; -1 matches any worker.
+	// Worker selects the worker by index; -1 matches any worker.
 	Worker int
 	// Task selects the task by ID (e.g. "myjob/map/0"); "" matches any
 	// task, and a trailing '*' matches by prefix ("myjob/reduce/*").
@@ -97,73 +99,43 @@ func (e FaultEvent) matches(worker int, task string, attempt int, point FaultPoi
 	return true
 }
 
-// FaultPlan is a deterministic fault-injection script for the
-// distributed engine: each event fires at most once per worker process,
-// at a fixed checkpoint of the task execution path. A nil plan injects
-// nothing.
+// FaultPlan is a deterministic fault-injection script: each event fires
+// at most once per worker, at a fixed checkpoint of the task execution
+// path. A nil plan injects nothing.
 type FaultPlan struct {
 	// Events are evaluated in order at every checkpoint; the first
 	// unfired match fires.
 	Events []FaultEvent
 }
 
-// injector evaluates a worker's fault plan at task checkpoints.
+// injector tracks which events of the plan one worker has fired. The
+// worker performs the actions (see worker.checkpoint).
 type injector struct {
 	worker int
 	events []FaultEvent
 	mu     sync.Mutex
 	fired  []bool
-	// pauseHB suspends and resumes the worker's heartbeats (ActFreeze).
-	pauseHB func(bool)
-	// observe, when non-nil, is told about a fired event before its
-	// action executes — the tracing hook, which must run ahead of
-	// ActKill's os.Exit so the dying attempt's span reaches disk.
-	observe func(ev *FaultEvent, task string, attempt int)
 }
 
-func newInjector(worker int, plan *FaultPlan, pauseHB func(bool), observe func(ev *FaultEvent, task string, attempt int)) *injector {
-	in := &injector{worker: worker, pauseHB: pauseHB, observe: observe}
-	if plan != nil {
-		in.events = plan.Events
-		in.fired = make([]bool, len(plan.Events))
-	}
-	return in
-}
-
-// at fires the first unfired event matching this checkpoint. Kill,
-// sleep and freeze actions happen here; a matched ActTruncateRun is
-// returned for the caller (which knows the run file paths) to apply.
-func (in *injector) at(task string, attempt int, point FaultPoint) *FaultEvent {
-	if in == nil {
+func newInjector(worker int, plan *FaultPlan) *injector {
+	if plan == nil {
 		return nil
 	}
+	return &injector{worker: worker, events: plan.Events, fired: make([]bool, len(plan.Events))}
+}
+
+// match marks and returns the first unfired event selecting this
+// checkpoint, or nil.
+func (in *injector) match(task string, attempt int, point FaultPoint) *FaultEvent {
 	in.mu.Lock()
-	var ev *FaultEvent
+	defer in.mu.Unlock()
 	for i := range in.events {
 		if !in.fired[i] && in.events[i].matches(in.worker, task, attempt, point) {
 			in.fired[i] = true
-			ev = &in.events[i]
-			break
+			return &in.events[i]
 		}
 	}
-	in.mu.Unlock()
-	if ev == nil {
-		return nil
-	}
-	if in.observe != nil {
-		in.observe(ev, task, attempt)
-	}
-	switch ev.Action {
-	case ActKill:
-		os.Exit(faultKillExitCode)
-	case ActSleep:
-		time.Sleep(ev.Delay)
-	case ActFreeze:
-		in.pauseHB(true)
-		time.Sleep(ev.Delay)
-		in.pauseHB(false)
-	}
-	return ev
+	return nil
 }
 
 // faultPointName names a FaultPoint for span events.
@@ -192,6 +164,8 @@ func faultActionName(a FaultAction) string {
 		return "freeze"
 	case ActTruncateRun:
 		return "truncate-run"
+	case ActError:
+		return "error"
 	}
 	return "unknown"
 }

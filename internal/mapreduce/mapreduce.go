@@ -1,5 +1,5 @@
-// Package mapreduce is an in-process MapReduce runtime with Hadoop-like
-// semantics, built to host the paper's two-job kNN-join pipeline.
+// Package mapreduce is a MapReduce runtime with Hadoop-like semantics,
+// built to host the paper's two-job kNN-join pipeline.
 //
 // It reproduces the properties the paper's algorithms and measurements
 // depend on:
@@ -20,13 +20,17 @@
 //     map and one reduce slot (the paper's Hadoop configuration), and the
 //     engine reports both wall-clock phase times and a deterministic
 //     simulated makespan based on user-reported work units;
-//   - tasks can fail and are retried, so the fault-tolerance path the
-//     paper credits MapReduce for is present and testable;
-//   - the shuffle has two execution backends selected by Engine: the
-//     in-memory default, and an out-of-core backend that spills map-side
-//     sorted runs to length-prefixed run files and streams them back
-//     through a bounded-memory k-way merge — Hadoop's external shuffle,
-//     with byte-identical job output either way.
+//   - tasks can fail and workers can die, and one scheduler retries and
+//     re-dispatches them, so the fault-tolerance path the paper credits
+//     MapReduce for is present and testable;
+//   - there is one task executor and one scheduler (coord.go, worker.go):
+//     workers are goroutines of this process by default, and re-executed
+//     worker processes speaking HTTP/JSON on a distributed cluster;
+//   - between the phases runs stay in memory by default; an Engine with a
+//     spill directory writes map-side sorted runs to length-prefixed run
+//     files and streams them back through a bounded-memory k-way merge —
+//     Hadoop's external shuffle, with byte-identical job output either
+//     way.
 //
 // Jobs are expressed with plain functions rather than an interface zoo:
 // a Map function, an optional Reduce function (nil makes a map-only job,
@@ -36,14 +40,14 @@ package mapreduce
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/fnv"
-	"os"
-	"slices"
 	"sync"
 	"time"
 
 	"knnjoin/internal/dfs"
+	"knnjoin/internal/obs"
 )
 
 // KV is an intermediate key-value pair. Keys are raw bytes and compare
@@ -110,8 +114,8 @@ type Job struct {
 	// process, and Spec is the gob-encoded argument it rebuilds from.
 	// Functions cannot cross a process boundary, so only jobs built
 	// through a Kind run on worker processes; a distributed cluster
-	// executes kindless jobs locally on the coordinator instead. The
-	// in-process engine ignores both fields.
+	// executes kindless jobs on goroutine workers instead, as a cluster
+	// without worker processes executes every job.
 	Kind string
 	Spec []byte
 
@@ -143,18 +147,13 @@ type Job struct {
 	// Hadoop's distributed cache (the paper ships the pivot set this way).
 	Side map[string]any
 
-	// MaxAttempts bounds task retries. Zero means 1 attempt.
+	// MaxAttempts bounds the attempts of one task that may fail with an
+	// error. Zero means 1 attempt.
 	MaxAttempts int
-
-	// FailTask, when non-nil, is consulted before each task attempt and
-	// may return an injected error — used by tests to exercise retries.
-	FailTask func(taskID string, attempt int) error
 }
 
 // resolvePartition returns the job's partitioner, defaulting to FNV
-// hashing of the grouping view of the key. Both execution backends (and
-// worker processes) resolve through here, so routing is identical
-// everywhere.
+// hashing of the grouping view of the key.
 func resolvePartition(job *Job) PartitionFunc {
 	if job.Partition != nil {
 		return job.Partition
@@ -250,28 +249,29 @@ type JobStats struct {
 	ReduceInputRecords []int64
 	// SpilledRuns and SpilledBytes count the sorted runs (and their
 	// key+value payload) written to the spill directory, including
-	// intermediate fan-in merges — zero on the in-memory backend.
+	// intermediate fan-in merges, by attempts that committed — zero on
+	// the in-memory backend.
 	SpilledRuns  int64
 	SpilledBytes int64
 	// PeakResidentBytes is the high-water mark of shuffle bytes held in
 	// memory: retained runs plus open merge read-ahead buffers. On the
 	// in-memory backend this reaches the full shuffle size; on the spill
-	// backend it stays within the engine's MemLimit. The distributed
-	// backend reports 0 — residency is per worker process there.
+	// backend it stays within the engine's MemLimit. A job run on worker
+	// processes reports 0 — residency is per process there.
 	PeakResidentBytes int64
 	// WorkerTasks counts tasks committed by worker processes — zero
-	// unless the job ran on a distributed cluster, where it equals
-	// MapTasks + ReduceTasks (proof the job did not fall back to the
-	// in-process path).
+	// unless the job ran on them, where it equals MapTasks + ReduceTasks
+	// (proof the job did not run on goroutine workers).
 	WorkerTasks int
 	// ReexecutedAttempts counts task re-dispatches forced by failure:
-	// lost leases (dead or frozen workers) and damaged intermediate
-	// runs. Zero on a fault-free run.
+	// exited workers, lost leases (frozen workers) and damaged
+	// intermediate runs. Zero on a fault-free run.
 	ReexecutedAttempts int64
 	// SpeculativeAttempts counts backup attempts launched against
 	// stragglers (DistConfig.SpeculativeAfter).
 	SpeculativeAttempts int64
-	Counters            map[string]int64
+	// Counters sums the user counters of the attempts that committed.
+	Counters map[string]int64
 }
 
 // ReduceSkew returns the max-over-mean ratio of reduce-task input sizes:
@@ -296,15 +296,45 @@ func (s JobStats) ReduceSkew() float64 {
 func (s JobStats) Wall() time.Duration { return s.MapWall + s.ReduceWall }
 
 // Cluster is a simulated shared-nothing cluster: a DFS plus a fixed number
-// of nodes, each contributing one map slot and one reduce slot. The
+// of nodes, each contributing one map slot and one reduce slot, and the
+// scheduler that runs jobs on them. Each job gets one goroutine worker per
+// node, unless the cluster has worker processes and the job a Kind. The
 // cluster's Engine decides where shuffle data lives between the phases —
 // the zero Engine keeps every run in memory, a spill-configured Engine
 // runs the out-of-core external shuffle.
 type Cluster struct {
 	fs    dfs.Store
 	nodes int
-	eng   Engine
-	dist  *distEngine
+	cfg   DistConfig // zero but for Engine unless built by NewDistCluster
+
+	// Scheduler state (coord.go). wake signals idle goroutine workers;
+	// cur is the job the worker processes are serving.
+	mu     sync.Mutex
+	wake   *sync.Cond
+	closed bool
+	jobSeq int64
+	cur    *coordJob
+
+	// Per goroutine worker, by index: fault-plan state, which outlives a
+	// job's goroutines so an event fires once per worker, and the span
+	// file. All nil without a fault plan or tracing.
+	injectors []*injector
+	tracers   []*obs.Tracer
+
+	// procs is the process transport; nil without worker processes.
+	procs *workerProcs
+
+	// Observability: nil tracer and span when tracing is off, nil
+	// counters without worker processes (whose coordinator serves them
+	// on /metrics) — every use no-ops.
+	tracer   *obs.Tracer
+	rootSpan *obs.Span
+	mJobs    *obs.Counter
+	mTasks   *obs.Counter
+	mReexec  *obs.Counter
+	mSpec    *obs.Counter
+	mShufB   *obs.Counter
+	mSpillB  *obs.Counter
 }
 
 // NewCluster creates an in-memory-shuffle cluster of n nodes over fs.
@@ -313,7 +343,9 @@ func NewCluster(fs dfs.Store, n int) *Cluster {
 	if n <= 0 {
 		panic("mapreduce: cluster needs at least one node")
 	}
-	return &Cluster{fs: fs, nodes: n}
+	c := &Cluster{fs: fs, nodes: n, injectors: make([]*injector, n), tracers: make([]*obs.Tracer, n)}
+	c.wake = sync.NewCond(&c.mu)
+	return c
 }
 
 // NewClusterEngine creates a cluster of n nodes over fs with an explicit
@@ -323,7 +355,7 @@ func NewClusterEngine(fs dfs.Store, n int, eng Engine) (*Cluster, error) {
 		return nil, err
 	}
 	c := NewCluster(fs, n)
-	c.eng = eng
+	c.cfg.Engine = eng
 	return c, nil
 }
 
@@ -335,27 +367,31 @@ func (c *Cluster) Nodes() int { return c.nodes }
 
 // Distributed reports whether jobs with a registered Kind execute on
 // worker processes (see NewDistCluster).
-func (c *Cluster) Distributed() bool { return c.dist != nil }
+func (c *Cluster) Distributed() bool { return c.procs != nil }
 
-// Close releases the cluster's execution backend. On a distributed
-// cluster it kills the worker processes, stops the coordinator and
-// removes the scratch directory; on the in-process backends it is a
-// no-op. Close is idempotent.
+// Close fails the job the worker processes are running, kills them, stops
+// the coordinator, removes the scratch directory and closes the trace
+// files; on a cluster with none of those it only refuses further jobs.
+// Close is idempotent.
 func (c *Cluster) Close() error {
-	if c.dist != nil {
-		return c.dist.close()
+	c.mu.Lock()
+	if c.closed {
+		c.mu.Unlock()
+		return nil
 	}
-	return nil
-}
-
-// taskResult carries one finished map task's output: one sorted run per
-// reducer (map-only jobs skip the sort and keep emission order), each
-// either resident in memory or spilled to a run file.
-type taskResult struct {
-	index   int
-	runs    []runData // runs[r] is this task's sorted run for reducer r
-	work    int64
-	records int64 // input records consumed
+	c.closed = true
+	if c.cur != nil {
+		c.finishLocked(c.cur, errors.New("mapreduce: cluster closed"))
+	}
+	c.mu.Unlock()
+	if c.procs != nil {
+		c.procs.stop()
+	}
+	c.rootSpan.End()
+	for _, tr := range c.tracers {
+		tr.Close()
+	}
+	return c.tracer.Close()
 }
 
 // Run executes the job and returns its statistics. On any task error
@@ -372,355 +408,11 @@ func (c *Cluster) Run(job *Job) (*JobStats, error) {
 		// none, and silently skipping it would change the output contract.
 		return nil, fmt.Errorf("mapreduce: job %q has a Combine function but no Reduce", job.Name)
 	}
-	nReduce := job.NumReducers
-	if nReduce <= 0 {
-		nReduce = c.nodes
-	}
-	partition := resolvePartition(job)
-	maxAttempts := job.MaxAttempts
-	if maxAttempts <= 0 {
-		maxAttempts = 1
-	}
-
-	if c.dist != nil && job.Kind != "" {
-		// Distributed backend: tasks execute on worker processes, which
-		// rebuild the job from its registered kind. Jobs without a kind
-		// (no way to rebuild their functions elsewhere) fall through to
-		// the in-process path below.
-		return c.dist.run(job, nReduce, maxAttempts)
-	}
-
 	splits, err := c.fs.Splits(job.Input...)
 	if err != nil {
 		return nil, fmt.Errorf("mapreduce: job %q: %w", job.Name, err)
 	}
-
-	rs := &runState{memLimit: c.eng.MemLimit}
-	rs.fanIn, rs.bufSize = c.eng.mergeBudget(c.nodes)
-	if c.eng.SpillDir != "" && job.Reduce != nil {
-		dir, derr := os.MkdirTemp(c.eng.SpillDir, "job-*")
-		if derr != nil {
-			return nil, fmt.Errorf("mapreduce: job %q: spill dir: %w", job.Name, derr)
-		}
-		rs.spillDir = dir
-		defer os.RemoveAll(dir)
-	}
-
-	counters := NewCounterSet()
-	stats := &JobStats{Job: job.Name, MapTasks: len(splits), ReduceTasks: nReduce}
-
-	// ---- Map phase ----------------------------------------------------
-	mapStart := time.Now()
-	results := make([]*taskResult, len(splits))
-	mapWork := make([]int64, len(splits))
-	err = c.runParallel(len(splits), func(i int) error {
-		res, werr := c.runMapTask(job, rs, splits[i], i, nReduce, partition, counters, maxAttempts)
-		if werr != nil {
-			return werr
-		}
-		results[i] = res
-		mapWork[i] = res.work
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	stats.MapWall = time.Since(mapStart)
-	for _, res := range results {
-		stats.MapInputRecords += res.records
-	}
-	stats.SimMapMakespan = makespan(mapWork, c.nodes)
-
-	if job.Reduce == nil {
-		// Map-only job: emissions of every task land in the output file in
-		// task order, values only (the key is advisory for map-only jobs).
-		var out []dfs.Record
-		for _, res := range results {
-			for _, run := range res.runs {
-				for _, kv := range run.kvs {
-					out = append(out, dfs.Record(kv.Value))
-				}
-			}
-		}
-		if werr := c.fs.Write(job.Output, out); werr != nil {
-			return nil, fmt.Errorf("mapreduce: job %q: %w", job.Name, werr)
-		}
-		stats.OutputRecords = int64(len(out))
-		stats.Counters = counters.Snapshot()
-		return stats, nil
-	}
-
-	// ---- Shuffle --------------------------------------------------------
-	// Hand each reducer the sorted runs destined for it, counting every
-	// key and value byte that crosses — the paper's "shuffling cost".
-	// Spilled runs were counted as they were written; resident runs are
-	// summed here.
-	reducerRuns := make([][]runData, nReduce)
-	stats.ReduceInputRecords = make([]int64, nReduce)
-	for _, res := range results {
-		for r, run := range res.runs {
-			if run.empty() || run.records() == 0 {
-				continue
-			}
-			stats.ShuffleBytes += run.shuffleBytes()
-			stats.ShuffleRecords += run.records()
-			stats.ReduceInputRecords[r] += run.records()
-			reducerRuns[r] = append(reducerRuns[r], run)
-		}
-	}
-
-	// ---- Reduce phase ---------------------------------------------------
-	reduceStart := time.Now()
-	outputs := make([][]dfs.Record, nReduce)
-	reduceWork := make([]int64, nReduce)
-	var groupCount int64
-	var groupMu sync.Mutex
-	err = c.runParallel(nReduce, func(r int) error {
-		recs, groups, work, rerr := c.runReduceTask(job, rs, r, reducerRuns[r], counters, maxAttempts)
-		if rerr != nil {
-			return rerr
-		}
-		outputs[r] = recs
-		reduceWork[r] = work
-		groupMu.Lock()
-		groupCount += groups
-		groupMu.Unlock()
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	stats.ReduceWall = time.Since(reduceStart)
-	stats.ReduceGroups = groupCount
-	stats.SimReduceMakespan = makespan(reduceWork, c.nodes)
-
-	var out []dfs.Record
-	for _, recs := range outputs {
-		out = append(out, recs...)
-	}
-	if werr := c.fs.Write(job.Output, out); werr != nil {
-		return nil, fmt.Errorf("mapreduce: job %q: %w", job.Name, werr)
-	}
-	stats.OutputRecords = int64(len(out))
-	stats.SpilledRuns = rs.spilledRuns.Load()
-	stats.SpilledBytes = rs.spilledBytes.Load()
-	stats.PeakResidentBytes = rs.peak.Load()
-	stats.Counters = counters.Snapshot()
-	return stats, nil
-}
-
-func (c *Cluster) runMapTask(job *Job, rs *runState, split dfs.Split, index, nReduce int, partition PartitionFunc, counters *CounterSet, maxAttempts int) (*taskResult, error) {
-	taskID := fmt.Sprintf("%s/map/%d", job.Name, index)
-	var lastErr error
-	for attempt := 1; attempt <= maxAttempts; attempt++ {
-		res, err := c.attemptMapTask(job, rs, split, index, nReduce, partition, counters, taskID, attempt)
-		if err == nil {
-			return res, nil
-		}
-		lastErr = err
-	}
-	return nil, fmt.Errorf("mapreduce: task %s failed after %d attempts: %w", taskID, maxAttempts, lastErr)
-}
-
-func (c *Cluster) attemptMapTask(job *Job, rs *runState, split dfs.Split, index, nReduce int, partition PartitionFunc, counters *CounterSet, taskID string, attempt int) (*taskResult, error) {
-	if job.FailTask != nil {
-		if err := job.FailTask(taskID, attempt); err != nil {
-			return nil, err
-		}
-	}
-	ctx := &TaskContext{JobName: job.Name, TaskID: taskID, side: job.Side, counters: counters}
-	if job.MapSetup != nil {
-		if err := job.MapSetup(ctx); err != nil {
-			return nil, fmt.Errorf("map setup: %w", err)
-		}
-	}
-	records, err := split.Load()
-	if err != nil {
-		return nil, fmt.Errorf("map input: %w", err)
-	}
-	res := &taskResult{index: index, runs: make([]runData, nReduce), records: int64(len(records))}
-	emit := func(key, value []byte) {
-		r := 0
-		if nReduce > 1 {
-			r = partition(key, nReduce)
-			if r < 0 || r >= nReduce {
-				panic(fmt.Sprintf("mapreduce: partition function returned %d for %d reducers", r, nReduce))
-			}
-		}
-		res.runs[r].kvs = append(res.runs[r].kvs, KV{Key: key, Value: value})
-	}
-	for _, rec := range records {
-		if err := job.Map(ctx, rec, emit); err != nil {
-			return nil, fmt.Errorf("map record: %w", err)
-		}
-	}
-	if job.Reduce != nil {
-		// Map-side sort: turn each bucket into a sorted run (the spill
-		// sort of a real Hadoop map task). Map-only jobs skip this — their
-		// output contract is emission order.
-		for r := range res.runs {
-			sortRun(res.runs[r].kvs, job.ValueCompare)
-		}
-		if job.Combine != nil {
-			for r := range res.runs {
-				combined, err := combineRun(ctx, job, res.runs[r].kvs)
-				if err != nil {
-					return nil, fmt.Errorf("combine: %w", err)
-				}
-				res.runs[r].kvs = combined
-			}
-		}
-		if err := c.retainOrSpill(rs, res); err != nil {
-			return nil, err
-		}
-	}
-	res.work = ctx.work
-	return res, nil
-}
-
-// retainOrSpill decides where the finished task's sorted runs live. The
-// task's bytes are first charged against the resident budget; if that
-// would exceed the engine's MemLimit (or the engine always spills), the
-// charge is reverted and every run goes to a run file instead. A run
-// replays the identical sorted record sequence from either home, so the
-// decision — which may differ across runs of a racy workload — can never
-// change job output.
-func (c *Cluster) retainOrSpill(rs *runState, res *taskResult) error {
-	var total int64
-	for _, run := range res.runs {
-		total += kvBytes(run.kvs)
-	}
-	if rs.spillDir == "" {
-		rs.reserve(total)
-		return nil
-	}
-	// Retention may use half of MemLimit; the other half belongs to the
-	// merge buffers (Engine.mergeBudget), so the two together stay under
-	// the limit. The charge commits only when it fits (CAS loop) — a
-	// speculative add would be visible to concurrent peak observations
-	// and could report a never-retained residency above the limit.
-	if rs.memLimit > 0 {
-		for {
-			cur := rs.resident.Load()
-			n := cur + total
-			if n > rs.memLimit/2 {
-				break
-			}
-			if rs.resident.CompareAndSwap(cur, n) {
-				rs.updatePeak(n)
-				return nil
-			}
-		}
-	}
-	for r := range res.runs {
-		if len(res.runs[r].kvs) == 0 {
-			continue
-		}
-		rf, err := writeRunFile(rs, res.runs[r].kvs)
-		if err != nil {
-			return err
-		}
-		res.runs[r] = runData{file: rf}
-	}
-	return nil
-}
-
-// sortRun orders kvs by key bytes, then by the optional value comparator.
-// The sort is unstable (a stable sort's merge rotations dominate the
-// shuffle cost on duplicate-heavy runs) but deterministic: ties land in
-// an unspecified yet reproducible order, so jobs stay deterministic per
-// configuration; a job that needs a defined value order states it with
-// ValueCompare.
-func sortRun(kvs []KV, vcmp CompareFunc) {
-	slices.SortFunc(kvs, func(a, b KV) int {
-		if c := bytes.Compare(a.Key, b.Key); c != 0 {
-			return c
-		}
-		if vcmp != nil {
-			return vcmp(a.Value, b.Value)
-		}
-		return 0
-	})
-}
-
-// combineRun streams the sorted run's key groups through the combiner and
-// returns the combined output as a new sorted run. Combiners group on the
-// full key (Hadoop's contract — the grouping prefix applies to reducers
-// only, so a composite key's secondary order survives combining).
-func combineRun(ctx *TaskContext, job *Job, run []KV) ([]KV, error) {
-	if len(run) == 0 {
-		return run, nil
-	}
-	m := newMerger([][]KV{run}, job.ValueCompare)
-	out := make([]KV, 0, len(run))
-	emit := func(key, value []byte) {
-		out = append(out, KV{Key: key, Value: value})
-	}
-	if _, err := streamGroups(ctx, job.Combine, m, 0, emit); err != nil {
-		return nil, err
-	}
-	// The combiner may emit in any order; restore run sortedness for the
-	// reduce-side merge.
-	sortRun(out, job.ValueCompare)
-	return out, nil
-}
-
-func (c *Cluster) runReduceTask(job *Job, rs *runState, index int, runs []runData, counters *CounterSet, maxAttempts int) ([]dfs.Record, int64, int64, error) {
-	taskID := fmt.Sprintf("%s/reduce/%d", job.Name, index)
-	var lastErr error
-	for attempt := 1; attempt <= maxAttempts; attempt++ {
-		recs, groups, work, err := c.attemptReduceTask(job, rs, runs, counters, taskID, attempt)
-		if err == nil {
-			return recs, groups, work, nil
-		}
-		lastErr = err
-	}
-	return nil, 0, 0, fmt.Errorf("mapreduce: task %s failed after %d attempts: %w", taskID, maxAttempts, lastErr)
-}
-
-func (c *Cluster) attemptReduceTask(job *Job, rs *runState, runs []runData, counters *CounterSet, taskID string, attempt int) ([]dfs.Record, int64, int64, error) {
-	if job.FailTask != nil {
-		if err := job.FailTask(taskID, attempt); err != nil {
-			return nil, 0, 0, err
-		}
-	}
-	ctx := &TaskContext{JobName: job.Name, TaskID: taskID, side: job.Side, counters: counters}
-	if job.ReduceSetup != nil {
-		if err := job.ReduceSetup(ctx); err != nil {
-			return nil, 0, 0, fmt.Errorf("reduce setup: %w", err)
-		}
-	}
-	// Runs are immutable inputs, so a retry simply rebuilds the merge —
-	// reopening spilled files from scratch. When the reducer received more
-	// runs than the merge fan-in admits, contiguous groups are first
-	// merged into intermediate run files (bounding the open read-ahead
-	// buffers), which cannot change the merged order.
-	runs, err := reduceFanIn(rs, runs, job.ValueCompare, rs.fanIn)
-	if err != nil {
-		return nil, 0, 0, err
-	}
-	cursors := openRuns(rs, runs)
-	defer func() {
-		for _, cu := range cursors {
-			cu.close()
-		}
-	}()
-	m := newMergerCursors(cursors, job.ValueCompare)
-	var out []dfs.Record
-	emit := func(_, value []byte) {
-		out = append(out, dfs.Record(value))
-	}
-	groups, err := streamGroups(ctx, job.Reduce, m, job.GroupKeyPrefix, emit)
-	if err != nil {
-		return nil, 0, 0, err
-	}
-	// A merge source that died mid-stream (a truncated or unreadable run
-	// file) silently ended the stream early — the attempt's output is
-	// incomplete and must be discarded, not written.
-	if err := m.failure(); err != nil {
-		return nil, 0, 0, err
-	}
-	return out, groups, ctx.work, nil
+	return c.runJob(job, splits)
 }
 
 // streamGroups drives fn over every key group of the merge stream: one
@@ -810,8 +502,7 @@ type mergeSource struct {
 	seq int
 }
 
-// newMerger merges in-memory runs — the combiner's path and the
-// all-resident reduce path.
+// newMerger merges in-memory runs — the combiner's path.
 func newMerger(runs [][]KV, vcmp CompareFunc) *merger {
 	cursors := make([]cursor, len(runs))
 	for i, run := range runs {
@@ -895,57 +586,6 @@ func (m *merger) pop() {
 		m.heap = m.heap[:last]
 	}
 	m.down(0)
-}
-
-// runParallel executes fn(0..n-1) on at most c.nodes workers, returning
-// the first error encountered. After a failure no new task indices are
-// dispatched — only work already handed to a worker is drained — so one
-// failing task short-circuits a large job instead of running it to
-// completion just to discard the result.
-func (c *Cluster) runParallel(n int, fn func(i int) error) error {
-	if n == 0 {
-		return nil
-	}
-	workers := c.nodes
-	if workers > n {
-		workers = n
-	}
-	var (
-		wg       sync.WaitGroup
-		errOnce  sync.Once
-		failOnce sync.Once
-		firstErr error
-	)
-	failed := make(chan struct{})
-	tasks := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range tasks {
-				if err := fn(i); err != nil {
-					errOnce.Do(func() { firstErr = err })
-					failOnce.Do(func() { close(failed) })
-				}
-			}
-		}()
-	}
-dispatch:
-	for i := 0; i < n; i++ {
-		select {
-		case <-failed:
-			break dispatch
-		default:
-		}
-		select {
-		case tasks <- i:
-		case <-failed:
-			break dispatch
-		}
-	}
-	close(tasks)
-	wg.Wait()
-	return firstErr
 }
 
 // makespan greedily schedules tasks (in index order) onto the least-loaded

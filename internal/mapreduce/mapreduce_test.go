@@ -506,28 +506,40 @@ func TestUserCounters(t *testing.T) {
 	}
 }
 
+// faultCluster is newTestCluster with a fault plan for its goroutine
+// workers.
+func faultCluster(t *testing.T, nodes, chunk int, events ...FaultEvent) *Cluster {
+	t.Helper()
+	c, err := NewDistCluster(dfs.New(chunk), nodes, DistConfig{Faults: &FaultPlan{Events: events}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
 func TestTaskRetrySucceeds(t *testing.T) {
-	c := newTestCluster(2, 2)
+	// The first attempt of every task fails halfway through its work.
+	var events []FaultEvent
+	for _, task := range []string{"map/0", "map/1", "reduce/0", "reduce/1"} {
+		events = append(events, FaultEvent{Worker: -1, Task: "wordcount/" + task, Attempt: 1,
+			Point: AtMidTask, Action: ActError})
+	}
+	c := faultCluster(t, 2, 2, events...)
 	writeLines(c.FS(), "in", "a", "b", "c", "d")
-	var mu sync.Mutex
-	failed := make(map[string]bool)
 	job := wordCountJob("in", "out", false)
 	job.MaxAttempts = 3
-	job.FailTask = func(taskID string, attempt int) error {
-		mu.Lock()
-		defer mu.Unlock()
-		if attempt == 1 && !failed[taskID] {
-			failed[taskID] = true
-			return errors.New("injected fault")
-		}
-		return nil
+	var mapped atomic.Int64
+	countWords := job.Map
+	job.Map = func(ctx *TaskContext, rec dfs.Record, emit Emit) error {
+		mapped.Add(1)
+		return countWords(ctx, rec, emit)
 	}
 	stats, err := c.Run(job)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(failed) == 0 {
-		t.Fatal("fault injector never fired")
+	if mapped.Load() <= 4 {
+		t.Fatalf("map ran %d times over 4 records: the fault plan never fired", mapped.Load())
 	}
 	got := readCounts(t, c.FS(), "out")
 	if got["a"]+got["b"]+got["c"]+got["d"] != 4 {
@@ -539,16 +551,12 @@ func TestTaskRetrySucceeds(t *testing.T) {
 }
 
 func TestTaskFailsAfterMaxAttempts(t *testing.T) {
-	c := newTestCluster(2, 2)
+	c := faultCluster(t, 2, 2,
+		FaultEvent{Worker: -1, Task: "wordcount/map/*", Attempt: 1, Point: AtTaskStart, Action: ActError},
+		FaultEvent{Worker: -1, Task: "wordcount/map/*", Attempt: 2, Point: AtTaskStart, Action: ActError})
 	writeLines(c.FS(), "in", "a")
 	job := wordCountJob("in", "out", false)
 	job.MaxAttempts = 2
-	job.FailTask = func(taskID string, attempt int) error {
-		if strings.Contains(taskID, "/map/") {
-			return errors.New("persistent fault")
-		}
-		return nil
-	}
 	if _, err := c.Run(job); err == nil {
 		t.Fatal("expected job failure")
 	} else if !strings.Contains(err.Error(), "after 2 attempts") {
@@ -826,29 +834,23 @@ func TestEmptyInputFile(t *testing.T) {
 }
 
 func TestReduceTaskRetry(t *testing.T) {
-	c := newTestCluster(2, 2)
+	c := faultCluster(t, 2, 2,
+		FaultEvent{Worker: -1, Task: "wordcount/reduce/0", Attempt: 1, Point: AtPreCommit, Action: ActError},
+		FaultEvent{Worker: -1, Task: "wordcount/reduce/1", Attempt: 1, Point: AtPreCommit, Action: ActError})
 	writeLines(c.FS(), "in", "a", "b")
-	var mu sync.Mutex
-	failed := make(map[string]bool)
 	job := wordCountJob("in", "out", false)
 	job.MaxAttempts = 2
-	job.FailTask = func(taskID string, attempt int) error {
-		if !strings.Contains(taskID, "/reduce/") {
-			return nil
-		}
-		mu.Lock()
-		defer mu.Unlock()
-		if !failed[taskID] {
-			failed[taskID] = true
-			return errors.New("injected reduce fault")
-		}
-		return nil
+	var reduced atomic.Int64
+	sum := job.Reduce
+	job.Reduce = func(ctx *TaskContext, key []byte, values *Values, emit Emit) error {
+		reduced.Add(1)
+		return sum(ctx, key, values, emit)
 	}
 	if _, err := c.Run(job); err != nil {
 		t.Fatal(err)
 	}
-	if len(failed) == 0 {
-		t.Fatal("reduce fault injector never fired")
+	if reduced.Load() <= 2 {
+		t.Fatalf("reduce ran %d times over 2 keys: the fault plan never fired", reduced.Load())
 	}
 	got := readCounts(t, c.FS(), "out")
 	if got["a"] != 1 || got["b"] != 1 {
@@ -1055,30 +1057,6 @@ func TestMergerProperties(t *testing.T) {
 	// Ties break by run index: run 0's "a" precedes run 2's.
 	if got := strings.Join(vals, ""); got != "1456237" {
 		t.Fatalf("merged value order = %q, want 1456237 (run-order ties)", got)
-	}
-}
-
-// runParallel must stop handing out task indices once a worker has
-// failed: only work already started may drain. A failing first task over
-// a huge task count must leave almost all of it undispatched.
-func TestRunParallelShortCircuits(t *testing.T) {
-	c := newTestCluster(4, 1)
-	var calls atomic.Int64
-	err := c.runParallel(100000, func(i int) error {
-		calls.Add(1)
-		if i == 0 {
-			return errors.New("boom")
-		}
-		return nil
-	})
-	if err == nil || err.Error() != "boom" {
-		t.Fatalf("err = %v, want boom", err)
-	}
-	// Task 0 fails immediately; after that at most the in-flight tasks
-	// plus a dispatch race's worth may run. Anything near the full count
-	// means the dispatcher kept going.
-	if n := calls.Load(); n > 1000 {
-		t.Fatalf("ran %d of 100000 tasks after an early failure", n)
 	}
 }
 

@@ -60,7 +60,8 @@ const defaultFanIn = 1024
 // size. Half of MemLimit is reserved for retained runs (see
 // retainOrSpill), the other half is split across the n node-concurrent
 // reduce tasks; each task's share must hold fanIn read buffers plus one
-// write buffer for intermediate passes.
+// write buffer for intermediate passes. The result rides every task
+// assignment, so goroutine workers and worker processes merge alike.
 func (e Engine) mergeBudget(n int) (fanIn, bufSize int) {
 	fanIn, bufSize = defaultFanIn, spillBufSize
 	if e.MergeFanIn > 0 {
@@ -103,60 +104,117 @@ func (e Engine) validate() error {
 	return nil
 }
 
-// runState is the per-job execution state of the backend: resident-memory
-// accounting and the job's private spill directory.
-type runState struct {
-	spillDir string // "" = in-memory job
-	memLimit int64
-	fanIn    int
-	bufSize  int
-
-	resident     atomic.Int64 // shuffle bytes currently in memory
-	peak         atomic.Int64
-	spilledRuns  atomic.Int64
-	spilledBytes atomic.Int64
-	nameSeq      atomic.Int64
+// memAccount is the resident-memory account the attempts of one job on
+// goroutine workers share: the MemLimit they charge retained runs and
+// open merge buffers against, and the run-file name sequence of the
+// job's spill directory. A worker process gives each attempt its own —
+// residency is per process there, and attempts never share a directory.
+type memAccount struct {
+	limit    int64
+	resident atomic.Int64 // shuffle bytes currently in memory
+	peak     atomic.Int64
+	nameSeq  atomic.Int64
 }
 
 // updatePeak folds a residency observation into the high-water mark.
-func (rs *runState) updatePeak(n int64) {
+func (m *memAccount) updatePeak(n int64) {
 	for {
-		p := rs.peak.Load()
-		if n <= p || rs.peak.CompareAndSwap(p, n) {
+		p := m.peak.Load()
+		if n <= p || m.peak.CompareAndSwap(p, n) {
 			return
 		}
 	}
 }
 
 // reserve charges n resident bytes and records the new high-water mark.
-func (rs *runState) reserve(n int64) { rs.updatePeak(rs.resident.Add(n)) }
+func (m *memAccount) reserve(n int64) { m.updatePeak(m.resident.Add(n)) }
 
 // release returns n resident bytes.
-func (rs *runState) release(n int64) { rs.resident.Add(-n) }
+func (m *memAccount) release(n int64) { m.resident.Add(-n) }
 
-// runData is one map task's sorted run for one reducer, in exactly one of
-// two states: resident (kvs) or spilled (file). Both states replay the
-// identical key-sorted record sequence, so the merge — and therefore the
-// job output — cannot tell them apart.
-type runData struct {
-	kvs  []KV
-	file *runFile
+// runState is one task attempt's view of the backend: where its run
+// files go, the merge shape it must keep to, the memory account it
+// charges, and what it spilled — folded into JobStats only if the
+// attempt commits.
+type runState struct {
+	dir     string // "" = nowhere to spill: every run stays resident
+	fanIn   int
+	bufSize int
+	mem     *memAccount
+
+	spilledRuns  int64
+	spilledBytes int64
 }
 
-func (r runData) empty() bool { return r.kvs == nil && r.file == nil }
+// retainOrSpill decides where a finished map attempt's sorted runs live.
+// The attempt's bytes are first charged against the resident budget; if
+// that would exceed the MemLimit (or the attempt always spills, as every
+// attempt of a worker process does), every run goes to a run file
+// instead. A run replays the identical sorted record sequence from either
+// home, so the decision — which may differ across runs of a racy
+// workload — can never change job output.
+func (rs *runState) retainOrSpill(runs []runData) error {
+	var total int64
+	for _, run := range runs {
+		total += kvBytes(run.kvs)
+	}
+	if rs.dir == "" {
+		rs.mem.reserve(total)
+		return nil
+	}
+	// Retention may use half of MemLimit; the other half belongs to the
+	// merge buffers (Engine.mergeBudget), so the two together stay under
+	// the limit. The charge commits only when it fits (CAS loop) — a
+	// speculative add would be visible to concurrent peak observations
+	// and could report a never-retained residency above the limit.
+	if rs.mem.limit > 0 {
+		for {
+			cur := rs.mem.resident.Load()
+			n := cur + total
+			if n > rs.mem.limit/2 {
+				break
+			}
+			if rs.mem.resident.CompareAndSwap(cur, n) {
+				rs.mem.updatePeak(n)
+				return nil
+			}
+		}
+	}
+	for r := range runs {
+		if len(runs[r].kvs) == 0 {
+			continue
+		}
+		rf, err := writeRunFile(rs, runs[r].kvs)
+		if err != nil {
+			return err
+		}
+		runs[r] = runData{File: rf}
+	}
+	return nil
+}
+
+// runData is one map task's sorted run for one reducer, in exactly one of
+// two states: resident (kvs) or spilled (File). Both states replay the
+// identical key-sorted record sequence, so the merge — and therefore the
+// job output — cannot tell them apart. Only the spilled state crosses the
+// wire to a worker process, which holds no other kind.
+type runData struct {
+	kvs  []KV
+	File *runFile `json:",omitempty"`
+}
 
 // records returns the run's record count without loading it.
 func (r runData) records() int64 {
-	if r.file != nil {
-		return r.file.records
+	if r.File != nil {
+		return r.File.Records
 	}
 	return int64(len(r.kvs))
 }
 
 // shuffleBytes returns the run's key+value payload bytes.
 func (r runData) shuffleBytes() int64 {
-	if r.file != nil {
-		return r.file.bytes
+	if r.File != nil {
+		return r.File.Bytes
 	}
 	return kvBytes(r.kvs)
 }
@@ -166,9 +224,9 @@ func (r runData) shuffleBytes() int64 {
 // binary encodings of internal/codec, bytewise file order equals shuffle
 // order — the file needs no footer, index or re-sort to be merged.
 type runFile struct {
-	path    string
-	records int64
-	bytes   int64 // key+value payload bytes
+	Path    string
+	Records int64
+	Bytes   int64 // key+value payload bytes
 }
 
 // kvBytes sums the shuffle payload of a run.
@@ -196,15 +254,15 @@ type runFileWriter struct {
 // charging its write buffer against the resident budget until the writer
 // finishes or aborts.
 func newRunFileWriter(rs *runState) (*runFileWriter, error) {
-	path := filepath.Join(rs.spillDir, fmt.Sprintf("run-%06d", rs.nameSeq.Add(1)))
+	path := filepath.Join(rs.dir, fmt.Sprintf("run-%06d", rs.mem.nameSeq.Add(1)))
 	f, err := os.Create(path + ".tmp")
 	if err != nil {
 		return nil, fmt.Errorf("mapreduce: spill: %w", err)
 	}
-	rs.reserve(int64(rs.bufSize))
+	rs.mem.reserve(int64(rs.bufSize))
 	return &runFileWriter{
 		rs: rs, f: f, w: bufio.NewWriterSize(f, rs.bufSize),
-		path: path, rf: runFile{path: path},
+		path: path, rf: runFile{Path: path},
 	}, nil
 }
 
@@ -216,8 +274,8 @@ func (rw *runFileWriter) append(kv KV) error {
 	if err := dfs.WriteFrame(rw.w, kv.Value); err != nil {
 		return err
 	}
-	rw.rf.records++
-	rw.rf.bytes += int64(len(kv.Key) + len(kv.Value))
+	rw.rf.Records++
+	rw.rf.Bytes += int64(len(kv.Key) + len(kv.Value))
 	return nil
 }
 
@@ -227,7 +285,7 @@ func (rw *runFileWriter) finish() (*runFile, error) {
 	if cerr := rw.f.Close(); err == nil {
 		err = cerr
 	}
-	rw.rs.release(int64(rw.rs.bufSize))
+	rw.rs.mem.release(int64(rw.rs.bufSize))
 	if err == nil {
 		err = os.Rename(rw.path+".tmp", rw.path)
 	}
@@ -235,8 +293,8 @@ func (rw *runFileWriter) finish() (*runFile, error) {
 		os.Remove(rw.path + ".tmp")
 		return nil, fmt.Errorf("mapreduce: spill: %w", err)
 	}
-	rw.rs.spilledRuns.Add(1)
-	rw.rs.spilledBytes.Add(rw.rf.bytes)
+	rw.rs.spilledRuns++
+	rw.rs.spilledBytes += rw.rf.Bytes
 	rf := rw.rf
 	return &rf, nil
 }
@@ -244,7 +302,7 @@ func (rw *runFileWriter) finish() (*runFile, error) {
 // abort discards the partially written file.
 func (rw *runFileWriter) abort() {
 	rw.f.Close()
-	rw.rs.release(int64(rw.rs.bufSize))
+	rw.rs.mem.release(int64(rw.rs.bufSize))
 	os.Remove(rw.path + ".tmp")
 }
 
@@ -265,8 +323,8 @@ func writeRunFile(rs *runState, kvs []KV) (*runFile, error) {
 
 // runBadError marks a run file that could not be opened or that ended
 // mid-record — evidence the producing attempt's output is damaged. The
-// distributed engine's reducers report the path back to the coordinator,
-// which re-executes the producing map task.
+// reducer reports the path back to the scheduler, which re-executes the
+// producing map task.
 type runBadError struct {
 	path string
 	msg  string
@@ -322,15 +380,15 @@ type fileCursor struct {
 
 // openRunCursor opens a spilled run for merging.
 func openRunCursor(rs *runState, rf *runFile) *fileCursor {
-	c := &fileCursor{rs: rs, path: rf.path, left: rf.records}
-	f, err := os.Open(rf.path)
+	c := &fileCursor{rs: rs, path: rf.Path, left: rf.Records}
+	f, err := os.Open(rf.Path)
 	if err != nil {
-		c.failure = &runBadError{path: rf.path, msg: "unreadable", err: err}
+		c.failure = &runBadError{path: rf.Path, msg: "unreadable", err: err}
 		return c
 	}
 	c.f = f
 	c.r = bufio.NewReaderSize(f, rs.bufSize)
-	rs.reserve(int64(rs.bufSize))
+	rs.mem.reserve(int64(rs.bufSize))
 	c.advance()
 	return c
 }
@@ -362,7 +420,7 @@ func (c *fileCursor) close() {
 	if c.f != nil {
 		c.f.Close()
 		c.f = nil
-		c.rs.release(int64(c.rs.bufSize))
+		c.rs.mem.release(int64(c.rs.bufSize))
 	}
 }
 
@@ -371,8 +429,8 @@ func (c *fileCursor) close() {
 func openRuns(rs *runState, runs []runData) []cursor {
 	out := make([]cursor, len(runs))
 	for i, run := range runs {
-		if run.file != nil {
-			out[i] = openRunCursor(rs, run.file)
+		if run.File != nil {
+			out[i] = openRunCursor(rs, run.File)
 		} else {
 			out[i] = &memCursor{kvs: run.kvs}
 		}
@@ -420,7 +478,7 @@ func mergeToFile(rs *runState, runs []runData, vcmp CompareFunc) (*runFile, erro
 // source order keeps the final stream identical to a flat merge of every
 // original run, so multi-pass merging never changes job output.
 func reduceFanIn(rs *runState, runs []runData, vcmp CompareFunc, fanIn int) ([]runData, error) {
-	if rs.spillDir == "" {
+	if rs.dir == "" {
 		// In-memory backend: nothing to bound — resident slices carry no
 		// per-run read-ahead buffer, and there is nowhere to merge to.
 		return runs, nil
@@ -440,7 +498,7 @@ func reduceFanIn(rs *runState, runs []runData, vcmp CompareFunc, fanIn int) ([]r
 			if err != nil {
 				return nil, err
 			}
-			merged = append(merged, runData{file: rf})
+			merged = append(merged, runData{File: rf})
 		}
 		runs = merged
 	}

@@ -183,10 +183,9 @@ func TestSpillCrashMidMergeRetries(t *testing.T) {
 	job := wordCountJob("in", "out", false)
 	job.NumReducers = 1
 	job.MaxAttempts = 2
-	job.FailTask = func(taskID string, attempt int) error {
-		if !strings.HasSuffix(taskID, "/reduce/0") {
-			return nil
-		}
+	attempt := 0 // one reducer, attempts in sequence: setup calls count them
+	job.ReduceSetup = func(*TaskContext) error {
+		attempt++
 		switch attempt {
 		case 1:
 			// Corrupt one run file mid-record before the first merge.
@@ -236,7 +235,9 @@ func TestSpillCrashMidMergeRetries(t *testing.T) {
 }
 
 // A run file that stays truncated must abort the job with a truncation
-// error after retries — never silently merge the readable prefix.
+// error after retries — never silently merge the readable prefix. The
+// scheduler answers a damaged run by re-executing its producer, so
+// "stays truncated" means every reduce attempt finds one damaged anew.
 func TestSpillTruncatedRunFileAbortsJob(t *testing.T) {
 	spillRoot := t.TempDir()
 	c := spillCluster(t, 2, 4, Engine{SpillDir: spillRoot})
@@ -244,19 +245,18 @@ func TestSpillTruncatedRunFileAbortsJob(t *testing.T) {
 
 	job := wordCountJob("in", "out", false)
 	job.NumReducers = 1
-	job.FailTask = func(taskID string, attempt int) error {
-		if strings.HasSuffix(taskID, "/reduce/0") && attempt == 1 {
-			files := runFilesUnder(t, spillRoot)
-			if len(files) == 0 {
-				t.Fatal("no run files on disk at reduce time")
-			}
-			fi, err := os.Stat(files[0])
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := os.Truncate(files[0], fi.Size()-1); err != nil {
-				t.Fatal(err)
-			}
+	job.ReduceSetup = func(*TaskContext) error {
+		files := runFilesUnder(t, spillRoot)
+		if len(files) == 0 {
+			t.Fatal("no run files on disk at reduce time")
+		}
+		victim := files[len(files)-1]
+		fi, err := os.Stat(victim)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.Truncate(victim, fi.Size()-1); err != nil {
+			t.Fatal(err)
 		}
 		return nil
 	}

@@ -1,79 +1,69 @@
 package mapreduce
 
-// The coordinator/worker wire protocol: HTTP POSTs with JSON bodies, in
-// the style of internal/serve. Workers pull — the coordinator never
-// dials a worker — so a dead worker is simply one that stops polling and
-// heartbeating, and recovery is entirely lease-driven:
+import "knnjoin/internal/dfs"
+
+// What passes between the scheduler and a worker: an assignment out, a
+// completion (and heartbeats) back. A goroutine worker receives and
+// returns these structs by pointer and reads their unexported fields —
+// the job itself, its input split, resident runs, output records, the
+// error value. A worker process speaks HTTP POSTs with JSON bodies,
+// in the style of internal/serve, and sees only the exported fields:
 //
 //	POST /poll      pollRequest      → pollResponse (a task, or a wait)
 //	POST /done      completion       → completionResponse
 //	POST /heartbeat heartbeatMsg     → heartbeatResponse
 //	GET  /dfs/...   chunk service    (dfs.Server over the cluster store)
 //
-// Intermediate run files are exchanged by path: coordinator and workers
-// share the cluster's scratch directory (one machine, many processes —
-// the shape of the paper's one-box "cluster"), while job input and
-// output records go through the mounted dfs chunk service.
+// Processes pull — the coordinator never dials a worker. Intermediate
+// run files are exchanged by path: coordinator and workers share the
+// cluster's scratch directory (one machine, many processes — the shape
+// of the paper's one-box "cluster"), while job input records go through
+// the mounted dfs chunk service.
 
-// wireRun names one committed sorted-run file a reduce task must merge.
-type wireRun struct {
-	Path    string
-	Records int64
-	Bytes   int64
-}
-
-// wireMapRun is one committed map-side run: wireRun plus the reducer it
-// is destined for.
-type wireMapRun struct {
-	Reducer int
-	Path    string
-	Records int64
-	Bytes   int64
-}
-
-// wireTask is one task assignment, self-contained: the job identity
-// (kind + spec, enough to rebuild the job's functions in the worker),
-// the task coordinates, and the attempt's private run directory.
-type wireTask struct {
+// assignment is one task attempt handed to a worker, self-contained.
+type assignment struct {
 	JobID   int64
 	JobName string
-	Kind    string
-	Spec    []byte
+	// Kind and Spec rebuild the job's functions in a worker process;
+	// goroutine workers use job instead.
+	Kind string
+	Spec []byte
 
 	Phase   string // "map" or "reduce"
-	Index   int
+	Index   int    // task index; a map task's input split has the same index
 	Attempt int
 
 	NumReducers int
 	MapOnly     bool
 
-	// SplitIndex locates a map task's input split in the job's global
-	// split list (the worker re-derives the list from job.Input through
-	// the chunk service, which cuts splits identically).
-	SplitIndex int
-
 	// Runs lists a reduce task's fan-in: the committed map runs for this
-	// reducer, in map-task order — the merge's tie-breaking seq order,
-	// identical to the in-process engine's.
-	Runs []wireRun
+	// reducer, in map-task order — the merge's tie-breaking seq order.
+	Runs []runData
 
-	// RunDir is the attempt-private directory for run and output files.
-	// Attempts never share a directory, so a dead attempt's half-written
-	// files are simply never referenced — idempotency by isolation, on
-	// top of each file's own tmp+rename commit.
+	// RunDir is where the attempt writes run files ("" keeps every run
+	// resident). Attempts of one job on goroutine workers share the
+	// job's spill directory and name sequence; a worker process gets an
+	// attempt-private directory, so a dead attempt's half-written files
+	// are simply never referenced — idempotency by isolation, on top of
+	// each file's own tmp+rename commit.
 	RunDir string
 
-	// LeaseMs is how long the coordinator will wait between heartbeats
-	// before presuming the attempt dead and re-dispatching the task.
-	LeaseMs int64
+	// FanIn and BufSize are the engine's merge budget (Engine.mergeBudget).
+	FanIn   int
+	BufSize int
 
-	// TraceID and SpanParent propagate the coordinator's job span to
-	// the worker, which parents its task-attempt span under them. Both
+	// TraceID and SpanParent propagate the scheduler's job span to the
+	// worker, which parents its task-attempt span under them. Both
 	// empty when tracing is disabled; they ride only this request-side
 	// struct, never a response, so enabling tracing cannot perturb any
 	// output byte.
 	TraceID    string
 	SpanParent string
+
+	job   *Job
+	split dfs.Split   // a map task's input
+	mem   *memAccount // the job's resident-memory account
+	id    string      // taskID's memo
 }
 
 // pollRequest asks for a task.
@@ -83,7 +73,7 @@ type pollRequest struct {
 
 // pollResponse carries an assignment, a backoff hint, or a shutdown.
 type pollResponse struct {
-	Task     *wireTask
+	Task     *assignment
 	WaitMs   int64
 	Shutdown bool
 }
@@ -96,17 +86,22 @@ type completion struct {
 	Index   int
 	Attempt int
 
-	// Err is the failure message; empty means success.
+	// Err is the failure message; empty means success. Goroutine
+	// workers also keep the error value, so callers of Cluster.Run can
+	// still unwrap it.
 	Err string
+	err error
 	// BadRuns lists input run files found truncated or unreadable — the
-	// coordinator re-executes their producing map tasks.
+	// scheduler re-executes their producing map tasks.
 	BadRuns []string
 
-	// MapRuns are a map attempt's committed per-reducer runs.
-	MapRuns []wireMapRun
-	// Output is a reduce (or map-only) attempt's committed output file
-	// of framed records.
-	Output wireRun
+	// Runs are a map attempt's committed runs, one per reducer.
+	Runs []runData
+	// OutFile is a reduce (or map-only) attempt's output committed as a
+	// file of framed records by a worker process; goroutine workers
+	// hand the records over in out.
+	OutFile *runFile
+	out     []dfs.Record
 
 	Records      int64 // map input records consumed
 	Groups       int64 // reduce key groups
@@ -117,7 +112,7 @@ type completion struct {
 }
 
 // completionResponse acknowledges a report; Accepted is false for
-// duplicates and stale attempts, which the coordinator ignores.
+// duplicates and stale attempts, which the scheduler ignores.
 type completionResponse struct {
 	Accepted bool
 }

@@ -9,12 +9,452 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync/atomic"
 	"time"
 
 	"knnjoin/internal/dfs"
 	"knnjoin/internal/obs"
 )
+
+// link is how a worker reaches the scheduler. Goroutine workers call it
+// under the cluster's lock (localLink, coord.go); worker processes POST
+// JSON to the coordinator (httpLink).
+type link interface {
+	// next blocks until there is a task for the worker and returns it,
+	// or nil when the worker should stop.
+	next(worker int) *assignment
+	// report delivers a finished attempt. delivered is false when the
+	// report was lost on the way.
+	report(c *completion) (accepted, delivered bool)
+	// heartbeat renews the attempt's lease.
+	heartbeat(h *heartbeatMsg)
+}
+
+// worker is one task executor: it asks the scheduler for a task, runs
+// it, reports the outcome, and asks again. A cluster runs Nodes of them
+// as goroutines for the length of a job, and a distributed cluster
+// additionally keeps DistConfig.Workers of them as processes; both run
+// the same loop and the same task body over a different link.
+type worker struct {
+	index int
+	link  link
+	inj   *injector
+
+	// kill ends the worker without a report (ActKill); quit, when it
+	// closes, cuts injected stalls short — a goroutine worker must not
+	// outlive its job.
+	kill func()
+	quit <-chan struct{}
+
+	// hbEvery is the heartbeat period; zero sends none (the attempt
+	// carries no lease). ActFreeze pauses the heartbeats.
+	hbEvery  time.Duration
+	hbPaused atomic.Bool
+
+	// tracer records task-attempt spans (nil when tracing is off);
+	// curSpan is the span of the attempt currently executing, kept
+	// where checkpoint can reach it before a kill.
+	tracer  *obs.Tracer
+	curSpan *obs.Span
+
+	// A worker process reads input through the coordinator's chunk
+	// service and rebuilds jobs from the kind registry — the cluster
+	// runs them one at a time, so caching one suffices.
+	store       *dfs.Remote
+	cachedJobID int64
+	cachedJob   *Job
+}
+
+// loop is the worker's life: next task → execute → report.
+func (w *worker) loop() {
+	for a := w.link.next(w.index); a != nil; a = w.link.next(w.index) {
+		w.runTask(a)
+	}
+}
+
+// runTask executes one assignment end to end: heartbeats while working,
+// then reports the completion. The attempt runs under its own span,
+// parented to the scheduler's job span via the assignment's trace
+// context; the span's outcome attr distinguishes the winning commit
+// ("committed") from speculative losers and late duplicates
+// ("discarded"), failures ("error"), and — via checkpoint — attempts
+// that never got to report ("killed").
+func (w *worker) runTask(a *assignment) {
+	span := w.tracer.StartSpan("task",
+		obs.SpanContext{TraceID: a.TraceID, SpanID: a.SpanParent})
+	span.SetAttr("task", a.taskID())
+	span.SetAttr("attempt", fmt.Sprint(a.Attempt))
+	span.SetAttr("worker", fmt.Sprint(w.index))
+	w.curSpan = span
+	stop := make(chan struct{})
+	// Deferred, not inline: an ActKill on a goroutine worker unwinds
+	// through here.
+	defer func() {
+		close(stop)
+		w.curSpan = nil
+		span.End()
+		// Flush per task: worker processes can be torn down without a
+		// graceful shutdown, and a buffered span would vanish with them.
+		w.tracer.Flush()
+	}()
+	if w.hbEvery > 0 {
+		go w.heartbeatLoop(a, stop)
+	}
+
+	comp := &completion{Worker: w.index, JobID: a.JobID, Phase: a.Phase, Index: a.Index, Attempt: a.Attempt}
+	if comp.err = w.execute(a, comp); comp.err != nil {
+		comp.Err = comp.err.Error()
+		span.SetAttr("outcome", "error")
+		span.SetAttr("err", comp.Err)
+	}
+	accepted, delivered := w.link.report(comp)
+	if comp.err == nil {
+		outcome := "discarded"
+		if !delivered {
+			outcome = "unreported"
+		} else if accepted {
+			outcome = "committed"
+		}
+		span.SetAttr("outcome", outcome)
+	}
+}
+
+// heartbeatLoop renews the attempt's lease until the task finishes.
+// ActFreeze pauses it, simulating a worker presumed dead.
+func (w *worker) heartbeatLoop(a *assignment, stop chan struct{}) {
+	tick := time.NewTicker(w.hbEvery)
+	defer tick.Stop()
+	for {
+		select {
+		case <-stop:
+			return
+		case <-tick.C:
+			if !w.hbPaused.Load() {
+				w.link.heartbeat(&heartbeatMsg{Worker: w.index, JobID: a.JobID,
+					Phase: a.Phase, Index: a.Index, Attempt: a.Attempt})
+			}
+		}
+	}
+}
+
+// checkpoint fires the first unfired fault event matching this point of
+// the attempt, recording it on the attempt's span first — for a kill
+// that includes stamping the outcome and flushing, since a process dies
+// inside this call. runs are what ActTruncateRun may damage. Only
+// ActError makes it return an error.
+func (w *worker) checkpoint(a *assignment, point FaultPoint, runs []runData) error {
+	if w.inj == nil {
+		return nil
+	}
+	ev := w.inj.match(a.taskID(), a.Attempt, point)
+	if ev == nil {
+		return nil
+	}
+	w.curSpan.Event("fault-"+faultActionName(ev.Action),
+		"task", a.taskID(),
+		"attempt", fmt.Sprint(a.Attempt),
+		"point", faultPointName(point))
+	switch ev.Action {
+	case ActKill:
+		w.curSpan.SetAttr("outcome", "killed")
+		w.curSpan.End()
+		w.tracer.Flush()
+		w.kill()
+	case ActSleep:
+		w.stall(ev.Delay)
+	case ActFreeze:
+		w.hbPaused.Store(true)
+		w.stall(ev.Delay)
+		w.hbPaused.Store(false)
+	case ActTruncateRun:
+		for r := len(runs) - 1; r >= 0; r-- {
+			if rf := runs[r].File; rf != nil {
+				truncateTail(rf.Path, ev.TruncateBytes)
+				break
+			}
+		}
+	case ActError:
+		return fmt.Errorf("mapreduce: injected fault at %s", faultPointName(point))
+	}
+	return nil
+}
+
+// stall blocks for d, or until the worker's job is over.
+func (w *worker) stall(d time.Duration) {
+	t := time.NewTimer(d)
+	defer t.Stop()
+	select {
+	case <-t.C:
+	case <-w.quit:
+	}
+}
+
+// taskID names the attempt's task, e.g. "knn/map/3".
+func (a *assignment) taskID() string {
+	if a.id == "" {
+		a.id = fmt.Sprintf("%s/%s/%d", a.JobName, a.Phase, a.Index)
+	}
+	return a.id
+}
+
+// execute is the task body — with mapTask and reduceTask the one place a
+// job's functions run. It fills comp with what the attempt produced; a
+// returned error fails the attempt.
+func (w *worker) execute(a *assignment, comp *completion) error {
+	if w.store != nil {
+		if err := w.localize(a); err != nil {
+			return err
+		}
+	}
+	ctx := &TaskContext{JobName: a.JobName, TaskID: a.taskID(), side: a.job.Side, counters: NewCounterSet()}
+	rs := &runState{dir: a.RunDir, fanIn: a.FanIn, bufSize: a.BufSize, mem: a.mem}
+	defer func() {
+		comp.Work = ctx.work
+		comp.SpilledRuns, comp.SpilledBytes = rs.spilledRuns, rs.spilledBytes
+		comp.Counters = ctx.counters.Snapshot()
+	}()
+	if err := w.checkpoint(a, AtTaskStart, nil); err != nil {
+		return err
+	}
+	var out []dfs.Record
+	var err error
+	if a.Phase == "map" {
+		out, err = w.mapTask(a, ctx, rs, comp)
+		if !a.MapOnly {
+			return err // committed as runs
+		}
+	} else {
+		out, err = w.reduceTask(a, ctx, rs, comp)
+	}
+	if err != nil {
+		return err
+	}
+	if err := w.checkpoint(a, AtPreCommit, nil); err != nil {
+		return err
+	}
+	if w.store != nil {
+		// A worker process hands its output over as a file.
+		path := filepath.Join(a.RunDir, "out")
+		if err := writeFramedFile(path, out); err != nil {
+			return err
+		}
+		comp.OutFile = &runFile{Path: path, Records: int64(len(out))}
+	} else {
+		comp.out = out
+	}
+	return w.checkpoint(a, AtPostCommit, nil)
+}
+
+// mapTask runs one map attempt: load the split, map every record into
+// per-reducer buckets, then either sort, combine and commit the buckets
+// as runs (resident or spilled, see runState.retainOrSpill) or, for a
+// map-only job, return the bucket-concatenated values as the task's
+// output.
+func (w *worker) mapTask(a *assignment, ctx *TaskContext, rs *runState, comp *completion) ([]dfs.Record, error) {
+	job := a.job
+	if job.MapSetup != nil {
+		if err := job.MapSetup(ctx); err != nil {
+			return nil, fmt.Errorf("map setup: %w", err)
+		}
+	}
+	records, err := a.split.Load()
+	if err != nil {
+		return nil, fmt.Errorf("map input: %w", err)
+	}
+	n := a.NumReducers
+	partition := resolvePartition(job)
+	runs := make([]runData, n)
+	emit := func(key, value []byte) {
+		r := 0
+		if n > 1 {
+			r = partition(key, n)
+			if r < 0 || r >= n {
+				panic(fmt.Sprintf("mapreduce: partition function returned %d for %d reducers", r, n))
+			}
+		}
+		runs[r].kvs = append(runs[r].kvs, KV{Key: key, Value: value})
+	}
+	for i, rec := range records {
+		if i == len(records)/2 {
+			if err := w.checkpoint(a, AtMidTask, nil); err != nil {
+				return nil, err
+			}
+		}
+		if err := job.Map(ctx, rec, emit); err != nil {
+			return nil, fmt.Errorf("map record: %w", err)
+		}
+	}
+	comp.Records = int64(len(records))
+	if a.MapOnly {
+		// No sort: the output contract is emission order within each
+		// bucket, values only (the key is advisory for map-only jobs).
+		total := 0
+		for _, run := range runs {
+			total += len(run.kvs)
+		}
+		out := make([]dfs.Record, 0, total)
+		for _, run := range runs {
+			for _, kv := range run.kvs {
+				out = append(out, dfs.Record(kv.Value))
+			}
+		}
+		return out, nil
+	}
+	// Map-side sort: turn each bucket into a sorted run (the spill sort
+	// of a real Hadoop map task).
+	for r := range runs {
+		sortRun(runs[r].kvs, job.ValueCompare)
+		if job.Combine != nil {
+			if runs[r].kvs, err = combineRun(ctx, job, runs[r].kvs); err != nil {
+				return nil, fmt.Errorf("combine: %w", err)
+			}
+		}
+	}
+	if err := w.checkpoint(a, AtPreCommit, nil); err != nil {
+		return nil, err
+	}
+	if err := rs.retainOrSpill(runs); err != nil {
+		return nil, err
+	}
+	comp.Runs = runs
+	return nil, w.checkpoint(a, AtPostCommit, runs)
+}
+
+// sortRun orders kvs by key bytes, then by the optional value comparator.
+// The sort is unstable (a stable sort's merge rotations dominate the
+// shuffle cost on duplicate-heavy runs) but deterministic: ties land in
+// an unspecified yet reproducible order, so jobs stay deterministic per
+// configuration; a job that needs a defined value order states it with
+// ValueCompare.
+func sortRun(kvs []KV, vcmp CompareFunc) {
+	slices.SortFunc(kvs, func(a, b KV) int {
+		if c := bytes.Compare(a.Key, b.Key); c != 0 {
+			return c
+		}
+		if vcmp != nil {
+			return vcmp(a.Value, b.Value)
+		}
+		return 0
+	})
+}
+
+// combineRun streams the sorted run's key groups through the combiner and
+// returns the combined output as a new sorted run. Combiners group on the
+// full key (Hadoop's contract — the grouping prefix applies to reducers
+// only, so a composite key's secondary order survives combining).
+func combineRun(ctx *TaskContext, job *Job, run []KV) ([]KV, error) {
+	if len(run) == 0 {
+		return run, nil
+	}
+	m := newMerger([][]KV{run}, job.ValueCompare)
+	out := make([]KV, 0, len(run))
+	emit := func(key, value []byte) {
+		out = append(out, KV{Key: key, Value: value})
+	}
+	if _, err := streamGroups(ctx, job.Combine, m, 0, emit); err != nil {
+		return nil, err
+	}
+	// The combiner may emit in any order; restore run sortedness for the
+	// reduce-side merge.
+	sortRun(out, job.ValueCompare)
+	return out, nil
+}
+
+// reduceTask runs one reduce attempt: k-way-merge the committed runs it
+// was assigned (map-task order, the merge's tie-breaking seq), stream
+// the key groups through the reduce function, and return the emitted
+// records. A truncated or missing input run fails the attempt and is
+// named in comp.BadRuns so the scheduler re-executes its producer.
+func (w *worker) reduceTask(a *assignment, ctx *TaskContext, rs *runState, comp *completion) ([]dfs.Record, error) {
+	job := a.job
+	if job.ReduceSetup != nil {
+		if err := job.ReduceSetup(ctx); err != nil {
+			return nil, fmt.Errorf("reduce setup: %w", err)
+		}
+	}
+	reportBad := func(err error) error {
+		var bad *runBadError
+		if errors.As(err, &bad) {
+			for _, run := range a.Runs {
+				if run.File != nil && run.File.Path == bad.path {
+					comp.BadRuns = append(comp.BadRuns, bad.path)
+				}
+			}
+		}
+		return err
+	}
+	// Runs are immutable inputs, so a retry simply rebuilds the merge —
+	// reopening spilled files from scratch. When the reducer received
+	// more runs than the merge fan-in admits, contiguous groups are first
+	// merged into intermediate run files (bounding the open read-ahead
+	// buffers), which cannot change the merged order.
+	runs, err := reduceFanIn(rs, a.Runs, job.ValueCompare, rs.fanIn)
+	if err != nil {
+		return nil, reportBad(err)
+	}
+	cursors := openRuns(rs, runs)
+	defer func() {
+		for _, cu := range cursors {
+			cu.close()
+		}
+	}()
+	m := newMergerCursors(cursors, job.ValueCompare)
+	var out []dfs.Record
+	emit := func(_, value []byte) {
+		out = append(out, dfs.Record(value))
+	}
+	reduce := job.Reduce
+	if w.inj != nil {
+		// AtMidTask fires between the first key group and the second.
+		var groups int64
+		reduce = func(ctx *TaskContext, key []byte, values *Values, emit Emit) error {
+			if groups++; groups == 2 {
+				if err := w.checkpoint(a, AtMidTask, nil); err != nil {
+					return err
+				}
+			}
+			return job.Reduce(ctx, key, values, emit)
+		}
+	}
+	if comp.Groups, err = streamGroups(ctx, reduce, m, job.GroupKeyPrefix, emit); err != nil {
+		return nil, reportBad(err)
+	}
+	// A merge source that died mid-stream (a truncated or unreadable run
+	// file) silently ended the stream early — the attempt's output is
+	// incomplete and must be discarded, not committed.
+	if err := m.failure(); err != nil {
+		return nil, reportBad(err)
+	}
+	return out, nil
+}
+
+// localize fills in what an assignment decoded off the wire lacks: the
+// job, rebuilt from the kind registry; a map task's split, located in
+// the job's split list as the chunk service cuts it (identically to the
+// coordinator's store); a private memory account; the attempt's
+// directory.
+func (w *worker) localize(a *assignment) error {
+	if w.cachedJob == nil || w.cachedJobID != a.JobID {
+		job, err := buildKindJob(a.Kind, a.Spec)
+		if err != nil {
+			return err
+		}
+		w.cachedJobID, w.cachedJob = a.JobID, job
+	}
+	a.job, a.mem = w.cachedJob, &memAccount{}
+	if a.Phase == "map" {
+		splits, err := w.store.Splits(a.job.Input...)
+		if err != nil {
+			return err
+		}
+		if a.Index < 0 || a.Index >= len(splits) {
+			return fmt.Errorf("mapreduce: split %d out of range (%d splits)", a.Index, len(splits))
+		}
+		a.split = splits[a.Index]
+	}
+	return os.MkdirAll(a.RunDir, 0o755)
+}
 
 // workerEnv carries a workerConfig (JSON) into a spawned worker process.
 // Worker processes are re-executed copies of the parent binary, so the
@@ -40,26 +480,14 @@ func RunWorkerIfSpawned() {
 	os.Exit(runWorker(cfg))
 }
 
-// worker is one task-executing process attached to a coordinator.
-type worker struct {
-	cfg      workerConfig
-	client   *http.Client
-	store    *dfs.Remote
-	inj      *injector
-	hbPaused atomic.Bool
-
-	// tracer records task-attempt spans (nil when tracing is off);
-	// curSpan is the span of the attempt currently executing, kept
-	// where the fault observer can reach it before a kill.
-	tracer  *obs.Tracer
-	curSpan atomic.Pointer[obs.Span]
-
-	cachedJobID int64
-	cachedJob   *Job
-}
-
+// runWorker is a worker process's main: the shared loop over an httpLink.
 func runWorker(cfg workerConfig) int {
-	w := &worker{cfg: cfg, client: &http.Client{}}
+	l := &httpLink{url: cfg.URL, client: &http.Client{}}
+	w := &worker{
+		index: cfg.Index, link: l, inj: newInjector(cfg.Index, cfg.Faults),
+		kill:    func() { os.Exit(faultKillExitCode) },
+		hbEvery: time.Duration(cfg.HeartbeatMs) * time.Millisecond,
+	}
 	if cfg.TraceDir != "" {
 		tr, err := obs.NewTracer(cfg.TraceDir, fmt.Sprintf("worker-%d", cfg.Index))
 		if err != nil {
@@ -69,51 +497,30 @@ func runWorker(cfg workerConfig) int {
 		w.tracer = tr
 		defer tr.Close()
 	}
-	w.inj = newInjector(cfg.Index, cfg.Faults,
-		func(p bool) { w.hbPaused.Store(p) },
-		w.observeFault)
 	store, err := dfs.NewRemote(cfg.URL + "/dfs")
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "mapreduce worker %d: chunk service: %v\n", cfg.Index, err)
 		return 1
 	}
 	w.store = store
-	failures := 0
-	for {
-		var resp pollResponse
-		if err := w.post("/poll", pollRequest{Worker: cfg.Index}, &resp); err != nil {
-			// The coordinator being unreachable for a sustained stretch
-			// means the job (or the whole cluster) is gone; exit rather
-			// than poll forever.
-			if failures++; failures > 200 {
-				return 1
-			}
-			time.Sleep(20 * time.Millisecond)
-			continue
-		}
-		failures = 0
-		if resp.Shutdown {
-			return 0
-		}
-		if resp.Task == nil {
-			wait := resp.WaitMs
-			if wait <= 0 {
-				wait = 10
-			}
-			time.Sleep(time.Duration(wait) * time.Millisecond)
-			continue
-		}
-		w.runTask(resp.Task)
-	}
+	w.loop()
+	return l.exit
+}
+
+// httpLink is a worker process's link: JSON POSTs to the coordinator.
+type httpLink struct {
+	url    string
+	client *http.Client
+	exit   int // the process's exit code once next returns nil
 }
 
 // post sends one JSON request to the coordinator and decodes the reply.
-func (w *worker) post(path string, req, resp any) error {
+func (l *httpLink) post(path string, req, resp any) error {
 	body, err := json.Marshal(req)
 	if err != nil {
 		return err
 	}
-	r, err := w.client.Post(w.cfg.URL+path, "application/json", bytes.NewReader(body))
+	r, err := l.client.Post(l.url+path, "application/json", bytes.NewReader(body))
 	if err != nil {
 		return err
 	}
@@ -124,318 +531,55 @@ func (w *worker) post(path string, req, resp any) error {
 	return json.NewDecoder(r.Body).Decode(resp)
 }
 
-// jobFor rebuilds the task's job from the kind registry, caching the
-// result — the cluster runs jobs sequentially, so one entry suffices.
-func (w *worker) jobFor(t *wireTask) (*Job, error) {
-	if w.cachedJob != nil && w.cachedJobID == t.JobID {
-		return w.cachedJob, nil
+// next polls until the coordinator hands out a task or says to shut down.
+func (l *httpLink) next(worker int) *assignment {
+	failures := 0
+	for {
+		var resp pollResponse
+		if err := l.post("/poll", pollRequest{Worker: worker}, &resp); err != nil {
+			// The coordinator being unreachable for a sustained stretch
+			// means the job (or the whole cluster) is gone; exit rather
+			// than poll forever.
+			if failures++; failures > 200 {
+				l.exit = 1
+				return nil
+			}
+			time.Sleep(20 * time.Millisecond)
+			continue
+		}
+		failures = 0
+		if resp.Shutdown {
+			return nil
+		}
+		if resp.Task != nil {
+			return resp.Task
+		}
+		wait := resp.WaitMs
+		if wait <= 0 {
+			wait = 10
+		}
+		time.Sleep(time.Duration(wait) * time.Millisecond)
 	}
-	job, err := buildKindJob(t.Kind, t.Spec)
-	if err != nil {
-		return nil, err
-	}
-	w.cachedJobID, w.cachedJob = t.JobID, job
-	return job, nil
 }
 
-// runTask executes one assignment end to end: heartbeats while working,
-// then reports the completion (retrying the report itself, which must
-// not be lost to a transient connection error when the work is durable).
-// The attempt runs under its own span, parented to the coordinator's
-// job span via the assignment's trace context; the span's outcome attr
-// distinguishes the winning commit ("committed") from speculative
-// losers and late duplicates ("discarded"), failures ("error"), and —
-// via the fault observer — attempts that never got to report
-// ("killed").
-func (w *worker) runTask(t *wireTask) {
-	span := w.tracer.StartSpan("task",
-		obs.SpanContext{TraceID: t.TraceID, SpanID: t.SpanParent})
-	span.SetAttr("task", fmt.Sprintf("%s/%s/%d", t.JobName, t.Phase, t.Index))
-	span.SetAttr("attempt", fmt.Sprint(t.Attempt))
-	span.SetAttr("worker", fmt.Sprint(w.cfg.Index))
-	w.curSpan.Store(span)
-	defer func() {
-		w.curSpan.Store(nil)
-		span.End()
-		// Flush per task: worker processes can be torn down without a
-		// graceful shutdown, and a buffered span would vanish with them.
-		w.tracer.Flush()
-	}()
-
-	stop := make(chan struct{})
-	go w.heartbeatLoop(t, stop)
-	comp := w.execute(t)
-	close(stop)
-	comp.Worker = w.cfg.Index
-	comp.JobID = t.JobID
-	comp.Phase = t.Phase
-	comp.Index = t.Index
-	comp.Attempt = t.Attempt
-	if comp.Err != "" {
-		span.SetAttr("outcome", "error")
-		span.SetAttr("err", comp.Err)
-	}
+// report posts the completion, retrying the post itself — the report
+// must not be lost to a transient connection error when the work is
+// durable.
+func (l *httpLink) report(c *completion) (accepted, delivered bool) {
 	for i := 0; i < 3; i++ {
 		var resp completionResponse
-		if err := w.post("/done", comp, &resp); err == nil {
-			if comp.Err == "" {
-				if resp.Accepted {
-					span.SetAttr("outcome", "committed")
-				} else {
-					span.SetAttr("outcome", "discarded")
-				}
-			}
-			return
+		if err := l.post("/done", c, &resp); err == nil {
+			return resp.Accepted, true
 		}
 		time.Sleep(50 * time.Millisecond)
 	}
-	if comp.Err == "" {
-		span.SetAttr("outcome", "unreported")
-	}
+	return false, false
 }
 
-// observeFault records a fired fault event on the current attempt's
-// span. For kills it also stamps the outcome, ends the span, and
-// flushes the tracer — this runs just before the injector's os.Exit,
-// so the killed attempt survives into the merged trace.
-func (w *worker) observeFault(ev *FaultEvent, task string, attempt int) {
-	span := w.curSpan.Load()
-	span.Event("fault-"+faultActionName(ev.Action),
-		"task", task,
-		"attempt", fmt.Sprint(attempt),
-		"point", faultPointName(ev.Point))
-	if ev.Action == ActKill {
-		span.SetAttr("outcome", "killed")
-		span.End()
-		w.tracer.Flush()
-	}
-}
-
-// heartbeatLoop renews the attempt's lease until the task finishes.
-// ActFreeze pauses it, simulating a worker presumed dead.
-func (w *worker) heartbeatLoop(t *wireTask, stop chan struct{}) {
-	every := time.Duration(w.cfg.HeartbeatMs) * time.Millisecond
-	if every <= 0 {
-		every = 100 * time.Millisecond
-	}
-	tick := time.NewTicker(every)
-	defer tick.Stop()
-	for {
-		select {
-		case <-stop:
-			return
-		case <-tick.C:
-			if w.hbPaused.Load() {
-				continue
-			}
-			var resp heartbeatResponse
-			msg := heartbeatMsg{Worker: w.cfg.Index, JobID: t.JobID,
-				Phase: t.Phase, Index: t.Index, Attempt: t.Attempt}
-			w.post("/heartbeat", msg, &resp) // best-effort; an abandoned attempt just wastes work
-		}
-	}
-}
-
-// execute runs the attempt and returns its completion report.
-func (w *worker) execute(t *wireTask) completion {
-	var comp completion
-	job, err := w.jobFor(t)
-	if err != nil {
-		comp.Err = err.Error()
-		return comp
-	}
-	taskID := fmt.Sprintf("%s/%s/%d", t.JobName, t.Phase, t.Index)
-	if job.FailTask != nil {
-		if err := job.FailTask(taskID, t.Attempt); err != nil {
-			comp.Err = err.Error()
-			return comp
-		}
-	}
-	if err := os.MkdirAll(t.RunDir, 0o755); err != nil {
-		comp.Err = err.Error()
-		return comp
-	}
-	w.inj.at(taskID, t.Attempt, AtTaskStart)
-	if t.Phase == "map" {
-		err = w.executeMap(t, job, taskID, &comp)
-	} else {
-		err = w.executeReduce(t, job, taskID, &comp)
-	}
-	if err != nil {
-		comp.Err = err.Error()
-	}
-	return comp
-}
-
-// executeMap runs one map attempt: load the split through the chunk
-// service, map every record into per-reducer buckets, then either
-// sort/combine/commit the buckets as run files (reduce jobs) or commit
-// the bucket-concatenated values as the task's output (map-only jobs) —
-// bucket order, exactly like the in-process engine.
-func (w *worker) executeMap(t *wireTask, job *Job, taskID string, comp *completion) error {
-	splits, err := w.store.Splits(job.Input...)
-	if err != nil {
-		return err
-	}
-	if t.SplitIndex < 0 || t.SplitIndex >= len(splits) {
-		return fmt.Errorf("mapreduce: split %d out of range (%d splits)", t.SplitIndex, len(splits))
-	}
-	records, err := splits[t.SplitIndex].Load()
-	if err != nil {
-		return err
-	}
-	ctx := &TaskContext{JobName: t.JobName, TaskID: taskID, side: job.Side, counters: NewCounterSet()}
-	if job.MapSetup != nil {
-		if err := job.MapSetup(ctx); err != nil {
-			return fmt.Errorf("map setup: %w", err)
-		}
-	}
-	partition := resolvePartition(job)
-	buckets := make([][]KV, t.NumReducers)
-	emit := func(key, value []byte) {
-		r := 0
-		if t.NumReducers > 1 {
-			r = partition(key, t.NumReducers)
-			if r < 0 || r >= t.NumReducers {
-				panic(fmt.Sprintf("mapreduce: partition function returned %d for %d reducers", r, t.NumReducers))
-			}
-		}
-		buckets[r] = append(buckets[r], KV{Key: key, Value: value})
-	}
-	for i, rec := range records {
-		if i == len(records)/2 {
-			w.inj.at(taskID, t.Attempt, AtMidTask)
-		}
-		if err := job.Map(ctx, rec, emit); err != nil {
-			return fmt.Errorf("map record: %w", err)
-		}
-	}
-	comp.Records = int64(len(records))
-
-	if t.MapOnly {
-		w.inj.at(taskID, t.Attempt, AtPreCommit)
-		var out []dfs.Record
-		for _, b := range buckets {
-			for _, kv := range b {
-				out = append(out, dfs.Record(kv.Value))
-			}
-		}
-		path := filepath.Join(t.RunDir, "out")
-		if err := writeFramedFile(path, out); err != nil {
-			return err
-		}
-		comp.Output = wireRun{Path: path, Records: int64(len(out))}
-		w.inj.at(taskID, t.Attempt, AtPostCommit)
-		comp.Work = ctx.work
-		comp.Counters = ctx.counters.Snapshot()
-		return nil
-	}
-
-	rs := &runState{spillDir: t.RunDir, fanIn: defaultFanIn, bufSize: spillBufSize}
-	for r := range buckets {
-		sortRun(buckets[r], job.ValueCompare)
-		if job.Combine != nil {
-			combined, err := combineRun(ctx, job, buckets[r])
-			if err != nil {
-				return fmt.Errorf("combine: %w", err)
-			}
-			buckets[r] = combined
-		}
-	}
-	w.inj.at(taskID, t.Attempt, AtPreCommit)
-	for r, kvs := range buckets {
-		if len(kvs) == 0 {
-			continue
-		}
-		rf, err := writeRunFile(rs, kvs)
-		if err != nil {
-			return err
-		}
-		comp.MapRuns = append(comp.MapRuns, wireMapRun{Reducer: r, Path: rf.path,
-			Records: rf.records, Bytes: rf.bytes})
-	}
-	if ev := w.inj.at(taskID, t.Attempt, AtPostCommit); ev != nil && ev.Action == ActTruncateRun {
-		if n := len(comp.MapRuns); n > 0 {
-			truncateTail(comp.MapRuns[n-1].Path, ev.TruncateBytes)
-		}
-	}
-	comp.Work = ctx.work
-	comp.SpilledRuns = rs.spilledRuns.Load()
-	comp.SpilledBytes = rs.spilledBytes.Load()
-	comp.Counters = ctx.counters.Snapshot()
-	return nil
-}
-
-// executeReduce runs one reduce attempt: k-way-merge the committed map
-// runs (in the wire order, which is map-task order — the same
-// tie-breaking seq the in-process engine uses), stream key groups
-// through the reduce function, and commit the output records as one
-// framed file. A truncated or missing input run fails the attempt and is
-// reported in BadRuns so the coordinator re-executes its producer.
-func (w *worker) executeReduce(t *wireTask, job *Job, taskID string, comp *completion) error {
-	ctx := &TaskContext{JobName: t.JobName, TaskID: taskID, side: job.Side, counters: NewCounterSet()}
-	if job.ReduceSetup != nil {
-		if err := job.ReduceSetup(ctx); err != nil {
-			return fmt.Errorf("reduce setup: %w", err)
-		}
-	}
-	rs := &runState{spillDir: t.RunDir, fanIn: defaultFanIn, bufSize: spillBufSize}
-	runs := make([]runData, len(t.Runs))
-	given := make(map[string]bool, len(t.Runs))
-	for i, r := range t.Runs {
-		runs[i] = runData{file: &runFile{path: r.Path, records: r.Records, bytes: r.Bytes}}
-		given[r.Path] = true
-	}
-	reportBad := func(err error) error {
-		var bad *runBadError
-		if errors.As(err, &bad) && given[bad.path] {
-			comp.BadRuns = append(comp.BadRuns, bad.path)
-		}
-		return err
-	}
-	runs, err := reduceFanIn(rs, runs, job.ValueCompare, rs.fanIn)
-	if err != nil {
-		return reportBad(err)
-	}
-	cursors := openRuns(rs, runs)
-	defer func() {
-		for _, cu := range cursors {
-			cu.close()
-		}
-	}()
-	m := newMergerCursors(cursors, job.ValueCompare)
-	var out []dfs.Record
-	emit := func(_, value []byte) {
-		out = append(out, dfs.Record(value))
-	}
-	var groupsSeen int64
-	reduce := func(ctx *TaskContext, key []byte, values *Values, emit Emit) error {
-		if groupsSeen == 1 {
-			w.inj.at(taskID, t.Attempt, AtMidTask)
-		}
-		groupsSeen++
-		return job.Reduce(ctx, key, values, emit)
-	}
-	groups, err := streamGroups(ctx, reduce, m, job.GroupKeyPrefix, emit)
-	if err != nil {
-		return reportBad(err)
-	}
-	if err := m.failure(); err != nil {
-		return reportBad(err)
-	}
-	w.inj.at(taskID, t.Attempt, AtPreCommit)
-	path := filepath.Join(t.RunDir, "out")
-	if err := writeFramedFile(path, out); err != nil {
-		return err
-	}
-	comp.Output = wireRun{Path: path, Records: int64(len(out))}
-	w.inj.at(taskID, t.Attempt, AtPostCommit)
-	comp.Groups = groups
-	comp.Work = ctx.work
-	comp.SpilledRuns = rs.spilledRuns.Load()
-	comp.SpilledBytes = rs.spilledBytes.Load()
-	comp.Counters = ctx.counters.Snapshot()
-	return nil
+// heartbeat is best-effort; an abandoned attempt just wastes work.
+func (l *httpLink) heartbeat(h *heartbeatMsg) {
+	var resp heartbeatResponse
+	l.post("/heartbeat", h, &resp)
 }
 
 // truncateTail chops n trailing bytes off the file (fault injection).

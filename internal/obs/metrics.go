@@ -235,7 +235,9 @@ func (h *Histogram) collect(b *strings.Builder, name string) {
 	cum += h.counts[len(h.bounds)].Load()
 	fmt.Fprintf(b, "%s_bucket{le=\"+Inf\"} %d\n", name, cum)
 	fmt.Fprintf(b, "%s_sum %s\n", name, strconv.FormatFloat(h.Sum(), 'g', -1, 64))
-	fmt.Fprintf(b, "%s_count %d\n", name, h.count.Load())
+	// _count is the +Inf bucket just rendered, not h.count: an Observe
+	// landing between the two loads would make the page contradict itself.
+	fmt.Fprintf(b, "%s_count %d\n", name, cum)
 }
 
 // Histogram returns the named histogram with the given bucket upper

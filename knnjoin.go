@@ -227,19 +227,21 @@ type Options struct {
 	// scans — as does the centralized BruteForce verification baseline.
 	Kernel Kernel
 	// Workers, when positive, executes the MapReduce jobs on that many
-	// separate worker processes coordinated over RPC instead of the
-	// in-process engine. Results are byte-identical either way. The
+	// separate worker processes coordinated over RPC instead of on
+	// goroutines of this process. Results are byte-identical either
+	// way. Worker processes always exchange shuffle runs as files; a
+	// MemLimit still bounds their reduce-side merge buffers. The
 	// program's main (or TestMain) must call RunWorkerIfSpawned first
 	// so re-executions of the binary can serve as workers.
 	Workers int
 	// Faults is an optional deterministic fault-injection plan applied
-	// to the worker processes — testing hook; nil injects nothing.
-	// Only meaningful with Workers > 0.
+	// to the workers, goroutines or processes — testing hook; nil
+	// injects nothing.
 	Faults *FaultPlan
-	// TraceDir, when set with Workers > 0, makes the coordinator and
-	// every worker write observability spans as JSONL files under this
-	// directory (merge and render them with cmd/knntrace). Empty
-	// disables tracing; join results are byte-identical either way.
+	// TraceDir, when set, makes the job scheduler and every worker
+	// write observability spans as JSONL files under this directory
+	// (merge and render them with cmd/knntrace). Empty disables
+	// tracing; join results are byte-identical either way.
 	TraceDir string
 	// Pprof, with Workers > 0, exposes net/http/pprof on the
 	// coordinator's HTTP server for live profiling of long joins.
