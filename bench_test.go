@@ -18,6 +18,9 @@ import (
 	"knnjoin/internal/dataset"
 	"knnjoin/internal/experiments"
 	"knnjoin/internal/mapreduce"
+	"knnjoin/internal/pivot"
+	"knnjoin/internal/vector"
+	"knnjoin/internal/voronoi"
 )
 
 // benchCfg is the reduced benchmark scale: Forest×10 = 8000 objects.
@@ -342,6 +345,83 @@ func BenchmarkDistKernelTiers(b *testing.B) {
 				}
 			})
 		}
+	}
+}
+
+// ---- Nearest-pivot assignment ------------------------------------------
+//
+// The loop under job 1, vindex.Build and the query walk, at the three
+// shapes the repository benchmark runs: the osm self-join (632 pivots,
+// 2-d Zipf city clusters), Forest R ∪ S (244 pivots of R, 10-d) and
+// the Forest ×10 index build (774 pivots of S). evaluated/obj is the
+// pruned scan's comparison count beside the |P| the paper's algorithm
+// is charged. No thresholds: the numbers are for reading.
+
+// assignShape is one BenchmarkAssign case: pivots drawn from one set,
+// objects to assign from another.
+type assignShape struct {
+	name    string
+	pivots  int
+	from    []Object
+	objects []Object
+}
+
+// assignShapes returns the three shapes; the objects are a stride of
+// the full set so the benchmark stays small.
+func assignShapes() []assignShape {
+	stride := func(objs []Object, n int) []Object {
+		out := make([]Object, 0, n)
+		for i := 0; i < n; i++ {
+			out = append(out, objs[i*len(objs)/n])
+		}
+		return out
+	}
+	osm := dataset.OSM(100000, 1)
+	r := dataset.Forest(15000, 2)
+	s := dataset.Expand(dataset.Forest(15000, 1), 10)
+	return []assignShape{
+		{"osm2d/P=632", 632, osm, stride(osm, 20000)},
+		{"forest10d/P=244", 244, r, append(stride(r, 2000), stride(s, 18000)...)},
+		{"forest10d/P=774", 774, s, stride(s, 20000)},
+	}
+}
+
+func BenchmarkAssign(b *testing.B) {
+	for _, sh := range assignShapes() {
+		pivots, err := pivot.Select(pivot.Random, sh.from, sh.pivots, pivot.Options{Seed: 1})
+		if err != nil {
+			b.Fatal(err)
+		}
+		pp := voronoi.NewPartitioner(pivots, vector.L2)
+		b.Run(sh.name, func(b *testing.B) {
+			var evaluated, objects int64
+			for i := 0; i < b.N; i++ {
+				for _, o := range sh.objects {
+					_, _, e := pp.AssignEvaluated(o.Point)
+					evaluated += int64(e)
+				}
+				objects += int64(len(sh.objects))
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(objects), "ns/object")
+			b.ReportMetric(float64(evaluated)/float64(objects), "evaluated/object")
+		})
+	}
+}
+
+// BenchmarkNewPartitioner prices the constructor at the index build's
+// pivot count: it runs three times per join, once per worker process
+// per job and once per vindex.Load, so the scan's tables must not show
+// here (the nearest-pivot lists are built on first use instead).
+func BenchmarkNewPartitioner(b *testing.B) {
+	s := dataset.Expand(dataset.Forest(15000, 1), 10)
+	pivots, err := pivot.Select(pivot.Random, s, 774, pivot.Options{Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		voronoi.NewPartitioner(pivots, vector.L2)
 	}
 }
 

@@ -112,6 +112,20 @@ func TestErrors(t *testing.T) {
 	}
 }
 
+// A NaN or ±Inf coordinate in the data is a build error naming the
+// object, not an index that silently misplaces it.
+func TestBuildRejectsNonFiniteCoordinates(t *testing.T) {
+	dir := t.TempDir()
+	bad := filepath.Join(dir, "bad.csv")
+	if err := os.WriteFile(bad, []byte("0,1,2\n1,3,4\n23,+Inf,6\n3,7,8\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	err := run([]string{"build", "-data", bad, "-o", filepath.Join(dir, "bad.idx")})
+	if err == nil || !strings.Contains(err.Error(), "object 23") || !strings.Contains(err.Error(), "non-finite") {
+		t.Fatalf("build over an Inf coordinate = %v, want a non-finite-coordinate error naming object 23", err)
+	}
+}
+
 func TestQueryMatchesAcrossSaveLoad(t *testing.T) {
 	_, idx := buildTestIndex(t)
 	a, err := captureStdout(t, func() error {

@@ -1,12 +1,16 @@
 package main
 
 import (
+	"bytes"
 	"fmt"
+	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"knnjoin"
 	"knnjoin/internal/dataset"
 )
 
@@ -235,5 +239,96 @@ func TestRunExplain(t *testing.T) {
 	}
 	if strings.Contains(out, ",0,0") {
 		t.Error("explain mode still printed result pairs")
+	}
+}
+
+// The strconv row writer must print what fmt's "%d,%d,%g\n" printed,
+// byte for byte: integers, both sides of %g's switches to exponent form,
+// subnormals and signed zeros.
+func TestAppendRowMatchesFmt(t *testing.T) {
+	dists := []float64{
+		0, math.Copysign(0, -1), 1, 2, 10, 100, 12345, 3.5, 0.1, 1.0 / 3,
+		1e-5, 9.999e-5, 1e-4, 0.00012345, // %g goes exponential below 1e-4
+		999999, 1e6, 1234567.5, 1e20, 1e21, 1e22, 123456789012345678, // and at 21 digits for the shortest form
+		5e-324, 2.2250738585072009e-308, math.SmallestNonzeroFloat64 * 3, // subnormals
+		math.MaxFloat64, math.Sqrt(2), math.Pi * 1e10, 1e100, 1.5e-100,
+		math.Inf(1), math.NaN(),
+	}
+	ids := []int64{0, 1, -1, 42, 1<<63 - 1, -1 << 63}
+	var row []byte
+	for i, d := range dists {
+		rid, sid := ids[i%len(ids)], ids[(i+1)%len(ids)]
+		row = appendRow(row[:0], rid, sid, d)
+		if want := fmt.Sprintf("%d,%d,%g\n", rid, sid, d); string(row) != want {
+			t.Errorf("appendRow(%d, %d, %v) = %q, fmt prints %q", rid, sid, d, row, want)
+		}
+	}
+	var buf bytes.Buffer
+	results := []knnjoin.Result{
+		{RID: 7, Neighbors: []knnjoin.Neighbor{{ID: 7, Dist: 0}, {ID: 9, Dist: 1234567.5}}},
+		{RID: 8},
+		{RID: 9, Neighbors: []knnjoin.Neighbor{{ID: 3, Dist: 1e-5}}},
+	}
+	if err := writeResults(&buf, results); err != nil {
+		t.Fatal(err)
+	}
+	if want := "7,7,0\n7,9,1.2345675e+06\n9,3,1e-05\n"; buf.String() != want {
+		t.Errorf("writeResults = %q, want %q", buf.String(), want)
+	}
+}
+
+// A NaN or ±Inf coordinate — vector.Parse accepts both spellings — is
+// an input error naming the set and the object, not a silently wrong
+// join.
+func TestRunRejectsNonFiniteCoordinates(t *testing.T) {
+	dir := t.TempDir()
+	good := filepath.Join(dir, "good.csv")
+	bad := filepath.Join(dir, "bad.csv")
+	os.WriteFile(good, []byte("0,1,2\n1,3,4\n2,5,6\n"), 0o644)
+	os.WriteFile(bad, []byte("0,1,2\n17,NaN,4\n2,5,6\n"), 0o644)
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-r", bad, "-s", good, "-k", "1"}, "R object 17"},
+		{[]string{"-r", good, "-s", bad, "-k", "1"}, "S object 17"},
+		{[]string{"-r", bad, "-self", "-k", "1"}, "R object 17"},
+		{[]string{"-r", bad, "-self", "-k", "1", "-algo", "bruteforce"}, "R object 17"},
+		{[]string{"-r", good, "-s", bad, "-range", "3"}, "S object 17"},
+	} {
+		_, err := captureStdout(t, func() error { return run(tc.args) })
+		if err == nil || !strings.Contains(err.Error(), tc.want) || !strings.Contains(err.Error(), "non-finite") {
+			t.Errorf("run(%v) = %v, want a non-finite-coordinate error naming %q", tc.args, err, tc.want)
+		}
+	}
+}
+
+// -v reports the pruned assignment scan's evaluated count beside the
+// charged one.
+func TestRunVerboseAssignmentLine(t *testing.T) {
+	csv := writeTestCSV(t, 400, 9)
+	old := os.Stderr
+	rp, wp, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	os.Stderr = wp
+	_, runErr := captureStdout(t, func() error {
+		return run([]string{"-r", csv, "-self", "-k", "2", "-v", "-stats-only"})
+	})
+	os.Stderr = old
+	wp.Close()
+	stderr, _ := io.ReadAll(rp)
+	if runErr != nil {
+		t.Fatal(runErr)
+	}
+	var evaluated, charged int64
+	for _, line := range strings.Split(string(stderr), "\n") {
+		if n, _ := fmt.Sscanf(strings.TrimSpace(line), "assignment: evaluated %d of %d pivot comparisons", &evaluated, &charged); n == 2 {
+			break
+		}
+	}
+	if evaluated <= 0 || evaluated > charged {
+		t.Fatalf("-v printed evaluated %d of %d; stderr:\n%s", evaluated, charged, stderr)
 	}
 }

@@ -35,6 +35,28 @@ type Object struct {
 	Point vector.Point
 }
 
+// CheckObjects is the input check every loader applies (driver.LoadRS,
+// vindex.Build): every object must have dim coordinates — a negative
+// dim takes the first object's — and all of them finite, since
+// vector.Parse accepts "NaN" and "Inf", a NaN compares false with
+// everything and the triangle inequality says nothing about ±Inf. It
+// returns the dimensionality and names the first offender by ID.
+func CheckObjects(objs []Object, dim int) (int, error) {
+	for i := range objs {
+		d := objs[i].Point.Dim()
+		if dim < 0 {
+			dim = d
+		}
+		if d != dim {
+			return dim, fmt.Errorf("object %d has %d dims, want %d", objs[i].ID, d, dim)
+		}
+		if !objs[i].Point.IsFinite() {
+			return dim, fmt.Errorf("object %d has a non-finite coordinate", objs[i].ID)
+		}
+	}
+	return dim, nil
+}
+
 // Tagged is an object annotated by the first MapReduce job: its source
 // dataset, the Voronoi partition it belongs to (index of the closest
 // pivot), and its distance to that pivot. This mirrors the mapper output

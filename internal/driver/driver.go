@@ -153,11 +153,13 @@ func (e *Env) Close() {
 
 // LoadRS validates the datasets and writes them to the canonical R and S
 // files as source-tagged records. Validation happens here, at dataset
-// load, because it is the last place a dimensionality mix-up is an input
-// error: past this point mismatched points meet inside a reducer, where
-// Metric.Dist treats the mix as a programming error and panics.
+// load, because it is the last place a dimensionality mix-up or a
+// non-finite coordinate is an input error: past this point mismatched
+// points meet inside a reducer, where Metric.Dist treats the mix as a
+// programming error and panics, and a NaN silently defeats every
+// comparison and every triangle-inequality bound.
 func (e *Env) LoadRS(r, s []codec.Object) error {
-	if err := CheckDims(r, s); err != nil {
+	if err := CheckObjects(r, s); err != nil {
 		return err
 	}
 	if err := dataset.ToDFS(e.FS, RFile, r, codec.FromR); err != nil {
@@ -166,26 +168,17 @@ func (e *Env) LoadRS(r, s []codec.Object) error {
 	return dataset.ToDFS(e.FS, SFile, s, codec.FromS)
 }
 
-// CheckDims verifies that every object of r and s shares one
-// dimensionality (taken from the first object present) and reports the
-// first offender otherwise.
-func CheckDims(r, s []codec.Object) error {
-	dim, stamped := 0, false
-	for _, set := range []struct {
-		name string
-		objs []codec.Object
-	}{{"R", r}, {"S", s}} {
-		for i := range set.objs {
-			d := set.objs[i].Point.Dim()
-			if !stamped {
-				dim, stamped = d, true
-				continue
-			}
-			if d != dim {
-				return fmt.Errorf("driver: %s object %d has %d dims, want %d",
-					set.name, set.objs[i].ID, d, dim)
-			}
-		}
+// CheckObjects verifies that every object of r and s shares one
+// dimensionality (taken from the first object present) and has only
+// finite coordinates (codec.CheckObjects), and reports the first
+// offender, by set and object ID, otherwise.
+func CheckObjects(r, s []codec.Object) error {
+	dim, err := codec.CheckObjects(r, -1)
+	if err != nil {
+		return fmt.Errorf("driver: R %w", err)
+	}
+	if _, err := codec.CheckObjects(s, dim); err != nil {
+		return fmt.Errorf("driver: S %w", err)
 	}
 	return nil
 }
@@ -225,9 +218,22 @@ func AddJobStats(rep *stats.Report, js *mapreduce.JobStats) {
 	AddJobStatsCounter(rep, js, "pairs")
 }
 
+// AssignEvaluatedCounter is the job counter in which a Voronoi
+// partitioning job (pgbj.PartitionJob) reports the object–pivot
+// distances its pruned nearest-pivot scans actually computed; the job's
+// "pairs" counter keeps the |P| per object the paper's algorithm is
+// charged.
+const AssignEvaluatedCounter = "assign_evaluated"
+
 // AddJobStatsCounter is AddJobStats with the job's comparison counter
 // named explicitly (e.g. setsim's "verified").
 func AddJobStatsCounter(rep *stats.Report, js *mapreduce.JobStats, distCounter string) {
+	if ev := js.Counters[AssignEvaluatedCounter]; ev > 0 {
+		// Only partitioning jobs set it, and all their comparisons are
+		// assignment.
+		rep.AssignEvaluated += ev
+		rep.AssignCharged += js.Counters[distCounter]
+	}
 	rep.AddJob(stats.JobStat{
 		Name:               js.Job,
 		ShuffleRecords:     js.ShuffleRecords,
@@ -265,7 +271,7 @@ func CollectRSBlocks(values *mapreduce.Values) (rs, ss *vector.Block, err error)
 	// The per-side appends only enforce one dimensionality per block; a
 	// group whose R and S sides disagree would otherwise meet inside a
 	// distance kernel, which treats the mix as a programming-error
-	// invariant (panic). Catch it here, the CheckDims treatment at the
+	// invariant (panic). Catch it here, the CheckObjects treatment at the
 	// block-build site, so a malformed group fails the job instead.
 	if rs.Len() > 0 && ss.Len() > 0 && rs.Dim != ss.Dim {
 		return nil, nil, fmt.Errorf("driver: reducer group mixes %d-dim R rows with %d-dim S rows", rs.Dim, ss.Dim)

@@ -1,6 +1,8 @@
 package driver
 
 import (
+	"math"
+	"strings"
 	"testing"
 
 	"knnjoin/internal/codec"
@@ -64,10 +66,10 @@ func TestLoadRSRejectsMixedDimensions(t *testing.T) {
 	if err := env.LoadRS([]codec.Object{obj(1, 0)}, []codec.Object{twoD}); err == nil {
 		t.Error("R/S dim mismatch accepted")
 	}
-	if err := CheckDims(nil, []codec.Object{twoD, obj(9, 1)}); err == nil {
+	if err := CheckObjects(nil, []codec.Object{twoD, obj(9, 1)}); err == nil {
 		t.Error("mixed dims within S accepted")
 	}
-	if err := CheckDims(nil, nil); err != nil {
+	if err := CheckObjects(nil, nil); err != nil {
 		t.Errorf("empty datasets rejected: %v", err)
 	}
 }
@@ -80,5 +82,33 @@ func TestReadResultsErrors(t *testing.T) {
 	env.FS.Write(OutFile, []dfs.Record{{1, 2, 3}})
 	if _, err := env.Results(); err == nil {
 		t.Error("corrupt result record must error")
+	}
+}
+
+// NaN and ±Inf coordinates are input errors at load, naming the set
+// and the object: past this point a NaN compares false with everything
+// and the triangle inequality the pruning rests on means nothing.
+func TestLoadRSRejectsNonFiniteCoordinates(t *testing.T) {
+	good := []codec.Object{obj(1, 0), obj(2, 1)}
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		tainted := []codec.Object{obj(3, 2), obj(41, bad)}
+		for _, tc := range []struct {
+			name string
+			r, s []codec.Object
+			want string
+		}{
+			{"R", tainted, good, "R object 41"},
+			{"S", good, tainted, "S object 41"},
+			{"self-join", tainted, tainted, "R object 41"},
+		} {
+			err := New(2, 0).LoadRS(tc.r, tc.s)
+			if err == nil || !strings.Contains(err.Error(), tc.want) || !strings.Contains(err.Error(), "non-finite") {
+				t.Errorf("%s with %v: LoadRS = %v, want a non-finite-coordinate error naming %q", tc.name, bad, err, tc.want)
+			}
+		}
+	}
+	// The first object of a set is checked like the rest.
+	if err := CheckObjects([]codec.Object{obj(5, math.NaN())}, nil); err == nil {
+		t.Error("NaN in the first object accepted")
 	}
 }

@@ -18,7 +18,7 @@ var SqrtFree = &Analyzer{
 		"sites (//lint:allow sqrtfree: <why>), never inside scan kernels or " +
 		"reducer hot loops",
 	AppliesTo: inPackages(
-		"internal/vector", "internal/vindex", "internal/driver", "internal/nnheap",
+		"internal/vector", "internal/voronoi", "internal/vindex", "internal/driver", "internal/nnheap",
 		"internal/pgbj", "internal/hbrj", "internal/naive", "internal/theta",
 		"internal/zknn", "internal/lsh", "internal/topk", "internal/rangejoin",
 		"internal/setsim",

@@ -161,9 +161,13 @@ func partitionMap(ctx *mapreduce.TaskContext, rec dfs.Record, emit mapreduce.Emi
 	if err != nil {
 		return err
 	}
-	var n int64
-	part, d := pp.Assign(t.Point, &n)
+	// The task is charged the paper's |P| comparisons per object ("pairs",
+	// the simulated work); what the pruned scan really evaluated is kept
+	// beside it, never instead of it.
+	part, d, evaluated := pp.AssignEvaluated(t.Point)
+	n := int64(pp.NumPartitions())
 	ctx.Counter("pairs", n)
+	ctx.Counter(driver.AssignEvaluatedCounter, int64(evaluated))
 	ctx.AddWork(n)
 	t.Partition = int32(part)
 	t.PivotDist = d

@@ -454,10 +454,8 @@ func validatePoint(q vector.Point, dim int) error {
 	if len(q) != dim {
 		return fmt.Errorf("query point has %d dimensions, index has %d", len(q), dim)
 	}
-	for _, v := range q {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return fmt.Errorf("query point has a non-finite coordinate")
-		}
+	if !q.IsFinite() {
+		return fmt.Errorf("query point has a non-finite coordinate")
 	}
 	return nil
 }

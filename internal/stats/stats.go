@@ -114,6 +114,15 @@ type Report struct {
 	// Pairs counts distance computations between objects, including
 	// object–pivot distances, per the paper's note under Equation 13.
 	Pairs int64
+	// AssignCharged is the share of Pairs charged for nearest-pivot
+	// assignment in the Voronoi partitioning job — |P| per object, the
+	// paper's cost — and AssignEvaluated the object–pivot distances the
+	// pruned scan (voronoi.Partitioner.AssignEvaluated) really computed
+	// for it. Both are exact per seed and identical across transports,
+	// spill modes and node counts; both are zero for algorithms without
+	// pivots.
+	AssignCharged   int64
+	AssignEvaluated int64
 	// ShuffleBytes and ShuffleRecords total across all MapReduce jobs.
 	ShuffleBytes   int64
 	ShuffleRecords int64

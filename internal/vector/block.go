@@ -61,7 +61,7 @@ func (b *Block) At(i int) Point {
 
 // Append adds one row. The first row stamps the block's dimensionality;
 // a later row of a different dimensionality is a data error and is
-// reported instead of corrupting the block — the driver.CheckDims
+// reported instead of corrupting the block — the driver.CheckObjects
 // treatment, so a malformed reducer group fails the job rather than
 // panicking the worker. Appending also drops any filter mirrors a
 // previous Prepare attached (they would be stale); call Prepare again

@@ -41,6 +41,19 @@ func (p Point) Equal(q Point) bool {
 	return true
 }
 
+// IsFinite reports whether every coordinate is a finite number. The
+// loaders reject points that are not: a NaN compares false with
+// everything and the triangle inequality the pruning rests on says
+// nothing about ±Inf.
+func (p Point) IsFinite() bool {
+	for _, v := range p {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return false
+		}
+	}
+	return true
+}
+
 // Project returns the first d coordinates of p as a new point. It panics if
 // d exceeds the dimensionality of p.
 func (p Point) Project(d int) Point {
@@ -151,9 +164,18 @@ func (m Metric) Dist(p, q Point) float64 {
 // meaningful for the L2 metric and exists so hot loops can defer the sqrt.
 func SqDist(p, q Point) float64 {
 	if len(p) != len(q) {
-		panic(fmt.Sprintf("vector: dimension mismatch %d vs %d", len(p), len(q)))
+		panic(dimMismatch{len(p), len(q)})
 	}
 	return sqDistL2(p, q)
+}
+
+// dimMismatch is SqDist's panic value. Formatting it lazily keeps the
+// wrapper within the inlining budget, so a caller in a scan loop pays
+// one call — to sqDistL2 — per distance.
+type dimMismatch struct{ a, b int }
+
+func (e dimMismatch) Error() string {
+	return fmt.Sprintf("vector: dimension mismatch %d vs %d", e.a, e.b)
 }
 
 // sqDistL2 is the one squared-L2 kernel of the repository: every caller

@@ -13,7 +13,10 @@ package vindex
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"sort"
+	"sync"
+	"sync/atomic"
 
 	"knnjoin/internal/codec"
 	"knnjoin/internal/nnheap"
@@ -111,10 +114,20 @@ func (s *Stats) Add(o Stats) {
 }
 
 // Build constructs an index over objs. The objects are copied into
-// per-partition storage; objs may be reused afterwards.
+// per-partition storage; objs may be reused afterwards. Objects must
+// share one dimensionality and have finite coordinates.
+//
+// The build runs on GOMAXPROCS goroutines and is deterministic whatever
+// that number: objects are assigned to their nearest pivots in
+// contiguous chunks, bucketed into partitions in input order, and the
+// partitions are then sorted (a total order: pivot distance, then ID),
+// summarised and turned into blocks independently of each other.
 func Build(objs []codec.Object, opts Options) (*Index, error) {
 	if len(objs) == 0 {
 		return nil, fmt.Errorf("vindex: cannot build over an empty dataset")
+	}
+	if _, err := codec.CheckObjects(objs, -1); err != nil {
+		return nil, fmt.Errorf("vindex: %w", err)
 	}
 	opts = opts.withDefaults(len(objs))
 	pivots, err := pivot.Select(opts.PivotStrategy, objs, opts.NumPivots, pivot.Options{
@@ -125,34 +138,118 @@ func Build(objs []codec.Object, opts Options) (*Index, error) {
 		return nil, err
 	}
 	pp := voronoi.NewPartitioner(pivots, opts.Metric)
-	parts := pp.Partition(objs, codec.FromS, nil)
-	b := voronoi.NewSummaryBuilder(opts.NumPivots, opts.BoundK)
-	for _, g := range parts {
-		for _, o := range g {
-			b.Add(o)
+	parts := partition(pp, objs)
+
+	// Each sorted partition carries its own TS row: L first, U last, the
+	// BoundK smallest pivot distances in front. The rows equal what a
+	// voronoi.SummaryBuilder fed every object would finalize to, empty
+	// cells (L=+Inf, U=−Inf) and the unused TR side included.
+	sum := &voronoi.Summary{
+		K: opts.BoundK,
+		R: make([]voronoi.RSummary, len(parts)),
+		S: make([]voronoi.SSummary, len(parts)),
+	}
+	blocks := make([]*vector.Block, len(parts))
+	errs := make([]error, len(parts))
+	forEach(len(parts), func(j int) {
+		part := parts[j]
+		voronoi.SortByPivotDist(part)
+		sum.R[j] = voronoi.RSummary{L: math.Inf(1), U: math.Inf(-1)}
+		sum.S[j] = voronoi.SSummary{L: math.Inf(1), U: math.Inf(-1)}
+		if len(part) > 0 {
+			kd := make([]float64, min(opts.BoundK, len(part)))
+			for i := range kd {
+				kd[i] = part[i].PivotDist
+			}
+			sum.S[j] = voronoi.SSummary{Count: len(part), L: part[0].PivotDist, U: part[len(part)-1].PivotDist, KDists: kd}
 		}
-		voronoi.SortByPivotDist(g)
+		blocks[j], errs[j] = blockFromPart(part, opts.Kernel)
+	})
+	for j, err := range errs {
+		if err != nil {
+			return nil, fmt.Errorf("vindex: partition %d: %w", j, err)
+		}
 	}
-	blocks, err := blocksFromParts(parts, opts.Kernel)
-	if err != nil {
-		return nil, err
-	}
-	return &Index{pp: pp, sum: b.Finalize(), part: parts, blocks: blocks, size: len(objs), opts: opts}, nil
+	return &Index{pp: pp, sum: sum, part: parts, blocks: blocks, size: len(objs), opts: opts}, nil
 }
 
-// blocksFromParts assembles the columnar per-partition blocks and
-// attaches the scan tier. Partition rows must already be sorted by
-// pivot distance so PivotDistWindow stays valid on the blocks.
+// partition is voronoi.Partitioner.Partition on every core: the
+// nearest-pivot assignment — nearly all of a build — runs in contiguous
+// chunks, and one pass in input order then buckets the objects, so each
+// partition lists its objects exactly as the serial loop would.
+func partition(pp *voronoi.Partitioner, objs []codec.Object) [][]codec.Tagged {
+	type cell struct {
+		part int32
+		dist float64
+	}
+	const chunk = 2048
+	cells := make([]cell, len(objs))
+	counts := make([]int, pp.NumPartitions()+1)
+	forEach((len(objs)+chunk-1)/chunk, func(c int) {
+		for i := c * chunk; i < min((c+1)*chunk, len(objs)); i++ {
+			part, d := pp.Assign(objs[i].Point, nil)
+			cells[i] = cell{int32(part), d}
+		}
+	})
+	for _, c := range cells {
+		counts[c.part+1]++
+	}
+	for j := 1; j < len(counts); j++ {
+		counts[j] += counts[j-1] // counts[j] is now where partition j starts
+	}
+	all := make([]codec.Tagged, len(objs))
+	parts := make([][]codec.Tagged, pp.NumPartitions())
+	for j := range parts {
+		parts[j] = all[counts[j]:counts[j]:counts[j+1]]
+	}
+	for i, c := range cells {
+		parts[c.part] = append(parts[c.part], codec.Tagged{
+			Object: objs[i], Src: codec.FromS, Partition: c.part, PivotDist: c.dist,
+		})
+	}
+	return parts
+}
+
+// forEach calls fn(i) for every i in [0, n) on up to GOMAXPROCS
+// goroutines, handing the indexes out in order, and returns when all
+// calls have.
+func forEach(n int, fn func(i int)) {
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := min(runtime.GOMAXPROCS(0), n); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+				fn(i)
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// blockFromPart assembles one partition's columnar block and attaches
+// the scan tier. The rows must already be sorted by pivot distance so
+// PivotDistWindow stays valid on the block.
+func blockFromPart(part []codec.Tagged, kern vector.Kernel) (*vector.Block, error) {
+	blk := &vector.Block{}
+	for _, t := range part {
+		if err := blk.Append(t.ID, t.PivotDist, t.Point); err != nil {
+			return nil, err
+		}
+	}
+	blk.Prepare(kern)
+	return blk, nil
+}
+
+// blocksFromParts is blockFromPart over every partition, for Load.
 func blocksFromParts(parts [][]codec.Tagged, kern vector.Kernel) ([]*vector.Block, error) {
 	blocks := make([]*vector.Block, len(parts))
 	for j, part := range parts {
-		blk := &vector.Block{}
-		for _, t := range part {
-			if err := blk.Append(t.ID, t.PivotDist, t.Point); err != nil {
-				return nil, fmt.Errorf("vindex: partition %d: %w", j, err)
-			}
+		blk, err := blockFromPart(part, kern)
+		if err != nil {
+			return nil, fmt.Errorf("vindex: partition %d: %w", j, err)
 		}
-		blk.Prepare(kern)
 		blocks[j] = blk
 	}
 	return blocks, nil

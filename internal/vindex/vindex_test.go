@@ -1,15 +1,20 @@
 package vindex
 
 import (
+	"bytes"
 	"math"
 	"math/rand"
+	"runtime"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 
 	"knnjoin/internal/codec"
 	"knnjoin/internal/dataset"
+	"knnjoin/internal/pivot"
 	"knnjoin/internal/vector"
+	"knnjoin/internal/voronoi"
 )
 
 func bruteKNNDists(objs []codec.Object, q vector.Point, k int, m vector.Metric) []float64 {
@@ -27,6 +32,88 @@ func bruteKNNDists(objs []codec.Object, q vector.Point, k int, m vector.Metric) 
 func TestBuildValidation(t *testing.T) {
 	if _, err := Build(nil, Options{}); err == nil {
 		t.Fatal("empty build accepted")
+	}
+	objs := dataset.Uniform(50, 3, 100, 1)
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		tainted := append([]codec.Object(nil), objs...)
+		tainted[20] = codec.Object{ID: 77, Point: vector.Point{1, bad, 3}}
+		_, err := Build(tainted, Options{Seed: 1})
+		if err == nil || !strings.Contains(err.Error(), "object 77") || !strings.Contains(err.Error(), "non-finite") {
+			t.Errorf("Build with %v = %v, want a non-finite-coordinate error naming object 77", bad, err)
+		}
+	}
+	ragged := append([]codec.Object(nil), objs...)
+	ragged[20] = codec.Object{ID: 78, Point: vector.Point{1, 2}}
+	if _, err := Build(ragged, Options{Seed: 1}); err == nil || !strings.Contains(err.Error(), "object 78") {
+		t.Errorf("Build over ragged dimensions = %v, want an error naming object 78", err)
+	}
+}
+
+// buildSerial is Build as it was before it ran on every core — one
+// Partition pass, a SummaryBuilder fed every object, the partitions
+// sorted one after the other — kept as the reference the parallel build
+// must reproduce byte for byte.
+func buildSerial(t *testing.T, objs []codec.Object, opts Options) *Index {
+	t.Helper()
+	opts = opts.withDefaults(len(objs))
+	pivots, err := pivot.Select(opts.PivotStrategy, objs, opts.NumPivots, pivot.Options{Metric: opts.Metric, Seed: opts.Seed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pp := voronoi.NewPartitioner(pivots, opts.Metric)
+	parts := pp.Partition(objs, codec.FromS, nil)
+	b := voronoi.NewSummaryBuilder(opts.NumPivots, opts.BoundK)
+	for _, g := range parts {
+		for _, o := range g {
+			b.Add(o)
+		}
+		voronoi.SortByPivotDist(g)
+	}
+	blocks, err := blocksFromParts(parts, opts.Kernel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &Index{pp: pp, sum: b.Finalize(), part: parts, blocks: blocks, size: len(objs), opts: opts}
+}
+
+// The index file is a function of (objects, options) alone: the same
+// bytes under GOMAXPROCS 1 and 4, equal to the serial reference's —
+// including empty cells (duplicate-heavy data with more pivots than
+// distinct points) and partitions smaller than BoundK.
+func TestBuildDeterministicAcrossGOMAXPROCS(t *testing.T) {
+	piles := dataset.Uniform(40, 2, 10, 3)
+	for i := 0; i < 5; i++ {
+		piles = append(piles, piles[:40]...)
+	}
+	piles = dataset.Renumber(piles)
+	for name, tc := range map[string]struct {
+		objs []codec.Object
+		opts Options
+	}{
+		"forest":     {dataset.Forest(6000, 2), Options{Seed: 5}},
+		"osm-l1":     {dataset.OSM(5000, 4), Options{Seed: 2, Metric: vector.L1, BoundK: 4}},
+		"duplicates": {piles, Options{Seed: 1, NumPivots: 60}},
+	} {
+		var want bytes.Buffer
+		if err := buildSerial(t, tc.objs, tc.opts).Save(&want); err != nil {
+			t.Fatal(err)
+		}
+		for _, procs := range []int{1, 4} {
+			old := runtime.GOMAXPROCS(procs)
+			ix, err := Build(tc.objs, tc.opts)
+			runtime.GOMAXPROCS(old)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got bytes.Buffer
+			if err := ix.Save(&got); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got.Bytes(), want.Bytes()) {
+				t.Errorf("%s: index built under GOMAXPROCS=%d differs from the serial reference (%d vs %d bytes)",
+					name, procs, got.Len(), want.Len())
+			}
+		}
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"sync/atomic"
 
 	"knnjoin/internal/codec"
 	"knnjoin/internal/nnheap"
@@ -16,31 +17,56 @@ import (
 
 // Partitioner assigns objects to generalized Voronoi cells defined by a
 // pivot set, and caches the pivot-pivot distance matrix every bound needs.
+// It is immutable after NewPartitioner apart from the lazily built
+// nearest-pivot lists, which are published atomically: any number of
+// goroutines may share one Partitioner.
 type Partitioner struct {
 	Pivots []vector.Point
 	Metric vector.Metric
 
 	pivotDist [][]float64 // pivotDist[i][j] = |p_i, p_j|
+
+	// What the pruned scan of AssignEvaluated reads (see assign.go).
+	dim       int
+	flat      []float64                     // the pivots, row-major
+	landmarks []neighbour                   // ⌈√|P|/2⌉ evenly spaced pivot indexes, at distance 0
+	near      []atomic.Pointer[[]neighbour] // per pivot, its nearest pivots; built on first use
 }
 
 // NewPartitioner builds a partitioner over the given pivots. It
 // precomputes the |P|×|P| pivot distance matrix (the paper's mappers load
-// the pivots into memory in the same way).
+// the pivots into memory in the same way). The assignment scan's own
+// tables cost a copy of the pivots here and nothing else up front.
 func NewPartitioner(pivots []vector.Point, metric vector.Metric) *Partitioner {
 	if len(pivots) == 0 {
 		panic("voronoi: empty pivot set")
 	}
-	pd := make([][]float64, len(pivots))
+	n := len(pivots)
+	pd := make([][]float64, n)
 	for i := range pd {
-		pd[i] = make([]float64, len(pivots))
+		pd[i] = make([]float64, n)
 	}
-	for i := 0; i < len(pivots); i++ {
-		for j := i + 1; j < len(pivots); j++ {
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
 			d := metric.Dist(pivots[i], pivots[j])
 			pd[i][j], pd[j][i] = d, d
 		}
 	}
-	return &Partitioner{Pivots: pivots, Metric: metric, pivotDist: pd}
+	p := &Partitioner{
+		Pivots: pivots, Metric: metric, pivotDist: pd,
+		dim:  pivots[0].Dim(),
+		near: make([]atomic.Pointer[[]neighbour], n),
+	}
+	p.flat = make([]float64, 0, n*p.dim)
+	for _, pv := range pivots {
+		p.flat = append(p.flat, pv...)
+	}
+	l := int(math.Ceil(math.Sqrt(float64(n)) / 2)) //lint:allow sqrtfree: the landmark count, not a distance
+	p.landmarks = make([]neighbour, l)
+	for i := range p.landmarks {
+		p.landmarks[i] = makeNeighbour(i*n/l, 0)
+	}
+	return p
 }
 
 // NumPartitions returns |P|.
@@ -48,28 +74,6 @@ func (p *Partitioner) NumPartitions() int { return len(p.Pivots) }
 
 // PivotDist returns the cached distance |p_i, p_j|.
 func (p *Partitioner) PivotDist(i, j int) float64 { return p.pivotDist[i][j] }
-
-// Assign returns the index of the pivot closest to pt and the distance to
-// it. Distance ties break to the lower pivot index, which is the
-// deterministic stand-in for the paper's footnote-1 rule ("assign to the
-// partition with the smallest number of objects"): a distributed mapper
-// cannot see global partition sizes, so any deterministic rule serves; the
-// correctness of the join never depends on tie placement.
-//
-// The caller is charged len(Pivots) distance computations; pass a non-nil
-// distCount to accumulate them for selectivity accounting.
-func (p *Partitioner) Assign(pt vector.Point, distCount *int64) (int, float64) {
-	best, bestD := 0, p.Metric.Dist(pt, p.Pivots[0])
-	for i := 1; i < len(p.Pivots); i++ {
-		if d := p.Metric.Dist(pt, p.Pivots[i]); d < bestD {
-			best, bestD = i, d
-		}
-	}
-	if distCount != nil {
-		*distCount += int64(len(p.Pivots))
-	}
-	return best, bestD
-}
 
 // RSummary is one row of table TR (Figure 3): statistics of one partition
 // of R.

@@ -34,6 +34,23 @@ func randPivots(rng *rand.Rand, n, dim int, scale float64) []vector.Point {
 	return out
 }
 
+// fullScanAssign is the assignment loop the pruned scan replaced, kept
+// verbatim as the oracle: every pivot, Metric.Dist (square root
+// included), first strict minimum wins. assign_test.go holds Assign to
+// its pivot index, its distance bits and its charged count.
+func fullScanAssign(p *Partitioner, pt vector.Point, distCount *int64) (int, float64) {
+	best, bestD := 0, p.Metric.Dist(pt, p.Pivots[0])
+	for i := 1; i < len(p.Pivots); i++ {
+		if d := p.Metric.Dist(pt, p.Pivots[i]); d < bestD {
+			best, bestD = i, d
+		}
+	}
+	if distCount != nil {
+		*distCount += int64(len(p.Pivots))
+	}
+	return best, bestD
+}
+
 func TestAssignIsNearestPivot(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	pivots := randPivots(rng, 12, 3, 100)

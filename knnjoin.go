@@ -361,7 +361,7 @@ func Join(r, s []Object, opts Options) ([]Result, *Stats, error) {
 	}
 
 	if opts.Algorithm == BruteForce {
-		if err := driver.CheckDims(r, s); err != nil {
+		if err := driver.CheckObjects(r, s); err != nil {
 			return nil, nil, fmt.Errorf("knnjoin: %w", err)
 		}
 		results, pairs := naive.BruteForce(r, s, opts.K, opts.Metric)
