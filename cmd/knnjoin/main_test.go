@@ -278,8 +278,8 @@ func TestAppendRowMatchesFmt(t *testing.T) {
 }
 
 // A NaN or ±Inf coordinate — vector.Parse accepts both spellings — is
-// an input error naming the set and the object, not a silently wrong
-// join.
+// an input error naming the set, the line and the object, not a
+// silently wrong join: the CSV reader rejects it before any join runs.
 func TestRunRejectsNonFiniteCoordinates(t *testing.T) {
 	dir := t.TempDir()
 	good := filepath.Join(dir, "good.csv")
@@ -290,11 +290,11 @@ func TestRunRejectsNonFiniteCoordinates(t *testing.T) {
 		args []string
 		want string
 	}{
-		{[]string{"-r", bad, "-s", good, "-k", "1"}, "R object 17"},
-		{[]string{"-r", good, "-s", bad, "-k", "1"}, "S object 17"},
-		{[]string{"-r", bad, "-self", "-k", "1"}, "R object 17"},
-		{[]string{"-r", bad, "-self", "-k", "1", "-algo", "bruteforce"}, "R object 17"},
-		{[]string{"-r", good, "-s", bad, "-range", "3"}, "S object 17"},
+		{[]string{"-r", bad, "-s", good, "-k", "1"}, "reading R: dataset: line 2: object 17"},
+		{[]string{"-r", good, "-s", bad, "-k", "1"}, "reading S: dataset: line 2: object 17"},
+		{[]string{"-r", bad, "-self", "-k", "1"}, "reading R: dataset: line 2: object 17"},
+		{[]string{"-r", bad, "-self", "-k", "1", "-algo", "bruteforce"}, "reading R: dataset: line 2: object 17"},
+		{[]string{"-r", good, "-s", bad, "-range", "3"}, "reading S: dataset: line 2: object 17"},
 	} {
 		_, err := captureStdout(t, func() error { return run(tc.args) })
 		if err == nil || !strings.Contains(err.Error(), tc.want) || !strings.Contains(err.Error(), "non-finite") {

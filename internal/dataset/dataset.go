@@ -337,7 +337,10 @@ func WriteCSV(w io.Writer, objs []codec.Object) error {
 }
 
 // ReadCSV parses objects written by WriteCSV. Blank lines are skipped.
-// All objects must share one dimensionality.
+// All objects must share one dimensionality, and every coordinate must
+// be finite: strconv.ParseFloat accepts "NaN" and "Inf", which the
+// pruning bounds cannot order, so the reader rejects them, naming the
+// line and the object.
 func ReadCSV(r io.Reader) ([]codec.Object, error) {
 	var out []codec.Object
 	sc := bufio.NewScanner(r)
@@ -361,6 +364,9 @@ func ReadCSV(r io.Reader) ([]codec.Object, error) {
 		p, err := vector.Parse(rest)
 		if err != nil {
 			return nil, fmt.Errorf("dataset: line %d: %w", line, err)
+		}
+		if !p.IsFinite() {
+			return nil, fmt.Errorf("dataset: line %d: object %d has a non-finite coordinate", line, id)
 		}
 		if dim == -1 {
 			dim = p.Dim()

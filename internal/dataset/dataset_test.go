@@ -291,6 +291,19 @@ func TestReadCSVErrors(t *testing.T) {
 	}
 }
 
+// A non-finite coordinate in any column is rejected with its line
+// number, so every CSV consumer — the planner and the experiments
+// included — gets the check the loaders apply.
+func TestReadCSVRejectsNonFinite(t *testing.T) {
+	for _, v := range []string{"NaN", "+Inf", "-inf"} {
+		in := "1,1,2,3\n2,4," + v + ",6\n"
+		_, err := ReadCSV(strings.NewReader(in))
+		if err == nil || !strings.Contains(err.Error(), "line 2") || !strings.Contains(err.Error(), "non-finite") {
+			t.Errorf("ReadCSV with %s in a middle column: err = %v, want a non-finite error on line 2", v, err)
+		}
+	}
+}
+
 // Property: Expand(base, f) has exactly f×len(base) objects with unique
 // sequential IDs for any base size and factor.
 func TestExpandSizeQuick(t *testing.T) {

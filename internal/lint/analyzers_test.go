@@ -8,7 +8,7 @@ import "testing"
 func TestGobSpecFixture(t *testing.T)    { runFixture(t, GobSpec, "gobspec") }
 func TestMapRangeFixture(t *testing.T)   { runFixture(t, MapRange, "maprange") }
 func TestSqrtFreeFixture(t *testing.T)   { runFixture(t, SqrtFree, "sqrtfree") }
-func TestQueryPureFixture(t *testing.T)  { runFixture(t, QueryPure, "querypure", "vindex") }
+func TestQueryPureFixture(t *testing.T)  { runFixture(t, QueryPure, "querypure", "vindex", "stale") }
 func TestAtomicSnapFixture(t *testing.T) { runFixture(t, AtomicSnap, "atomicsnap") }
 func TestDocCommentFixture(t *testing.T) { runFixture(t, DocComment, "doccomment", "a", "b") }
 

@@ -3,6 +3,8 @@ package lint
 import (
 	"go/ast"
 	"go/types"
+	"sort"
+	"strings"
 )
 
 // queryPureRoots names the vindex.Index entry points that concurrent
@@ -10,13 +12,15 @@ import (
 // route.go walk pieces the shard router replays. Everything reachable
 // from these inside the package must be read-only on the receiver —
 // mutating shared index state from a query was exactly the PR-4 data
-// race (per-query counters lived on the Index).
+// race (per-query counters lived on the Index). A root the package no
+// longer declares is itself a finding: a renamed entry point would
+// otherwise drop out of the check silently.
 var queryPureRoots = map[string]bool{
 	"KNN": true, "Range": true,
 	"KNNWithStats": true, "RangeWithStats": true,
 	"KNNBatch": true, "KNNBatchWithStats": true,
-	"AssignQuery": true, "StartingBound": true, "QueryOrder": true,
-	"RouteStep": true, "KNNStep": true, "FinishKNN": true, "RangeScan": true,
+	"AssignQuery": true, "Walk": true, "StartKNN": true, "KNNStep": true,
+	"FinishKNN": true, "RangeWindows": true, "RangeStep": true,
 	"PartitionLen": true, "Pivots": true, "Metric": true,
 	"Len": true, "Dim": true, "NumPartitions": true, "Kernel": true,
 }
@@ -93,8 +97,16 @@ func runQueryPure(pass *Pass) {
 			return true
 		})
 	}
+	var missing []string
 	for name := range queryPureRoots {
+		if _, ok := methods[name]; !ok {
+			missing = append(missing, name)
+		}
 		mark(name)
+	}
+	if len(missing) > 0 && len(pass.Files) > 0 {
+		sort.Strings(missing)
+		pass.Reportf(pass.Files[0].Name.Pos(), "query-path roots %s are not methods of Index: update queryPureRoots, or the renamed entry points go unchecked", strings.Join(missing, ", "))
 	}
 
 	for name := range reach {

@@ -29,8 +29,8 @@ func (ix *Index) RangeWithStats(q []float64, radius float64) Stats {
 	return st
 }
 
-// StartingBound reaches a helper that writes through an alias.
-func (ix *Index) StartingBound(q []float64, k int) float64 {
+// StartKNN reaches a helper that writes through an alias.
+func (ix *Index) StartKNN(q []float64, k int) float64 {
 	ix.bump()
 	return 0
 }

@@ -9,7 +9,6 @@ import (
 	"knnjoin/internal/driver"
 	"knnjoin/internal/hbrj"
 	"knnjoin/internal/mapreduce"
-	"knnjoin/internal/nnheap"
 	"knnjoin/internal/stats"
 	"knnjoin/internal/vector"
 	"knnjoin/internal/voronoi"
@@ -170,35 +169,19 @@ func pbjJoinReduce(ctx *mapreduce.TaskContext, _ []byte, values *mapreduce.Value
 }
 
 // localThetas runs Algorithm 1 against only the received S-partitions:
-// for R-partition i, θ_i is the k-th smallest upper bound
-// U(P_i^R) + |p_i,p_j| + |s,p_j| over the first k objects of each local
-// S-partition — the leading rows of each S range, since the block keeps
-// them sorted by pivot distance.
+// for R-partition i, θ_i is voronoi.KNNBound over the local S ranges,
+// whose pivot-distance lists are their first k rows — the block keeps
+// each range sorted by pivot distance.
 func localThetas(pp *voronoi.Partitioner, sum *voronoi.Summary, k int, gb *GroupBlock) []float64 {
 	thetas := make([]float64, pp.NumPartitions())
 	for i := range thetas {
 		thetas[i] = math.Inf(1)
 	}
 	for _, rp := range gb.RParts {
-		uR := sum.R[rp.ID].U
-		pq := nnheap.NewKHeap(k)
-		for _, sp := range gb.SParts {
-			gap := pp.PivotDist(int(rp.ID), int(sp.ID))
-			limit := sp.Lo + k
-			if limit > sp.Hi {
-				limit = sp.Hi
-			}
-			for x := sp.Lo; x < limit; x++ {
-				ub := voronoi.UpperBound(uR, gap, gb.Block.PivotDist[x])
-				if pq.Full() && ub >= pq.Top().Dist {
-					break
-				}
-				pq.Push(nnheap.Candidate{Dist: ub})
-			}
-		}
-		if pq.Full() {
-			thetas[rp.ID] = pq.Top().Dist
-		}
+		thetas[rp.ID] = voronoi.KNNBound(k, sum.R[rp.ID].U, len(gb.SParts), func(p int) (float64, []float64) {
+			sp := gb.SParts[p]
+			return pp.PivotDist(int(rp.ID), int(sp.ID)), gb.Block.PivotDist[sp.Lo:min(sp.Lo+k, sp.Hi)]
+		})
 	}
 	return thetas
 }

@@ -17,8 +17,6 @@ package pgbj
 
 import (
 	"fmt"
-	"math"
-	"sort"
 	"sync"
 	"time"
 
@@ -524,23 +522,26 @@ func pgbjJoinReduce(ctx *mapreduce.TaskContext, _ []byte, values *mapreduce.Valu
 	return nil
 }
 
-// thresholdDist returns the heap's current pruning distance in true
-// metric space: def while the heap is not full, else the k-th best. When
-// the heap holds squared L2 distances the one sqrt per (r, S-partition)
-// pair happens here — not per candidate.
-func thresholdDist(h *nnheap.KHeap, def float64, squared bool) float64 {
-	if !h.Full() {
-		return def
+// Windows runs one step of the walk for a batch of R rows against S
+// range sp, whose pivot is pj: for every row i it computes |r_i,p_j| and
+// walks[i]'s decision, and leaves the rows of sp to scan in
+// [lows[i], highs[i]), an empty range when the cell is pruned. It returns
+// the pivot distances computed — one per row, own cell included, each
+// charged per the paper's Eq.-13 note. Shared by the kNN and range
+// reducers.
+func (gb *GroupBlock) Windows(walks []voronoi.Walk, qs []vector.Point, sp PartRange, pj vector.Point, m vector.Metric, lows, highs []int) int64 {
+	for i, q := range qs {
+		lows[i], highs[i] = 0, 0
+		if lo, hi, d := walks[i].Decide(int(sp.ID), m.Dist(q, pj)); d == voronoi.Scan {
+			lows[i], highs[i] = gb.Block.PivotDistWindow(sp.Lo, sp.Hi, lo, hi)
+		}
 	}
-	if squared {
-		return math.Sqrt(h.Top().Dist) //lint:allow sqrtfree: one sqrt per (r, S-partition) pair converts the squared heap bound to the true-units θ Theorem 2 compares
-	}
-	return h.Top().Dist
+	return int64(len(qs))
 }
 
 // joinPartitions runs Algorithm 3's per-reducer join: every R object of
-// the group block is joined against its S partition ranges using the θ
-// bound, Corollary-1 hyperplane pruning and Theorem-2 windows. It is
+// the group block walks its S partition ranges (voronoi.Walk: the θ
+// bound, Corollary-1 hyperplane pruning and Theorem-2 windows). It is
 // shared by PGBJ (full S_i replica sets) and PBJ (block subsets of S).
 //
 // The candidate loop runs on the block's fused kernels: Theorem-2
@@ -559,86 +560,53 @@ func joinPartitions(ctx *mapreduce.TaskContext, pp *voronoi.Partitioner, sum *vo
 	// R rows are processed in query batches so each Theorem-2 window of
 	// S is swept panel by panel across the whole batch (NearestKBatch-
 	// Ranges) instead of once per row. Every row keeps its own heap and
-	// its own running θ, the S-partition visit order and the per-row
-	// prune decisions depend only on state that evolves exactly as in
-	// the sequential loop, so the emitted results are bit-identical —
-	// the batch only changes which row's window touches an S panel next.
+	// its own walk, the S-partition visit order and the per-row decisions
+	// depend only on state that evolves exactly as in the sequential
+	// loop, so the emitted results are bit-identical — the batch only
+	// changes which row's window touches an S panel next.
 	const batchRows = 64
 	heaps := make([]*nnheap.KHeap, batchRows)
 	for i := range heaps {
 		heaps[i] = nnheap.NewKHeap(opts.K)
 	}
 	qs := make([]vector.Point, batchRows)
-	rowTheta := make([]float64, batchRows)
+	walks := make([]voronoi.Walk, batchRows)
 	lows := make([]int, batchRows)
 	highs := make([]int, batchRows)
+	walk := voronoi.NewWalk(pp, sum)
+	walk.NoHyperplane, walk.NoWindow = opts.DisableHyperplanePruning, opts.DisableWindowPruning
 
-	order := make([]PartRange, len(gb.SParts))
+	order := make([]int, len(gb.SParts))
+	gaps := make([]float64, len(gb.SParts))
 	var cbuf []nnheap.Candidate
 	var nbuf []codec.Neighbor
 	var pairs, resultPairs int64
 	for _, rp := range gb.RParts {
-		ri := rp.ID
-		// Line 14: order S-partitions by ascending pivot gap to p_i, so
-		// near partitions refine θ early. The ablation switch falls back
-		// to plain partition-id order (which the ranges already are in).
-		// The sort keys depend only on the R partition, not the row, so
-		// one sort serves every row (and batch) of the partition.
-		copy(order, gb.SParts)
-		if !opts.DisableNearestFirstOrder {
-			sort.Slice(order, func(a, b int) bool {
-				ga, gb := pp.PivotDist(int(ri), int(order[a].ID)), pp.PivotDist(int(ri), int(order[b].ID))
-				if ga != gb {
-					return ga < gb
-				}
-				return order[a].ID < order[b].ID
-			})
-		}
-		thetaI := thetas[ri]
-		for base := rp.Lo; base < rp.Hi; base += batchRows {
-			end := base + batchRows
-			if end > rp.Hi {
-				end = rp.Hi
+		ri := int(rp.ID)
+		// Line 14: S ranges by ascending pivot gap to p_i, the same for
+		// every row of the partition. The ablation leaves every gap at
+		// zero, and equal gaps keep partition-id order.
+		for p, sp := range gb.SParts {
+			if !opts.DisableNearestFirstOrder {
+				gaps[p] = pp.PivotDist(ri, int(sp.ID))
 			}
-			nq := end - base
+		}
+		voronoi.VisitOrder(order, gaps)
+		for base := rp.Lo; base < rp.Hi; base += batchRows {
+			nq := min(batchRows, rp.Hi-base)
 			for i := 0; i < nq; i++ {
 				qs[i] = blk.At(base + i)
 				heaps[i].Reset()
-				rowTheta[i] = thetaI
+				walks[i] = walk.Start(ri, blk.PivotDist[base+i], thetas[ri])
 			}
-			for _, sp := range order {
-				gap := pp.PivotDist(int(ri), int(sp.ID))
-				for i := 0; i < nq; i++ {
-					lows[i], highs[i] = 0, 0 // empty window unless the row survives the prunes
-					r := qs[i]
-					// |r, p_j| serves both Corollary 1 and Theorem 2; it is an
-					// object–pivot distance, counted per the paper's Eq. 13 note.
-					rToPj := opts.Metric.Dist(r, pp.Pivots[sp.ID])
-					pairs++
-					if !opts.DisableHyperplanePruning && sp.ID != ri {
-						if voronoi.HyperplaneDist(rToPj, blk.PivotDist[base+i], gap, opts.Metric) > rowTheta[i] {
-							continue // line 19–20: the whole partition is out
-						}
-					}
-					lo, hi := sp.Lo, sp.Hi
-					if !opts.DisableWindowPruning {
-						wlo, whi, ok := voronoi.Theorem2Window(sum.S[sp.ID], rToPj, rowTheta[i])
-						if !ok {
-							continue
-						}
-						lo, hi = blk.PivotDistWindow(sp.Lo, sp.Hi, wlo, whi)
-					}
-					lows[i], highs[i] = lo, hi
-				}
+			for _, p := range order {
+				sp := gb.SParts[p]
+				pairs += gb.Windows(walks[:nq], qs[:nq], sp, pp.Pivots[sp.ID], opts.Metric, lows, highs)
 				pairs += blk.NearestKBatchRanges(qs[:nq], lows[:nq], highs[:nq], opts.Metric, heaps[:nq])
-				// Line 24: θ tightens to the running k-th best, but the
-				// window may admit candidates beyond θ_i, so never let θ
-				// grow past the partition bound. θ is only read at the next
-				// partition, so one update per partition suffices.
+				// θ is only read at the next partition, so one update per
+				// partition suffices.
 				for i := 0; i < nq; i++ {
-					if t := thresholdDist(heaps[i], thetaI, squared); t < rowTheta[i] {
-						rowTheta[i] = t
-					}
+					walks[i].Tighten(heaps[i])
 				}
 			}
 			for i := 0; i < nq; i++ {

@@ -3,7 +3,6 @@ package planner
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"knnjoin/internal/codec"
 	"knnjoin/internal/grouping"
@@ -183,8 +182,8 @@ func (p Plan) PlanInfo(candidates int) *stats.PlanInfo {
 // one (NumPivots, PivotStrategy) pair: pivots selected from the R
 // sample, the sampled Voronoi partitioning of both sides, the summary
 // tables built at the sample-scaled k, the Algorithm-1 bounds θ, and the
-// per-partition ascending pivot-distance lists Theorem-7 evaluation
-// needs.
+// S cells as blocks sorted by pivot distance — the ascending lists
+// Theorem-7 evaluation needs and the rows the Algorithm-3 replay scans.
 type pivotState struct {
 	numPivots int
 	strategy  pivot.Strategy
@@ -192,8 +191,7 @@ type pivotState struct {
 	sum       *voronoi.Summary
 	thetas    []float64
 	rParts    [][]codec.Tagged
-	sParts    [][]codec.Tagged // each sorted by ascending pivot distance
-	sDists    [][]float64
+	sBlocks   []*vector.Block
 	kSample   int
 
 	// simExact and simLoose memoize the Algorithm-3 replay (per-partition
@@ -237,17 +235,16 @@ func buildPivotState(ds *DataStats, opts Options, numPivots int, strat pivot.Str
 			b.Add(t)
 		}
 	}
-	sDists := make([][]float64, len(sParts))
+	sBlocks := make([]*vector.Block, len(sParts))
 	for i, g := range sParts {
+		voronoi.SortByPivotDist(g)
+		sBlocks[i] = &vector.Block{}
 		for _, t := range g {
 			b.Add(t)
+			if err := sBlocks[i].Append(t.ID, t.PivotDist, t.Point); err != nil {
+				return nil, err
+			}
 		}
-		voronoi.SortByPivotDist(g)
-		dists := make([]float64, len(g))
-		for j, t := range g {
-			dists[j] = t.PivotDist
-		}
-		sDists[i] = dists
 	}
 	sum := b.Finalize()
 	return &pivotState{
@@ -257,8 +254,7 @@ func buildPivotState(ds *DataStats, opts Options, numPivots int, strat pivot.Str
 		sum:       sum,
 		thetas:    grouping.Thetas(sum, pp),
 		rParts:    rParts,
-		sParts:    sParts,
-		sDists:    sDists,
+		sBlocks:   sBlocks,
 		kSample:   kS,
 	}, nil
 }
@@ -276,15 +272,16 @@ func pivotSelectComps(strat pivot.Strategy, numPivots, rSize int) int64 {
 	return 0
 }
 
-// simulate replays Algorithm 3 on the samples: for a strided set of
-// probe R objects it walks the S partitions nearest-pivot first, applies
-// Corollary-1 hyperplane pruning and the Theorem-2 window against the
-// sampled summary, scans the surviving sampled candidates to tighten θ
-// exactly as the reducer would, and scales the counted work back to
-// full-data volume. thetaScale loosens the bound (PBJ's per-block θ).
-// The result is per-R-partition predicted reduce-side distance
-// computations; callers aggregate it per reducer group. Both runs are
-// memoized on the state — the replay does not depend on the grouping.
+// simulate replays Algorithm 3 on the samples: every strided probe R
+// object runs the reducers' walk (voronoi.Walk) over the sampled S
+// cells against the sampled summary — nearest pivot first, Corollary-1
+// pruning, Theorem-2 windows, the surviving candidates scanned on the
+// block kernels to tighten θ exactly as the reducer would — and the
+// counted work scales back to full-data volume. thetaScale loosens the
+// bound (PBJ's per-block θ). The result is per-R-partition predicted
+// reduce-side distance computations; callers aggregate it per reducer
+// group. Both runs are memoized on the state — the replay does not
+// depend on the grouping.
 func (st *pivotState) simulate(ds *DataStats, opts Options, thetaScale float64) []float64 {
 	switch {
 	case thetaScale == 1 && st.simExact != nil:
@@ -298,27 +295,21 @@ func (st *pivotState) simulate(ds *DataStats, opts Options, thetaScale float64) 
 		stride = 1
 	}
 	heap := nnheap.NewKHeap(st.kSample)
+	walk := voronoi.NewWalk(st.pp, st.sum)
 	order := make([]int, st.pp.NumPartitions())
+	gaps := make([]float64, len(order))
 	probes := 0
 	idx := 0
 	for pi, part := range st.rParts {
 		if len(part) == 0 {
 			continue
 		}
-		// Line 14's visit order (nearest pivot first, so θ tightens
-		// early) is a property of the partition, computed once for all
-		// its probes.
-		for j := range order {
-			order[j] = j
+		// Line 14's visit order is a property of the partition, computed
+		// once for all its probes.
+		for j := range gaps {
+			gaps[j] = st.pp.PivotDist(pi, j)
 		}
-		sort.Slice(order, func(a, b int) bool {
-			ga, gb := st.pp.PivotDist(pi, order[a]), st.pp.PivotDist(pi, order[b])
-			if ga != gb {
-				return ga < gb
-			}
-			return order[a] < order[b]
-		})
-		thetaInit := st.thetas[pi] * thetaScale
+		voronoi.VisitOrder(order, gaps)
 		for _, r := range part {
 			if idx%stride != 0 {
 				idx++
@@ -327,32 +318,22 @@ func (st *pivotState) simulate(ds *DataStats, opts Options, thetaScale float64) 
 			idx++
 			probes++
 			heap.Reset()
-			theta := thetaInit
+			w := walk.Start(pi, r.PivotDist, st.thetas[pi]*thetaScale)
 			var pivotComps, candComps float64
 			for _, j := range order {
-				if len(st.sDists[j]) == 0 {
+				if w.Empty(j) {
 					continue
 				}
 				rToPj := opts.Metric.Dist(r.Point, st.pp.Pivots[j])
 				pivotComps++
-				if j != pi && voronoi.HyperplaneDist(rToPj, r.PivotDist, st.pp.PivotDist(pi, j), opts.Metric) > theta {
+				lo, hi, d := w.Decide(j, rToPj)
+				if d != voronoi.Scan {
 					continue
 				}
-				wlo, whi, ok := voronoi.Theorem2Window(st.sum.S[j], rToPj, theta)
-				if !ok {
-					continue
-				}
-				lo := sort.SearchFloat64s(st.sDists[j], wlo)
-				hi := sort.Search(len(st.sDists[j]), func(x int) bool { return st.sDists[j][x] > whi })
-				for x := lo; x < hi; x++ {
-					heap.Push(nnheap.Candidate{ID: st.sParts[j][x].ID, Dist: opts.Metric.Dist(r.Point, st.sParts[j][x].Point)})
-				}
-				candComps += float64(hi - lo)
-				if heap.Full() {
-					if t := heap.Top().Dist; t < theta {
-						theta = t
-					}
-				}
+				blk := st.sBlocks[j]
+				from, to := blk.PivotDistWindow(0, blk.Len(), lo, hi)
+				candComps += float64(blk.NearestKRange(r.Point, from, to, opts.Metric, heap))
+				w.Tighten(heap)
 			}
 			perPart[pi] += pivotComps + candComps/ds.SFrac
 		}
@@ -421,7 +402,11 @@ func costPGBJ(ds *DataStats, opts Options, st *pivotState, gs pgbj.GroupStrategy
 		return Plan{}, err
 	}
 	glbs := grouping.GroupLBs(st.pp, st.sum, st.thetas, groups)
-	replicas := int64(float64(grouping.ExactReplication(glbs, st.sDists)) / ds.SFrac)
+	sDists := make([][]float64, len(st.sBlocks))
+	for i, blk := range st.sBlocks {
+		sDists[i] = blk.PivotDist
+	}
+	replicas := int64(float64(grouping.ExactReplication(glbs, sDists)) / ds.SFrac)
 	perPart := st.simulate(ds, opts, 1)
 	perGroup := make([]float64, numGroups)
 	for pi, w := range perPart {

@@ -256,7 +256,6 @@ func joinReduce(ctx *mapreduce.TaskContext, _ []byte, values *mapreduce.Values, 
 	pp := ctx.Side(sidePivots).(*voronoi.Partitioner)
 	sum := ctx.Side(sideSummary).(*voronoi.Summary)
 	opts := ctx.Side(sideOpts).(Options)
-	theta := opts.Radius
 
 	// The composite-key stream arrives R before S with partition ids
 	// ascending, and each S partition already in SortByPivotDist order —
@@ -264,10 +263,10 @@ func joinReduce(ctx *mapreduce.TaskContext, _ []byte, values *mapreduce.Values, 
 	// The group decodes into one columnar block Prepared for the
 	// requested kernel tier; R rows run in query batches so each
 	// Theorem-2 window of S is swept panel by panel across the whole
-	// batch (RangeToBatchRanges). θ is the fixed radius — no per-row
-	// feedback — so batching cannot change any prune decision, and
-	// RangeTo compares true (sqrt'd) distances so the radius edge
-	// matches Metric.Dist bit for bit on every tier.
+	// batch (RangeToBatchRanges). Each row's walk keeps θ at the fixed
+	// radius — it is never tightened — so batching cannot change any
+	// decision, and RangeTo compares true (sqrt'd) distances so the
+	// radius edge matches Metric.Dist bit for bit on every tier.
 	gb, err := pgbj.CollectGroupBlockKernel(values, opts.Kernel)
 	if err != nil {
 		return err
@@ -276,39 +275,24 @@ func joinReduce(ctx *mapreduce.TaskContext, _ []byte, values *mapreduce.Values, 
 
 	const batchRows = 64
 	qs := make([]vector.Point, batchRows)
+	walks := make([]voronoi.Walk, batchRows)
 	lows := make([]int, batchRows)
 	highs := make([]int, batchRows)
 	bufs := make([][]nnheap.Candidate, batchRows)
+	walk := voronoi.NewWalk(pp, sum)
 	var nbuf []codec.Neighbor
 	var pairs, resultPairs int64
 	for _, rp := range gb.RParts {
 		for base := rp.Lo; base < rp.Hi; base += batchRows {
-			end := base + batchRows
-			if end > rp.Hi {
-				end = rp.Hi
-			}
-			nq := end - base
+			nq := min(batchRows, rp.Hi-base)
 			for i := 0; i < nq; i++ {
 				qs[i] = blk.At(base + i)
 				bufs[i] = bufs[i][:0]
+				walks[i] = walk.Start(int(rp.ID), blk.PivotDist[base+i], opts.Radius)
 			}
 			for _, sp := range gb.SParts {
-				gap := pp.PivotDist(int(rp.ID), int(sp.ID))
-				for i := 0; i < nq; i++ {
-					lows[i], highs[i] = 0, 0 // empty window unless the row survives the prunes
-					rToPj := opts.Metric.Dist(qs[i], pp.Pivots[sp.ID])
-					pairs++
-					if sp.ID != rp.ID &&
-						voronoi.HyperplaneDist(rToPj, blk.PivotDist[base+i], gap, opts.Metric) > theta {
-						continue // Corollary 1: the whole partition is out of range
-					}
-					wlo, whi, ok := voronoi.Theorem2Window(sum.S[sp.ID], rToPj, theta)
-					if !ok {
-						continue
-					}
-					lows[i], highs[i] = blk.PivotDistWindow(sp.Lo, sp.Hi, wlo, whi)
-				}
-				blk.RangeToBatchRanges(qs[:nq], lows[:nq], highs[:nq], opts.Metric, theta, bufs[:nq], &pairs)
+				pairs += gb.Windows(walks[:nq], qs[:nq], sp, pp.Pivots[sp.ID], opts.Metric, lows, highs)
+				blk.RangeToBatchRanges(qs[:nq], lows[:nq], highs[:nq], opts.Metric, opts.Radius, bufs[:nq], &pairs)
 			}
 			for i := 0; i < nq; i++ {
 				cbuf := bufs[i]

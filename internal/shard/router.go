@@ -19,6 +19,7 @@ import (
 	"knnjoin/internal/serve"
 	"knnjoin/internal/vector"
 	"knnjoin/internal/vindex"
+	"knnjoin/internal/voronoi"
 )
 
 // scanFunc executes one kNN scan run against a shard. The router's
@@ -158,57 +159,50 @@ func knnWalk(meta *vindex.Index, owner []int, gen int64, q vector.Point, k int, 
 	if k <= 0 {
 		return nil, st, 0, nil
 	}
-	qPart, qDist := meta.AssignQuery(q, &st.DistComputations)
-	theta := meta.StartingBound(q, k, &st.DistComputations)
-	order, gaps := meta.QueryOrder(q, qPart, qDist, &st.DistComputations)
+	w, order, gaps := meta.StartKNN(q, k, &st.DistComputations)
 	heap := nnheap.NewKHeap(k)
 	contacted := make(map[int]bool)
+	// local consumes partition j at the router when the walk skips or
+	// prunes it, and reports whether it did.
+	local := func(j int) bool {
+		_, _, d := w.Decide(j, gaps[j])
+		if d == voronoi.Prune {
+			st.PartitionsPruned++
+		}
+		return d != voronoi.Scan
+	}
 
 	i := 0
 	for i < len(order) {
 		j := order[i]
-		if meta.PartitionLen(j) == 0 {
+		if local(j) {
 			i++
 			continue
 		}
-		_, _, kind := meta.RouteStep(j, qPart, qDist, gaps[j], theta)
-		if kind == vindex.StepPruned {
-			st.PartitionsPruned++
-			i++
-			continue
-		}
-		// StepScan: open a run on j's shard and extend it as far as the
+		// A scan: open a run on j's shard and extend it as far as the
 		// visit order allows — consuming empty and prunable cells locally,
 		// stopping at the first foreign cell that needs scanning.
 		sh := owner[j]
 		parts := []ScanPart{{J: j, Gap: math.Float64bits(gaps[j])}}
 		e := i + 1
-		for e < len(order) {
+		for ; e < len(order); e++ {
 			je := order[e]
-			if meta.PartitionLen(je) == 0 {
-				e++
-				continue
-			}
-			_, _, kindE := meta.RouteStep(je, qPart, qDist, gaps[je], theta)
-			if kindE == vindex.StepPruned {
-				st.PartitionsPruned++
-				e++
+			if local(je) {
 				continue
 			}
 			if owner[je] != sh {
 				break
 			}
 			parts = append(parts, ScanPart{J: je, Gap: math.Float64bits(gaps[je])})
-			e++
 		}
 		resp, err := scan(sh, &ScanRequest{
-			Gen: gen, K: k, QPart: qPart, QDist: math.Float64bits(qDist),
-			Q: pointBits(q), Theta: math.Float64bits(theta), Heap: heapWire(heap), Parts: parts,
+			Gen: gen, K: k, QPart: w.Own, QDist: math.Float64bits(w.OwnDist),
+			Q: pointBits(q), Theta: math.Float64bits(w.Theta), Heap: heapWire(heap), Parts: parts,
 		})
 		if err != nil {
 			return nil, st, len(contacted), err
 		}
-		theta = math.Float64frombits(resp.Theta)
+		w.Theta = math.Float64frombits(resp.Theta)
 		heap, err = wireHeap(k, resp.Heap)
 		if err != nil {
 			return nil, st, len(contacted), fmt.Errorf("shard %d returned a corrupt heap: %w", sh, err)
@@ -222,29 +216,16 @@ func knnWalk(meta *vindex.Index, owner []int, gen int64, q vector.Point, k int, 
 	return meta.FinishKNN(heap), st, len(contacted), nil
 }
 
-// rangeWalk mirrors voronoi.RangeSelect's accounting over routing
-// metadata, batching each shard's surviving windows into one RPC. The
+// rangeWalk runs the single-node range walk (vindex.RangeWindows) over
+// routing metadata, batching each shard's windows into one RPC. The
 // bound θ of a range query is the fixed radius, so unlike kNN there is
 // no sequential dependency — the per-shard window lists are fully
 // determined up front and the row charges are order-independent sums.
 func rangeWalk(meta *vindex.Index, owner []int, gen int64, q vector.Point, radius float64, scan rangeFunc) ([]codec.Object, vindex.Stats, int, error) {
 	var st vindex.Stats
-	qPart, qDist := meta.AssignQuery(q, &st.DistComputations)
 	perShard := make(map[int][]RangePart)
-	for j := 0; j < meta.NumPartitions(); j++ {
-		if meta.PartitionLen(j) == 0 {
-			continue
-		}
-		qToPj := qDist
-		if j != qPart {
-			qToPj = meta.Metric().Dist(q, meta.Pivots()[j])
-			st.DistComputations++
-		}
-		lo, hi, kind := meta.RouteStep(j, qPart, qDist, qToPj, radius)
-		if kind != vindex.StepScan {
-			continue
-		}
-		perShard[owner[j]] = append(perShard[owner[j]], RangePart{J: j, Lo: math.Float64bits(lo), Hi: math.Float64bits(hi)})
+	for _, win := range meta.RangeWindows(q, radius, &st.DistComputations) {
+		perShard[owner[win.J]] = append(perShard[owner[win.J]], RangePart{J: win.J, Lo: math.Float64bits(win.Lo), Hi: math.Float64bits(win.Hi)})
 	}
 	shards := make([]int, 0, len(perShard))
 	for sh := range perShard {

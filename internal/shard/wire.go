@@ -212,18 +212,17 @@ func execScan(ix *vindex.Index, req *ScanRequest) (*ScanResponse, error) {
 	if err != nil {
 		return nil, fmt.Errorf("scan: %w", err)
 	}
-	qDist := math.Float64frombits(req.QDist)
-	theta := math.Float64frombits(req.Theta)
+	w := ix.Walk(req.QPart, math.Float64frombits(req.QDist), math.Float64frombits(req.Theta))
 	var st vindex.Stats
 	var sc vector.Scratch
 	for _, p := range req.Parts {
 		if p.J < 0 || p.J >= numPart {
 			return nil, fmt.Errorf("scan: partition %d out of range [0,%d)", p.J, numPart)
 		}
-		theta = ix.KNNStep(p.J, req.QPart, q, qDist, math.Float64frombits(p.Gap), theta, heap, &sc, &st)
+		ix.KNNStep(&w, p.J, q, math.Float64frombits(p.Gap), heap, &sc, &st)
 	}
 	return &ScanResponse{
-		Theta:             math.Float64bits(theta),
+		Theta:             math.Float64bits(w.Theta),
 		Heap:              heapWire(heap),
 		DistComputations:  st.DistComputations,
 		PartitionsScanned: st.PartitionsScanned,
@@ -238,11 +237,13 @@ func execRangeScan(ix *vindex.Index, req *RangeScanRequest) (*RangeScanResponse,
 	radius := math.Float64frombits(req.Radius)
 	numPart := ix.NumPartitions()
 	resp := &RangeScanResponse{}
+	var objs []codec.Object
 	for _, p := range req.Parts {
 		if p.J < 0 || p.J >= numPart {
 			return nil, fmt.Errorf("range scan: partition %d out of range [0,%d)", p.J, numPart)
 		}
-		objs, rows := ix.RangeScan(p.J, q, math.Float64frombits(p.Lo), math.Float64frombits(p.Hi), radius)
+		var rows int
+		objs, rows = ix.RangeStep(p.J, q, math.Float64frombits(p.Lo), math.Float64frombits(p.Hi), radius, objs[:0])
 		resp.Rows += int64(rows)
 		for _, o := range objs {
 			resp.Matches = append(resp.Matches, WireObject{ID: o.ID, Point: pointBits(o.Point)})

@@ -204,7 +204,7 @@ func (b *Block) RangeTo(q Point, lo, hi int, m Metric, theta float64, dst []nnhe
 // guarantees for every S partition. This is the pivot-gap prefilter: the
 // paper's Theorem-2 corollary (|d(s,p) − d(r,p)| ≥ θ ⇒ s prunable)
 // applied over the flat PivotDist slice before any coordinate is
-// touched. It is the Block form of voronoi.WindowIndices.
+// touched, and the one place a voronoi.Walk's window becomes rows.
 func (b *Block) PivotDistWindow(lo, hi int, dLo, dHi float64) (from, to int) {
 	pd := b.PivotDist[lo:hi]
 	from = lo + sort.Search(len(pd), func(i int) bool { return pd[i] >= dLo })

@@ -44,39 +44,20 @@ func (ix *Index) KNNBatchWithStats(qs []vector.Point, ks []int) ([][]nnheap.Cand
 	if nq == 0 {
 		return results, stats
 	}
-	m := ix.opts.Metric
-	squared := m == vector.L2
 	numPart := ix.pp.NumPartitions()
 
-	// Per-query state: the same Assign → startingBound → sorted-order
-	// setup KNNWithStats performs, flattened across the batch.
+	// Per-query state: the StartKNN each KNNWithStats call begins with.
 	heaps := make([]*nnheap.KHeap, nq)
-	thetas := make([]float64, nq)
-	qParts := make([]int, nq)
-	qDists := make([]float64, nq)
-	orderFlat := make([]int, nq*numPart)
-	gapsFlat := make([]float64, nq*numPart)
+	walks := make([]voronoi.Walk, nq)
+	orders := make([][]int, nq)
+	gaps := make([][]float64, nq)
 	live := make([]int, 0, nq) // queries with k ≥ 1
 	for i, q := range qs {
 		if ks[i] <= 0 {
 			continue
 		}
 		live = append(live, i)
-		st := &stats[i]
-		qParts[i], qDists[i] = ix.pp.Assign(q, &st.DistComputations)
-		thetas[i] = ix.startingBound(q, ks[i], &st.DistComputations)
-		order := orderFlat[i*numPart : (i+1)*numPart]
-		gaps := gapsFlat[i*numPart : (i+1)*numPart]
-		for j := range order {
-			order[j] = j
-			if j == qParts[i] {
-				gaps[j] = qDists[i]
-			} else {
-				gaps[j] = m.Dist(q, ix.pp.Pivots[j])
-				st.DistComputations++
-			}
-		}
-		sortOrderByGap(order, gaps)
+		walks[i], orders[i], gaps[i] = ix.StartKNN(q, ks[i], &stats[i].DistComputations)
 		heaps[i] = nnheap.NewKHeap(ks[i])
 	}
 
@@ -92,7 +73,7 @@ func (ix *Index) KNNBatchWithStats(qs []vector.Point, ks []int) ([][]nnheap.Cand
 	for t := 0; t < numPart; t++ {
 		touched = touched[:0]
 		for _, i := range live {
-			j := orderFlat[i*numPart+t]
+			j := orders[i][t]
 			if len(byPart[j]) == 0 {
 				touched = append(touched, j)
 			}
@@ -101,27 +82,13 @@ func (ix *Index) KNNBatchWithStats(qs []vector.Point, ks []int) ([][]nnheap.Cand
 		for _, j := range touched {
 			members := byPart[j]
 			byPart[j] = members[:0]
-			blk := ix.blocks[j]
-			if blk.Len() == 0 {
-				continue
-			}
 			batchQ, batchH, batchIdx = batchQ[:0], batchH[:0], batchIdx[:0]
 			lows, highs = lows[:0], highs[:0]
 			for _, i := range members {
-				st := &stats[i]
-				qToPj := gapsFlat[i*numPart+j]
-				if j != qParts[i] && voronoi.HyperplaneDist(qToPj, qDists[i], ix.pp.PivotDist(qParts[i], j), m) > thetas[i] {
-					st.PartitionsPruned++
-					continue
-				}
-				wLo, wHi, ok := voronoi.Theorem2Window(ix.sum.S[j], qToPj, thetas[i])
+				from, to, ok := ix.window(&walks[i], j, gaps[i][j], &stats[i])
 				if !ok {
-					st.PartitionsPruned++
 					continue
 				}
-				st.PartitionsScanned++
-				from, to := blk.PivotDistWindow(0, blk.Len(), wLo, wHi)
-				st.DistComputations += int64(to - from)
 				batchQ = append(batchQ, qs[i])
 				batchH = append(batchH, heaps[i])
 				batchIdx = append(batchIdx, i)
@@ -131,31 +98,14 @@ func (ix *Index) KNNBatchWithStats(qs []vector.Point, ks []int) ([][]nnheap.Cand
 			if len(batchQ) == 0 {
 				continue
 			}
-			blk.NearestKBatchRanges(batchQ, lows, highs, m, batchH)
+			ix.blocks[j].NearestKBatchRanges(batchQ, lows, highs, ix.opts.Metric, batchH)
 			for _, i := range batchIdx {
-				if t2 := thresholdDist(heaps[i], thetas[i], squared); t2 < thetas[i] {
-					thetas[i] = t2
-				}
+				walks[i].Tighten(heaps[i])
 			}
 		}
 	}
 	for _, i := range live {
-		results[i] = sortedDists(heaps[i], squared)
+		results[i] = ix.FinishKNN(heaps[i])
 	}
 	return results, stats
-}
-
-// sortOrderByGap sorts the partition indices in order by ascending gap
-// (insertion sort over the typically small pivot count — the batched
-// path runs it once per query).
-func sortOrderByGap(order []int, gaps []float64) {
-	for a := 1; a < len(order); a++ {
-		j := order[a]
-		g := gaps[j]
-		b := a - 1
-		for ; b >= 0 && gaps[order[b]] > g; b-- {
-			order[b+1] = order[b]
-		}
-		order[b+1] = j
-	}
 }

@@ -1,36 +1,24 @@
 package vindex
 
 import (
+	"math"
+
 	"knnjoin/internal/codec"
 	"knnjoin/internal/nnheap"
 	"knnjoin/internal/vector"
 	"knnjoin/internal/voronoi"
 )
 
-// This file exports the kNN walk of KNNWithStats as composable pieces,
-// so the sharded serving tier (internal/shard) can replay the EXACT
-// single-node query — same visit order, same pruning decisions, same θ
-// evolution, same Stats — while delegating only the block scans to
-// remote shard processes. KNNWithStats itself is a composition of these
-// pieces, which is what makes "sharded responses are byte-identical to
-// single-node responses" a structural property instead of a testing
-// aspiration: both paths run this code, the router merely crosses a
-// process boundary between steps.
-
-// StepKind classifies the routing decision RouteStep makes for one
-// partition of the walk.
-type StepKind int
-
-// The decisions. StepSkip is an empty partition — the walk moves on
-// without touching any counter. StepPruned means Corollary 1 or an
-// empty Theorem-2 window eliminated the whole cell (PartitionsPruned
-// accounting). StepScan means the cell's pivot-distance window must be
-// scanned (PartitionsScanned accounting).
-const (
-	StepSkip StepKind = iota
-	StepPruned
-	StepScan
-)
+// This file exports the query walks of KNNWithStats and RangeWithStats
+// as composable pieces, so the sharded serving tier (internal/shard) can
+// replay the EXACT single-node query — same visit order, same pruning
+// decisions, same θ evolution, same Stats — while delegating only the
+// block scans to remote shard processes. The decisions themselves are
+// voronoi.Walk's, the one walk the join reducers run too, and the query
+// methods are compositions of these pieces, which is what makes
+// "sharded responses are byte-identical to single-node responses" a
+// structural property instead of a testing aspiration: both paths run
+// this code, the router merely crosses a process boundary between steps.
 
 // AssignQuery places q in its Voronoi cell: the nearest pivot's index
 // and the distance to it. The |P| object–pivot probes accrue into
@@ -39,22 +27,32 @@ func (ix *Index) AssignQuery(q vector.Point, distCount *int64) (part int, dist f
 	return ix.pp.Assign(q, distCount)
 }
 
-// StartingBound exposes the Algorithm-1 starting bound θ the walk
-// begins with (see startingBound).
-func (ix *Index) StartingBound(q vector.Point, k int, distCount *int64) float64 {
-	return ix.startingBound(q, k, distCount)
+// Walk returns the pruning walk of a query in cell own, at distance
+// ownDist from its pivot, with bound theta.
+func (ix *Index) Walk(own int, ownDist, theta float64) voronoi.Walk {
+	return voronoi.NewWalk(ix.pp, ix.sum).Start(own, ownDist, theta)
 }
 
-// QueryOrder computes the walk's partition visit order (ascending
-// query–pivot distance, ties by partition index) and the gap slice
-// gaps[j] = |q, p_j| the pruning checks consume. The |P|−1 gap
-// computations accrue into distCount.
-func (ix *Index) QueryOrder(q vector.Point, qPart int, qDist float64, distCount *int64) (order []int, gaps []float64) {
+// StartKNN begins the kNN walk of q. It assigns q to its cell, takes the
+// Algorithm-1 starting bound — voronoi.KNNBound over the summary's
+// per-partition kNN lists, with the query's "partition" the degenerate
+// cell {q} (U = 0) — and returns the walk with the visit order (every
+// partition by ascending |q,p_j|, ties by index) and gaps[j] = |q,p_j|.
+// The distances accrue into distCount: |P| for the assignment, one per
+// partition with a kNN list for the bound, and the |P|−1 gaps.
+func (ix *Index) StartKNN(q vector.Point, k int, distCount *int64) (w voronoi.Walk, order []int, gaps []float64) {
+	qPart, qDist := ix.AssignQuery(q, distCount)
 	m := ix.opts.Metric
-	order = make([]int, ix.pp.NumPartitions())
-	gaps = make([]float64, len(order))
-	for j := range order {
-		order[j] = j
+	theta := voronoi.KNNBound(k, 0, len(ix.sum.S), func(j int) (float64, []float64) {
+		kd := ix.sum.S[j].KDists
+		if len(kd) == 0 {
+			return 0, nil
+		}
+		*distCount++
+		return m.Dist(q, ix.pp.Pivots[j]), kd
+	})
+	gaps = make([]float64, ix.pp.NumPartitions())
+	for j := range gaps {
 		if j == qPart {
 			gaps[j] = qDist
 		} else {
@@ -62,79 +60,95 @@ func (ix *Index) QueryOrder(q vector.Point, qPart int, qDist float64, distCount 
 			*distCount++
 		}
 	}
-	// Ties broken by partition index so the visit order is deterministic
-	// and identical to the batched path's (KNNBatchWithStats) — the
-	// per-query Stats depend on it.
-	sortOrderByGap(order, gaps)
-	return order, gaps
+	order = make([]int, len(gaps))
+	voronoi.VisitOrder(order, gaps)
+	return ix.Walk(qPart, qDist, theta), order, gaps
 }
 
-// RouteStep makes the partition-j pruning decision of the walk without
-// touching any object data: skip (empty cell), prune (Corollary 1 or an
-// empty Theorem-2 window), or scan, in which case [lo, hi] is the
-// pivot-distance window to examine. Emptiness comes from the summary
-// (S[j].Count), not the partition block, so a metadata-only view
-// (MetaOnly) routes exactly like the full index.
-func (ix *Index) RouteStep(j, qPart int, qDist, qToPj, theta float64) (lo, hi float64, kind StepKind) {
-	if ix.sum.S[j].Count == 0 {
-		return 0, 0, StepSkip
-	}
-	// Corollary 1: prune the whole cell when the hyperplane between the
-	// query's cell and cell j is farther than θ.
-	if j != qPart && voronoi.HyperplaneDist(qToPj, qDist, ix.pp.PivotDist(qPart, j), ix.opts.Metric) > theta {
-		return 0, 0, StepPruned
-	}
-	lo, hi, ok := voronoi.Theorem2Window(ix.sum.S[j], qToPj, theta)
-	if !ok {
-		return 0, 0, StepPruned
-	}
-	return lo, hi, StepScan
-}
-
-// KNNStep executes the full partition-j step of the walk: the RouteStep
-// decision, its Stats accounting, and — for StepScan — the windowed
-// kernel scan plus θ tightening. It returns the possibly-tightened θ
-// the next step must use. The index must hold partition j's objects
-// (the full index, or a Subset that owns cell j).
-func (ix *Index) KNNStep(j, qPart int, q vector.Point, qDist, qToPj, theta float64, heap *nnheap.KHeap, sc *vector.Scratch, st *Stats) float64 {
-	lo, hi, kind := ix.RouteStep(j, qPart, qDist, qToPj, theta)
-	switch kind {
-	case StepPruned:
+// window is one step of a kNN walk on partition j, whose pivot is at
+// distance gap from the query: the walk's decision, its Stats, and for a
+// scan the block rows to examine, charged as distance computations.
+func (ix *Index) window(w *voronoi.Walk, j int, gap float64, st *Stats) (from, to int, scan bool) {
+	lo, hi, d := w.Decide(j, gap)
+	switch d {
+	case voronoi.Prune:
 		st.PartitionsPruned++
-	case StepScan:
+	case voronoi.Scan:
 		st.PartitionsScanned++
 		blk := ix.blocks[j]
-		from, to := blk.PivotDistWindow(0, blk.Len(), lo, hi)
-		st.DistComputations += int64(blk.NearestKRangeScratch(q, from, to, ix.opts.Metric, heap, sc))
-		if t := thresholdDist(heap, theta, ix.opts.Metric == vector.L2); t < theta {
-			theta = t
-		}
+		from, to = blk.PivotDistWindow(0, blk.Len(), lo, hi)
+		st.DistComputations += int64(to - from)
+		return from, to, true
 	}
-	return theta
+	return 0, 0, false
+}
+
+// KNNStep executes partition j's step of the walk: the decision, its
+// Stats accounting, and — for a scan — the windowed kernel scan plus θ
+// tightening, which leaves the next step's θ in w. The index must hold
+// partition j's objects (the full index, or a Subset that owns cell j).
+func (ix *Index) KNNStep(w *voronoi.Walk, j int, q vector.Point, gap float64, heap *nnheap.KHeap, sc *vector.Scratch, st *Stats) {
+	if from, to, ok := ix.window(w, j, gap, st); ok {
+		ix.blocks[j].NearestKRangeScratch(q, from, to, ix.opts.Metric, heap, sc)
+		w.Tighten(heap)
+	}
 }
 
 // FinishKNN drains the walk's heap into the final ascending result,
 // converting squared distances back to true distances under L2 (the
 // kernels' native space).
 func (ix *Index) FinishKNN(heap *nnheap.KHeap) []nnheap.Candidate {
-	return sortedDists(heap, ix.opts.Metric == vector.L2)
+	res := heap.Sorted()
+	if ix.opts.Metric == vector.L2 {
+		for i := range res {
+			res[i].Dist = math.Sqrt(res[i].Dist) //lint:allow sqrtfree: the emit site — query responses carry true L2 distances
+		}
+	}
+	return res
 }
 
-// RangeScan scans partition j's rows whose pivot distance lies in
-// [lo, hi] — a window RouteStep (with θ = radius) produced — and
-// returns the objects within radius of q plus the number of rows
-// examined (the caller's distance-computation charge). It mirrors
-// voronoi.RangeSelect's verification loop row for row, so a sharded
-// range query charges exactly the computations the single-node one
-// does.
-func (ix *Index) RangeScan(j int, q vector.Point, lo, hi, radius float64) ([]codec.Object, int) {
-	part := ix.part[j]
-	from, to := voronoi.WindowIndices(part, lo, hi)
-	var out []codec.Object
-	m := ix.opts.Metric
+// Window is one partition a range query must scan: the rows of
+// partition J whose pivot distance lies in [Lo, Hi].
+type Window struct {
+	J      int
+	Lo, Hi float64
+}
+
+// RangeWindows runs the range query's walk: θ is the fixed radius, so
+// the partitions are visited in index order and nothing is tightened. It
+// returns every partition to scan with its Theorem-2 window. The
+// assignment (|P|) and the pivot distance of every non-empty partition
+// other than q's own accrue into distCount.
+func (ix *Index) RangeWindows(q vector.Point, radius float64, distCount *int64) []Window {
+	qPart, qDist := ix.AssignQuery(q, distCount)
+	w := ix.Walk(qPart, qDist, radius)
+	var out []Window
+	for j := range ix.sum.S {
+		if w.Empty(j) {
+			continue
+		}
+		gap := qDist
+		if j != qPart {
+			gap = ix.opts.Metric.Dist(q, ix.pp.Pivots[j])
+			*distCount++
+		}
+		if lo, hi, d := w.Decide(j, gap); d == voronoi.Scan {
+			out = append(out, Window{J: j, Lo: lo, Hi: hi})
+		}
+	}
+	return out
+}
+
+// RangeStep scans one window RangeWindows produced: it appends to out
+// every row of partition j with pivot distance in [lo, hi] that lies
+// within radius of q, and returns out with the number of rows examined
+// (the query's distance-computation charge).
+func (ix *Index) RangeStep(j int, q vector.Point, lo, hi, radius float64, out []codec.Object) ([]codec.Object, int) {
+	blk := ix.blocks[j]
+	from, to := blk.PivotDistWindow(0, blk.Len(), lo, hi)
 	for x := from; x < to; x++ {
-		if m.Dist(q, part[x].Point) <= radius {
-			out = append(out, part[x].Object)
+		if blk.DistTo(x, q, ix.opts.Metric) <= radius {
+			out = append(out, codec.Object{ID: blk.IDs[x], Point: blk.At(x).Clone()})
 		}
 	}
 	return out, to - from

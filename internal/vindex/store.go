@@ -7,6 +7,7 @@ import (
 	"io"
 	"math"
 	"os"
+	"slices"
 
 	"knnjoin/internal/codec"
 	"knnjoin/internal/vector"
@@ -21,7 +22,10 @@ import (
 //	partitions (count + Tagged records via codec)
 //
 // Everything an Index needs is self-contained, so Load rebuilds pivot
-// distance matrices rather than storing the O(|P|²) matrix.
+// distance matrices rather than storing the O(|P|²) matrix. A record's
+// source and partition tags are redundant with its position — every
+// record is an S object filed under its own partition — so Save writes
+// them from the position and Load checks them.
 
 var storeMagic = [8]byte{'K', 'N', 'N', 'V', 'I', 'D', 'X', '1'}
 
@@ -61,10 +65,13 @@ func (ix *Index) Save(w io.Writer) error {
 		}
 	}
 	// Partitions.
-	for _, part := range ix.part {
-		writeU32(uint32(len(part)))
-		for _, t := range part {
-			rec := codec.EncodeTagged(t)
+	for j, blk := range ix.blocks {
+		writeU32(uint32(blk.Len()))
+		for x := range blk.IDs {
+			rec := codec.EncodeTagged(codec.Tagged{
+				Object: codec.Object{ID: blk.IDs[x], Point: blk.At(x)},
+				Src:    codec.FromS, Partition: int32(j), PivotDist: blk.PivotDist[x],
+			})
 			writeU32(uint32(len(rec)))
 			if _, err := bw.Write(rec); err != nil {
 				return err
@@ -191,9 +198,13 @@ func Load(r io.Reader) (*Index, error) {
 		sum.S[i].KDists = kd
 	}
 
-	parts := make([][]codec.Tagged, numPivots)
+	// The format predates the kernel tiers and does not record one; the
+	// loaded index starts on the default fused float64 kernel and the
+	// caller applies its configured tier with SetKernel.
+	blocks := make([]*vector.Block, numPivots)
 	size := 0
-	for i := range parts {
+	var rec []byte
+	for i := range blocks {
 		n, err := readU32()
 		if err != nil {
 			return nil, err
@@ -201,8 +212,8 @@ func Load(r io.Reader) (*Index, error) {
 		if n > 1<<28 {
 			return nil, fmt.Errorf("vindex: implausible partition size %d", n)
 		}
-		part := make([]codec.Tagged, n)
-		for j := range part {
+		blk := &vector.Block{}
+		for x := 0; x < int(n); x++ {
 			rl, err := readU32()
 			if err != nil {
 				return nil, err
@@ -210,34 +221,54 @@ func Load(r io.Reader) (*Index, error) {
 			if rl > 1<<24 {
 				return nil, fmt.Errorf("vindex: implausible record length %d", rl)
 			}
-			buf := make([]byte, rl)
-			if _, err := io.ReadFull(br, buf); err != nil {
+			rec = slices.Grow(rec[:0], int(rl))[:rl]
+			if _, err := io.ReadFull(br, rec); err != nil {
 				return nil, err
 			}
-			if part[j], err = codec.DecodeTagged(buf); err != nil {
-				return nil, err
+			if err := appendRecord(blk, rec, i, len(pivots[0])); err != nil {
+				return nil, fmt.Errorf("vindex: partition %d record %d: %w", i, x, err)
 			}
 		}
-		parts[i] = part
-		size += len(part)
+		blk.Prepare(vector.KernelBlock)
+		blocks[i] = blk
+		size += blk.Len()
 	}
 	if size == 0 {
 		return nil, fmt.Errorf("vindex: stored index is empty")
 	}
-
-	// The format predates the kernel tiers and does not record one; the
-	// loaded index starts on the default fused float64 kernel and the
-	// caller applies its configured tier with SetKernel.
-	blocks, err := blocksFromParts(parts, vector.KernelBlock)
-	if err != nil {
-		return nil, err
-	}
 	return &Index{
 		pp:     voronoi.NewPartitioner(pivots, metric),
 		sum:    sum,
-		part:   parts,
 		blocks: blocks,
 		size:   size,
 		opts:   Options{Metric: metric, NumPivots: int(numPivots), BoundK: int(boundK)},
 	}, nil
+}
+
+// appendRecord decodes one stored record onto partition part's block and
+// checks what Save writes from position and what the queries rely on: an
+// S object of the partition it is filed under, with the pivots'
+// dimensionality, finite coordinates and pivot distance, and a pivot
+// distance no smaller than the previous row's — PivotDistWindow's binary
+// search silently misses rows of an unordered block.
+func appendRecord(blk *vector.Block, rec []byte, part, dim int) error {
+	src, tag, err := codec.AppendTaggedToBlock(blk, rec)
+	if err != nil {
+		return err
+	}
+	x := blk.Len() - 1
+	pd := blk.PivotDist[x]
+	switch {
+	case src != codec.FromS:
+		return fmt.Errorf("source tag %v, want S", src)
+	case int(tag) != part:
+		return fmt.Errorf("tagged for partition %d", tag)
+	case blk.Dim != dim:
+		return fmt.Errorf("%d dims, the pivots have %d", blk.Dim, dim)
+	case !blk.At(x).IsFinite() || math.IsNaN(pd) || math.IsInf(pd, 0):
+		return fmt.Errorf("non-finite coordinate or pivot distance")
+	case x > 0 && pd < blk.PivotDist[x-1]:
+		return fmt.Errorf("pivot distance %v after %v: rows out of order", pd, blk.PivotDist[x-1])
+	}
+	return nil
 }

@@ -2,10 +2,14 @@ package vindex
 
 import (
 	"bytes"
+	"encoding/binary"
+	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
+	"knnjoin/internal/codec"
 	"knnjoin/internal/dataset"
 	"knnjoin/internal/vector"
 )
@@ -102,6 +106,93 @@ func TestLoadRejectsTruncation(t *testing.T) {
 		if _, err := Load(bytes.NewReader(full[:cut])); err == nil {
 			t.Errorf("truncation at %d/%d bytes accepted", cut, len(full))
 		}
+	}
+}
+
+// Save writes every record's source and partition tags from its
+// position, so Load checks them — and the pivot-distance order and the
+// finiteness the queries rely on — naming the partition and record. Each
+// case corrupts one record of a saved file by hand.
+func TestLoadRejectsCorruptRecords(t *testing.T) {
+	objs := dataset.Uniform(300, 3, 50, 25)
+	ix, err := Build(objs, Options{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := ix.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	file := buf.Bytes()
+	j := 0
+	for ix.blocks[j].Len() < 2 {
+		j++
+	}
+	blk := ix.blocks[j]
+	// offset finds row x of partition j in the file; coordinates start 12
+	// bytes into a record, the source tag follows them, then the
+	// partition tag and the pivot distance.
+	offset := func(x int) int {
+		rec := codec.EncodeTagged(codec.Tagged{
+			Object: codec.Object{ID: blk.IDs[x], Point: blk.At(x)},
+			Src:    codec.FromS, Partition: int32(j), PivotDist: blk.PivotDist[x],
+		})
+		at := bytes.Index(file, rec)
+		if at < 0 {
+			t.Fatalf("record %d of partition %d not found in the file", x, j)
+		}
+		return at
+	}
+	tagAt := 12 + 8*blk.Dim
+	cases := []struct {
+		name, want string
+		corrupt    func(f []byte)
+	}{
+		{"source tag", "source tag R", func(f []byte) { f[offset(1)+tagAt] = byte(codec.FromR) }},
+		{"partition tag", fmt.Sprintf("tagged for partition %d", j+1), func(f []byte) {
+			binary.LittleEndian.PutUint32(f[offset(1)+tagAt+1:], uint32(j+1))
+		}},
+		{"pivot order", "out of order", func(f []byte) {
+			binary.LittleEndian.PutUint64(f[offset(1)+tagAt+5:], math.Float64bits(blk.PivotDist[0]-1))
+		}},
+		{"non-finite coordinate", "non-finite", func(f []byte) {
+			binary.LittleEndian.PutUint64(f[offset(1)+12:], math.Float64bits(math.Inf(-1)))
+		}},
+	}
+	for _, c := range cases {
+		f := bytes.Clone(file)
+		c.corrupt(f)
+		_, err := Load(bytes.NewReader(f))
+		want := fmt.Sprintf("partition %d record 1: ", j)
+		if err == nil || !strings.Contains(err.Error(), want) || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: Load = %v, want an error containing %q and %q", c.name, err, want, c.want)
+		}
+	}
+	if _, err := Load(bytes.NewReader(file[:len(file)-5])); err == nil {
+		t.Error("a file missing its last bytes loaded")
+	}
+}
+
+// Build → Save → Load → Save reproduces the file byte for byte: Save
+// regenerates every tag Load checked.
+func TestSaveLoadSaveIdentical(t *testing.T) {
+	ix, err := Build(dataset.Forest(800, 26), Options{Seed: 2, BoundK: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var first, second bytes.Buffer
+	if err := ix.Save(&first); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := Load(bytes.NewReader(first.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := loaded.Save(&second); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(first.Bytes(), second.Bytes()) {
+		t.Fatal("the reloaded index saves different bytes")
 	}
 }
 

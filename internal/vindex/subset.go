@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"knnjoin/internal/codec"
 	"knnjoin/internal/vector"
 	"knnjoin/internal/voronoi"
 )
@@ -15,8 +14,9 @@ import (
 // hyperplane), shares the owned cells' object storage with the parent
 // (the parent is immutable after Build/Load, so sharing is safe), and
 // zeroes the summary rows of cells it does not own: PartitionLen
-// reports 0 for them, RouteStep skips them, and StartingBound never
-// consults pivot-distance lists of objects the subset cannot return.
+// reports 0 for them, the walk skips them, and StartKNN's starting bound
+// never consults pivot-distance lists of objects the subset cannot
+// return.
 // Queries against a Subset are therefore exact over the objects it
 // holds. Cells must be in range and free of duplicates.
 //
@@ -40,16 +40,14 @@ func (ix *Index) Subset(cells []int) (*Index, error) {
 		R: make([]voronoi.RSummary, n),
 		S: make([]voronoi.SSummary, n),
 	}
-	part := make([][]codec.Tagged, n)
 	blocks := make([]*vector.Block, n)
 	size := 0
 	for j := 0; j < n; j++ {
 		if own[j] {
 			sum.R[j] = ix.sum.R[j]
 			sum.S[j] = ix.sum.S[j]
-			part[j] = ix.part[j]
 			blocks[j] = ix.blocks[j]
-			size += len(ix.part[j])
+			size += ix.blocks[j].Len()
 			continue
 		}
 		// Empty rows use the SummaryBuilder's empty-cell convention
@@ -60,16 +58,16 @@ func (ix *Index) Subset(cells []int) (*Index, error) {
 		blocks[j] = &vector.Block{}
 		blocks[j].Prepare(ix.opts.Kernel)
 	}
-	return &Index{pp: ix.pp, sum: sum, part: part, blocks: blocks, size: size, opts: ix.opts}, nil
+	return &Index{pp: ix.pp, sum: sum, blocks: blocks, size: size, opts: ix.opts}, nil
 }
 
 // MetaOnly returns a routing-only view of the index: the full pivot
-// set, pivot-distance matrix and summary (so AssignQuery, StartingBound,
-// QueryOrder and RouteStep behave exactly as on the full index), but no
+// set, pivot-distance matrix and summary (so StartKNN, RangeWindows and
+// the walks they return behave exactly as on the full index), but no
 // object storage. The sharded router holds one of these — it decides
 // which cells matter and delegates every scan, so it never pays the
-// memory of the blocks. Scanning methods must not be called on it:
-// RouteStep will direct scans at cells whose blocks are empty here.
+// memory of the blocks. Scanning methods must not be called on it: the
+// walk will direct scans at cells whose blocks are empty here.
 func (ix *Index) MetaOnly() *Index {
 	n := ix.pp.NumPartitions()
 	blocks := make([]*vector.Block, n)
@@ -79,7 +77,6 @@ func (ix *Index) MetaOnly() *Index {
 	return &Index{
 		pp:     ix.pp,
 		sum:    ix.sum,
-		part:   make([][]codec.Tagged, n),
 		blocks: blocks,
 		size:   ix.size,
 		opts:   ix.opts,

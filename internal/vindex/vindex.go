@@ -75,13 +75,12 @@ func intSqrt(n int) int {
 // of goroutines may call KNN, Range, and the *WithStats variants on one
 // shared Index concurrently.
 type Index struct {
-	pp   *voronoi.Partitioner
-	sum  *voronoi.Summary
-	part [][]codec.Tagged // per-partition objects, sorted by pivot distance
-	// blocks mirrors part in the columnar vector.Block layout the reduce
-	// side scans — one block per partition, rows in pivot-distance order —
-	// so kNN queries run on the same tiered kernels as the joins. part is
-	// kept alongside: Save and RangeSelect still walk Tagged records.
+	pp  *voronoi.Partitioner
+	sum *voronoi.Summary
+	// blocks holds S, once: one columnar vector.Block per partition, rows
+	// in pivot-distance order, so every query — kNN and range — runs on
+	// the tiered kernels the joins use, and Save writes the file from
+	// them.
 	blocks []*vector.Block
 	size   int
 	opts   Options
@@ -170,7 +169,7 @@ func Build(objs []codec.Object, opts Options) (*Index, error) {
 			return nil, fmt.Errorf("vindex: partition %d: %w", j, err)
 		}
 	}
-	return &Index{pp: pp, sum: sum, part: parts, blocks: blocks, size: len(objs), opts: opts}, nil
+	return &Index{pp: pp, sum: sum, blocks: blocks, size: len(objs), opts: opts}, nil
 }
 
 // partition is voronoi.Partitioner.Partition on every core: the
@@ -242,19 +241,6 @@ func blockFromPart(part []codec.Tagged, kern vector.Kernel) (*vector.Block, erro
 	return blk, nil
 }
 
-// blocksFromParts is blockFromPart over every partition, for Load.
-func blocksFromParts(parts [][]codec.Tagged, kern vector.Kernel) ([]*vector.Block, error) {
-	blocks := make([]*vector.Block, len(parts))
-	for j, part := range parts {
-		blk, err := blockFromPart(part, kern)
-		if err != nil {
-			return nil, fmt.Errorf("vindex: partition %d: %w", j, err)
-		}
-		blocks[j] = blk
-	}
-	return blocks, nil
-}
-
 // SetKernel re-resolves the scan tier of every partition block (and
 // records it in the options). It MUTATES the index — call it right
 // after Build or Load, before the index is shared across goroutines;
@@ -292,108 +278,40 @@ func (ix *Index) KNN(q vector.Point, k int) []nnheap.Candidate {
 // writes to the Index, so concurrent calls on one shared Index are safe.
 //
 // The walk is a composition of the exported pieces in route.go —
-// AssignQuery, StartingBound, QueryOrder, then one KNNStep per
-// partition in visit order — so the sharded router (internal/shard)
-// replays the identical computation across processes.
+// StartKNN, then one KNNStep per partition in visit order — so the
+// sharded router (internal/shard) replays the identical computation
+// across processes.
 func (ix *Index) KNNWithStats(q vector.Point, k int) ([]nnheap.Candidate, Stats) {
 	var st Stats
 	if k <= 0 {
 		return nil, st
 	}
-	qPart, qDist := ix.pp.Assign(q, &st.DistComputations)
-
-	// Starting bound: Algorithm 1 with the query's "partition" being the
-	// degenerate cell {q} (U = 0), i.e. θ = k-th smallest of
-	// |q,p_j| + p_j.d_i over the summary's per-partition kNN lists.
-	theta := ix.startingBound(q, k, &st.DistComputations)
-
-	// Visit partitions in ascending pivot-distance order (Algorithm 3's
-	// line-14 heuristic specialized to one query).
-	order, gaps := ix.QueryOrder(q, qPart, qDist, &st.DistComputations)
-
-	// Scan on the partition blocks with the active kernel tier. Under L2
-	// the heap holds SQUARED distances (the kernels' native space) and θ
-	// stays in true-distance space for the windowing math; the sqrt per
-	// survivor happens once at return. Tightening θ once per partition is
-	// equivalent to the former per-push update: θ is only read by the
-	// next partition's pruning checks.
+	w, order, gaps := ix.StartKNN(q, k, &st.DistComputations)
 	heap := nnheap.NewKHeap(k)
 	var sc vector.Scratch
 	for _, j := range order {
-		theta = ix.KNNStep(j, qPart, q, qDist, gaps[j], theta, heap, &sc, &st)
+		ix.KNNStep(&w, j, q, gaps[j], heap, &sc, &st)
 	}
 	return ix.FinishKNN(heap), st
 }
 
-// thresholdDist converts the heap's rejection threshold into
-// true-distance space: the k-th best when the heap is full, else def.
-func thresholdDist(heap *nnheap.KHeap, def float64, squared bool) float64 {
-	if !heap.Full() {
-		return def
-	}
-	t := heap.Top().Dist
-	if squared {
-		t = math.Sqrt(t) //lint:allow sqrtfree: one sqrt per partition step converts the squared heap bound to the true-units θ the walk prices
-	}
-	return t
-}
-
-// sortedDists drains the heap in ascending order, converting squared
-// distances back to true distances when the scan ran in squared space.
-func sortedDists(heap *nnheap.KHeap, squared bool) []nnheap.Candidate {
-	res := heap.Sorted()
-	if squared {
-		for i := range res {
-			res[i].Dist = math.Sqrt(res[i].Dist) //lint:allow sqrtfree: the emit site — query responses carry true L2 distances
-		}
-	}
-	return res
-}
-
-// startingBound computes a valid upper bound on the k-th NN distance of q
-// from the summary alone: ub = |q,p_j| + d for each of partition j's k
-// smallest pivot distances d (triangle inequality). Returns +Inf when the
-// summary cannot cover k objects (k > BoundK coverage). Distance
-// computations accrue into distCount.
-func (ix *Index) startingBound(q vector.Point, k int, distCount *int64) float64 {
-	pq := nnheap.NewKHeap(k)
-	m := ix.opts.Metric
-	for j := range ix.sum.S {
-		kd := ix.sum.S[j].KDists
-		if len(kd) == 0 {
-			continue
-		}
-		qToPj := m.Dist(q, ix.pp.Pivots[j])
-		*distCount++
-		for _, d := range kd { // ascending
-			ub := qToPj + d
-			if pq.Full() && ub >= pq.Top().Dist {
-				break
-			}
-			pq.Push(nnheap.Candidate{Dist: ub})
-		}
-	}
-	if !pq.Full() {
-		return math.Inf(1)
-	}
-	return pq.Top().Dist
-}
-
-// Range returns all indexed objects within radius of q, in ID order,
-// using RangeSelect's pruning. It is a thin wrapper over RangeWithStats.
+// Range returns all indexed objects within radius of q, in ID order. It
+// is a thin wrapper over RangeWithStats.
 func (ix *Index) Range(q vector.Point, radius float64) []codec.Object {
 	res, _ := ix.RangeWithStats(q, radius)
 	return res
 }
 
-// RangeWithStats is Range plus the per-query work accounting. Like
-// KNNWithStats it performs no writes to the Index.
+// RangeWithStats is Range plus the per-query work accounting: the walk of
+// RangeWindows, then a RangeStep per window. Like KNNWithStats it
+// performs no writes to the Index.
 func (ix *Index) RangeWithStats(q vector.Point, radius float64) ([]codec.Object, Stats) {
 	var st Stats
-	got := ix.pp.RangeSelect(ix.part, ix.sum, q, radius, &st.DistComputations)
-	out := make([]codec.Object, len(got))
-	for i, t := range got {
-		out[i] = t.Object
+	var out []codec.Object
+	for _, win := range ix.RangeWindows(q, radius, &st.DistComputations) {
+		var rows int
+		out, rows = ix.RangeStep(win.J, q, win.Lo, win.Hi, radius, out)
+		st.DistComputations += int64(rows)
 	}
 	sort.Slice(out, func(a, b int) bool { return out[a].ID < out[b].ID })
 	return out, st

@@ -69,11 +69,13 @@ func buildSerial(t *testing.T, objs []codec.Object, opts Options) *Index {
 		}
 		voronoi.SortByPivotDist(g)
 	}
-	blocks, err := blocksFromParts(parts, opts.Kernel)
-	if err != nil {
-		t.Fatal(err)
+	blocks := make([]*vector.Block, len(parts))
+	for j, part := range parts {
+		if blocks[j], err = blockFromPart(part, opts.Kernel); err != nil {
+			t.Fatal(err)
+		}
 	}
-	return &Index{pp: pp, sum: b.Finalize(), part: parts, blocks: blocks, size: len(objs), opts: opts}
+	return &Index{pp: pp, sum: b.Finalize(), blocks: blocks, size: len(objs), opts: opts}
 }
 
 // The index file is a function of (objects, options) alone: the same

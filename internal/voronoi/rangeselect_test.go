@@ -10,6 +10,57 @@ import (
 	"knnjoin/internal/vector"
 )
 
+// RangeSelect is Definition 3 over partitioned data as the paper states
+// it, kept as the test oracle of the block-based range walk (vindex's
+// RangeWindows and RangeStep; see oracle_test.go): every object within
+// distance theta of q, pruned by Corollary 1 and Theorem 2, visiting the
+// cells in index order. partitions are the cells Partition produces, each
+// sorted with SortByPivotDist, and sum their summary. distCount, when
+// non-nil, accrues the distance computations: q's assignment, the pivot
+// of every non-empty cell other than q's own, and every row verified.
+func (p *Partitioner) RangeSelect(partitions [][]codec.Tagged, sum *Summary, q vector.Point, theta float64, distCount *int64) []codec.Tagged {
+	count := func(n int64) {
+		if distCount != nil {
+			*distCount += n
+		}
+	}
+	qPart, qDist := p.Assign(q, distCount)
+	var out []codec.Tagged
+	for j, part := range partitions {
+		if len(part) == 0 {
+			continue
+		}
+		qToPj := qDist
+		if j != qPart {
+			qToPj = p.Metric.Dist(q, p.Pivots[j])
+			count(1)
+			if HyperplaneDist(qToPj, qDist, p.PivotDist(qPart, j), p.Metric) > theta {
+				continue
+			}
+		}
+		lo, hi, ok := Theorem2Window(sum.S[j], qToPj, theta)
+		if !ok {
+			continue
+		}
+		from, to := windowIndices(part, lo, hi)
+		for x := from; x < to; x++ {
+			count(1)
+			if p.Metric.Dist(q, part[x].Point) <= theta {
+				out = append(out, part[x])
+			}
+		}
+	}
+	return out
+}
+
+// windowIndices returns the half-open index range [from, to) of objs —
+// sorted by SortByPivotDist — whose PivotDist lies in [lo, hi].
+func windowIndices(objs []codec.Tagged, lo, hi float64) (from, to int) {
+	from = sort.Search(len(objs), func(i int) bool { return objs[i].PivotDist >= lo })
+	to = sort.Search(len(objs), func(i int) bool { return objs[i].PivotDist > hi })
+	return from, to
+}
+
 // rangeFixture partitions a random S with a summary, sorted for windows.
 func rangeFixture(seed int64, n, nPivots, dim int, metric vector.Metric) (*Partitioner, [][]codec.Tagged, *Summary, []codec.Object) {
 	rng := rand.New(rand.NewSource(seed))
@@ -128,15 +179,5 @@ func TestRangeSelectQuick(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
-	}
-}
-
-func BenchmarkRangeSelect(b *testing.B) {
-	pp, parts, sum, _ := rangeFixture(7, 50000, 200, 4, vector.L2)
-	q := vector.Point{50, 50, 50, 50}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		pp.RangeSelect(parts, sum, q, 10, nil)
 	}
 }

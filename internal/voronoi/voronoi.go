@@ -233,30 +233,17 @@ func LowerBound(uR, pivotGap, sPivotDist float64) float64 {
 	return lb
 }
 
-// BoundKNN implements Algorithm 1: the kNN-distance bound θ_i shared by
-// every object of R-partition i, computed only from the summary tables.
-// It returns +Inf when S carries fewer than k objects in total (the paper
-// assumes k ≤ |S|; the +Inf keeps callers safe rather than wrong).
+// BoundKNN implements Algorithm 1 for R-partition partR: the
+// kNN-distance bound θ_i shared by every object of the partition,
+// computed only from the summary tables (KNNBound over every TS row). It
+// returns +Inf when S carries fewer than k objects in total.
 func (sum *Summary) BoundKNN(partR int, pp *Partitioner) float64 {
-	uR := sum.R[partR].U
 	if sum.R[partR].Count == 0 {
 		return 0 // no objects to bound; callers skip empty partitions
 	}
-	pq := nnheap.NewKHeap(sum.K)
-	for j := range sum.S {
-		gap := pp.PivotDist(partR, j)
-		for _, d := range sum.S[j].KDists { // ascending
-			ub := UpperBound(uR, gap, d)
-			if pq.Full() && ub >= pq.Top().Dist {
-				break // no later entry of this partition can improve θ
-			}
-			pq.Push(nnheap.Candidate{Dist: ub})
-		}
-	}
-	if !pq.Full() {
-		return math.Inf(1)
-	}
-	return pq.Top().Dist
+	return KNNBound(sum.K, sum.R[partR].U, len(sum.S), func(j int) (float64, []float64) {
+		return pp.PivotDist(partR, j), sum.S[j].KDists
+	})
 }
 
 // LBReplica implements Corollary 2's threshold LB(P_j^S, P_i^R) =
@@ -272,8 +259,8 @@ func LBReplica(pivotGap, uR, theta float64) float64 {
 // [lo, hi] can satisfy |r,s| ≤ theta. ok is false when the window is empty
 // and the whole partition can be skipped.
 func Theorem2Window(sRow SSummary, rPivotDist, theta float64) (lo, hi float64, ok bool) {
-	lo = math.Max(sRow.L, rPivotDist-theta)
-	hi = math.Min(sRow.U, rPivotDist+theta)
+	lo = max(sRow.L, rPivotDist-theta) // the builtins are math.Max/Min, NaN and ±0 included
+	hi = min(sRow.U, rPivotDist+theta)
 	return lo, hi, lo <= hi
 }
 
@@ -302,13 +289,4 @@ func SortByPivotDist(objs []codec.Tagged) {
 		}
 		return objs[i].ID < objs[j].ID
 	})
-}
-
-// WindowIndices returns the half-open index range [from, to) of objs —
-// which must be sorted by SortByPivotDist — whose PivotDist lies in
-// [lo, hi].
-func WindowIndices(objs []codec.Tagged, lo, hi float64) (from, to int) {
-	from = sort.Search(len(objs), func(i int) bool { return objs[i].PivotDist >= lo })
-	to = sort.Search(len(objs), func(i int) bool { return objs[i].PivotDist > hi })
-	return from, to
 }

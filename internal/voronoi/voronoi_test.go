@@ -470,22 +470,34 @@ func TestTheorem2WindowIsSafe(t *testing.T) {
 	}
 }
 
+// The oracle's windowIndices and the Block form the walks scan with,
+// vector.Block.PivotDistWindow, both select exactly the rows whose pivot
+// distance lies in the window.
 func TestWindowIndicesMatchesLinearScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	objs := make([]codec.Tagged, 60)
 	for i := range objs {
-		objs[i] = codec.Tagged{Object: codec.Object{ID: int64(i)}, PivotDist: rng.Float64() * 10}
+		objs[i] = codec.Tagged{Object: codec.Object{ID: int64(i), Point: vector.Point{0}}, PivotDist: rng.Float64() * 10}
 	}
 	SortByPivotDist(objs)
+	blk := &vector.Block{}
+	for _, o := range objs {
+		if err := blk.Append(o.ID, o.PivotDist, o.Point); err != nil {
+			t.Fatal(err)
+		}
+	}
 	for trial := 0; trial < 200; trial++ {
 		lo := rng.Float64() * 12
 		hi := lo + rng.Float64()*5 - 1 // sometimes empty
-		from, to := WindowIndices(objs, lo, hi)
+		from, to := windowIndices(objs, lo, hi)
+		if bf, bt := blk.PivotDistWindow(0, blk.Len(), lo, hi); bf != from || bt != to {
+			t.Fatalf("PivotDistWindow([%v,%v]) = [%d,%d), windowIndices = [%d,%d)", lo, hi, bf, bt, from, to)
+		}
 		for i, o := range objs {
 			inWindow := o.PivotDist >= lo && o.PivotDist <= hi
 			inRange := i >= from && i < to
 			if inWindow != inRange {
-				t.Fatalf("WindowIndices([%v,%v]) wrong at index %d (d=%v): window=%v range=%v",
+				t.Fatalf("windowIndices([%v,%v]) wrong at index %d (d=%v): window=%v range=%v",
 					lo, hi, i, o.PivotDist, inWindow, inRange)
 			}
 		}
