@@ -335,7 +335,7 @@ func BenchmarkDistKernelTiers(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		for _, kern := range []Kernel{KernelScalar, KernelBlock, KernelF32, KernelQuantized} {
+		for _, kern := range []vector.Kernel{vector.KernelScalar, vector.KernelBlock, vector.KernelQuantized} {
 			b.Run(fmt.Sprintf("%v/d=%d", kern, dim), func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {

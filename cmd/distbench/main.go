@@ -1,7 +1,7 @@
 // Command distbench runs the distance-path micro-benchmarks — reducer
 // value-group decode and the PGBJ-reducer-shaped join — through both the
 // legacy per-Object path and the columnar Block path, plus the kernel
-// tier matrix (scalar / block / f32 / quantized across dimensionalities)
+// tier matrix (scalar / block / quantized across dimensionalities)
 // through the query-batched kernels — and writes the results as JSON
 // (committed as BENCH_dist.json at the repository root), so the distance
 // path's performance trajectory is tracked across changes next to the
@@ -15,7 +15,7 @@
 //	distbench                     # both suites, JSON to stdout
 //	distbench -out BENCH_dist.json
 //	distbench -suite kernels      # only the kernel tier matrix
-//	distbench -suite kernels -smoke  # cross-check outputs only, no timing (CI)
+//	distbench -suite kernels -smoke  # cross-check outputs only, no timing
 //	distbench -queries 64         # override the per-suite query defaults (dist 64, kernels 512)
 package main
 
@@ -68,8 +68,7 @@ type KernelRow struct {
 	Dim  int    `json:"dim"`
 	// Tiers maps kernel name → measurement.
 	Tiers map[string]Path `json:"tiers"`
-	// SpeedupF32 and SpeedupQuantized are ns/op ratios vs the block tier.
-	SpeedupF32       float64 `json:"speedup_f32_vs_block"`
+	// SpeedupQuantized is the ns/op ratio vs the block tier.
 	SpeedupQuantized float64 `json:"speedup_quantized_vs_block"`
 }
 
@@ -181,9 +180,7 @@ func run(args []string) error {
 		report.KernelQueries = kernQ
 	}
 	dims := []int{2, 8, 32}
-	tiers := []vector.Kernel{
-		vector.KernelScalar, vector.KernelBlock, vector.KernelF32, vector.KernelQuantized,
-	}
+	tiers := []vector.Kernel{vector.KernelScalar, vector.KernelBlock, vector.KernelQuantized}
 	for _, n := range ns {
 		for _, dim := range dims {
 			recs := benchjobs.DistInput(n, dim, 1)
@@ -260,7 +257,6 @@ func run(args []string) error {
 					row.Tiers[kern.String()] = m
 				}
 				blockNs := row.Tiers[vector.KernelBlock.String()].NsPerOp
-				row.SpeedupF32 = ratio(blockNs, row.Tiers[vector.KernelF32.String()].NsPerOp)
 				row.SpeedupQuantized = ratio(blockNs, row.Tiers[vector.KernelQuantized.String()].NsPerOp)
 				report.Kernels = append(report.Kernels, row)
 			}

@@ -24,7 +24,6 @@ import (
 	"knnjoin/internal/experiments"
 	"knnjoin/internal/obs"
 	"knnjoin/internal/stats"
-	"knnjoin/internal/vector"
 )
 
 var order = []string{
@@ -50,7 +49,6 @@ func run(args []string) error {
 	list := fs.Bool("list", false, "list experiment names and exit")
 	spillDir := fs.String("spill-dir", "", "out-of-core backend: run every experiment with DFS chunks and shuffle runs under this directory")
 	memLimitFlag := fs.String("mem-limit", "", "resident shuffle budget per run, e.g. 256M (spills to -spill-dir or a temp dir)")
-	kernelName := fs.String("kernel", "block", "distance kernel tier: scalar | block | f32 | quantized | auto")
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := fs.String("memprofile", "", "write a heap profile to this file on exit")
 	if err := fs.Parse(args); err != nil {
@@ -69,10 +67,6 @@ func run(args []string) error {
 				fmt.Fprintln(os.Stderr, "knnbench: heap profile:", err)
 			}
 		}()
-	}
-	kernel, err := vector.ParseKernel(*kernelName)
-	if err != nil {
-		return fmt.Errorf("-kernel: %w", err)
 	}
 	var memLimit int64
 	if *memLimitFlag != "" {
@@ -108,7 +102,7 @@ func run(args []string) error {
 
 	r := experiments.NewRunner(experiments.Config{
 		Scale: *scale, Seed: *seed, Nodes: *nodes, K: *k,
-		SpillDir: *spillDir, MemLimit: memLimit, Kernel: kernel,
+		SpillDir: *spillDir, MemLimit: memLimit,
 	})
 	start := time.Now()
 	fmt.Printf("knnbench: scale=%.3g nodes=%d k=%d seed=%d (Forest×10 = %d objects)\n\n",

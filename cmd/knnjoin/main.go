@@ -67,7 +67,6 @@ func run(args []string) error {
 	spillDir := fs.String("spill-dir", "", "out-of-core backend: spill DFS chunks and shuffle runs under this directory")
 	memLimitFlag := fs.String("mem-limit", "", "resident shuffle budget, e.g. 64M (spills to -spill-dir or a temp dir; with -workers it bounds the merge buffers)")
 	explain := fs.Bool("explain", false, "print the planner's ranked candidate plans and exit without joining")
-	kernelName := fs.String("kernel", "block", "distance kernel tier: scalar | block | f32 | quantized | auto")
 	workers := fs.Int("workers", 0, "run MapReduce jobs on this many worker processes (0 = goroutine workers in this process)")
 	traceDir := fs.String("trace", "", "write observability spans as JSONL under this directory (render with knntrace)")
 	pprofOn := fs.Bool("pprof", false, "with -workers: expose net/http/pprof on the coordinator's HTTP server")
@@ -121,10 +120,6 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
-	kernel, err := knnjoin.ParseKernel(*kernelName)
-	if err != nil {
-		return err
-	}
 
 	r, err := readInput(*rPath, *covtype)
 	if err != nil {
@@ -140,7 +135,7 @@ func run(args []string) error {
 	if *explain {
 		popts := planner.Options{
 			K: *k, Nodes: *nodes, Metric: metric, MemLimit: memLimit,
-			Seed: *seed, NumPivots: *numPivots, Kernel: kernel,
+			Seed: *seed, NumPivots: *numPivots,
 		}
 		ds, err := planner.Measure(r, s, popts)
 		if err != nil {
@@ -158,7 +153,7 @@ func run(args []string) error {
 		results, st, err := knnjoin.RangeJoin(r, s, knnjoin.RangeOptions{
 			Radius: *radius, Metric: metric, Nodes: *nodes,
 			NumPivots: *numPivots, PivotStrategy: ps, Seed: *seed,
-			SpillDir: *spillDir, MemLimit: memLimit, Kernel: kernel,
+			SpillDir: *spillDir, MemLimit: memLimit,
 			Workers: *workers, TraceDir: *traceDir,
 		})
 		if err != nil {
@@ -205,7 +200,7 @@ func run(args []string) error {
 	results, st, err := knnjoin.Join(r, s, knnjoin.Options{
 		K: *k, Algorithm: algo, Metric: metric, Nodes: *nodes,
 		NumPivots: *numPivots, PivotStrategy: ps, GroupStrategy: gs, Seed: *seed,
-		SpillDir: *spillDir, MemLimit: memLimit, Kernel: kernel, Workers: *workers,
+		SpillDir: *spillDir, MemLimit: memLimit, Workers: *workers,
 		TraceDir: *traceDir, Pprof: *pprofOn,
 	})
 	if err != nil {

@@ -76,7 +76,6 @@ func run(parent context.Context, args []string, ready chan<- string) error {
 	workers := fs.Int("workers", 0, "concurrent query execution bound (0 = GOMAXPROCS)")
 	cacheSize := fs.Int("cache", 1024, "LRU result cache entries (0 disables)")
 	maxBatch := fs.Int("max-batch", 1024, "maximum queries per /knn/batch request")
-	kernelName := fs.String("kernel", "block", "distance kernel tier: scalar | block | f32 | quantized | auto")
 	shards := fs.Int("shards", 0, "serve as a sharded cluster of this many shard processes (0 = single process)")
 	replicas := fs.Int("replicas", 1, "with -shards: replica processes per shard")
 	traceDir := fs.String("trace", "", "write request/scan spans as JSONL under this directory (render with knntrace)")
@@ -92,10 +91,6 @@ func run(parent context.Context, args []string, ready chan<- string) error {
 	}
 	if *replicas < 1 {
 		return fmt.Errorf("-replicas must be at least 1, got %d", *replicas)
-	}
-	kernel, err := vector.ParseKernel(*kernelName)
-	if err != nil {
-		return err
 	}
 
 	var ix *vindex.Index
@@ -146,7 +141,7 @@ func run(parent context.Context, args []string, ready chan<- string) error {
 		}
 		defer tracer.Close()
 	}
-	cfg := serve.Config{Workers: *workers, CacheSize: *cacheSize, MaxBatch: *maxBatch, Kernel: kernel, Tracer: tracer}
+	cfg := serve.Config{Workers: *workers, CacheSize: *cacheSize, MaxBatch: *maxBatch, Tracer: tracer}
 
 	var s *serve.Server
 	if *shards > 0 {
@@ -171,7 +166,7 @@ func run(parent context.Context, args []string, ready chan<- string) error {
 			defer os.Remove(path)
 		}
 		cluster, err := shard.StartCluster(shard.ClusterConfig{
-			IndexPath: path, Shards: *shards, Replicas: *replicas, Kernel: kernel,
+			IndexPath: path, Shards: *shards, Replicas: *replicas,
 			TraceDir: *traceDir, Pprof: *pprofOn,
 		})
 		if err != nil {
@@ -198,7 +193,7 @@ func run(parent context.Context, args []string, ready chan<- string) error {
 		mux.Handle("/", handler)
 		handler = mux
 	}
-	srv := &http.Server{Addr: *addr, Handler: handler}
+	srv := obs.NewServer(handler)
 
 	ctx, stop := signal.NotifyContext(parent, os.Interrupt, syscall.SIGTERM)
 	defer stop()

@@ -186,12 +186,12 @@ func JoinBlock(recs [][]byte, queries []vector.Point, k int, theta float64) (int
 }
 
 // JoinKernelBatch runs the same PGBJ-reducer-shaped join through the
-// query-batched kernels at a selected tier: one codec.DecodeBlock plus
-// Prepare(kern) for the group (mirror builds are part of the measured
+// query-batched kernels at a forced tier: one codec.DecodeBlock plus
+// Prepare(kern) for the group (code builds are part of the measured
 // cost — reducers pay them per group), Theorem-2 windows for every
 // query, then a single NearestKBatchRanges sweep that streams each
 // S panel across the whole query batch. The checksum must equal
-// JoinScalar's for every tier — the filter tiers only skip rows their
+// JoinScalar's for every tier — the quantized tier only skips rows its
 // certified lower bound proves out, and survivors re-rank exactly.
 func JoinKernelBatch(recs [][]byte, queries []vector.Point, k int, theta float64, kern vector.Kernel) (int64, error) {
 	blk, _, _, err := codec.DecodeBlock(recs)

@@ -188,7 +188,9 @@ func AppendTaggedToBlock(b *vector.Block, rec []byte) (Source, int32, error) {
 // partition slices. The backing slices are sized exactly in a single
 // header pre-pass, so the group decodes with a constant number of
 // allocations instead of two per point (the Object/Point pair the
-// per-record DecodeTagged path allocates).
+// per-record DecodeTagged path allocates). The block is prepared with
+// vector.KernelAuto: its shape picks the scan tier, one conversion pass
+// at decode reused by every scan over the group.
 func DecodeBlock(recs [][]byte) (*vector.Block, []Source, []int32, error) {
 	// Size the backing store from the first record's header: every
 	// record of a group shares one dimensionality (enforced during the
@@ -223,19 +225,7 @@ func DecodeBlock(recs [][]byte) (*vector.Block, []Source, []int32, error) {
 		}
 		srcs[i], parts[i] = src, part
 	}
-	return b, srcs, parts, nil
-}
-
-// DecodeBlockKernel is DecodeBlock plus kernel tier attachment: the
-// decoded block is Prepared for the requested scan tier (see
-// vector.Kernel), so reducers pick their kernel at block construction —
-// one conversion pass at decode, reused by every scan over the group.
-func DecodeBlockKernel(recs [][]byte, k vector.Kernel) (*vector.Block, []Source, []int32, error) {
-	b, srcs, parts, err := DecodeBlock(recs)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	b.Prepare(k)
+	b.Prepare(vector.KernelAuto)
 	return b, srcs, parts, nil
 }
 

@@ -252,7 +252,10 @@ func AddJobStatsCounter(rep *stats.Report, js *mapreduce.JobStats, distCounter s
 // columnar Blocks, R and S, in arrival (key) order — the block form of
 // CollectRS shared by every region/bucket reducer (H-BRJ,
 // 1-Bucket-Theta, LSH buckets, broadcast). Each side decodes with a
-// constant number of allocations instead of two per point.
+// constant number of allocations instead of two per point. The S block
+// — the one the distance kernels sweep — is prepared with
+// vector.KernelAuto; the R block only sources queries and keeps its
+// plain float64 rows.
 func CollectRSBlocks(values *mapreduce.Values) (rs, ss *vector.Block, err error) {
 	rs, ss = &vector.Block{}, &vector.Block{}
 	for v, ok := values.Next(); ok; v, ok = values.Next() {
@@ -276,19 +279,7 @@ func CollectRSBlocks(values *mapreduce.Values) (rs, ss *vector.Block, err error)
 	if rs.Len() > 0 && ss.Len() > 0 && rs.Dim != ss.Dim {
 		return nil, nil, fmt.Errorf("driver: reducer group mixes %d-dim R rows with %d-dim S rows", rs.Dim, ss.Dim)
 	}
-	return rs, ss, nil
-}
-
-// CollectRSBlocksKernel is CollectRSBlocks plus kernel tier attachment
-// on the scanned side: the S block — the one the distance kernels sweep
-// — is Prepared for the requested tier (see vector.Kernel). The R block
-// only sources queries and keeps its plain float64 rows.
-func CollectRSBlocksKernel(values *mapreduce.Values, k vector.Kernel) (rs, ss *vector.Block, err error) {
-	rs, ss, err = CollectRSBlocks(values)
-	if err != nil {
-		return nil, nil, err
-	}
-	ss.Prepare(k)
+	ss.Prepare(vector.KernelAuto)
 	return rs, ss, nil
 }
 

@@ -51,10 +51,6 @@ type Config struct {
 	// MemLimit bounds resident shuffle bytes per run; > 0 with an empty
 	// SpillDir uses a temporary directory per run.
 	MemLimit int64
-	// Kernel selects the reduce-side distance scan tier for every
-	// experiment run (see vector.Kernel). Zero value is the exact block
-	// kernel.
-	Kernel vector.Kernel
 }
 
 func (c Config) withDefaults() Config {
@@ -264,7 +260,6 @@ func (r *Runner) runPGBJ(objs []codec.Object, k, nodes, numPivots int,
 	return r.runPGBJOpts(objs, nodes, pgbj.Options{
 		K: k, NumPivots: numPivots, PivotStrategy: ps, GroupStrategy: gs,
 		Seed: r.cfg.Seed, DisableHyperplanePruning: disableHP, DisableWindowPruning: disableWin,
-		Kernel: r.cfg.Kernel,
 	})
 }
 
@@ -313,18 +308,17 @@ func (r *Runner) runAlgo(alg string, objs []codec.Object, k, nodes, numPivots in
 	case "PGBJ":
 		return pgbj.Run(cluster, "R", "S", "out", pgbj.Options{
 			K: k, NumPivots: numPivots, PivotStrategy: pivot.Random,
-			GroupStrategy: pgbj.Geometric, Seed: r.cfg.Seed, Kernel: r.cfg.Kernel,
+			GroupStrategy: pgbj.Geometric, Seed: r.cfg.Seed,
 		})
 	case "PBJ":
 		return pgbj.RunPBJ(cluster, "R", "S", "out", pgbj.Options{
 			K: k, NumPivots: numPivots, PivotStrategy: pivot.Random, Seed: r.cfg.Seed,
-			Kernel: r.cfg.Kernel,
 		})
 	case "H-BRJ":
 		return hbrj.Run(cluster, "R", "S", "out", hbrj.Options{K: k})
 	case "basic":
 		return naive.Broadcast(cluster, "R", "S", "out",
-			naive.BroadcastOptions{K: k, Kernel: r.cfg.Kernel})
+			naive.BroadcastOptions{K: k})
 	}
 	return nil, fmt.Errorf("experiments: unknown algorithm %q", alg)
 }
@@ -537,7 +531,7 @@ func (r *Runner) Ablation() (*ExpResult, error) {
 			K: r.cfg.K, NumPivots: r.DefaultPivots(), PivotStrategy: pivot.Random,
 			GroupStrategy: pgbj.Geometric, Seed: r.cfg.Seed,
 			DisableHyperplanePruning: row.noHP, DisableWindowPruning: row.noWindow,
-			DisableNearestFirstOrder: row.noOrder, Kernel: r.cfg.Kernel,
+			DisableNearestFirstOrder: row.noOrder,
 		})
 		if err != nil {
 			return nil, err

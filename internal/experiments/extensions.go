@@ -46,7 +46,7 @@ func (r *Runner) LSH() (*ExpResult, error) {
 			return nil, err
 		}
 		rep, err := lsh.Run(env.Cluster, "R", "S", "out",
-			lsh.Options{K: k, Tables: tables, Seed: r.cfg.Seed, Kernel: r.cfg.Kernel})
+			lsh.Options{K: k, Tables: tables, Seed: r.cfg.Seed})
 		if err != nil {
 			env.Close()
 			return nil, err
@@ -107,7 +107,7 @@ func (r *Runner) Baselines() (*ExpResult, error) {
 			}
 			defer env.Close()
 			return naive.Broadcast(env.Cluster, "R", "S", "out",
-				naive.BroadcastOptions{K: k, Kernel: r.cfg.Kernel})
+				naive.BroadcastOptions{K: k})
 		}},
 		{"1-Bucket-Theta", func() (*stats.Report, error) {
 			env, err := r.newSelfJoinEnv(objs, nodes)
@@ -116,7 +116,7 @@ func (r *Runner) Baselines() (*ExpResult, error) {
 			}
 			defer env.Close()
 			return theta.Run(env.Cluster, "R", "S", "out",
-				theta.Options{K: k, Seed: r.cfg.Seed, Kernel: r.cfg.Kernel})
+				theta.Options{K: k, Seed: r.cfg.Seed})
 		}},
 		{"H-BRJ", func() (*stats.Report, error) {
 			return r.runAlgo("H-BRJ", objs, k, nodes, 0)
@@ -228,7 +228,7 @@ func (r *Runner) Skew() (*ExpResult, error) {
 	}
 	defer thetaEnv.Close()
 	thetaRep, err := theta.Run(thetaEnv.Cluster, "R", "S", "out",
-		theta.Options{K: k, Seed: r.cfg.Seed, Kernel: r.cfg.Kernel})
+		theta.Options{K: k, Seed: r.cfg.Seed})
 	if err != nil {
 		return nil, err
 	}
@@ -266,7 +266,6 @@ func (r *Runner) RangeJoinExp() (*ExpResult, error) {
 		}
 		rep, err := rangejoin.Run(env.Cluster, "R", "S", "out", rangejoin.Options{
 			Radius: radius, NumPivots: r.DefaultPivots(), Seed: r.cfg.Seed,
-			Kernel: r.cfg.Kernel,
 		})
 		if err != nil {
 			env.Close()

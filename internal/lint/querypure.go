@@ -22,7 +22,7 @@ var queryPureRoots = map[string]bool{
 	"AssignQuery": true, "Walk": true, "StartKNN": true, "KNNStep": true,
 	"FinishKNN": true, "RangeWindows": true, "RangeStep": true,
 	"PartitionLen": true, "Pivots": true, "Metric": true,
-	"Len": true, "Dim": true, "NumPartitions": true, "Kernel": true,
+	"Len": true, "Dim": true, "NumPartitions": true,
 }
 
 // QueryPure checks that the vindex query path never writes receiver

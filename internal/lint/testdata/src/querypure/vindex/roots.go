@@ -19,4 +19,3 @@ func (ix *Index) Metric() int                                    { return 0 }
 func (ix *Index) Len() int                                       { return 0 }
 func (ix *Index) Dim() int                                       { return 0 }
 func (ix *Index) NumPartitions() int                             { return 0 }
-func (ix *Index) Kernel() int                                    { return ix.kernel }

@@ -12,7 +12,7 @@ type summary struct{ Scans int }
 type Index struct {
 	DistCount int64
 	sum       *summary
-	kernel    int
+	boundK    int
 }
 
 // KNNWithStats is a query-path root that mutates the receiver: the
@@ -42,5 +42,5 @@ func (ix *Index) bump() {
 	s.Scans++ // want "mutates receiver counter"
 }
 
-// SetKernel is not on the query path; configuration writes are fine.
-func (ix *Index) SetKernel(k int) { ix.kernel = k }
+// SetBoundK is not on the query path; configuration writes are fine.
+func (ix *Index) SetBoundK(k int) { ix.boundK = k }

@@ -54,9 +54,6 @@ type Options struct {
 	SampleSize int
 	// Seed fixes the hash functions and the sampling.
 	Seed int64
-	// Kernel selects the reduce-side distance scan tier (see
-	// vector.Kernel); the zero value keeps the fused float64 kernels.
-	Kernel vector.Kernel
 }
 
 func (o Options) withDefaults() (Options, error) {
@@ -251,7 +248,7 @@ func bucketMap(ctx *mapreduce.TaskContext, rec dfs.Record, emit mapreduce.Emit) 
 // bucket holds no S objects, so the merge job still emits a line for it.
 func bucketReduce(ctx *mapreduce.TaskContext, _ []byte, values *mapreduce.Values, emit mapreduce.Emit) error {
 	opts := ctx.Side("opts").(Options)
-	rBlk, sBlk, err := driver.CollectRSBlocksKernel(values, opts.Kernel)
+	rBlk, sBlk, err := driver.CollectRSBlocks(values)
 	if err != nil {
 		return err
 	}

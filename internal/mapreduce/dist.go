@@ -169,7 +169,7 @@ func (c *Cluster) startProcs() error {
 	if c.cfg.Pprof {
 		obs.RegisterPprof(mux)
 	}
-	p.srv = &http.Server{Handler: mux}
+	p.srv = obs.NewServer(mux)
 	go p.srv.Serve(ln)
 
 	exe, err := os.Executable()

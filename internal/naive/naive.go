@@ -79,9 +79,6 @@ func SortResults(rs []codec.Result) { driver.SortResults(rs) }
 type BroadcastOptions struct {
 	K      int
 	Metric vector.Metric
-	// Kernel selects the reduce-side distance scan tier (see
-	// vector.Kernel); the zero value keeps the fused float64 kernels.
-	Kernel vector.Kernel
 }
 
 // Broadcast runs the §3 basic strategy on the cluster: one MapReduce job
@@ -179,7 +176,7 @@ func broadcastMap(ctx *mapreduce.TaskContext, rec dfs.Record, emit mapreduce.Emi
 
 func broadcastReduce(ctx *mapreduce.TaskContext, _ []byte, values *mapreduce.Values, emit mapreduce.Emit) error {
 	opts := ctx.Side(sideOpts).(BroadcastOptions)
-	rBlk, sBlk, err := driver.CollectRSBlocksKernel(values, opts.Kernel)
+	rBlk, sBlk, err := driver.CollectRSBlocks(values)
 	if err != nil {
 		return err
 	}

@@ -78,13 +78,6 @@ type Options struct {
 	// node count (the paper's one-reducer-per-node configuration).
 	NumGroups int
 
-	// Kernel selects the reduce-side distance scan tier (see
-	// vector.Kernel): the group block is Prepared for this tier at
-	// collection, and the Algorithm-3 candidate loop dispatches to it.
-	// The zero value keeps the fused float64 block kernels. Every tier
-	// produces bit-identical join results.
-	Kernel vector.Kernel
-
 	// Ablation switches (not in the paper's interface; used by the
 	// ablation benchmarks to quantify each pruning rule's contribution).
 	DisableHyperplanePruning bool // skip Corollary 1 in the reducer
@@ -470,7 +463,9 @@ type GroupBlock struct {
 
 // CollectGroupBlock streams one reducer group into a GroupBlock: one
 // flat coordinate array for the whole group (constant allocations
-// instead of two per point) with partitions tracked as row ranges.
+// instead of two per point) with partitions tracked as row ranges. The
+// block is prepared with vector.KernelAuto, so the reducer's candidate
+// loops run on the tier the group's shape picks.
 func CollectGroupBlock(values *mapreduce.Values) (*GroupBlock, error) {
 	gb := &GroupBlock{Block: &vector.Block{}}
 	var openSrc codec.Source
@@ -491,18 +486,7 @@ func CollectGroupBlock(values *mapreduce.Values) (*GroupBlock, error) {
 		}
 		(*ranges)[len(*ranges)-1].Hi = row + 1
 	}
-	return gb, nil
-}
-
-// CollectGroupBlockKernel is CollectGroupBlock plus kernel tier
-// attachment (vector.Block.Prepare) on the collected block, so the
-// reducer's candidate loops run on the requested scan tier.
-func CollectGroupBlockKernel(values *mapreduce.Values, k vector.Kernel) (*GroupBlock, error) {
-	gb, err := CollectGroupBlock(values)
-	if err != nil {
-		return nil, err
-	}
-	gb.Block.Prepare(k)
+	gb.Block.Prepare(vector.KernelAuto)
 	return gb, nil
 }
 
@@ -514,7 +498,7 @@ func pgbjJoinReduce(ctx *mapreduce.TaskContext, _ []byte, values *mapreduce.Valu
 	thetas := ctx.Side(sideThetas).([]float64)
 	opts := ctx.Side(sideOpts).(Options)
 
-	gb, err := CollectGroupBlockKernel(values, opts.Kernel)
+	gb, err := CollectGroupBlock(values)
 	if err != nil {
 		return err
 	}

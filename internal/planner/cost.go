@@ -66,32 +66,15 @@ func scalarDistCost(n int64, dims int) float64 {
 	return float64(n) * (costDistScalarBase + costDistScalarDim*float64(dims))
 }
 
-// kernelFactor scales the fused-kernel distance price for the selected
-// scan tier, calibrated against the BENCH_dist kernel suite: the
-// float32 mirror trims bandwidth but pays refine traffic (~0.9×), the
-// quantized uint8 first pass cuts filter bandwidth 8× and wins once the
-// scan is bandwidth-bound (~0.5× from d=8 up, ~0.9× below), and the
-// reference scalar tier costs ~2× the fused loop. KernelAuto resolves
-// exactly the way vector.Block's per-block choice does — quantized at
-// d ≥ 8, fused below — so Auto plans are priced as what will run.
-func kernelFactor(k vector.Kernel, dims int) float64 {
-	if k == vector.KernelAuto {
-		if dims >= 8 {
-			k = vector.KernelQuantized
-		} else {
-			k = vector.KernelBlock
-		}
-	}
-	switch k {
-	case vector.KernelScalar:
-		return 2.0
-	case vector.KernelF32:
-		return 0.9
-	case vector.KernelQuantized:
-		if dims >= 8 {
-			return 0.5
-		}
-		return 0.9
+// kernelFactor scales the fused-kernel distance price for the scan
+// tier vector.AutoTier gives a reducer block of rows rows at
+// dimensionality dims, so plans are priced as what will run. Calibrated
+// against the BENCH_dist kernel suite: the quantized uint8 first pass
+// cuts filter bandwidth 8× and costs ~0.5× the fused loop where the
+// rule picks it.
+func kernelFactor(dims, rows int) float64 {
+	if vector.AutoTier(dims, rows) == vector.KernelQuantized {
+		return 0.5
 	}
 	return 1.0
 }
@@ -371,8 +354,10 @@ func score(p Prediction, ds *DataStats, opts Options, reducers int, scalar bool)
 	if reducers < 1 {
 		reducers = 1
 	}
+	// One reducer's block: its share of R plus the S replicas it gets.
+	factor := kernelFactor(ds.Dims, int((int64(ds.RSize)+p.ReplicasS)/int64(reducers)))
 	price := func(n int64, dims int) float64 {
-		return distCost(n, dims) * kernelFactor(opts.Kernel, dims)
+		return distCost(n, dims) * factor
 	}
 	if scalar {
 		price = scalarDistCost

@@ -78,11 +78,6 @@ type Options struct {
 	// AllowApproximate lets Best return a flagged approximate plan
 	// (ZKNN, LSH) when it ranks first.
 	AllowApproximate bool
-	// Kernel is the reduce-side distance scan tier the join will run
-	// with; the block-kernel plans are priced with its measured speedup
-	// (see kernelFactor), which shifts the compute/shuffle balance
-	// against the scalar-path plans (BruteForce, H-BRJ).
-	Kernel vector.Kernel
 }
 
 func (o Options) withDefaults() Options {

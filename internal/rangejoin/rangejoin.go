@@ -48,9 +48,6 @@ type Options struct {
 	NumGroups int
 	// Seed fixes pivot selection.
 	Seed int64
-	// Kernel selects the reduce-side distance scan tier (see
-	// vector.Kernel); the zero value keeps the fused float64 kernels.
-	Kernel vector.Kernel
 }
 
 func (o Options) validate(cluster *mapreduce.Cluster) (Options, error) {
@@ -260,14 +257,14 @@ func joinReduce(ctx *mapreduce.TaskContext, _ []byte, values *mapreduce.Values, 
 	// The composite-key stream arrives R before S with partition ids
 	// ascending, and each S partition already in SortByPivotDist order —
 	// the shuffle's secondary sort did the work this reducer used to do.
-	// The group decodes into one columnar block Prepared for the
-	// requested kernel tier; R rows run in query batches so each
+	// The group decodes into one columnar block on the scan tier its
+	// shape picks; R rows run in query batches so each
 	// Theorem-2 window of S is swept panel by panel across the whole
 	// batch (RangeToBatchRanges). Each row's walk keeps θ at the fixed
 	// radius — it is never tightened — so batching cannot change any
 	// decision, and RangeTo compares true (sqrt'd) distances so the
 	// radius edge matches Metric.Dist bit for bit on every tier.
-	gb, err := pgbj.CollectGroupBlockKernel(values, opts.Kernel)
+	gb, err := pgbj.CollectGroupBlock(values)
 	if err != nil {
 		return err
 	}

@@ -68,16 +68,6 @@ type Backend interface {
 	Dim() int
 	// NumPartitions is the pivot count.
 	NumPartitions() int
-	// Kernel reports the active distance scan tier.
-	Kernel() vector.Kernel
-}
-
-// kernelSetter is implemented by backends whose scan tier the server
-// can re-resolve when a snapshot is taken (the single-node index).
-// Backends without it — the sharded router, whose shard processes fix
-// their kernel at spawn — keep their own.
-type kernelSetter interface {
-	SetKernel(vector.Kernel)
 }
 
 // indexBackend adapts *vindex.Index to Backend: an in-process index
@@ -123,12 +113,6 @@ type Config struct {
 	// LatencyWindow is the number of recent per-query latencies retained
 	// for the /stats quantiles (default 4096).
 	LatencyWindow int
-	// Kernel selects the index's distance scan tier (see vector.Kernel);
-	// it is applied to every snapshot the server takes ownership of —
-	// the initial index and each /reload. The zero value keeps the fused
-	// float64 kernels. Backends that fix their own tier (the sharded
-	// router) ignore it.
-	Kernel vector.Kernel
 	// Loader produces the backend /reload swaps in for a given index
 	// file path. Nil means the single-node default: vindex.LoadFile. The
 	// sharded router installs a loader that reloads every shard before
@@ -256,13 +240,6 @@ func NewBackend(be Backend, source string, cfg Config) *Server {
 func (s *Server) Metrics() *obs.Registry { return s.metrics }
 
 func newSnapshot(be Backend, source string, cfg Config) *snapshot {
-	// The server takes ownership of the backend: applying the configured
-	// kernel tier mutates the index, which is safe here because the
-	// snapshot is not yet published and queries only ever see stored
-	// snapshots. Backends that fix their own tier skip this.
-	if ks, ok := be.(kernelSetter); ok && be.Kernel() != cfg.Kernel {
-		ks.SetKernel(cfg.Kernel)
-	}
 	var cache *lruCache
 	if cfg.CacheSize > 0 {
 		cache = newLRU(cfg.CacheSize)
@@ -867,9 +844,6 @@ type IndexInfo struct {
 	// Source is the index file backing the snapshot ("" if built
 	// in-process).
 	Source string `json:"source,omitempty"`
-	// Kernel is the active distance scan tier ("block", "f32",
-	// "quantized", ...; "auto" resolves per partition block).
-	Kernel string `json:"kernel"`
 }
 
 // StatsResponse is the body of /stats.
@@ -911,7 +885,6 @@ func (s *Server) Stats() StatsResponse {
 			Partitions: snap.be.NumPartitions(),
 			Dim:        snap.be.Dim(),
 			Source:     snap.source,
-			Kernel:     snap.be.Kernel().String(),
 		},
 	}
 	resp.LatencyMs.Count, resp.LatencyMs.P50, resp.LatencyMs.P90, resp.LatencyMs.P99 = s.lat.quantiles()

@@ -263,19 +263,20 @@ func TestBatchMatchesIndividualQueries(t *testing.T) {
 	}
 }
 
-// A multi-chunk batch on a filter-tier kernel must still answer every
+// A multi-chunk batch on the quantized tier must still answer every
 // query byte-identically to a sequential vindex query on the same
-// index, and /stats must report the configured tier.
+// index. Four pivots over 800 8-d points make partitions of ~200 rows,
+// a shape the tier policy scans quantized.
 func TestBatchKernelMatchesSequential(t *testing.T) {
 	objs := dataset.Uniform(800, 8, 100, 17)
-	ix := buildIndex(t, objs)
-	s := New(ix, "", Config{Workers: 4, Kernel: vector.KernelQuantized, CacheSize: -1})
+	ix, err := vindex.Build(objs, vindex.Options{Seed: 1, NumPivots: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New(ix, "", Config{Workers: 4, CacheSize: -1})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	if got := s.Stats().Index.Kernel; got != "quantized" {
-		t.Fatalf("stats kernel %q, want quantized", got)
-	}
 	var batch BatchRequest
 	for i := 0; i < 3*batchChunk+5; i++ { // forces several chunks
 		q := dataset.Uniform(1, 8, 100, int64(i)+900)[0].Point

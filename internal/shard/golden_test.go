@@ -246,7 +246,10 @@ func hashObjects(h interface{ Write([]byte) (int, error) }, objs []codec.Object)
 
 // goldenWant was recorded before the Algorithm-3 walk moved into
 // voronoi.Walk; a change to any line is a change in what a walk computes
-// or charges.
+// or charges. The forest10d plan lines alone were re-recorded when
+// the planner began pricing reducer blocks at the tier vector.AutoTier
+// gives them: 10-d groups scan quantized, so every score and with it
+// the ranking moved, while each plan's predicted counts did not.
 const goldenWant = `osm2d pgbj pairs=106687 replicas=4836 out=500/a071276a9ab40a55
 osm2d pgbj-nohyperplane pairs=118601 replicas=4836 out=500/a071276a9ab40a55
 osm2d pgbj-nowindow pairs=126075 replicas=4836 out=500/a071276a9ab40a55
@@ -339,28 +342,28 @@ forest10d LInf router2-knn dist=21603 scanned=592 pruned=4272 ans=e728af80ae9e5d
 forest10d LInf router2-range dist=13866 scanned=0 pruned=0 ans=894665a8b374a16a contacted=118
 forest10d LInf router4-knn dist=21603 scanned=592 pruned=4272 ans=e728af80ae9e5d6c rpcs=402 contacted=185
 forest10d LInf router4-range dist=13866 scanned=0 pruned=0 ans=894665a8b374a16a contacted=167
-forest10d plan "zknn" jobs=2 shuffle=7500/876000 replicas=4500 dist=30000 maxred=7500 spill=0 score=4160500680000000
-forest10d plan "pgbj p=22 random/geometric" jobs=2 shuffle=6266/814580 replicas=5766 dist=152710 maxred=36976 spill=0 score=41611298d0000000
-forest10d plan "pgbj p=44 random/geometric" jobs=2 shuffle=6167/801710 replicas=5667 dist=169294 maxred=23430 spill=0 score=416121bcd0000000
-forest10d plan "pgbj p=22 random/greedy" jobs=2 shuffle=6429/835770 replicas=5929 dist=152710 maxred=33891 spill=0 score=4161465490000000
-forest10d plan "pgbj p=44 random/greedy" jobs=2 shuffle=6356/826280 replicas=5856 dist=169294 maxred=23624 spill=0 score=41615db910000000
+forest10d plan "broadcast" jobs=1 shuffle=6500/767000 replicas=6000 dist=750000 maxred=187500 spill=0 score=415e7bf480000000
+forest10d plan "zknn" jobs=2 shuffle=7500/876000 replicas=4500 dist=30000 maxred=7500 spill=0 score=416025e940000000
+forest10d plan "pgbj p=44 random/geometric" jobs=2 shuffle=6167/801710 replicas=5667 dist=169294 maxred=23430 spill=0 score=41603414c8000000
+forest10d plan "pgbj p=22 random/geometric" jobs=2 shuffle=6266/814580 replicas=5766 dist=152710 maxred=36976 spill=0 score=41603c38a8000000
+forest10d plan "pgbj p=22 random/greedy" jobs=2 shuffle=6429/835770 replicas=5929 dist=152710 maxred=33891 spill=0 score=41606ff468000000
+forest10d plan "pgbj p=44 random/greedy" jobs=2 shuffle=6356/826280 replicas=5856 dist=169294 maxred=23624 spill=0 score=4160701108000000
+forest10d plan "pgbj p=88 random/geometric" jobs=2 shuffle=6001/780130 replicas=5501 dist=265655 maxred=24186 spill=0 score=416086ab04000000
+forest10d plan "pgbj p=88 random/greedy" jobs=2 shuffle=6091/791830 replicas=5591 dist=265655 maxred=24732 spill=0 score=4160a33b84000000
+forest10d plan "pgbj p=88 farthest/geometric" jobs=2 shuffle=6171/802230 replicas=5671 dist=361642 maxred=62356 spill=0 score=4161435ed8000000
+forest10d plan "pgbj p=88 farthest/greedy" jobs=2 shuffle=6359/826670 replicas=5859 dist=361642 maxred=61628 spill=0 score=41617f09d8000000
+forest10d plan "theta" jobs=2 shuffle=5500/613000 replicas=1500 dist=750000 maxred=187500 spill=0 score=4161969040000000
 forest10d plan "bruteforce" jobs=0 shuffle=0/0 replicas=0 dist=750000 maxred=187500 spill=0 score=4161e1a300000000
-forest10d plan "pgbj p=88 random/geometric" jobs=2 shuffle=6001/780130 replicas=5501 dist=265655 maxred=24186 spill=0 score=4161fb98c8000000
-forest10d plan "pgbj p=88 random/greedy" jobs=2 shuffle=6091/791830 replicas=5591 dist=265655 maxred=24732 spill=0 score=4162182948000000
-forest10d plan "pbj p=22 random" jobs=3 shuffle=5000/620000 replicas=3000 dist=152749 maxred=27187 spill=0 score=4163083858000000
-forest10d plan "lsh" jobs=2 shuffle=10000/1168000 replicas=6000 dist=40000 maxred=10000 spill=0 score=416334fe00000000
-forest10d plan "pbj p=44 random" jobs=3 shuffle=5000/620000 replicas=3000 dist=169340 maxred=20335 spill=0 score=416336cd20000000
-forest10d plan "pgbj p=88 farthest/geometric" jobs=2 shuffle=6171/802230 replicas=5671 dist=361642 maxred=62356 spill=0 score=41633f0bf0000000
-forest10d plan "broadcast" jobs=1 shuffle=6500/767000 replicas=6000 dist=750000 maxred=187500 spill=0 score=41635ad580000000
-forest10d plan "pgbj p=88 farthest/greedy" jobs=2 shuffle=6359/826670 replicas=5859 dist=361642 maxred=61628 spill=0 score=41637ab6f0000000
-forest10d plan "pbj p=88 random" jobs=3 shuffle=5000/620000 replicas=3000 dist=265682 maxred=22420 spill=0 score=4164454af0000000
-forest10d plan "pgbj p=44 farthest/geometric" jobs=2 shuffle=6203/806390 replicas=5703 dist=302183 maxred=117047 spill=0 score=41647457e0000000
-forest10d plan "pgbj p=44 farthest/greedy" jobs=2 shuffle=6326/822380 replicas=5826 dist=302183 maxred=117004 spill=0 score=41649ae600000000
-forest10d plan "pbj p=44 farthest" jobs=3 shuffle=5000/620000 replicas=3000 dist=302258 maxred=48064 spill=0 score=4164abfbf0000000
+forest10d plan "pgbj p=44 farthest/geometric" jobs=2 shuffle=6203/806390 replicas=5703 dist=302183 maxred=117047 spill=0 score=4161e318d0000000
+forest10d plan "pgbj p=44 farthest/greedy" jobs=2 shuffle=6326/822380 replicas=5826 dist=302183 maxred=117004 spill=0 score=416209e4c0000000
+forest10d plan "pbj p=22 random" jobs=3 shuffle=5000/620000 replicas=3000 dist=152749 maxred=27187 spill=0 score=416231ca2c000000
+forest10d plan "pbj p=44 random" jobs=3 shuffle=5000/620000 replicas=3000 dist=169340 maxred=20335 spill=0 score=4162491490000000
+forest10d plan "pbj p=88 random" jobs=3 shuffle=5000/620000 replicas=3000 dist=265682 maxred=22420 spill=0 score=4162d05378000000
+forest10d plan "lsh" jobs=2 shuffle=10000/1168000 replicas=6000 dist=40000 maxred=10000 spill=0 score=4162fcd700000000
+forest10d plan "pbj p=44 farthest" jobs=3 shuffle=5000/620000 replicas=3000 dist=302258 maxred=48064 spill=0 score=416303abf8000000
+forest10d plan "pbj p=88 farthest" jobs=3 shuffle=5000/620000 replicas=3000 dist=361702 maxred=35425 spill=0 score=4163571ea8000000
+forest10d plan "pbj p=22 farthest" jobs=3 shuffle=5000/620000 replicas=3000 dist=440940 maxred=96485 spill=0 score=4163c65ad0000000
 forest10d plan "hbrj" jobs=2 shuffle=5000/572000 replicas=3000 dist=319406 maxred=79851 spill=0 score=4164b31be0000000
-forest10d plan "pbj p=88 farthest" jobs=3 shuffle=5000/620000 replicas=3000 dist=361702 maxred=35425 spill=0 score=416552e150000000
-forest10d plan "theta" jobs=2 shuffle=5500/613000 replicas=1500 dist=750000 maxred=187500 spill=0 score=4165b36b80000000
-forest10d plan "pbj p=22 farthest" jobs=3 shuffle=5000/620000 replicas=3000 dist=440940 maxred=96485 spill=0 score=41663159a0000000
-forest10d plan "pgbj p=22 farthest/geometric" jobs=2 shuffle=6246/811980 replicas=5746 dist=440881 maxred=350641 spill=0 score=416ec15c60000000
-forest10d plan "pgbj p=22 farthest/greedy" jobs=2 shuffle=6473/841490 replicas=5973 dist=440881 maxred=349816 spill=0 score=416f002440000000
+forest10d plan "pgbj p=22 farthest/geometric" jobs=2 shuffle=6246/811980 replicas=5746 dist=440881 maxred=350641 spill=0 score=4167106df0000000
+forest10d plan "pgbj p=22 farthest/greedy" jobs=2 shuffle=6473/841490 replicas=5973 dist=440881 maxred=349816 spill=0 score=416753d7c0000000
 `

@@ -11,7 +11,6 @@ import (
 
 	"knnjoin/internal/obs"
 	"knnjoin/internal/serve"
-	"knnjoin/internal/vector"
 	"knnjoin/internal/vindex"
 )
 
@@ -38,9 +37,6 @@ type procConfig struct {
 	Gen int64 `json:"gen"`
 	// AddrFile is where the replica publishes its bound address.
 	AddrFile string `json:"addr_file"`
-	// Kernel names the distance scan tier (must match the router's
-	// single-node reference for byte-identity).
-	Kernel string `json:"kernel"`
 	// Faults is the deterministic fault-injection plan, if any.
 	Faults *FaultPlan `json:"faults,omitempty"`
 	// TraceDir, when set, makes the replica write scan spans as JSONL
@@ -78,7 +74,6 @@ func RunShardIfSpawned() {
 // drives.
 type shardProc struct {
 	cfg    procConfig
-	kernel vector.Kernel
 	srv    *serve.Server
 	tracer *obs.Tracer
 
@@ -111,15 +106,11 @@ func loadSubset(path string, cells []int) (*vindex.Index, error) {
 }
 
 func runShard(cfg procConfig) error {
-	kernel, err := vector.ParseKernel(cfg.Kernel)
-	if err != nil {
-		return err
-	}
 	sub, err := loadSubset(cfg.Index, cfg.Cells)
 	if err != nil {
 		return err
 	}
-	p := &shardProc{cfg: cfg, kernel: kernel, gens: map[int64]*vindex.Index{}}
+	p := &shardProc{cfg: cfg, gens: map[int64]*vindex.Index{}}
 	if cfg.Faults != nil {
 		p.fired = make([]bool, len(cfg.Faults.Events))
 	}
@@ -131,11 +122,9 @@ func runShard(cfg procConfig) error {
 		defer tr.Close()
 		p.tracer = tr
 	}
-	// serve.New applies the kernel tier to sub before publishing it, so
-	// the same pointer is scan-ready for the gens map. The replica's
-	// serve.Server owns the /metrics registry; the shard families below
-	// join it so one scrape covers both roles.
-	p.srv = serve.New(sub, cfg.Index, serve.Config{Kernel: kernel, Tracer: p.tracer})
+	// The replica's serve.Server owns the /metrics registry; the shard
+	// families below join it so one scrape covers both roles.
+	p.srv = serve.New(sub, cfg.Index, serve.Config{Tracer: p.tracer})
 	reg := p.srv.Metrics()
 	p.mScans = reg.Counter("shard_scan_requests_total", "Delegated /shard/scan runs executed.")
 	p.mRanges = reg.Counter("shard_range_requests_total", "Delegated /shard/range runs executed.")
@@ -158,7 +147,7 @@ func runShard(cfg procConfig) error {
 	if err := writeAddrFile(cfg.AddrFile, ln.Addr().String()); err != nil {
 		return err
 	}
-	return http.Serve(ln, p.gate(mux))
+	return obs.NewServer(p.gate(mux)).Serve(ln)
 }
 
 // writeAddrFile publishes the bound address via tmp+rename, so a
@@ -330,8 +319,6 @@ func (p *shardProc) handleReload(w http.ResponseWriter, r *http.Request) {
 		writeShardErr(w, http.StatusUnprocessableEntity, "loading %s: %v", req.Index, err)
 		return
 	}
-	// Swap applies the kernel tier before the snapshot publishes; the
-	// gens map gets the same prepared pointer.
 	p.srv.Swap(sub, req.Index)
 	p.putGen(req.Gen, sub)
 	p.mReloads.Inc()

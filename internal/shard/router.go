@@ -300,11 +300,6 @@ func (r *Router) Dim() int { return r.state.Load().meta.Dim() }
 // NumPartitions reports the Voronoi cell count.
 func (r *Router) NumPartitions() int { return r.state.Load().meta.NumPartitions() }
 
-// Kernel reports the scan tier the shard replicas run. The router
-// deliberately does not implement SetKernel: the tier is fixed at
-// cluster spawn.
-func (r *Router) Kernel() vector.Kernel { return r.cluster.cfg.Kernel }
-
 // Loader is the serve.Config.Loader for a sharded server: /reload
 // pushes the new index file to every shard replica, then swaps the
 // routing table, so the server's snapshot swap publishes a fully

@@ -11,7 +11,6 @@ import (
 	"sync"
 	"time"
 
-	"knnjoin/internal/vector"
 	"knnjoin/internal/vindex"
 )
 
@@ -24,8 +23,6 @@ type ClusterConfig struct {
 	Shards int
 	// Replicas is the number of identical processes per shard (default 1).
 	Replicas int
-	// Kernel is the distance scan tier every replica runs.
-	Kernel vector.Kernel
 	// Faults is the deterministic fault plan shipped to every replica.
 	Faults *FaultPlan
 	// Dir holds the replica address files (default: a temp dir removed
@@ -103,7 +100,7 @@ func StartCluster(cfg ClusterConfig) (*Cluster, error) {
 			addrFiles[s][r] = filepath.Join(c.dir, fmt.Sprintf("shard-%d-%d.addr", s, r))
 			raw, err := json.Marshal(procConfig{
 				Index: cfg.IndexPath, Cells: assign[s], Shard: s, Replica: r,
-				Gen: 1, AddrFile: addrFiles[s][r], Kernel: cfg.Kernel.String(), Faults: cfg.Faults,
+				Gen: 1, AddrFile: addrFiles[s][r], Faults: cfg.Faults,
 				TraceDir: cfg.TraceDir, Pprof: cfg.Pprof,
 			})
 			if err != nil {

@@ -45,9 +45,6 @@ type Options struct {
 	Rows, Cols int
 	// Seed fixes the random row/column assignment.
 	Seed int64
-	// Kernel selects the reduce-side distance scan tier (see
-	// vector.Kernel); the zero value keeps the fused float64 kernels.
-	Kernel vector.Kernel
 }
 
 func (o Options) withDefaults() (Options, error) {
@@ -213,7 +210,7 @@ func regionMap(ctx *mapreduce.TaskContext, rec dfs.Record, emit mapreduce.Emit) 
 // R rows, squared distances under L2 until the emit-time sqrt.
 func regionReduce(ctx *mapreduce.TaskContext, _ []byte, values *mapreduce.Values, emit mapreduce.Emit) error {
 	opts := ctx.Side("opts").(Options)
-	rBlk, sBlk, err := driver.CollectRSBlocksKernel(values, opts.Kernel)
+	rBlk, sBlk, err := driver.CollectRSBlocks(values)
 	if err != nil {
 		return err
 	}

@@ -35,19 +35,16 @@ type Block struct {
 	Coords []float64
 
 	// Kernel tier state, attached by Prepare (kernel.go). kern is the
-	// resolved scan tier; the remaining fields are the filter
-	// representations and their certified error bounds. All are nil /
-	// zero for an unprepared block, which scans with the exact fused
-	// float64 kernel as before.
-	kern     Kernel
-	coords32 []float32 // float32 mirror of Coords (KernelF32)
-	errF32   []float64 // per-row ‖x − x32‖·errInflate
-	codes    []uint8   // per-block affine uint8 codes (KernelQuantized)
-	qStride  int       // code row width: Dim padded to a multiple of 8
-	errQ     []float64 // per-row ‖x − x̂‖·errInflate
-	qMin     float64   // affine grid origin
-	qScale   float64   // affine grid step ((max−min)/255)
-	qRecErr  float64   // absolute slack for reconstruction roundings
+	// resolved scan tier; the remaining fields are the quantized filter
+	// and its certified error bounds. All are nil / zero for an
+	// unprepared block, which scans with the exact fused float64 kernel.
+	kern    Kernel
+	codes   []uint8   // per-block affine uint8 codes (KernelQuantized)
+	qStride int       // code row width: Dim padded to a multiple of 8
+	errQ    []float64 // per-row ‖x − x̂‖·errInflate
+	qMin    float64   // affine grid origin
+	qScale  float64   // affine grid step ((max−min)/255)
+	qRecErr float64   // absolute slack for reconstruction roundings
 }
 
 // Len returns the number of rows.
@@ -63,7 +60,7 @@ func (b *Block) At(i int) Point {
 // a later row of a different dimensionality is a data error and is
 // reported instead of corrupting the block — the driver.CheckObjects
 // treatment, so a malformed reducer group fails the job rather than
-// panicking the worker. Appending also drops any filter mirrors a
+// panicking the worker. Appending also drops any filter codes a
 // previous Prepare attached (they would be stale); call Prepare again
 // after the last row.
 func (b *Block) Append(id int64, pivotDist float64, p Point) error {
@@ -72,7 +69,7 @@ func (b *Block) Append(id int64, pivotDist float64, p Point) error {
 	} else if len(p) != b.Dim {
 		return fmt.Errorf("vector: appending %d-dim point to %d-dim block", len(p), b.Dim)
 	}
-	if b.kern != KernelBlock || b.coords32 != nil || b.codes != nil {
+	if b.kern != KernelBlock || b.codes != nil {
 		b.Prepare(KernelBlock)
 	}
 	b.IDs = append(b.IDs, id)
@@ -131,9 +128,8 @@ func (b *Block) NearestKRange(q Point, lo, hi int, m Metric, h *nnheap.KHeap) in
 }
 
 // NearestKRangeScratch is NearestKRange with caller-owned kernel
-// scratch, so query loops on the filter tiers (f32/quantized) reuse the
-// query-side conversion buffers instead of allocating per call. sc may
-// be nil.
+// scratch, so query loops on the quantized tier reuse the query-side
+// code buffers instead of allocating per call. sc may be nil.
 func (b *Block) NearestKRangeScratch(q Point, lo, hi int, m Metric, h *nnheap.KHeap, sc *Scratch) int {
 	if lo >= hi {
 		return 0
@@ -185,9 +181,9 @@ func (b *Block) RangeTo(q Point, lo, hi int, m Metric, theta float64, dst []nnhe
 	if m == L2 {
 		// The accept boundary is decided on the true (sqrt'd) distance so
 		// results match Metric.Dist bit for bit at the radius edge. The
-		// filter tiers (f32/quantized) first skip rows whose certified
-		// lower bound exceeds theta — rows the exact test would also
-		// reject — so the appended set is identical for every tier.
+		// quantized tier first skips rows whose certified lower bound
+		// exceeds theta — rows the exact test would also reject — so the
+		// appended set is identical for every tier.
 		return b.rangeGuts(q, lo, hi, theta, dst, &Scratch{})
 	}
 	for i := lo; i < hi; i++ {

@@ -170,7 +170,7 @@ func TestBlockAppend(t *testing.T) {
 	}
 }
 
-// Appending after Prepare must drop the filter mirrors (they would be
+// Appending after Prepare must drop the filter codes (they would be
 // stale) and fall back to the exact kernel.
 func TestBlockAppendDropsKernelMirrors(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
@@ -185,8 +185,8 @@ func TestBlockAppendDropsKernelMirrors(t *testing.T) {
 	if b.ActiveKernel() != KernelBlock {
 		t.Fatalf("ActiveKernel after append = %v, want block", b.ActiveKernel())
 	}
-	if b.codes != nil || b.coords32 != nil {
-		t.Fatal("append left stale filter mirrors attached")
+	if b.codes != nil {
+		t.Fatal("append left stale filter codes attached")
 	}
 }
 

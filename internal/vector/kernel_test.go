@@ -8,7 +8,10 @@ import (
 	"knnjoin/internal/nnheap"
 )
 
-var allKernels = []Kernel{KernelScalar, KernelBlock, KernelF32, KernelQuantized, KernelAuto}
+// allKernels lists every tier, the scalar oracle first. Every tier-
+// equality test below covers d ∈ {2, 8, 32} at ≥ 128 rows, the shapes
+// where KernelAuto switches tier.
+var allKernels = []Kernel{KernelScalar, KernelBlock, KernelQuantized, KernelAuto}
 
 // adversarialBlock builds a block full of near-tie distances: clusters
 // of points at distance ~1 from the origin separated by a few ulps, plus
@@ -187,7 +190,7 @@ func TestNearestKBatchMatchesSequential(t *testing.T) {
 
 func TestRangeToBatchMatchesSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(45))
-	for _, dim := range []int{1, 8, 32} {
+	for _, dim := range []int{1, 2, 8, 32} {
 		for _, kern := range allKernels {
 			b, _ := randBlock(rng, 400, dim)
 			b.Prepare(kern)
@@ -241,17 +244,12 @@ func TestPrepareFallbacks(t *testing.T) {
 	if inf.ActiveKernel() != KernelBlock {
 		t.Fatalf("non-finite block quantized ActiveKernel = %v, want block fallback", inf.ActiveKernel())
 	}
-	// The f32 tier tolerates non-finite coordinates (the row error norm
-	// disables pruning for those rows) and must still match the exact
-	// kernel: the finite row wins, the Inf-distance row is dropped by
-	// the bound check exactly as the float64 path drops it.
+	// The fallback must still scan exactly: the finite row wins, the
+	// Inf-distance row is dropped by the bound check.
 	if err := inf.Append(2, 1, Point{1, 2}); err != nil {
 		t.Fatal(err)
 	}
-	inf.Prepare(KernelF32)
-	if inf.ActiveKernel() != KernelF32 {
-		t.Fatalf("non-finite block f32 ActiveKernel = %v", inf.ActiveKernel())
-	}
+	inf.Prepare(KernelAuto)
 	h := nnheap.NewKHeap(1)
 	inf.NearestK(Point{1, 2}, L2, h)
 	if h.Len() != 1 || h.Top().ID != 2 {
@@ -271,36 +269,7 @@ func TestPrepareFallbacks(t *testing.T) {
 	}
 }
 
-func TestParseKernel(t *testing.T) {
-	for s, want := range map[string]Kernel{
-		"": KernelBlock, "block": KernelBlock, "scalar": KernelScalar,
-		"f32": KernelF32, "float32": KernelF32,
-		"quantized": KernelQuantized, "quant": KernelQuantized,
-		"auto": KernelAuto,
-	} {
-		got, err := ParseKernel(s)
-		if err != nil || got != want {
-			t.Fatalf("ParseKernel(%q) = %v, %v; want %v", s, got, err, want)
-		}
-		if s != "" && got.String() != "" && ParseKernelMust(got.String()) != got {
-			t.Fatalf("round trip of %v failed", got)
-		}
-	}
-	if _, err := ParseKernel("simd"); err == nil {
-		t.Fatal("ParseKernel accepted an unknown spelling")
-	}
-}
-
-// ParseKernelMust is a test helper: String() output must round-trip.
-func ParseKernelMust(s string) Kernel {
-	k, err := ParseKernel(s)
-	if err != nil {
-		panic(err)
-	}
-	return k
-}
-
-// The safety invariant of the prune: a filter tier's lower bound never
+// The safety invariant of the prune: the quantized lower bound never
 // exceeds the true distance (checked in squared space against the exact
 // kernel). Violating it would silently drop true neighbors.
 func FuzzQuantizedLowerBound(f *testing.F) {
@@ -345,16 +314,6 @@ func FuzzQuantizedLowerBound(f *testing.F) {
 				if s := b.SqDistTo(i, q); lb*lb > s {
 					t.Fatalf("quantized lower bound %v exceeds true distance %v (row %d)", lb, math.Sqrt(s), i)
 				}
-			}
-		}
-		b.Prepare(KernelF32)
-		for i := 0; i < n; i++ {
-			lb := b.f32LowerBound(i, q, sc)
-			if lb <= 0 {
-				continue
-			}
-			if s := b.SqDistTo(i, q); lb*lb > s {
-				t.Fatalf("f32 lower bound %v exceeds true distance %v (row %d)", lb, math.Sqrt(s), i)
 			}
 		}
 	})

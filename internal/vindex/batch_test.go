@@ -11,9 +11,17 @@ import (
 	"knnjoin/internal/vector"
 )
 
+// testKernels lists every tier, the scalar oracle first.
 var testKernels = []vector.Kernel{
-	vector.KernelBlock, vector.KernelScalar, vector.KernelF32,
-	vector.KernelQuantized, vector.KernelAuto,
+	vector.KernelScalar, vector.KernelBlock, vector.KernelQuantized, vector.KernelAuto,
+}
+
+// forceTier re-prepares every partition block on tier k, so the tests
+// can run one index through each tier.
+func forceTier(ix *Index, k vector.Kernel) {
+	for _, blk := range ix.blocks {
+		blk.Prepare(k)
+	}
 }
 
 func sameCandidates(t *testing.T, got, want []nnheap.Candidate, label string) {
@@ -31,9 +39,9 @@ func sameCandidates(t *testing.T, got, want []nnheap.Candidate, label string) {
 }
 
 // Every kernel tier must return the exact same neighbors and the exact
-// same work accounting as the default fused float64 tier: the filter
-// tiers only skip rows their certified bounds prove non-contributing,
-// and the stats count windowed rows, not refined rows.
+// same work accounting as the scalar oracle: the quantized tier only
+// skips rows its certified bounds prove non-contributing, and the stats
+// count windowed rows, not refined rows.
 func TestKernelTiersSameKNN(t *testing.T) {
 	objs := dataset.Forest(2500, 3)
 	ix, err := Build(objs, Options{Seed: 1})
@@ -53,12 +61,13 @@ func TestKernelTiersSameKNN(t *testing.T) {
 		res []nnheap.Candidate
 		st  Stats
 	}
+	forceTier(ix, testKernels[0])
 	base := make([]answer, len(queries))
 	for i, q := range queries {
 		base[i].res, base[i].st = ix.KNNWithStats(q, 10)
 	}
 	for _, kern := range testKernels[1:] {
-		ix.SetKernel(kern)
+		forceTier(ix, kern)
 		for i, q := range queries {
 			res, st := ix.KNNWithStats(q, 10)
 			sameCandidates(t, res, base[i].res, kern.String())
@@ -85,7 +94,7 @@ func TestKNNBatchMatchesSequential(t *testing.T) {
 		ks[i] = rng.Intn(12) // includes k=0 → nil result
 	}
 	for _, kern := range testKernels {
-		ix.SetKernel(kern)
+		forceTier(ix, kern)
 		gotRes, gotSt := ix.KNNBatchWithStats(qs, ks)
 		for i := range qs {
 			wantRes, wantSt := ix.KNNWithStats(qs[i], ks[i])
@@ -115,16 +124,14 @@ func TestKNNBatchEmptyAndDegenerate(t *testing.T) {
 
 // Save/Load round-trips must keep block-kernel queries exact: the
 // loaded index rebuilds its partition blocks from the stored Tagged
-// records and SetKernel re-attaches tiers.
+// records and re-attaches the tier each block's shape picks.
 func TestLoadRebuildsBlocks(t *testing.T) {
 	objs := dataset.Forest(800, 9)
-	ix, err := Build(objs, Options{Seed: 4, Kernel: vector.KernelQuantized})
+	ix, err := Build(objs, Options{Seed: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ix.Kernel() != vector.KernelQuantized {
-		t.Fatalf("Kernel() = %v", ix.Kernel())
-	}
+	forceTier(ix, vector.KernelQuantized)
 	q := objs[13].Point
 	want := ix.KNN(q, 7)
 
@@ -144,10 +151,7 @@ func TestLoadRebuildsBlocks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ld.Kernel() != vector.KernelBlock {
-		t.Fatalf("loaded kernel = %v, want block (format records no tier)", ld.Kernel())
-	}
-	sameCandidates(t, ld.KNN(q, 7), want, "loaded/block")
-	ld.SetKernel(vector.KernelF32)
-	sameCandidates(t, ld.KNN(q, 7), want, "loaded/f32")
+	sameCandidates(t, ld.KNN(q, 7), want, "loaded")
+	forceTier(ld, vector.KernelScalar)
+	sameCandidates(t, ld.KNN(q, 7), want, "loaded/scalar")
 }

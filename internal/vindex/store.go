@@ -198,9 +198,8 @@ func Load(r io.Reader) (*Index, error) {
 		sum.S[i].KDists = kd
 	}
 
-	// The format predates the kernel tiers and does not record one; the
-	// loaded index starts on the default fused float64 kernel and the
-	// caller applies its configured tier with SetKernel.
+	// The format records no scan tier: each loaded block gets the one
+	// its shape picks, exactly as Build gives it.
 	blocks := make([]*vector.Block, numPivots)
 	size := 0
 	var rec []byte
@@ -229,7 +228,7 @@ func Load(r io.Reader) (*Index, error) {
 				return nil, fmt.Errorf("vindex: partition %d record %d: %w", i, x, err)
 			}
 		}
-		blk.Prepare(vector.KernelBlock)
+		blk.Prepare(vector.KernelAuto)
 		blocks[i] = blk
 		size += blk.Len()
 	}

@@ -19,10 +19,6 @@ import (
 // return.
 // Queries against a Subset are therefore exact over the objects it
 // holds. Cells must be in range and free of duplicates.
-//
-// SetKernel on a subset re-prepares blocks shared with the parent; like
-// the parent's own SetKernel it must happen before the indexes are
-// queried concurrently.
 func (ix *Index) Subset(cells []int) (*Index, error) {
 	n := ix.pp.NumPartitions()
 	own := make([]bool, n)
@@ -56,7 +52,6 @@ func (ix *Index) Subset(cells []int) (*Index, error) {
 		sum.R[j] = voronoi.RSummary{L: math.Inf(1), U: math.Inf(-1)}
 		sum.S[j] = voronoi.SSummary{L: math.Inf(1), U: math.Inf(-1)}
 		blocks[j] = &vector.Block{}
-		blocks[j].Prepare(ix.opts.Kernel)
 	}
 	return &Index{pp: ix.pp, sum: sum, blocks: blocks, size: size, opts: ix.opts}, nil
 }

@@ -40,10 +40,6 @@ type Options struct {
 	// get tight Algorithm-1 starting bounds; larger k still works but
 	// starts unbounded. Default 16.
 	BoundK int
-	// Kernel selects the distance scan tier of the per-partition blocks
-	// (see vector.Kernel); the zero value keeps the fused float64
-	// kernels. SetKernel changes it after Build or Load.
-	Kernel vector.Kernel
 }
 
 func (o Options) withDefaults(n int) Options {
@@ -162,7 +158,7 @@ func Build(objs []codec.Object, opts Options) (*Index, error) {
 			}
 			sum.S[j] = voronoi.SSummary{Count: len(part), L: part[0].PivotDist, U: part[len(part)-1].PivotDist, KDists: kd}
 		}
-		blocks[j], errs[j] = blockFromPart(part, opts.Kernel)
+		blocks[j], errs[j] = blockFromPart(part)
 	})
 	for j, err := range errs {
 		if err != nil {
@@ -227,34 +223,19 @@ func forEach(n int, fn func(i int)) {
 	wg.Wait()
 }
 
-// blockFromPart assembles one partition's columnar block and attaches
-// the scan tier. The rows must already be sorted by pivot distance so
-// PivotDistWindow stays valid on the block.
-func blockFromPart(part []codec.Tagged, kern vector.Kernel) (*vector.Block, error) {
+// blockFromPart assembles one partition's columnar block on the scan
+// tier its shape picks. The rows must already be sorted by pivot
+// distance so PivotDistWindow stays valid on the block.
+func blockFromPart(part []codec.Tagged) (*vector.Block, error) {
 	blk := &vector.Block{}
 	for _, t := range part {
 		if err := blk.Append(t.ID, t.PivotDist, t.Point); err != nil {
 			return nil, err
 		}
 	}
-	blk.Prepare(kern)
+	blk.Prepare(vector.KernelAuto)
 	return blk, nil
 }
-
-// SetKernel re-resolves the scan tier of every partition block (and
-// records it in the options). It MUTATES the index — call it right
-// after Build or Load, before the index is shared across goroutines;
-// never concurrently with queries.
-func (ix *Index) SetKernel(k vector.Kernel) {
-	ix.opts.Kernel = k
-	for _, blk := range ix.blocks {
-		blk.Prepare(k)
-	}
-}
-
-// Kernel reports the configured scan tier (KernelAuto resolves per
-// block; this returns the requested tier, not the per-block outcome).
-func (ix *Index) Kernel() vector.Kernel { return ix.opts.Kernel }
 
 // Len returns the number of indexed objects.
 func (ix *Index) Len() int { return ix.size }

@@ -71,7 +71,7 @@ func buildSerial(t *testing.T, objs []codec.Object, opts Options) *Index {
 	}
 	blocks := make([]*vector.Block, len(parts))
 	for j, part := range parts {
-		if blocks[j], err = blockFromPart(part, opts.Kernel); err != nil {
+		if blocks[j], err = blockFromPart(part); err != nil {
 			t.Fatal(err)
 		}
 	}

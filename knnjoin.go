@@ -139,26 +139,6 @@ func ParseAlgorithm(s string) (Algorithm, error) {
 // into a Metric.
 func ParseMetric(s string) (Metric, error) { return vector.ParseMetric(s) }
 
-// Kernel selects the reduce-side distance scan tier (see vector.Kernel):
-// the fused float64 block kernels (default), the reference scalar shape,
-// the float32-mirror filter tier, the quantized uint8 filter tier, or an
-// automatic per-block choice. Every tier returns bit-identical join
-// results; they differ only in speed.
-type Kernel = vector.Kernel
-
-// Distance kernel tiers.
-const (
-	KernelBlock     = vector.KernelBlock
-	KernelScalar    = vector.KernelScalar
-	KernelF32       = vector.KernelF32
-	KernelQuantized = vector.KernelQuantized
-	KernelAuto      = vector.KernelAuto
-)
-
-// ParseKernel converts a kernel name ("block", "scalar", "f32",
-// "quantized", "auto") into a Kernel.
-func ParseKernel(s string) (Kernel, error) { return vector.ParseKernel(s) }
-
 // PivotStrategy selects how PGBJ/PBJ choose pivots (§4.1).
 type PivotStrategy = pivot.Strategy
 
@@ -220,12 +200,6 @@ type Options struct {
 	// runs, half for merge buffers). MemLimit > 0 with an empty SpillDir
 	// spills to a temporary directory removed when the join returns.
 	MemLimit int64
-	// Kernel selects the reduce-side distance scan tier. Every tier
-	// yields bit-identical results; the default is the fused float64
-	// block kernels. HBRJ (R-tree traversal) and ZKNN (non-contiguous
-	// z-order windows) ignore it — their inner loops are not block
-	// scans — as does the centralized BruteForce verification baseline.
-	Kernel Kernel
 	// Workers, when positive, executes the MapReduce jobs on that many
 	// separate worker processes coordinated over RPC instead of on
 	// goroutines of this process. Results are byte-identical either
@@ -295,7 +269,6 @@ func AutoPlan(r, s []Object, opts Options) ([]Plan, error) {
 	po := planner.Options{
 		K: opts.K, Nodes: opts.Nodes, Metric: opts.Metric,
 		MemLimit: opts.MemLimit, Seed: opts.Seed, NumPivots: opts.NumPivots,
-		Kernel: opts.Kernel,
 	}
 	ds, err := planner.Measure(r, s, po)
 	if err != nil {
@@ -392,18 +365,18 @@ func Join(r, s []Object, opts Options) ([]Result, *Stats, error) {
 		rep, err = pgbj.Run(cluster, rf, sf, of, pgbj.Options{
 			K: opts.K, Metric: opts.Metric, NumPivots: opts.NumPivots,
 			PivotStrategy: opts.PivotStrategy, GroupStrategy: opts.GroupStrategy,
-			Seed: opts.Seed, Kernel: opts.Kernel,
+			Seed: opts.Seed,
 		})
 	case PBJ:
 		rep, err = pgbj.RunPBJ(cluster, rf, sf, of, pgbj.Options{
 			K: opts.K, Metric: opts.Metric, NumPivots: opts.NumPivots,
-			PivotStrategy: opts.PivotStrategy, Seed: opts.Seed, Kernel: opts.Kernel,
+			PivotStrategy: opts.PivotStrategy, Seed: opts.Seed,
 		})
 	case HBRJ:
 		rep, err = hbrj.Run(cluster, rf, sf, of, hbrj.Options{K: opts.K, Metric: opts.Metric})
 	case Broadcast:
 		rep, err = naive.Broadcast(cluster, rf, sf, of, naive.BroadcastOptions{
-			K: opts.K, Metric: opts.Metric, Kernel: opts.Kernel,
+			K: opts.K, Metric: opts.Metric,
 		})
 	case ZKNN:
 		if opts.Metric != L2 {
@@ -412,13 +385,13 @@ func Join(r, s []Object, opts Options) ([]Result, *Stats, error) {
 		rep, err = zknn.Run(cluster, rf, sf, of, zknn.Options{K: opts.K, Seed: opts.Seed})
 	case Theta:
 		rep, err = theta.Run(cluster, rf, sf, of, theta.Options{
-			K: opts.K, Metric: opts.Metric, Seed: opts.Seed, Kernel: opts.Kernel,
+			K: opts.K, Metric: opts.Metric, Seed: opts.Seed,
 		})
 	case LSH:
 		if opts.Metric != L2 {
 			return nil, nil, fmt.Errorf("knnjoin: LSH supports only the L2 metric (the p-stable hash family is Euclidean)")
 		}
-		rep, err = lsh.Run(cluster, rf, sf, of, lsh.Options{K: opts.K, Seed: opts.Seed, Kernel: opts.Kernel})
+		rep, err = lsh.Run(cluster, rf, sf, of, lsh.Options{K: opts.K, Seed: opts.Seed})
 	default:
 		return nil, nil, fmt.Errorf("knnjoin: unknown algorithm %v", opts.Algorithm)
 	}
@@ -468,9 +441,6 @@ type RangeOptions struct {
 	SpillDir string
 	// MemLimit bounds resident shuffle bytes (see Options.MemLimit).
 	MemLimit int64
-	// Kernel selects the reduce-side distance scan tier (see
-	// Options.Kernel); results are identical for every tier.
-	Kernel Kernel
 	// Workers runs the jobs on worker processes (see Options.Workers).
 	Workers int
 	// Faults is the worker fault-injection plan (see Options.Faults).
@@ -517,7 +487,7 @@ func RangeJoin(r, s []Object, opts RangeOptions) ([]Result, *Stats, error) {
 	}
 	rep, err := rangejoin.Run(env.Cluster, driver.RFile, driver.SFile, driver.OutFile, rangejoin.Options{
 		Radius: opts.Radius, Metric: opts.Metric, NumPivots: opts.NumPivots,
-		PivotStrategy: opts.PivotStrategy, Seed: opts.Seed, Kernel: opts.Kernel,
+		PivotStrategy: opts.PivotStrategy, Seed: opts.Seed,
 	})
 	if err != nil {
 		return nil, nil, err

@@ -24,7 +24,7 @@ cd "$(dirname "$0")/.."
 # Scan-path functions: one indexing bounds check here costs a branch per
 # coordinate of every distance computation (per candidate pivot, in
 # AssignEvaluated).
-hot='scanScalar|scanF64|scanF32|scanQuant|sqDistL2|rangeGuts|AssignEvaluated'
+hot='scanScalar|scanF64|scanQuant|sqDistL2|rangeGuts|AssignEvaluated'
 
 diags=$(go build -gcflags='knnjoin/internal/vector=-d=ssa/check_bce' -gcflags='knnjoin/internal/voronoi=-d=ssa/check_bce' \
     ./internal/vector/ ./internal/voronoi/ 2>&1 || true)
