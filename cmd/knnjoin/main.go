@@ -24,6 +24,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"runtime"
 	"strconv"
 	"time"
 
@@ -224,24 +225,30 @@ func run(args []string) error {
 }
 
 // printJobs writes the -v detail to stderr: how many of the charged
-// nearest-pivot comparisons the pruned assignment scan evaluated, and
-// the per-job actuals table — where each job's shuffle bytes, spill
-// bytes and wall time (split into map and reduce phases) went.
+// nearest-pivot comparisons the pruned assignment scan evaluated, the
+// per-job actuals table — where each job's shuffle bytes, spill bytes
+// and wall time (split into map and reduce phases) went — and this
+// process's peak resident set and garbage-collection count (worker
+// processes of -workers are not included).
 func printJobs(st *knnjoin.Stats) {
 	if st.AssignCharged > 0 {
 		fmt.Fprintf(os.Stderr, "  assignment: evaluated %d of %d pivot comparisons\n",
 			st.AssignEvaluated, st.AssignCharged)
 	}
-	if len(st.Jobs) == 0 {
-		return
+	if len(st.Jobs) > 0 {
+		fmt.Fprintf(os.Stderr, "  %-24s %12s %12s %12s %12s %12s\n",
+			"job", "shuffle", "spilled", "map", "reduce", "wall")
 	}
-	fmt.Fprintf(os.Stderr, "  %-24s %12s %12s %12s %12s %12s\n",
-		"job", "shuffle", "spilled", "map", "reduce", "wall")
 	for _, j := range st.Jobs {
 		fmt.Fprintf(os.Stderr, "  %-24s %12s %12s %12v %12v %12v\n",
 			j.Name, stats.FormatBytes(j.ShuffleBytes), stats.FormatBytes(j.SpilledBytes),
 			j.MapWall.Round(time.Microsecond), j.ReduceWall.Round(time.Microsecond),
 			j.Wall.Round(time.Microsecond))
+	}
+	if rss, ok := peakRSS(); ok {
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		fmt.Fprintf(os.Stderr, "  process: peak RSS %.1f MB, %d GCs\n", float64(rss)/(1<<20), ms.NumGC)
 	}
 }
 

@@ -304,7 +304,8 @@ func TestRunRejectsNonFiniteCoordinates(t *testing.T) {
 }
 
 // -v reports the pruned assignment scan's evaluated count beside the
-// charged one.
+// charged one, and closes with this process's peak RSS and GC count
+// where getrusage exists.
 func TestRunVerboseAssignmentLine(t *testing.T) {
 	csv := writeTestCSV(t, 400, 9)
 	old := os.Stderr
@@ -330,5 +331,18 @@ func TestRunVerboseAssignmentLine(t *testing.T) {
 	}
 	if evaluated <= 0 || evaluated > charged {
 		t.Fatalf("-v printed evaluated %d of %d; stderr:\n%s", evaluated, charged, stderr)
+	}
+	var rssMB float64
+	var gcs int64
+	found := false
+	for _, line := range strings.Split(string(stderr), "\n") {
+		if n, _ := fmt.Sscanf(strings.TrimSpace(line), "process: peak RSS %f MB, %d GCs", &rssMB, &gcs); n == 2 {
+			found = true
+			break
+		}
+	}
+	if _, ok := peakRSS(); found != ok || (found && rssMB <= 0) {
+		t.Fatalf("-v process line: found %v (getrusage available: %v), peak RSS %.1f MB, %d GCs; stderr:\n%s",
+			found, ok, rssMB, gcs, stderr)
 	}
 }

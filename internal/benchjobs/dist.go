@@ -207,7 +207,8 @@ func JoinKernelBatch(recs [][]byte, queries []vector.Point, k int, theta float64
 		lows[i], highs[i] = blk.PivotDistWindow(0, blk.Len(), qpd-theta, qpd+theta)
 		heaps[i] = nnheap.NewKHeap(k)
 	}
-	blk.NearestKBatchRanges(queries, lows, highs, vector.L2, heaps)
+	var sc vector.Scratch
+	blk.NearestKBatchRanges(queries, lows, highs, vector.L2, heaps, &sc)
 	var cbuf []nnheap.Candidate
 	var nbuf []codec.Neighbor
 	var sink int64

@@ -234,6 +234,12 @@ func AddJobStatsCounter(rep *stats.Report, js *mapreduce.JobStats, distCounter s
 		rep.AssignEvaluated += ev
 		rep.AssignCharged += js.Counters[distCounter]
 	}
+	loaded := 0
+	for _, n := range js.ReduceInputRecords {
+		if n > 0 {
+			loaded++
+		}
+	}
 	rep.AddJob(stats.JobStat{
 		Name:               js.Job,
 		ShuffleRecords:     js.ShuffleRecords,
@@ -245,6 +251,8 @@ func AddJobStatsCounter(rep *stats.Report, js *mapreduce.JobStats, distCounter s
 		ReduceWall:         js.ReduceWall,
 		WorkerTasks:        js.WorkerTasks,
 		ReexecutedAttempts: js.ReexecutedAttempts,
+		ReduceGroups:       js.ReduceGroups,
+		LoadedReducers:     loaded,
 	})
 }
 

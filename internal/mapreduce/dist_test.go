@@ -31,7 +31,7 @@ func TestMain(m *testing.M) {
 type testJobSpec struct {
 	In, Out     string
 	NumReducers int
-	Mode        string // "wordcount" | "grouped" | "maponly" | "countfail"
+	Mode        string // "wordcount" | "grouped" | "maponly" | "countfail" | "remaining"
 	MaxAttempts int
 }
 
@@ -131,6 +131,35 @@ func buildTestJob(s testJobSpec) *Job {
 	case "maponly":
 		job.Map = func(ctx *TaskContext, rec dfs.Record, emit Emit) error {
 			emit(rec, []byte(strings.ToUpper(string(rec))))
+			return nil
+		}
+	case "remaining":
+		// One group per reduce task, the join drivers' shape: a 4-byte
+		// big-endian group id routed by Uint32Partition over NumReducers
+		// reducers, the record as the key's suffix. The reducer reports
+		// what Values.Remaining said at group start against what it then
+		// read, and whether the count fell by one per Next.
+		job.Partition = Uint32Partition
+		job.GroupKeyPrefix = 4
+		job.Map = func(ctx *TaskContext, rec dfs.Record, emit Emit) error {
+			g := uint32(rec[0]-'a') % uint32(s.NumReducers)
+			emit(append(binary.BigEndian.AppendUint32(nil, g), rec...), rec)
+			return nil
+		}
+		job.Reduce = func(ctx *TaskContext, key []byte, values *Values, emit Emit) error {
+			records, payload := values.Remaining()
+			var read, readBytes int64
+			stepped := true
+			for k := values.Key(); k != nil; k = values.Key() {
+				v, _ := values.Next()
+				read++
+				readBytes += int64(len(k) + len(v))
+				if left, _ := values.Remaining(); left != records-read {
+					stepped = false
+				}
+			}
+			emit(nil, fmt.Appendf(nil, "group %d: remaining %d records %d bytes, read %d records %d bytes, stepped %v",
+				binary.BigEndian.Uint32(key), records, payload, read, readBytes, stepped))
 			return nil
 		}
 	case "countfail":

@@ -471,6 +471,18 @@ func (v *Values) Key() []byte {
 	return kv.Key
 }
 
+// Remaining returns the records, and their key+value payload bytes,
+// left in the task's merge stream: the rest of this group plus every
+// later group of the task. It is an upper bound on how many values Next
+// will still deliver, and exact when the task holds one group — what a
+// reducer needs to size its group's storage once instead of growing it
+// per value. Each spilled run contributes its declared counts capped by
+// what its file's size on disk can hold, so a damaged run description
+// can never claim more than the bytes that exist.
+func (v *Values) Remaining() (records, bytes int64) {
+	return v.m.records, v.m.bytes
+}
+
 // Collect drains the remaining values into a slice — for the rare reducer
 // (and for tests) that genuinely needs the group materialized.
 func (v *Values) Collect() [][]byte {
@@ -489,11 +501,13 @@ func (v *Values) Collect() [][]byte {
 // the old engine's "arrival order within a key"). Runs arrive as cursors,
 // so in-memory slices and spilled run files merge through the same heap;
 // each heap entry caches its cursor's current record, keeping the
-// comparison path free of indirect calls.
+// comparison path free of indirect calls. records and bytes count what
+// the stream has left to deliver (see Values.Remaining).
 type merger struct {
-	heap []mergeSource
-	vcmp CompareFunc
-	fail error
+	heap           []mergeSource
+	vcmp           CompareFunc
+	fail           error
+	records, bytes int64
 }
 
 type mergeSource struct {
@@ -516,6 +530,9 @@ func newMerger(runs [][]KV, vcmp CompareFunc) *merger {
 func newMergerCursors(cursors []cursor, vcmp CompareFunc) *merger {
 	m := &merger{vcmp: vcmp}
 	for i, c := range cursors {
+		records, bytes := c.size()
+		m.records += records
+		m.bytes += bytes
 		if kv, ok := c.peek(); ok {
 			m.heap = append(m.heap, mergeSource{cur: kv, src: c, seq: i})
 		} else if err := c.err(); err != nil && m.fail == nil {
@@ -574,6 +591,10 @@ func (m *merger) peek() (KV, bool) {
 // pop consumes the smallest pending KV.
 func (m *merger) pop() {
 	s := &m.heap[0]
+	// A spilled run's counts are only as honest as its description; a
+	// stream that delivers more than it declared bottoms out at zero.
+	m.records = max(m.records-1, 0)
+	m.bytes = max(m.bytes-int64(len(s.cur.Key)+len(s.cur.Value)), 0)
 	s.src.advance()
 	if kv, ok := s.src.peek(); ok {
 		s.cur = kv

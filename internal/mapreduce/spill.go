@@ -346,6 +346,9 @@ type cursor interface {
 	advance()
 	err() error
 	close()
+	// size returns the records and key+value payload bytes the stream
+	// holds from its start — a bound for a spilled run, exact in memory.
+	size() (records, bytes int64)
 }
 
 // memCursor streams an in-memory run.
@@ -363,6 +366,9 @@ func (c *memCursor) peek() (KV, bool) {
 func (c *memCursor) advance()   { c.pos++ }
 func (c *memCursor) err() error { return nil }
 func (c *memCursor) close()     {}
+func (c *memCursor) size() (int64, int64) {
+	return int64(len(c.kvs)), kvBytes(c.kvs)
+}
 
 // fileCursor streams a spilled run file through a fixed read-ahead
 // buffer, charged against the engine's resident-memory accounting while
@@ -373,6 +379,8 @@ type fileCursor struct {
 	r       *bufio.Reader
 	path    string
 	left    int64 // records not yet surfaced
+	records int64 // the run's record count, capped by the file's size
+	bytes   int64 // the run's payload bytes, capped by the file's size
 	cur     KV
 	ok      bool
 	failure error
@@ -387,11 +395,29 @@ func openRunCursor(rs *runState, rf *runFile) *fileCursor {
 		return c
 	}
 	c.f = f
+	st, err := f.Stat()
+	if err != nil {
+		f.Close()
+		c.f = nil
+		c.failure = &runBadError{path: rf.Path, msg: "unreadable", err: err}
+		return c
+	}
+	// The declared counts come from the producing attempt's completion;
+	// the file is what exists. Every record is at least two one-byte
+	// frame headers, and its payload cannot exceed the file.
+	c.records = min(rf.Records, st.Size()/minRecordFrameBytes)
+	c.bytes = min(rf.Bytes, st.Size())
 	c.r = bufio.NewReaderSize(f, rs.bufSize)
 	rs.mem.reserve(int64(rs.bufSize))
 	c.advance()
 	return c
 }
+
+// minRecordFrameBytes is the smallest a record can be in a run file: an
+// empty key and an empty value, one uvarint length byte each.
+const minRecordFrameBytes = 2
+
+func (c *fileCursor) size() (int64, int64) { return c.records, c.bytes }
 
 func (c *fileCursor) peek() (KV, bool) { return c.cur, c.ok }
 

@@ -2,6 +2,7 @@ package mapreduce
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
 	"os"
@@ -338,5 +339,128 @@ func TestSpillWithDiskDFS(t *testing.T) {
 	}
 	if fmt.Sprint(memOut) != fmt.Sprint(diskOut) {
 		t.Fatal("disk-DFS + spill output differs from in-memory output")
+	}
+}
+
+// When a reduce task holds one group, Values.Remaining at the group's
+// start is exactly the number of values the reduce function then reads,
+// and exactly their key+value bytes, and the count falls by one per
+// Next — for resident runs, for spilled runs merged through fan-in
+// passes, and on both transports.
+func TestValuesRemainingExactForOneGroupTasks(t *testing.T) {
+	spec := testJobSpec{In: "in", Out: "out", NumReducers: 5, Mode: "remaining"}
+	for _, tc := range []struct {
+		name  string
+		eng   Engine
+		fanIn bool
+	}{
+		{"memory runs", Engine{}, false},
+		{"spilled runs, fan-in 2", Engine{MemLimit: 1 << 10, MergeFanIn: 2}, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			onBothTransports(t, DistConfig{Workers: 2, Engine: tc.eng}, func(t *testing.T, cfg DistConfig) {
+				if cfg.Engine.MemLimit > 0 {
+					cfg.Engine.SpillDir = t.TempDir()
+				}
+				out, js, err := runDist(t, spec, groupRecords("in", 200), cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if tc.fanIn && js.SpilledRuns <= int64(js.MapTasks*js.ReduceTasks) {
+					t.Fatalf("no fan-in merge pass ran: %d spilled runs for %d map tasks",
+						js.SpilledRuns, js.MapTasks)
+				}
+				if len(out) != spec.NumReducers {
+					t.Fatalf("%d groups reported, want %d", len(out), spec.NumReducers)
+				}
+				var total int64
+				for _, rec := range out {
+					var g, records, payload, read, readBytes int64
+					var stepped bool
+					if _, err := fmt.Sscanf(string(rec), "group %d: remaining %d records %d bytes, read %d records %d bytes, stepped %t",
+						&g, &records, &payload, &read, &readBytes, &stepped); err != nil {
+						t.Fatalf("unparsable reducer report %q: %v", rec, err)
+					}
+					if read == 0 || records != read || payload != readBytes || !stepped {
+						t.Errorf("%s", rec)
+					}
+					total += read
+				}
+				if total != js.ShuffleRecords {
+					t.Fatalf("reducers read %d records, the shuffle carried %d", total, js.ShuffleRecords)
+				}
+			})
+		})
+	}
+}
+
+// A spilled run's declared Records and Bytes travel in the producing
+// attempt's completion. When they claim more than the file holds,
+// Remaining still reports no more than the file can carry, so a
+// reducer that sizes its storage from it (as pgbj.CollectGroupBlock
+// does: the remaining records, capped by the remaining bytes over one
+// value's size) never allocates past the bytes on disk — and a run that
+// claims more records than it holds still fails the attempt as a bad
+// run, naming the file.
+func TestRemainingBoundedByRunFile(t *testing.T) {
+	rs := &runState{dir: t.TempDir(), fanIn: 8, bufSize: 4 << 10, mem: &memAccount{}}
+	kvs := make([]KV, 50)
+	for i := range kvs {
+		kvs[i] = KV{Key: fmt.Appendf(nil, "g%03d", i), Value: bytes.Repeat([]byte{byte(i)}, 24)}
+	}
+	rf, err := writeRunFile(rs, kvs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fi, err := os.Stat(rf.Path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	size := fi.Size()
+	for _, tc := range []struct {
+		name           string
+		records, bytes int64
+		bad            bool
+	}{
+		{"honest", rf.Records, rf.Bytes, false},
+		{"records inflated", 1 << 40, rf.Bytes, true},
+		{"bytes inflated", rf.Records, 1 << 40, false},
+		{"both inflated", 1 << 40, 1 << 40, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var sized, read int64
+			job := &Job{GroupKeyPrefix: 1, Reduce: func(_ *TaskContext, _ []byte, values *Values, _ Emit) error {
+				first, ok := values.Next()
+				if !ok {
+					return fmt.Errorf("empty group")
+				}
+				records, payload := values.Remaining()
+				sized = (1 + min(records, payload/int64(len(first)))) * int64(len(first))
+				for read = 1; ; read++ {
+					if _, ok := values.Next(); !ok {
+						break
+					}
+				}
+				return nil
+			}}
+			a := &assignment{JobName: "t", Phase: "reduce", job: job,
+				Runs: []runData{{File: &runFile{Path: rf.Path, Records: tc.records, Bytes: tc.bytes}}}}
+			ctx := &TaskContext{side: job.Side, counters: NewCounterSet()}
+			comp := &completion{}
+			_, err := (&worker{}).reduceTask(a, ctx, rs, comp)
+			if sized > size {
+				t.Errorf("sized storage for %d value bytes from a %d-byte run file", sized, size)
+			}
+			if read != int64(len(kvs)) {
+				t.Errorf("read %d values, the file holds %d", read, len(kvs))
+			}
+			var bad *runBadError
+			switch {
+			case tc.bad && (!errors.As(err, &bad) || len(comp.BadRuns) != 1 || comp.BadRuns[0] != rf.Path):
+				t.Fatalf("attempt error %v, bad runs %v: want a bad run naming %s", err, comp.BadRuns, rf.Path)
+			case !tc.bad && err != nil:
+				t.Fatalf("attempt failed: %v", err)
+			}
+		})
 	}
 }

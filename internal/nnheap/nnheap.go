@@ -6,9 +6,10 @@
 package nnheap
 
 import (
+	"cmp"
 	"container/heap"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Candidate is a neighbor candidate: an opaque identifier plus its distance
@@ -95,14 +96,20 @@ func (h *KHeap) Sorted() []Candidate {
 func (h *KHeap) AppendSorted(dst []Candidate) []Candidate {
 	start := len(dst)
 	dst = append(dst, h.items...)
-	out := dst[start:]
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Dist != out[j].Dist {
-			return out[i].Dist < out[j].Dist
-		}
-		return out[i].ID < out[j].ID
-	})
+	slices.SortFunc(dst[start:], Compare)
 	return dst
+}
+
+// Compare orders candidates by ascending distance, ties by ascending
+// ID: the result order of every join. A heap, like a range scan's
+// result, holds distinct IDs, and NaN distances are rejected at every
+// entry point, so the order is total and any sort under it yields one
+// sequence.
+func Compare(a, b Candidate) int {
+	if c := cmp.Compare(a.Dist, b.Dist); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.ID, b.ID)
 }
 
 // Reset empties the heap, retaining capacity, so reducers can reuse one

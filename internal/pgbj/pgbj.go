@@ -462,10 +462,12 @@ type GroupBlock struct {
 }
 
 // CollectGroupBlock streams one reducer group into a GroupBlock: one
-// flat coordinate array for the whole group (constant allocations
-// instead of two per point) with partitions tracked as row ranges. The
-// block is prepared with vector.KernelAuto, so the reducer's candidate
-// loops run on the tier the group's shape picks.
+// flat coordinate array for the whole group with partitions tracked as
+// row ranges. The first record stamps the block's dimensionality; the
+// block is then sized once for the rest of the group (growToGroup), so
+// the collection makes a constant number of allocations whatever the
+// group's size. The block is prepared with vector.KernelAuto, so the
+// reducer's candidate loops run on the tier the group's shape picks.
 func CollectGroupBlock(values *mapreduce.Values) (*GroupBlock, error) {
 	gb := &GroupBlock{Block: &vector.Block{}}
 	var openSrc codec.Source
@@ -476,6 +478,9 @@ func CollectGroupBlock(values *mapreduce.Values) (*GroupBlock, error) {
 			return nil, err
 		}
 		row := gb.Block.Len() - 1
+		if row == 0 {
+			growToGroup(gb.Block, values, len(v))
+		}
 		ranges := &gb.RParts
 		if src == codec.FromS {
 			ranges = &gb.SParts
@@ -488,6 +493,24 @@ func CollectGroupBlock(values *mapreduce.Values) (*GroupBlock, error) {
 	}
 	gb.Block.Prepare(vector.KernelAuto)
 	return gb, nil
+}
+
+// growToGroup gives a block holding a group's first record the exact
+// capacity for the rest of the group. The merge stream's remaining
+// record count bounds the group, and is exact for PGBJ, PBJ and the
+// range join, whose reduce tasks each stream one group (NumReducers is
+// the group count and Uint32Partition routes by group id). The bound is
+// capped by the remaining payload bytes — every Tagged value of the
+// block's dimensionality is recLen bytes — so a damaged run description
+// cannot turn into a huge allocation. A smaller group leaves spare
+// capacity; a larger one (never, for these joins) falls back to
+// append's growth.
+func growToGroup(b *vector.Block, values *mapreduce.Values, recLen int) {
+	records, bytes := values.Remaining()
+	n := b.Len() + int(min(records, bytes/int64(recLen)))
+	b.IDs = append(make([]int64, 0, n), b.IDs...)
+	b.PivotDist = append(make([]float64, 0, n), b.PivotDist...)
+	b.Coords = append(make([]float64, 0, n*b.Dim), b.Coords...)
 }
 
 // pgbjJoinReduce is the reduce function of job 2: Algorithm 3 lines 12–25
@@ -562,6 +585,7 @@ func joinPartitions(ctx *mapreduce.TaskContext, pp *voronoi.Partitioner, sum *vo
 
 	order := make([]int, len(gb.SParts))
 	gaps := make([]float64, len(gb.SParts))
+	var sc vector.Scratch
 	var cbuf []nnheap.Candidate
 	var nbuf []codec.Neighbor
 	var pairs, resultPairs int64
@@ -586,7 +610,7 @@ func joinPartitions(ctx *mapreduce.TaskContext, pp *voronoi.Partitioner, sum *vo
 			for _, p := range order {
 				sp := gb.SParts[p]
 				pairs += gb.Windows(walks[:nq], qs[:nq], sp, pp.Pivots[sp.ID], opts.Metric, lows, highs)
-				pairs += blk.NearestKBatchRanges(qs[:nq], lows[:nq], highs[:nq], opts.Metric, heaps[:nq])
+				pairs += blk.NearestKBatchRanges(qs[:nq], lows[:nq], highs[:nq], opts.Metric, heaps[:nq], &sc)
 				// θ is only read at the next partition, so one update per
 				// partition suffices.
 				for i := 0; i < nq; i++ {

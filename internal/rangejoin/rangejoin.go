@@ -17,6 +17,7 @@ package rangejoin
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -277,6 +278,7 @@ func joinReduce(ctx *mapreduce.TaskContext, _ []byte, values *mapreduce.Values, 
 	highs := make([]int, batchRows)
 	bufs := make([][]nnheap.Candidate, batchRows)
 	walk := voronoi.NewWalk(pp, sum)
+	var sc vector.Scratch
 	var nbuf []codec.Neighbor
 	var pairs, resultPairs int64
 	for _, rp := range gb.RParts {
@@ -289,19 +291,14 @@ func joinReduce(ctx *mapreduce.TaskContext, _ []byte, values *mapreduce.Values, 
 			}
 			for _, sp := range gb.SParts {
 				pairs += gb.Windows(walks[:nq], qs[:nq], sp, pp.Pivots[sp.ID], opts.Metric, lows, highs)
-				blk.RangeToBatchRanges(qs[:nq], lows[:nq], highs[:nq], opts.Metric, opts.Radius, bufs[:nq], &pairs)
+				blk.RangeToBatchRanges(qs[:nq], lows[:nq], highs[:nq], opts.Metric, opts.Radius, bufs[:nq], &pairs, &sc)
 			}
 			for i := 0; i < nq; i++ {
 				cbuf := bufs[i]
 				if len(cbuf) == 0 {
 					continue
 				}
-				sort.Slice(cbuf, func(a, b int) bool {
-					if cbuf[a].Dist != cbuf[b].Dist {
-						return cbuf[a].Dist < cbuf[b].Dist
-					}
-					return cbuf[a].ID < cbuf[b].ID
-				})
+				slices.SortFunc(cbuf, nnheap.Compare)
 				nbuf = driver.AppendNeighbors(nbuf[:0], cbuf, false)
 				resultPairs += int64(len(nbuf))
 				emit(nil, codec.EncodeResult(codec.Result{RID: blk.IDs[base+i], Neighbors: nbuf}))

@@ -60,6 +60,13 @@ type JobStat struct {
 	// worker's lease expired or its output was found damaged; zero on
 	// the in-process engine and on fault-free distributed runs.
 	ReexecutedAttempts int64
+	// ReduceGroups counts the key groups the job's reduce tasks
+	// streamed, and LoadedReducers the reduce tasks that received at
+	// least one record. They are equal when every loaded reducer holds
+	// one group, the shape in which a reducer's remaining-record count
+	// (mapreduce.Values.Remaining) is its group's exact size.
+	ReduceGroups   int64
+	LoadedReducers int
 }
 
 // PlanInfo records what the cost-based planner chose and predicted for a

@@ -468,8 +468,10 @@ func (b *Block) NearestKBatch(qs []Point, m Metric, hs []*nnheap.KHeap) int64 {
 // [lo[i], hi[i]) — the batched form of NearestKRange after per-query
 // Theorem-2 windowing. Windows with lo[i] ≥ hi[i] scan nothing. The
 // return value is the summed window sizes, matching what the sequential
-// NearestKRange calls would have returned.
-func (b *Block) NearestKBatchRanges(qs []Point, lo, hi []int, m Metric, hs []*nnheap.KHeap) int64 {
+// NearestKRange calls would have returned. sc is the caller's kernel
+// scratch, held across calls so the quantized tier's query buffers are
+// allocated once per caller rather than once per batch; it may be nil.
+func (b *Block) NearestKBatchRanges(qs []Point, lo, hi []int, m Metric, hs []*nnheap.KHeap, sc *Scratch) int64 {
 	if len(qs) != len(hs) || len(qs) != len(lo) || len(qs) != len(hi) {
 		panic(fmt.Sprintf("vector: NearestKBatchRanges: mismatched lengths %d/%d/%d/%d",
 			len(qs), len(lo), len(hi), len(hs)))
@@ -494,13 +496,15 @@ func (b *Block) NearestKBatchRanges(qs []Point, lo, hi []int, m Metric, hs []*nn
 	if m != L2 || b.kern == KernelScalar {
 		for i, q := range qs {
 			if lo[i] < hi[i] {
-				b.NearestKRange(q, lo[i], hi[i], m, hs[i])
+				b.NearestKRangeScratch(q, lo[i], hi[i], m, hs[i], sc)
 			}
 		}
 		return scanned
 	}
 	b.checkQueryDims(qs)
-	var sc Scratch
+	if sc == nil {
+		sc = &Scratch{}
+	}
 	pr := b.panelRows()
 	for p := gLo; p < gHi; p += pr {
 		pEnd := p + pr
@@ -516,7 +520,7 @@ func (b *Block) NearestKBatchRanges(qs []Point, lo, hi []int, m Metric, hs []*nn
 				r1 = pEnd
 			}
 			if r0 < r1 {
-				b.nearestKGuts(q, r0, r1, hs[i], &sc)
+				b.nearestKGuts(q, r0, r1, hs[i], sc)
 			}
 		}
 	}
@@ -574,8 +578,9 @@ func (b *Block) rangeGuts(q Point, lo, hi int, theta float64, dst []nnheap.Candi
 // does. dsts[i] receives query i's candidates (appended in ascending
 // row order, identical to a sequential RangeTo call) and the extended
 // slices are written back in place. theta is shared by the batch — the
-// callers batch rows of one R partition, which share θ_i.
-func (b *Block) RangeToBatchRanges(qs []Point, lo, hi []int, m Metric, theta float64, dsts [][]nnheap.Candidate, scanned *int64) {
+// callers batch rows of one R partition, which share θ_i. sc is the
+// caller's kernel scratch, as in NearestKBatchRanges; it may be nil.
+func (b *Block) RangeToBatchRanges(qs []Point, lo, hi []int, m Metric, theta float64, dsts [][]nnheap.Candidate, scanned *int64, sc *Scratch) {
 	if len(qs) != len(dsts) || len(qs) != len(lo) || len(qs) != len(hi) {
 		panic(fmt.Sprintf("vector: RangeToBatchRanges: mismatched lengths %d/%d/%d/%d",
 			len(qs), len(lo), len(hi), len(dsts)))
@@ -607,7 +612,9 @@ func (b *Block) RangeToBatchRanges(qs []Point, lo, hi []int, m Metric, theta flo
 		return
 	}
 	b.checkQueryDims(qs)
-	var sc Scratch
+	if sc == nil {
+		sc = &Scratch{}
+	}
 	pr := b.panelRows()
 	for p := gLo; p < gHi; p += pr {
 		pEnd := p + pr
@@ -623,7 +630,7 @@ func (b *Block) RangeToBatchRanges(qs []Point, lo, hi []int, m Metric, theta flo
 				r1 = pEnd
 			}
 			if r0 < r1 {
-				dsts[i] = b.rangeGuts(q, r0, r1, theta, dsts[i], &sc)
+				dsts[i] = b.rangeGuts(q, r0, r1, theta, dsts[i], sc)
 			}
 		}
 	}

@@ -122,8 +122,11 @@ func TestKernelTiersRangeBitIdentical(t *testing.T) {
 
 // The batched kernels must agree bit for bit with the sequential
 // per-query calls — including per-query windows and the scanned count.
+// One scratch serves every call, across dimensionalities and tiers, the
+// way a reducer holds one for its whole group.
 func TestNearestKBatchMatchesSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(44))
+	var sc Scratch
 	for _, dim := range []int{1, 2, 8, 32} {
 		for _, kern := range allKernels {
 			for _, n := range []int{0, 1, 17, 500} {
@@ -156,7 +159,7 @@ func TestNearestKBatchMatchesSequential(t *testing.T) {
 					for i := range batchHeaps {
 						batchHeaps[i] = nnheap.NewKHeap(k)
 					}
-					scanned := b.NearestKBatchRanges(qs, lo, hi, m, batchHeaps)
+					scanned := b.NearestKBatchRanges(qs, lo, hi, m, batchHeaps, &sc)
 					if scanned != seqScanned {
 						t.Fatalf("dim=%d kern=%v m=%v: batch scanned %d, sequential %d", dim, kern, m, scanned, seqScanned)
 					}
@@ -190,6 +193,7 @@ func TestNearestKBatchMatchesSequential(t *testing.T) {
 
 func TestRangeToBatchMatchesSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(45))
+	var sc Scratch
 	for _, dim := range []int{1, 2, 8, 32} {
 		for _, kern := range allKernels {
 			b, _ := randBlock(rng, 400, dim)
@@ -214,7 +218,7 @@ func TestRangeToBatchMatchesSequential(t *testing.T) {
 			}
 			var batchScanned int64
 			got := make([][]nnheap.Candidate, nq)
-			b.RangeToBatchRanges(qs, lo, hi, L2, theta, got, &batchScanned)
+			b.RangeToBatchRanges(qs, lo, hi, L2, theta, got, &batchScanned, &sc)
 			if batchScanned != seqScanned {
 				t.Fatalf("dim=%d kern=%v: batch scanned %d, sequential %d", dim, kern, batchScanned, seqScanned)
 			}

@@ -70,6 +70,7 @@ func (ix *Index) KNNBatchWithStats(qs []vector.Point, ks []int) ([][]nnheap.Cand
 	lows := make([]int, 0, nq)
 	highs := make([]int, 0, nq)
 	touched := make([]int, 0, nq)
+	var sc vector.Scratch
 	for t := 0; t < numPart; t++ {
 		touched = touched[:0]
 		for _, i := range live {
@@ -98,7 +99,7 @@ func (ix *Index) KNNBatchWithStats(qs []vector.Point, ks []int) ([][]nnheap.Cand
 			if len(batchQ) == 0 {
 				continue
 			}
-			ix.blocks[j].NearestKBatchRanges(batchQ, lows, highs, ix.opts.Metric, batchH)
+			ix.blocks[j].NearestKBatchRanges(batchQ, lows, highs, ix.opts.Metric, batchH, &sc)
 			for _, i := range batchIdx {
 				walks[i].Tighten(heaps[i])
 			}
