@@ -2,6 +2,7 @@ package knnjoin
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"knnjoin/internal/dataset"
@@ -62,5 +63,79 @@ func TestStatsAssignEvaluated(t *testing.T) {
 	}
 	if _, st, err := RangeJoin(osm, osm, RangeOptions{Radius: 0.01, Nodes: 4, Seed: 1}); err != nil || st.AssignEvaluated <= 0 || st.AssignEvaluated > st.AssignCharged {
 		t.Errorf("range join: evaluated %d of %d (err %v), want 0 < evaluated ≤ charged", st.AssignEvaluated, st.AssignCharged, err)
+	}
+}
+
+// The join reducers report the pivot distances |r,p_j| they computed
+// beside the ones they are charged. The charged count is a share of
+// Pairs; the evaluated one is what the pivot gap left undecided — on the
+// seeded 2-d input under a tenth of the charge — and both are exact per
+// seed: the same in process, under a memory limit that spills and on
+// worker processes. Algorithms without a pivot walk report neither.
+func TestStatsReducerPivotEvaluated(t *testing.T) {
+	osm := dataset.OSM(3000, 1)
+	forestR, forestS := dataset.Forest(1500, 2), dataset.Expand(dataset.Forest(1500, 1), 3)
+	type run func(o Options) (*Stats, error)
+	knn := func(r, s []Object, alg Algorithm) run {
+		return func(o Options) (*Stats, error) {
+			o.K, o.Algorithm = 5, alg
+			_, st, err := Join(r, s, o)
+			return st, err
+		}
+	}
+	within := func(r, s []Object, radius float64) run {
+		return func(o Options) (*Stats, error) {
+			_, st, err := RangeJoin(r, s, RangeOptions{Radius: radius, Nodes: o.Nodes, Seed: o.Seed, MemLimit: o.MemLimit, Workers: o.Workers})
+			return st, err
+		}
+	}
+	for name, fn := range map[string]run{
+		"osm pgbj":    knn(osm, osm, PGBJ),
+		"osm pbj":     knn(osm, osm, PBJ),
+		"osm range":   within(osm, osm, 0.01),
+		"forest pgbj": knn(forestR, forestS, PGBJ),
+		"forest pbj":  knn(forestR, forestS, PBJ),
+	} {
+		opts := Options{Nodes: 4, Seed: 1}
+		base, err := fn(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if base.ReducerPivotEvaluated <= 0 || base.ReducerPivotEvaluated >= base.ReducerPivotCharged || base.ReducerPivotCharged >= base.Pairs {
+			t.Errorf("%s: evaluated %d of %d charged reducer pivot distances, pairs %d", name,
+				base.ReducerPivotEvaluated, base.ReducerPivotCharged, base.Pairs)
+		}
+		if strings.HasPrefix(name, "osm") && base.ReducerPivotEvaluated*10 >= base.ReducerPivotCharged {
+			t.Errorf("%s: evaluated %d of %d, want under a tenth", name, base.ReducerPivotEvaluated, base.ReducerPivotCharged)
+		}
+		for variant, change := range map[string]func(*Options){
+			"mem-limit=64K": func(o *Options) { o.MemLimit = 64 << 10 },
+			"workers=2":     func(o *Options) { o.Workers = 2 },
+		} {
+			o := opts
+			change(&o)
+			if o.Workers > 0 && testing.Short() {
+				continue // spawns worker processes
+			}
+			st, err := fn(o)
+			if err != nil {
+				t.Fatalf("%s %s: %v", name, variant, err)
+			}
+			var spilled int64
+			for _, j := range st.Jobs {
+				spilled += j.SpilledBytes
+			}
+			if o.MemLimit > 0 && spilled == 0 {
+				t.Errorf("%s %s: nothing spilled", name, variant)
+			}
+			if st.ReducerPivotEvaluated != base.ReducerPivotEvaluated || st.ReducerPivotCharged != base.ReducerPivotCharged || st.Pairs != base.Pairs {
+				t.Errorf("%s %s: evaluated %d of %d (pairs %d), in process %d of %d (pairs %d)", name, variant,
+					st.ReducerPivotEvaluated, st.ReducerPivotCharged, st.Pairs,
+					base.ReducerPivotEvaluated, base.ReducerPivotCharged, base.Pairs)
+			}
+		}
+	}
+	if _, st, err := Join(osm, osm, Options{K: 3, Algorithm: HBRJ, Nodes: 4}); err != nil || st.ReducerPivotCharged != 0 || st.ReducerPivotEvaluated != 0 {
+		t.Errorf("H-BRJ: reducer pivot counts %d/%d (err %v), want none", st.ReducerPivotEvaluated, st.ReducerPivotCharged, err)
 	}
 }

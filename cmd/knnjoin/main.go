@@ -225,15 +225,20 @@ func run(args []string) error {
 }
 
 // printJobs writes the -v detail to stderr: how many of the charged
-// nearest-pivot comparisons the pruned assignment scan evaluated, the
-// per-job actuals table — where each job's shuffle bytes, spill bytes
-// and wall time (split into map and reduce phases) went — and this
-// process's peak resident set and garbage-collection count (worker
-// processes of -workers are not included).
+// nearest-pivot comparisons the pruned assignment scan evaluated and how
+// many of the charged reducer pivot distances the join reducers
+// computed, the per-job actuals table — where each job's shuffle bytes,
+// spill bytes and wall time (split into map and reduce phases) went —
+// and this process's peak resident set and garbage-collection count
+// (worker processes of -workers are not included).
 func printJobs(st *knnjoin.Stats) {
 	if st.AssignCharged > 0 {
 		fmt.Fprintf(os.Stderr, "  assignment: evaluated %d of %d pivot comparisons\n",
 			st.AssignEvaluated, st.AssignCharged)
+	}
+	if st.ReducerPivotCharged > 0 {
+		fmt.Fprintf(os.Stderr, "  reducer pivot distances: evaluated %d of %d\n",
+			st.ReducerPivotEvaluated, st.ReducerPivotCharged)
 	}
 	if len(st.Jobs) > 0 {
 		fmt.Fprintf(os.Stderr, "  %-24s %12s %12s %12s %12s %12s\n",

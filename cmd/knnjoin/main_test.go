@@ -304,8 +304,9 @@ func TestRunRejectsNonFiniteCoordinates(t *testing.T) {
 }
 
 // -v reports the pruned assignment scan's evaluated count beside the
-// charged one, and closes with this process's peak RSS and GC count
-// where getrusage exists.
+// charged one, then the join reducers' evaluated pivot distances beside
+// the charged ones on the next line, and closes with this process's
+// peak RSS and GC count where getrusage exists.
 func TestRunVerboseAssignmentLine(t *testing.T) {
 	csv := writeTestCSV(t, 400, 9)
 	old := os.Stderr
@@ -323,14 +324,22 @@ func TestRunVerboseAssignmentLine(t *testing.T) {
 	if runErr != nil {
 		t.Fatal(runErr)
 	}
-	var evaluated, charged int64
-	for _, line := range strings.Split(string(stderr), "\n") {
+	var evaluated, charged, redEvaluated, redCharged int64
+	lines := strings.Split(string(stderr), "\n")
+	for i, line := range lines {
 		if n, _ := fmt.Sscanf(strings.TrimSpace(line), "assignment: evaluated %d of %d pivot comparisons", &evaluated, &charged); n == 2 {
+			if i+1 < len(lines) {
+				fmt.Sscanf(strings.TrimSpace(lines[i+1]), "reducer pivot distances: evaluated %d of %d", &redEvaluated, &redCharged)
+			}
 			break
 		}
 	}
 	if evaluated <= 0 || evaluated > charged {
 		t.Fatalf("-v printed evaluated %d of %d; stderr:\n%s", evaluated, charged, stderr)
+	}
+	if redEvaluated <= 0 || redEvaluated >= redCharged {
+		t.Fatalf("-v printed reducer pivot distances evaluated %d of %d under the assignment line; stderr:\n%s",
+			redEvaluated, redCharged, stderr)
 	}
 	var rssMB float64
 	var gcs int64

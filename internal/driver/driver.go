@@ -225,6 +225,17 @@ func AddJobStats(rep *stats.Report, js *mapreduce.JobStats) {
 // charged.
 const AssignEvaluatedCounter = "assign_evaluated"
 
+// ReducerPivotChargedCounter and ReducerPivotEvaluatedCounter are the
+// job counters in which a join job's reducers (pgbj.GroupBlock.Windows:
+// PGBJ, PBJ and the range join) report the object–pivot distances
+// |r,p_j| they are charged — one per (R row, S-partition) of a group, a
+// share of the job's "pairs" — and the ones they computed, the rest
+// being ruled out from the pivot gap alone (voronoi.Walk.GapPrunes).
+const (
+	ReducerPivotChargedCounter   = "reducer_pivot_charged"
+	ReducerPivotEvaluatedCounter = "reducer_pivot_evaluated"
+)
+
 // AddJobStatsCounter is AddJobStats with the job's comparison counter
 // named explicitly (e.g. setsim's "verified").
 func AddJobStatsCounter(rep *stats.Report, js *mapreduce.JobStats, distCounter string) {
@@ -234,6 +245,8 @@ func AddJobStatsCounter(rep *stats.Report, js *mapreduce.JobStats, distCounter s
 		rep.AssignEvaluated += ev
 		rep.AssignCharged += js.Counters[distCounter]
 	}
+	rep.ReducerPivotCharged += js.Counters[ReducerPivotChargedCounter]
+	rep.ReducerPivotEvaluated += js.Counters[ReducerPivotEvaluatedCounter]
 	loaded := 0
 	for _, n := range js.ReduceInputRecords {
 		if n > 0 {

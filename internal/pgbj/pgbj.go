@@ -530,26 +530,35 @@ func pgbjJoinReduce(ctx *mapreduce.TaskContext, _ []byte, values *mapreduce.Valu
 }
 
 // Windows runs one step of the walk for a batch of R rows against S
-// range sp, whose pivot is pj: for every row i it computes |r_i,p_j| and
-// walks[i]'s decision, and leaves the rows of sp to scan in
-// [lows[i], highs[i]), an empty range when the cell is pruned. It returns
-// the pivot distances computed — one per row, own cell included, each
-// charged per the paper's Eq.-13 note. Shared by the kNN and range
-// reducers.
-func (gb *GroupBlock) Windows(walks []voronoi.Walk, qs []vector.Point, sp PartRange, pj vector.Point, m vector.Metric, lows, highs []int) int64 {
+// range sp, whose pivot is pj: for every row i it takes walks[i]'s
+// decision and leaves the rows of sp to scan in [lows[i], highs[i]), an
+// empty range when the cell is pruned. A row whose pivot gap already
+// prunes the cell (voronoi.Walk.GapPrunes) skips |r_i,p_j|; the others
+// compute it. It returns the pivot distances charged — one per row, own
+// cell included, per the paper's Eq.-13 note — and those evaluated.
+// Shared by the kNN and range reducers.
+func (gb *GroupBlock) Windows(walks []voronoi.Walk, qs []vector.Point, sp PartRange, pj vector.Point, m vector.Metric, lows, highs []int) (charged, evaluated int64) {
+	j := int(sp.ID)
 	for i, q := range qs {
 		lows[i], highs[i] = 0, 0
-		if lo, hi, d := walks[i].Decide(int(sp.ID), m.Dist(q, pj)); d == voronoi.Scan {
+		if walks[i].GapPrunes(j) {
+			continue
+		}
+		evaluated++
+		if lo, hi, d := walks[i].Decide(j, m.Dist(q, pj)); d == voronoi.Scan {
 			lows[i], highs[i] = gb.Block.PivotDistWindow(sp.Lo, sp.Hi, lo, hi)
 		}
 	}
-	return int64(len(qs))
+	return int64(len(qs)), evaluated
 }
 
 // joinPartitions runs Algorithm 3's per-reducer join: every R object of
 // the group block walks its S partition ranges (voronoi.Walk: the θ
 // bound, Corollary-1 hyperplane pruning and Theorem-2 windows). It is
 // shared by PGBJ (full S_i replica sets) and PBJ (block subsets of S).
+// A row computes |r,p_j| only for the ranges its pivot gap does not
+// already prune, and a batch stops at the first range past every row's
+// GapLimit; the skipped distances are still charged to "pairs".
 //
 // The candidate loop runs on the block's fused kernels: Theorem-2
 // windows are binary searches over the flat PivotDist slice
@@ -588,7 +597,7 @@ func joinPartitions(ctx *mapreduce.TaskContext, pp *voronoi.Partitioner, sum *vo
 	var sc vector.Scratch
 	var cbuf []nnheap.Candidate
 	var nbuf []codec.Neighbor
-	var pairs, resultPairs int64
+	var pairs, resultPairs, pivotCharged, pivotEvaluated int64
 	for _, rp := range gb.RParts {
 		ri := int(rp.ID)
 		// Line 14: S ranges by ascending pivot gap to p_i, the same for
@@ -607,15 +616,25 @@ func joinPartitions(ctx *mapreduce.TaskContext, pp *voronoi.Partitioner, sum *vo
 				heaps[i].Reset()
 				walks[i] = walk.Start(ri, blk.PivotDist[base+i], thetas[ri])
 			}
-			for _, p := range order {
+			limit := voronoi.BatchGapLimit(walks[:nq])
+			for x, p := range order {
+				if voronoi.PastGapLimit(gaps[p], limit) {
+					// Corollary 1 prunes this range and every later one
+					// for every row; their distances are still charged.
+					pivotCharged += int64(nq * (len(order) - x))
+					break
+				}
 				sp := gb.SParts[p]
-				pairs += gb.Windows(walks[:nq], qs[:nq], sp, pp.Pivots[sp.ID], opts.Metric, lows, highs)
+				charged, evaluated := gb.Windows(walks[:nq], qs[:nq], sp, pp.Pivots[sp.ID], opts.Metric, lows, highs)
+				pivotCharged += charged
+				pivotEvaluated += evaluated
 				pairs += blk.NearestKBatchRanges(qs[:nq], lows[:nq], highs[:nq], opts.Metric, heaps[:nq], &sc)
 				// θ is only read at the next partition, so one update per
 				// partition suffices.
 				for i := 0; i < nq; i++ {
 					walks[i].Tighten(heaps[i])
 				}
+				limit = voronoi.BatchGapLimit(walks[:nq])
 			}
 			for i := 0; i < nq; i++ {
 				cbuf = heaps[i].AppendSorted(cbuf[:0])
@@ -625,8 +644,11 @@ func joinPartitions(ctx *mapreduce.TaskContext, pp *voronoi.Partitioner, sum *vo
 			}
 		}
 	}
+	pairs += pivotCharged
 	ctx.Counter("pairs", pairs)
 	ctx.Counter("result_pairs", resultPairs)
+	ctx.Counter(driver.ReducerPivotChargedCounter, pivotCharged)
+	ctx.Counter(driver.ReducerPivotEvaluatedCounter, pivotEvaluated)
 	ctx.AddWork(pairs)
 }
 

@@ -260,11 +260,14 @@ func pivotSelectComps(strat pivot.Strategy, numPivots, rSize int) int64 {
 // cells against the sampled summary — nearest pivot first, Corollary-1
 // pruning, Theorem-2 windows, the surviving candidates scanned on the
 // block kernels to tighten θ exactly as the reducer would — and the
-// counted work scales back to full-data volume. thetaScale loosens the
-// bound (PBJ's per-block θ). The result is per-R-partition predicted
-// reduce-side distance computations; callers aggregate it per reducer
-// group. Both runs are memoized on the state — the replay does not
-// depend on the grouping.
+// counted work scales back to full-data volume. Like the reducer, a
+// probe computes |r,p_j| only where the pivot gap does not already
+// decide the cell, and stops at the first cell past its GapLimit; the
+// skipped non-empty cells are still counted, so the prediction is the
+// charged cost. thetaScale loosens the bound (PBJ's per-block θ). The
+// result is per-R-partition predicted reduce-side distance
+// computations; callers aggregate it per reducer group. Both runs are
+// memoized on the state — the replay does not depend on the grouping.
 func (st *pivotState) simulate(ds *DataStats, opts Options, thetaScale float64) []float64 {
 	switch {
 	case thetaScale == 1 && st.simExact != nil:
@@ -281,6 +284,7 @@ func (st *pivotState) simulate(ds *DataStats, opts Options, thetaScale float64) 
 	walk := voronoi.NewWalk(st.pp, st.sum)
 	order := make([]int, st.pp.NumPartitions())
 	gaps := make([]float64, len(order))
+	left := make([]int, len(order)+1) // left[x]: non-empty cells at order[x:]
 	probes := 0
 	idx := 0
 	for pi, part := range st.rParts {
@@ -293,6 +297,12 @@ func (st *pivotState) simulate(ds *DataStats, opts Options, thetaScale float64) 
 			gaps[j] = st.pp.PivotDist(pi, j)
 		}
 		voronoi.VisitOrder(order, gaps)
+		for x := len(order) - 1; x >= 0; x-- {
+			left[x] = left[x+1]
+			if !walk.Empty(order[x]) {
+				left[x]++
+			}
+		}
 		for _, r := range part {
 			if idx%stride != 0 {
 				idx++
@@ -303,12 +313,19 @@ func (st *pivotState) simulate(ds *DataStats, opts Options, thetaScale float64) 
 			heap.Reset()
 			w := walk.Start(pi, r.PivotDist, st.thetas[pi]*thetaScale)
 			var pivotComps, candComps float64
-			for _, j := range order {
+			for x, j := range order {
+				if voronoi.PastGapLimit(gaps[j], w.GapLimit()) {
+					pivotComps += float64(left[x])
+					break
+				}
 				if w.Empty(j) {
 					continue
 				}
-				rToPj := opts.Metric.Dist(r.Point, st.pp.Pivots[j])
 				pivotComps++
+				if w.GapPrunes(j) {
+					continue
+				}
+				rToPj := opts.Metric.Dist(r.Point, st.pp.Pivots[j])
 				lo, hi, d := w.Decide(j, rToPj)
 				if d != voronoi.Scan {
 					continue

@@ -264,7 +264,11 @@ func joinReduce(ctx *mapreduce.TaskContext, _ []byte, values *mapreduce.Values, 
 	// batch (RangeToBatchRanges). Each row's walk keeps θ at the fixed
 	// radius — it is never tightened — so batching cannot change any
 	// decision, and RangeTo compares true (sqrt'd) distances so the
-	// radius edge matches Metric.Dist bit for bit on every tier.
+	// radius edge matches Metric.Dist bit for bit on every tier. S
+	// ranges are visited by ascending pivot gap, so a batch stops at the
+	// first range whose gap prunes every row; each row's hits are sorted
+	// under nnheap.Compare, a total order, so the visit order moves no
+	// output byte.
 	gb, err := pgbj.CollectGroupBlock(values)
 	if err != nil {
 		return err
@@ -278,10 +282,16 @@ func joinReduce(ctx *mapreduce.TaskContext, _ []byte, values *mapreduce.Values, 
 	highs := make([]int, batchRows)
 	bufs := make([][]nnheap.Candidate, batchRows)
 	walk := voronoi.NewWalk(pp, sum)
+	order := make([]int, len(gb.SParts))
+	gaps := make([]float64, len(gb.SParts))
 	var sc vector.Scratch
 	var nbuf []codec.Neighbor
-	var pairs, resultPairs int64
+	var pairs, resultPairs, pivotCharged, pivotEvaluated int64
 	for _, rp := range gb.RParts {
+		for p, sp := range gb.SParts {
+			gaps[p] = pp.PivotDist(int(rp.ID), int(sp.ID))
+		}
+		voronoi.VisitOrder(order, gaps)
 		for base := rp.Lo; base < rp.Hi; base += batchRows {
 			nq := min(batchRows, rp.Hi-base)
 			for i := 0; i < nq; i++ {
@@ -289,8 +299,16 @@ func joinReduce(ctx *mapreduce.TaskContext, _ []byte, values *mapreduce.Values, 
 				bufs[i] = bufs[i][:0]
 				walks[i] = walk.Start(int(rp.ID), blk.PivotDist[base+i], opts.Radius)
 			}
-			for _, sp := range gb.SParts {
-				pairs += gb.Windows(walks[:nq], qs[:nq], sp, pp.Pivots[sp.ID], opts.Metric, lows, highs)
+			limit := voronoi.BatchGapLimit(walks[:nq])
+			for x, p := range order {
+				if voronoi.PastGapLimit(gaps[p], limit) {
+					pivotCharged += int64(nq * (len(order) - x))
+					break
+				}
+				sp := gb.SParts[p]
+				charged, evaluated := gb.Windows(walks[:nq], qs[:nq], sp, pp.Pivots[sp.ID], opts.Metric, lows, highs)
+				pivotCharged += charged
+				pivotEvaluated += evaluated
 				blk.RangeToBatchRanges(qs[:nq], lows[:nq], highs[:nq], opts.Metric, opts.Radius, bufs[:nq], &pairs, &sc)
 			}
 			for i := 0; i < nq; i++ {
@@ -305,8 +323,11 @@ func joinReduce(ctx *mapreduce.TaskContext, _ []byte, values *mapreduce.Values, 
 			}
 		}
 	}
+	pairs += pivotCharged
 	ctx.Counter("pairs", pairs)
 	ctx.Counter("result_pairs", resultPairs)
+	ctx.Counter(driver.ReducerPivotChargedCounter, pivotCharged)
+	ctx.Counter(driver.ReducerPivotEvaluatedCounter, pivotEvaluated)
 	ctx.AddWork(pairs)
 	return nil
 }

@@ -15,6 +15,7 @@ import (
 	"knnjoin/internal/pgbj"
 	"knnjoin/internal/planner"
 	"knnjoin/internal/rangejoin"
+	"knnjoin/internal/stats"
 	"knnjoin/internal/vector"
 	"knnjoin/internal/vindex"
 )
@@ -45,11 +46,13 @@ func TestGoldenCounts(t *testing.T) {
 		{"osm2d", dataset.OSM(500, 1), dataset.OSM(1500, 2), 3},
 		{"forest10d", dataset.Forest(500, 3), dataset.Forest(1500, 4), 250},
 	}
+	var evaluated strings.Builder
 	for _, in := range inputs {
-		goldenJoins(t, &b, in.name, in.r, in.s, in.radius)
+		goldenJoins(t, &b, &evaluated, in.name, in.r, in.s, in.radius)
 		goldenServing(t, &b, in.name, in.r, in.s, in.radius)
 		goldenPlans(t, &b, in.name, in.r, in.s)
 	}
+	b.WriteString(evaluated.String())
 	got, want := strings.Split(b.String(), "\n"), strings.Split(goldenWant, "\n")
 	bad := 0
 	for i := 0; i < max(len(got), len(want)); i++ {
@@ -72,18 +75,20 @@ func TestGoldenCounts(t *testing.T) {
 }
 
 // goldenJoins records Stats.Pairs (pgbj.dist_comps), the replica count
-// and an output digest of every pivot-pruned join.
-func goldenJoins(t *testing.T, b *strings.Builder, name string, r, s []codec.Object, radius float64) {
+// and an output digest of every pivot-pruned join into b, and into ev
+// the reducer pivot distances it charged and evaluated.
+func goldenJoins(t *testing.T, b, ev *strings.Builder, name string, r, s []codec.Object, radius float64) {
 	t.Helper()
-	run := func(label string, fn func(*mapreduce.Cluster) (int64, int64, error)) {
+	run := func(label string, fn func(*mapreduce.Cluster) (*stats.Report, error)) {
 		fs := dfs.New(256)
 		cluster := mapreduce.NewCluster(fs, 4)
 		dataset.ToDFS(fs, "R", r, codec.FromR)
 		dataset.ToDFS(fs, "S", s, codec.FromS)
-		pairs, replicas, err := fn(cluster)
+		rep, err := fn(cluster)
 		if err != nil {
 			t.Fatalf("%s %s: %v", name, label, err)
 		}
+		pairs, replicas := rep.Pairs, rep.ReplicasS
 		recs, err := fs.Read("out")
 		if err != nil {
 			t.Fatal(err)
@@ -93,6 +98,7 @@ func goldenJoins(t *testing.T, b *strings.Builder, name string, r, s []codec.Obj
 			h.Write(rec)
 		}
 		fmt.Fprintf(b, "%s %s pairs=%d replicas=%d out=%d/%016x\n", name, label, pairs, replicas, len(recs), h.Sum64())
+		fmt.Fprintf(ev, "%s %s reducer-pivots evaluated=%d charged=%d\n", name, label, rep.ReducerPivotEvaluated, rep.ReducerPivotCharged)
 	}
 	base := pgbj.Options{K: 5, NumPivots: 32, Seed: 1}
 	for _, v := range []struct {
@@ -107,27 +113,15 @@ func goldenJoins(t *testing.T, b *strings.Builder, name string, r, s []codec.Obj
 	} {
 		opts := base
 		v.set(&opts)
-		run(v.label, func(c *mapreduce.Cluster) (int64, int64, error) {
-			rep, err := pgbj.Run(c, "R", "S", "out", opts)
-			if err != nil {
-				return 0, 0, err
-			}
-			return rep.Pairs, rep.ReplicasS, nil
+		run(v.label, func(c *mapreduce.Cluster) (*stats.Report, error) {
+			return pgbj.Run(c, "R", "S", "out", opts)
 		})
 	}
-	run("pbj", func(c *mapreduce.Cluster) (int64, int64, error) {
-		rep, err := pgbj.RunPBJ(c, "R", "S", "out", base)
-		if err != nil {
-			return 0, 0, err
-		}
-		return rep.Pairs, rep.ReplicasS, nil
+	run("pbj", func(c *mapreduce.Cluster) (*stats.Report, error) {
+		return pgbj.RunPBJ(c, "R", "S", "out", base)
 	})
-	run("rangejoin", func(c *mapreduce.Cluster) (int64, int64, error) {
-		rep, err := rangejoin.Run(c, "R", "S", "out", rangejoin.Options{Radius: radius, NumPivots: 32, Seed: 1})
-		if err != nil {
-			return 0, 0, err
-		}
-		return rep.Pairs, rep.ReplicasS, nil
+	run("rangejoin", func(c *mapreduce.Cluster) (*stats.Report, error) {
+		return rangejoin.Run(c, "R", "S", "out", rangejoin.Options{Radius: radius, NumPivots: 32, Seed: 1})
 	})
 }
 
@@ -249,7 +243,10 @@ func hashObjects(h interface{ Write([]byte) (int, error) }, objs []codec.Object)
 // or charges. The forest10d plan lines alone were re-recorded when
 // the planner began pricing reducer blocks at the tier vector.AutoTier
 // gives them: 10-d groups scan quantized, so every score and with it
-// the ranking moved, while each plan's predicted counts did not.
+// the ranking moved, while each plan's predicted counts did not. The
+// closing reducer-pivots lines count the |r,p_j| the join reducers
+// computed beside the ones they are charged (a share of pairs): they
+// were added when the reducers began deciding cells from the pivot gap.
 const goldenWant = `osm2d pgbj pairs=106687 replicas=4836 out=500/a071276a9ab40a55
 osm2d pgbj-nohyperplane pairs=118601 replicas=4836 out=500/a071276a9ab40a55
 osm2d pgbj-nowindow pairs=126075 replicas=4836 out=500/a071276a9ab40a55
@@ -366,4 +363,18 @@ forest10d plan "pbj p=22 farthest" jobs=3 shuffle=5000/620000 replicas=3000 dist
 forest10d plan "hbrj" jobs=2 shuffle=5000/572000 replicas=3000 dist=319406 maxred=79851 spill=0 score=4164b31be0000000
 forest10d plan "pgbj p=22 farthest/geometric" jobs=2 shuffle=6246/811980 replicas=5746 dist=440881 maxred=350641 spill=0 score=4167106df0000000
 forest10d plan "pgbj p=22 farthest/greedy" jobs=2 shuffle=6473/841490 replicas=5973 dist=440881 maxred=349816 spill=0 score=416753d7c0000000
+osm2d pgbj reducer-pivots evaluated=1960 charged=10690
+osm2d pgbj-nohyperplane reducer-pivots evaluated=2494 charged=10690
+osm2d pgbj-nowindow reducer-pivots evaluated=2173 charged=10690
+osm2d pgbj-idorder reducer-pivots evaluated=2658 charged=10690
+osm2d pgbj-greedy reducer-pivots evaluated=1960 charged=11247
+osm2d pbj reducer-pivots evaluated=3157 charged=12500
+osm2d rangejoin reducer-pivots evaluated=898 charged=7293
+forest10d pgbj reducer-pivots evaluated=6139 charged=15360
+forest10d pgbj-nohyperplane reducer-pivots evaluated=9087 charged=15360
+forest10d pgbj-nowindow reducer-pivots evaluated=6989 charged=15360
+forest10d pgbj-idorder reducer-pivots evaluated=7870 charged=15360
+forest10d pgbj-greedy reducer-pivots evaluated=6139 charged=15877
+forest10d pbj reducer-pivots evaluated=7200 charged=16000
+forest10d rangejoin reducer-pivots evaluated=4840 charged=14580
 `

@@ -130,6 +130,15 @@ type Report struct {
 	// pivots.
 	AssignCharged   int64
 	AssignEvaluated int64
+	// ReducerPivotCharged is the share of Pairs charged for the join
+	// reducers' object–pivot distances |r,p_j| — one per (R row,
+	// S-partition) of a reduce group — and ReducerPivotEvaluated the
+	// ones they computed; the rest the pivot gap ruled out
+	// (voronoi.Walk.GapPrunes). Both are exact per seed and identical
+	// across transports and spill modes; both are zero for algorithms
+	// without pivot walks.
+	ReducerPivotCharged   int64
+	ReducerPivotEvaluated int64
 	// ShuffleBytes and ShuffleRecords total across all MapReduce jobs.
 	ShuffleBytes   int64
 	ShuffleRecords int64

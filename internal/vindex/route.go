@@ -39,27 +39,28 @@ func (ix *Index) Walk(own int, ownDist, theta float64) voronoi.Walk {
 // cell {q} (U = 0) — and returns the walk with the visit order (every
 // partition by ascending |q,p_j|, ties by index) and gaps[j] = |q,p_j|.
 // The distances accrue into distCount: |P| for the assignment, one per
-// partition with a kNN list for the bound, and the |P|−1 gaps.
+// partition with a kNN list for the bound, and the |P|−1 gaps. Each
+// |q,p_j| is computed once: the bound reads the gaps, and q's own gap is
+// the assignment's distance, which equals Metric.Dist bit for bit.
 func (ix *Index) StartKNN(q vector.Point, k int, distCount *int64) (w voronoi.Walk, order []int, gaps []float64) {
 	qPart, qDist := ix.AssignQuery(q, distCount)
-	m := ix.opts.Metric
+	gaps = make([]float64, ix.pp.NumPartitions())
+	for j := range gaps {
+		if j == qPart {
+			gaps[j] = qDist
+		} else {
+			gaps[j] = ix.opts.Metric.Dist(q, ix.pp.Pivots[j])
+			*distCount++
+		}
+	}
 	theta := voronoi.KNNBound(k, 0, len(ix.sum.S), func(j int) (float64, []float64) {
 		kd := ix.sum.S[j].KDists
 		if len(kd) == 0 {
 			return 0, nil
 		}
 		*distCount++
-		return m.Dist(q, ix.pp.Pivots[j]), kd
+		return gaps[j], kd
 	})
-	gaps = make([]float64, ix.pp.NumPartitions())
-	for j := range gaps {
-		if j == qPart {
-			gaps[j] = qDist
-		} else {
-			gaps[j] = m.Dist(q, ix.pp.Pivots[j])
-			*distCount++
-		}
-	}
 	order = make([]int, len(gaps))
 	voronoi.VisitOrder(order, gaps)
 	return ix.Walk(qPart, qDist, theta), order, gaps

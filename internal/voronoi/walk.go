@@ -14,10 +14,12 @@ import (
 // j, visited in VisitOrder, the caller computes |x,p_j| and asks Decide
 // whether to skip the cell, prune it (Corollary 1 or an empty Theorem-2
 // window) or scan a pivot-distance window of it; after a scan, Tighten
-// lowers θ to the heap's k-th best. The join reducers, the query index,
-// the shard router and the planner's replay all run this one walk, so a
-// change to a rule lands at one site. The caller charges the distances
-// it computes: each site keeps its own accounting.
+// lowers θ to the heap's k-th best. Callers that may skip |x,p_j| first
+// ask GapPrunes, which decides from the pivot gap alone, and stop the
+// walk at the first cell past GapLimit. The join reducers, the query
+// index, the shard router and the planner's replay all run this one
+// walk, so a change to a rule lands at one site. The caller charges the
+// distances it computes: each site keeps its own accounting.
 type Walk struct {
 	pp      *Partitioner
 	sum     *Summary
@@ -81,6 +83,85 @@ func (w *Walk) Decide(j int, dist float64) (lo, hi float64, d Decision) {
 		return 0, 0, Prune
 	}
 	return lo, hi, Scan
+}
+
+// The gap-only tests. For x in cell i with d_i = |x,p_i| and pivot gap
+// g = |p_i,p_j|, the triangle inequality gives g − d_i ≤ |x,p_j| ≤
+// g + d_i, so the rules of Decide can be read from the two numbers a
+// walk already holds, before |x,p_j| is computed:
+//   - Corollary 1: d(x,H_ij) ≥ g/2 − d_i for j ≠ i. Under L2
+//     HyperplaneDist is increasing in its first argument, and
+//     (d_j² − d_i²)/2g ≥ ((g − d_i)² − d_i²)/2g = g/2 − d_i; under L1
+//     and L∞ (d_j − d_i)/2 ≥ g/2 − d_i directly. Every cell with
+//     g > 2(d_i + θ) is pruned.
+//   - Theorem 2: cell j's window is empty when g − d_i − θ > U_j or
+//     g + d_i + θ < L_j.
+//
+// The tests are one-sided: each comparison must clear a relative slack
+// of gapSlack of the magnitudes involved plus an absolute gapFloor, so
+// rounding in the computed distances can only make a test decline,
+// never prune a cell the exact test would scan. Computed distances
+// carry a relative error below (dim+6)·2⁻⁵³ (cutSlack's argument), which
+// 1e-9 covers up to about 10⁶ dimensions; an L2 distance whose squares
+// underflowed is off by at most √dim·2⁻⁵³⁷ absolutely, which the floor
+// covers. A gap that overflowed to +Inf bounds nothing and never prunes.
+const (
+	gapSlack = 1e-9
+	gapFloor = 0x1p-500
+)
+
+// beyond reports whether a exceeds b by more than rounding in either can
+// explain. It is false whenever a or b is +Inf or NaN.
+func beyond(a, b float64) bool { return a-b > gapSlack*(a+b)+gapFloor }
+
+// GapLimit is Corollary 1 in gap space: every cell j ≠ i whose pivot
+// gap |p_i,p_j| is PastGapLimit of it is pruned at the current θ,
+// whatever |x,p_j| computes to. It is 2(|x,p_i| + θ) plus the slack, and
+// +Inf when NoHyperplane is set. VisitOrder ascends by gap, so a caller
+// walking in that order may stop at the first cell past the largest
+// GapLimit of its rows: every later cell is past it too.
+func (w *Walk) GapLimit() float64 {
+	if w.NoHyperplane {
+		return math.Inf(1)
+	}
+	return 2*(w.OwnDist+w.Theta)*(1+gapSlack) + gapFloor
+}
+
+// BatchGapLimit is the largest GapLimit of a batch of walks that share
+// one cell and one visit order: a cell past it is pruned for every row,
+// and so is every cell after it in gap order.
+func BatchGapLimit(walks []Walk) float64 {
+	limit := math.Inf(-1)
+	for i := range walks {
+		limit = max(limit, walks[i].GapLimit())
+	}
+	return limit
+}
+
+// PastGapLimit reports whether a cell at pivot gap gap lies past limit,
+// a GapLimit or the largest of a batch's. An overflowed gap (+Inf) is
+// never past: the bound cannot be read from it.
+func PastGapLimit(gap, limit float64) bool {
+	return gap > limit && gap <= math.MaxFloat64
+}
+
+// GapPrunes reports, from the pivot gap alone, that Decide(j, |x,p_j|)
+// would return Skip or Prune at the current θ: the caller need not
+// compute |x,p_j|. It may decline a cell Decide prunes, never the other
+// way round.
+func (w *Walk) GapPrunes(j int) bool {
+	if w.Empty(j) {
+		return true
+	}
+	g := w.ownGaps[j]
+	if j != w.Own && PastGapLimit(g, w.GapLimit()) {
+		return true
+	}
+	if w.NoWindow {
+		return false
+	}
+	s, d := w.sum.S[j], w.OwnDist
+	return beyond(g, d+w.Theta+s.U) || beyond(s.L, g+d+w.Theta)
 }
 
 // Tighten is line 24: once h holds k candidates, θ drops to the k-th
