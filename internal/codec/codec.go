@@ -124,22 +124,38 @@ func DecodeObject(b []byte) (Object, int, error) {
 }
 
 // PeekSource returns the source tag of a Tagged wire record without
-// decoding it — enough for a streaming reducer to route the record into
-// the right Block before the full decode.
+// decoding its point — enough for a streaming reducer to route the
+// record into the right Block before the full decode.
 func PeekSource(b []byte) (Source, error) {
-	if len(b) < objHeader {
-		return 0, fmt.Errorf("codec: tagged record truncated: %d bytes", len(b))
+	t, _, err := PeekTagged(b)
+	return t.Src, err
+}
+
+// PeekTagged reads a Tagged wire record's tags — id, source, partition
+// and pivot distance — without decoding its point: the returned Tagged
+// has a nil Point, and coords is the record's coordinate bytes, a
+// sub-slice of rec (capacity capped at its length). Job 2 of the
+// pivot-based joins routes with it: the tags go into the JoinKey and
+// coords, unchanged, becomes the value.
+func PeekTagged(rec []byte) (Tagged, []byte, error) {
+	if len(rec) < objHeader {
+		return Tagged{}, nil, fmt.Errorf("codec: tagged record truncated: %d bytes", len(rec))
 	}
-	dim := int(binary.LittleEndian.Uint32(b[8:]))
+	dim := int(binary.LittleEndian.Uint32(rec[8:]))
 	off := objHeader + 8*dim
-	if dim < 0 || len(b) < off+1 {
-		return 0, fmt.Errorf("codec: tagged record truncated: dim=%d, have %d bytes", dim, len(b))
+	if dim < 0 || len(rec) < off+1+4+8 {
+		return Tagged{}, nil, fmt.Errorf("codec: tagged record truncated: dim=%d, have %d bytes", dim, len(rec))
 	}
-	s := Source(b[off])
-	if s != FromR && s != FromS {
-		return 0, fmt.Errorf("codec: bad source tag %q", b[off])
+	t := Tagged{
+		Object:    Object{ID: int64(binary.LittleEndian.Uint64(rec))},
+		Src:       Source(rec[off]),
+		Partition: int32(binary.LittleEndian.Uint32(rec[off+1:])),
+		PivotDist: math.Float64frombits(binary.LittleEndian.Uint64(rec[off+5:])),
 	}
-	return s, nil
+	if t.Src != FromR && t.Src != FromS {
+		return Tagged{}, nil, fmt.Errorf("codec: bad source tag %q", rec[off])
+	}
+	return t, rec[objHeader:off:off], nil
 }
 
 // AppendTaggedToBlock decodes one Tagged wire record and appends its
@@ -150,37 +166,59 @@ func PeekSource(b []byte) (Source, error) {
 // block's dimensionality; a later record of a different dimensionality
 // is a data error and is reported instead of corrupting the block.
 func AppendTaggedToBlock(b *vector.Block, rec []byte) (Source, int32, error) {
-	if len(rec) < objHeader {
-		return 0, 0, fmt.Errorf("codec: tagged record truncated: %d bytes", len(rec))
+	t, coords, err := PeekTagged(rec)
+	if err != nil {
+		return 0, 0, err
 	}
-	id := int64(binary.LittleEndian.Uint64(rec))
-	dim := int(binary.LittleEndian.Uint32(rec[8:]))
-	need := objHeader + 8*dim + 1 + 4 + 8
-	if dim < 0 || len(rec) < need {
-		return 0, 0, fmt.Errorf("codec: tagged record truncated: dim=%d, have %d bytes", dim, len(rec))
+	if err := appendRow(b, t.ID, t.PivotDist, coords); err != nil {
+		return 0, 0, err
 	}
-	off := objHeader + 8*dim
-	src := Source(rec[off])
+	return t.Src, t.Partition, nil
+}
+
+// AppendKeyedToBlock is AppendTaggedToBlock for a job-2 record of the
+// pivot-based joins: id, source, partition and pivot distance come from
+// its JoinKey, and the value holds only the coordinates, as PeekTagged
+// cuts them. It rejects a key that is not JoinKeyLen bytes, a source
+// tag other than R or S, a value whose length is not a multiple of 8,
+// and a dimensionality other than the block's.
+func AppendKeyedToBlock(b *vector.Block, key, coords []byte) (Source, int32, error) {
+	if len(key) != JoinKeyLen {
+		return 0, 0, fmt.Errorf("codec: join key has %d bytes, want %d", len(key), JoinKeyLen)
+	}
+	tags := key[JoinKeyGroupPrefix:]
+	src := Source(tags[0])
 	if src != FromR && src != FromS {
-		return 0, 0, fmt.Errorf("codec: bad source tag %q", rec[off])
+		return 0, 0, fmt.Errorf("codec: bad source tag %q", tags[0])
 	}
+	if len(coords)%8 != 0 {
+		return 0, 0, fmt.Errorf("codec: coordinate value of %d bytes is not a whole number of float64s", len(coords))
+	}
+	if err := appendRow(b, KeyInt64(tags[13:]), KeyFloat64(tags[5:]), coords); err != nil {
+		return 0, 0, err
+	}
+	return src, int32(binary.BigEndian.Uint32(tags[1:])), nil
+}
+
+// appendRow appends one object, its coordinates given as little-endian
+// float64 bytes, to the block. The first row stamps the block's
+// dimensionality; a row of another dimensionality is an error.
+func appendRow(b *vector.Block, id int64, pivotDist float64, coords []byte) error {
+	dim := len(coords) / 8
 	if b.Len() == 0 {
 		b.Dim = dim
 	} else if dim != b.Dim {
-		return 0, 0, fmt.Errorf("codec: dimension mismatch in block: record has %d dims, block has %d", dim, b.Dim)
+		return fmt.Errorf("codec: dimension mismatch in block: record has %d dims, block has %d", dim, b.Dim)
 	}
-	part := int32(binary.LittleEndian.Uint32(rec[off+1:]))
-	pd := math.Float64frombits(binary.LittleEndian.Uint64(rec[off+5:]))
-
 	b.IDs = append(b.IDs, id)
-	b.PivotDist = append(b.PivotDist, pd)
+	b.PivotDist = append(b.PivotDist, pivotDist)
 	base := len(b.Coords)
 	b.Coords = slices.Grow(b.Coords, dim)[:base+dim]
 	row := b.Coords[base:]
 	for i := range row {
-		row[i] = math.Float64frombits(binary.LittleEndian.Uint64(rec[objHeader+8*i:]))
+		row[i] = math.Float64frombits(binary.LittleEndian.Uint64(coords[8*i:]))
 	}
-	return src, part, nil
+	return nil
 }
 
 // DecodeBlock decodes a batch of Tagged wire records — a whole reducer
@@ -252,21 +290,14 @@ func EncodeTagged(t Tagged) []byte {
 
 // DecodeTagged parses a Tagged record produced by EncodeTagged.
 func DecodeTagged(b []byte) (Tagged, error) {
-	o, n, err := DecodeObject(b)
+	t, coords, err := PeekTagged(b)
 	if err != nil {
 		return Tagged{}, err
 	}
-	rest := b[n:]
-	if len(rest) < 1+4+8 {
-		return Tagged{}, fmt.Errorf("codec: tagged record truncated: %d trailing bytes", len(rest))
+	t.Point = make(vector.Point, len(coords)/8)
+	for i := range t.Point {
+		t.Point[i] = math.Float64frombits(binary.LittleEndian.Uint64(coords[8*i:]))
 	}
-	t := Tagged{Object: o}
-	t.Src = Source(rest[0])
-	if t.Src != FromR && t.Src != FromS {
-		return Tagged{}, fmt.Errorf("codec: bad source tag %q", rest[0])
-	}
-	t.Partition = int32(binary.LittleEndian.Uint32(rest[1:]))
-	t.PivotDist = math.Float64frombits(binary.LittleEndian.Uint64(rest[5:]))
 	return t, nil
 }
 

@@ -1,6 +1,9 @@
 package codec
 
 import (
+	"encoding/binary"
+	"math"
+	"slices"
 	"testing"
 
 	"knnjoin/internal/vector"
@@ -63,6 +66,57 @@ func FuzzDecodeResult(f *testing.F) {
 		}
 		if _, err := DecodeResult(EncodeResult(r)); err != nil {
 			t.Fatalf("re-decode failed: %v", err)
+		}
+	})
+}
+
+// FuzzAppendKeyedToBlock feeds the job-2 decoder a key and two values
+// for one block. It must never panic, and it must reject a key that is
+// not JoinKeyLen bytes, a source tag other than R or S, a value that is
+// not whole float64s and a second row of another dimensionality; what
+// it accepts must read back the key's tags and the value's coordinates.
+func FuzzAppendKeyedToBlock(f *testing.F) {
+	tg := Tagged{Object: Object{ID: -3, Point: vector.Point{1.5, -2}}, Src: FromS, Partition: 7, PivotDist: 0.25}
+	rec := EncodeTagged(tg)
+	_, coords, err := PeekTagged(rec)
+	if err != nil {
+		f.Fatal(err)
+	}
+	key := JoinKey(2, tg)
+	badSrc := slices.Clone(key)
+	badSrc[JoinKeyGroupPrefix] = 'Q'
+	f.Add(key, coords, coords)
+	f.Add(key[:JoinKeyLen-1], coords, coords) // short key
+	f.Add([]byte{}, coords, coords)           // no key
+	f.Add(badSrc, coords, coords)             // bad source
+	f.Add(key, coords[:7], coords)            // ragged value
+	f.Add(key, coords, coords[:8])            // dimensionality change
+	f.Fuzz(func(t *testing.T, key, v1, v2 []byte) {
+		var b vector.Block
+		src, part, err := AppendKeyedToBlock(&b, key, v1)
+		valid := len(key) == JoinKeyLen && (key[4] == byte(FromR) || key[4] == byte(FromS)) && len(v1)%8 == 0
+		if valid != (err == nil) {
+			t.Fatalf("key %x, value of %d bytes: error %v", key, len(v1), err)
+		}
+		if err != nil {
+			if b.Len() != 0 {
+				t.Fatalf("rejected record left %d rows", b.Len())
+			}
+			return
+		}
+		if b.Len() != 1 || b.Dim != len(v1)/8 || src != Source(key[4]) ||
+			part != int32(KeyUint32(key[5:])) || b.IDs[0] != KeyInt64(key[17:]) ||
+			math.Float64bits(b.PivotDist[0]) != math.Float64bits(KeyFloat64(key[9:])) {
+			t.Fatalf("tags or shape misread: %+v src=%v part=%d", b, src, part)
+		}
+		for i, c := range b.Coords {
+			if math.Float64bits(c) != binary.LittleEndian.Uint64(v1[8*i:]) {
+				t.Fatalf("coordinate %d misread", i)
+			}
+		}
+		_, _, err = AppendKeyedToBlock(&b, key, v2)
+		if same := len(v2) == len(v1); same != (err == nil) {
+			t.Fatalf("second row of %d bytes after one of %d: error %v", len(v2), len(v1), err)
 		}
 	})
 }

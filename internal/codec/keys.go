@@ -94,10 +94,17 @@ func RegionKey(region int, t Tagged) []byte {
 // prefix — the Job.GroupKeyPrefix for jobs keyed by JoinKey.
 const JoinKeyGroupPrefix = 4
 
+// JoinKeyLen is the byte length of every JoinKey.
+const JoinKeyLen = JoinKeyGroupPrefix + 1 + 4 + 8 + 8
+
 // JoinKey builds the composite shuffle key of the pivot-based join jobs
 // (PGBJ, PBJ, the range join):
 //
 //	group(4, big-endian) | src(1) | partition(4) | pivotDist(8) | id(8)
+//
+// The key carries every tag of the record, so the job's value is the
+// object's coordinates alone (PeekTagged cuts them, AppendKeyedToBlock
+// reads the pair back).
 //
 // Grouping on the 4-byte prefix gives one reduce call per reducer group,
 // while the suffix secondary-sorts the group's values: all R objects
@@ -106,7 +113,7 @@ const JoinKeyGroupPrefix = 4
 // SortByPivotDist order the reducers need for Theorem-2 windows, now
 // produced by the shuffle's sort-merge instead of an in-reducer sort.
 func JoinKey(group int, t Tagged) []byte {
-	dst := make([]byte, 0, JoinKeyGroupPrefix+1+4+8+8)
+	dst := make([]byte, 0, JoinKeyLen)
 	dst = binary.BigEndian.AppendUint32(dst, uint32(group))
 	dst = append(dst, byte(t.Src))
 	dst = binary.BigEndian.AppendUint32(dst, uint32(t.Partition))

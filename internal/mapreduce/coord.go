@@ -74,11 +74,11 @@ type coordJob struct {
 	local bool
 	live  int // workers still serving the job
 
-	dir     string // where run files go; "" keeps every run resident
-	mem     *memAccount
-	fanIn   int
-	bufSize int
-	lease   time.Duration // zero: attempts carry no lease
+	dir        string // where run files go; "" keeps every run resident
+	mem        *memAccount
+	fanIn      int
+	mergeShare int64
+	lease      time.Duration // zero: attempts carry no lease
 
 	maps        []taskState
 	reduces     []taskState
@@ -266,7 +266,7 @@ func (c *Cluster) dispatchLocked(j *coordJob, t *taskState, worker int, now time
 		JobID: j.id, JobName: j.job.Name, Kind: j.job.Kind, Spec: j.job.Spec,
 		Phase: t.phase, Index: t.index, Attempt: att,
 		NumReducers: j.nReduce, MapOnly: j.mapOnly,
-		RunDir: j.dir, FanIn: j.fanIn, BufSize: j.bufSize,
+		RunDir: j.dir, FanIn: j.fanIn, MergeShare: j.mergeShare,
 		job: j.job, mem: j.mem,
 	}
 	if !j.local {
@@ -448,7 +448,7 @@ func (c *Cluster) runJob(job *Job, splits []dfs.Split) (*JobStats, error) {
 	if j.maxAttempts <= 0 {
 		j.maxAttempts = 1
 	}
-	j.fanIn, j.bufSize = c.cfg.Engine.mergeBudget(c.nodes)
+	j.fanIn, j.mergeShare = c.cfg.Engine.mergeBudget(c.nodes)
 	j.maps = make([]taskState, len(splits))
 	for i := range j.maps {
 		j.maps[i] = taskState{phase: "map", index: i}

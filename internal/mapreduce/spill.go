@@ -30,67 +30,67 @@ type Engine struct {
 	// MemLimit bounds the shuffle bytes kept resident in memory, split
 	// half/half between retained runs (a map task whose completed runs
 	// would push retention past limit/2 spills them to SpillDir instead)
-	// and merge I/O buffers (see mergeBudget). ≤ 0 with SpillDir set
-	// spills every run. The per-task working buffer is bounded
-	// separately, by the DFS split size.
+	// and run-file I/O buffers. The buffer half is shared evenly by the
+	// node-concurrent tasks, and each merge or run write divides its
+	// task's share among the files it actually opens (see mergeBudget
+	// and runState.bufSize). ≤ 0 with SpillDir set spills every run and
+	// gives every file the preferred 32 KiB buffer. The per-task working
+	// buffer is bounded separately, by the DFS split size.
 	MemLimit int64
 
 	// MergeFanIn caps how many runs a reduce task merges at once. When a
 	// reducer receives more spilled runs than this, contiguous groups are
 	// first merged into intermediate run files (Hadoop's multi-pass
 	// merge), keeping open-file read-ahead memory bounded. 0 derives the
-	// cap from MemLimit; the minimum is 2.
+	// cap from MemLimit: as many runs as the task's share holds at the
+	// 8 KiB minimum buffer, leaving one buffer for a pass's writer, so a
+	// reducer merges in one pass whenever its runs fit that budget.
+	// Without a MemLimit the cap is 1024. The minimum is 2.
 	MergeFanIn int
 }
 
 // spillBufSize is the preferred I/O buffer of one open run file (or run
-// writer) during a merge; MemLimit shrinks it. Buffers are charged
-// against the engine's resident-memory accounting while open.
+// writer); a merge under MemLimit opening more files than its share
+// holds at this size gets smaller ones. Buffers are charged against the
+// engine's resident-memory accounting while open.
 const spillBufSize = 32 << 10
 
-// minSpillBuf floors the merge buffer size: limits so small that even
-// this floor overruns them are clamped rather than honored.
+// minMergeBuf is the smallest per-file buffer the derived fan-in plans
+// for: a reducer with more runs than its share holds at this size
+// merges in passes instead of reading through ever smaller buffers.
+const minMergeBuf = 8 << 10
+
+// minSpillBuf floors the buffer size: limits so small that even this
+// floor overruns them are clamped rather than honored.
 const minSpillBuf = 128
 
 // defaultFanIn bounds a merge when no MemLimit constrains it.
 const defaultFanIn = 1024
 
 // mergeBudget resolves the merge shape for a cluster of n nodes: the
-// fan-in (how many runs one merge reads at once) and the per-file buffer
-// size. Half of MemLimit is reserved for retained runs (see
-// retainOrSpill), the other half is split across the n node-concurrent
-// reduce tasks; each task's share must hold fanIn read buffers plus one
-// write buffer for intermediate passes. The result rides every task
-// assignment, so goroutine workers and worker processes merge alike.
-func (e Engine) mergeBudget(n int) (fanIn, bufSize int) {
-	fanIn, bufSize = defaultFanIn, spillBufSize
+// fan-in (how many runs one merge reads at once) and each task's share
+// of buffer memory (0: unbounded). Half of MemLimit is reserved for
+// retained runs (see retainOrSpill), the other half is split across the
+// n node-concurrent tasks. A merge holds its read buffers plus, in an
+// intermediate pass, one write buffer, so the derived fan-in is the
+// largest that leaves each of fanIn+1 files minMergeBuf of the share.
+// The buffers themselves are sized per merge, from the runs it opens
+// (runState.bufSize), so an explicit MergeFanIn above the derived cap
+// shrinks them rather than busting MemLimit. The result rides every
+// task assignment, so goroutine workers and worker processes merge
+// alike.
+func (e Engine) mergeBudget(n int) (fanIn int, share int64) {
+	fanIn = defaultFanIn
 	if e.MergeFanIn > 0 {
-		fanIn = e.MergeFanIn
-		if fanIn < 2 {
-			fanIn = 2
-		}
+		fanIn = max(e.MergeFanIn, 2)
 	}
 	if e.MemLimit > 0 {
-		perNode := e.MemLimit / 2 / int64(n)
+		share = max(e.MemLimit/2/int64(n), 1)
 		if e.MergeFanIn <= 0 {
-			if f := int(perNode / spillBufSize); f < fanIn {
-				fanIn = f
-			}
-			if fanIn < 2 {
-				fanIn = 2
-			}
-		}
-		// The buffer size always honors the budget for whatever fan-in is
-		// in force — an explicit MergeFanIn above the derived cap shrinks
-		// the buffers rather than busting MemLimit.
-		if b := int(perNode / int64(fanIn+1)); b < bufSize {
-			bufSize = b
-		}
-		if bufSize < minSpillBuf {
-			bufSize = minSpillBuf
+			fanIn = int(max(min(int64(fanIn), share/minMergeBuf-1), 2))
 		}
 	}
-	return fanIn, bufSize
+	return fanIn, share
 }
 
 // validate rejects configurations that silently could not spill.
@@ -137,13 +137,37 @@ func (m *memAccount) release(n int64) { m.resident.Add(-n) }
 // charges, and what it spilled — folded into JobStats only if the
 // attempt commits.
 type runState struct {
-	dir     string // "" = nowhere to spill: every run stays resident
-	fanIn   int
-	bufSize int
-	mem     *memAccount
+	dir   string // "" = nowhere to spill: every run stays resident
+	fanIn int
+	share int64 // buffer bytes for the attempt's open files; 0 = unbounded
+	mem   *memAccount
 
 	spilledRuns  int64
 	spilledBytes int64
+}
+
+// bufSize is the I/O buffer of each file opened by a merge or run write
+// that reads the given number of run files and writes at most one: the
+// preferred spillBufSize, or the attempt's share split evenly over
+// files+1 buffers when that is smaller, floored at minSpillBuf.
+func (rs *runState) bufSize(files int) int {
+	b := spillBufSize
+	if rs.share > 0 {
+		b = int(min(int64(b), rs.share/int64(files+1)))
+	}
+	return max(b, minSpillBuf)
+}
+
+// spilledFiles counts the runs that live in run files — the ones a
+// merge opens a buffer for.
+func spilledFiles(runs []runData) int {
+	n := 0
+	for _, run := range runs {
+		if run.File != nil {
+			n++
+		}
+	}
+	return n
 }
 
 // retainOrSpill decides where a finished map attempt's sorted runs live.
@@ -246,22 +270,23 @@ type runFileWriter struct {
 	rs   *runState
 	f    *os.File
 	w    *bufio.Writer
+	buf  int // write-buffer bytes charged while open
 	path string
 	rf   runFile
 }
 
-// newRunFileWriter opens a fresh run file in the job's spill directory,
-// charging its write buffer against the resident budget until the writer
-// finishes or aborts.
-func newRunFileWriter(rs *runState) (*runFileWriter, error) {
+// newRunFileWriter opens a fresh run file in the job's spill directory
+// with a buf-byte write buffer, charging it against the resident budget
+// until the writer finishes or aborts.
+func newRunFileWriter(rs *runState, buf int) (*runFileWriter, error) {
 	path := filepath.Join(rs.dir, fmt.Sprintf("run-%06d", rs.mem.nameSeq.Add(1)))
 	f, err := os.Create(path + ".tmp")
 	if err != nil {
 		return nil, fmt.Errorf("mapreduce: spill: %w", err)
 	}
-	rs.mem.reserve(int64(rs.bufSize))
+	rs.mem.reserve(int64(buf))
 	return &runFileWriter{
-		rs: rs, f: f, w: bufio.NewWriterSize(f, rs.bufSize),
+		rs: rs, f: f, w: bufio.NewWriterSize(f, buf), buf: buf,
 		path: path, rf: runFile{Path: path},
 	}, nil
 }
@@ -285,7 +310,7 @@ func (rw *runFileWriter) finish() (*runFile, error) {
 	if cerr := rw.f.Close(); err == nil {
 		err = cerr
 	}
-	rw.rs.mem.release(int64(rw.rs.bufSize))
+	rw.rs.mem.release(int64(rw.buf))
 	if err == nil {
 		err = os.Rename(rw.path+".tmp", rw.path)
 	}
@@ -302,13 +327,14 @@ func (rw *runFileWriter) finish() (*runFile, error) {
 // abort discards the partially written file.
 func (rw *runFileWriter) abort() {
 	rw.f.Close()
-	rw.rs.mem.release(int64(rw.rs.bufSize))
+	rw.rs.mem.release(int64(rw.buf))
 	os.Remove(rw.path + ".tmp")
 }
 
-// writeRunFile persists an in-memory sorted run to disk.
+// writeRunFile persists an in-memory sorted run to disk; the writer is
+// the only file it opens.
 func writeRunFile(rs *runState, kvs []KV) (*runFile, error) {
-	rw, err := newRunFileWriter(rs)
+	rw, err := newRunFileWriter(rs, rs.bufSize(0))
 	if err != nil {
 		return nil, err
 	}
@@ -377,6 +403,7 @@ type fileCursor struct {
 	rs      *runState
 	f       *os.File
 	r       *bufio.Reader
+	buf     int // read-ahead bytes charged while open
 	path    string
 	left    int64 // records not yet surfaced
 	records int64 // the run's record count, capped by the file's size
@@ -386,9 +413,10 @@ type fileCursor struct {
 	failure error
 }
 
-// openRunCursor opens a spilled run for merging.
-func openRunCursor(rs *runState, rf *runFile) *fileCursor {
-	c := &fileCursor{rs: rs, path: rf.Path, left: rf.Records}
+// openRunCursor opens a spilled run for merging with a buf-byte
+// read-ahead buffer.
+func openRunCursor(rs *runState, rf *runFile, buf int) *fileCursor {
+	c := &fileCursor{rs: rs, path: rf.Path, left: rf.Records, buf: buf}
 	f, err := os.Open(rf.Path)
 	if err != nil {
 		c.failure = &runBadError{path: rf.Path, msg: "unreadable", err: err}
@@ -407,8 +435,8 @@ func openRunCursor(rs *runState, rf *runFile) *fileCursor {
 	// frame headers, and its payload cannot exceed the file.
 	c.records = min(rf.Records, st.Size()/minRecordFrameBytes)
 	c.bytes = min(rf.Bytes, st.Size())
-	c.r = bufio.NewReaderSize(f, rs.bufSize)
-	rs.mem.reserve(int64(rs.bufSize))
+	c.r = bufio.NewReaderSize(f, buf)
+	rs.mem.reserve(int64(buf))
 	c.advance()
 	return c
 }
@@ -446,17 +474,17 @@ func (c *fileCursor) close() {
 	if c.f != nil {
 		c.f.Close()
 		c.f = nil
-		c.rs.mem.release(int64(c.rs.bufSize))
+		c.rs.mem.release(int64(c.buf))
 	}
 }
 
-// openRuns turns a reducer's runs into merge cursors, charging file
-// read-ahead buffers as they open.
-func openRuns(rs *runState, runs []runData) []cursor {
+// openRuns turns a reducer's runs into merge cursors, charging a
+// buf-byte read-ahead buffer for each run file as it opens.
+func openRuns(rs *runState, runs []runData, buf int) []cursor {
 	out := make([]cursor, len(runs))
 	for i, run := range runs {
 		if run.File != nil {
-			out[i] = openRunCursor(rs, run.File)
+			out[i] = openRunCursor(rs, run.File, buf)
 		} else {
 			out[i] = &memCursor{kvs: run.kvs}
 		}
@@ -470,14 +498,15 @@ func openRuns(rs *runState, runs []runData) []cursor {
 // output writer one at a time — the pass exists to cut fan-in, so its
 // memory footprint is just the open read-ahead and write buffers.
 func mergeToFile(rs *runState, runs []runData, vcmp CompareFunc) (*runFile, error) {
-	cursors := openRuns(rs, runs)
+	buf := rs.bufSize(spilledFiles(runs))
+	cursors := openRuns(rs, runs, buf)
 	defer func() {
 		for _, c := range cursors {
 			c.close()
 		}
 	}()
 	m := newMergerCursors(cursors, vcmp)
-	rw, err := newRunFileWriter(rs)
+	rw, err := newRunFileWriter(rs, buf)
 	if err != nil {
 		return nil, err
 	}

@@ -2,8 +2,10 @@ package mapreduce
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/fnv"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -151,6 +153,111 @@ func TestSpillFanInMultiPassMerge(t *testing.T) {
 	for i := range memOut {
 		if !bytes.Equal(memOut[i], spOut[i]) {
 			t.Fatalf("output record %d differs under multi-pass merge", i)
+		}
+	}
+}
+
+// onePassJob is a 41-split, 4-reducer job whose every map task emits
+// more than 1 MiB (17 values of 64 KiB, spread over the reducers): under
+// a 2 MiB MemLimit on one node no map task's runs fit the 1 MiB
+// retention half, so every run spills and each reducer receives 41 run
+// files. Each reducer reports its group's value count and digest.
+func onePassJob() *Job {
+	base := make([]byte, 128<<10)
+	for i := range base {
+		base[i] = byte(i * 31 / 7)
+	}
+	return &Job{
+		Name: "one-pass", Input: []string{"in"}, Output: "out",
+		NumReducers: 4, Partition: Uint32Partition, GroupKeyPrefix: 4,
+		Map: func(_ *TaskContext, rec dfs.Record, emit Emit) error {
+			task := binary.BigEndian.Uint32(rec)
+			for j := uint32(0); j < 17; j++ {
+				key := binary.BigEndian.AppendUint32(nil, j%4)
+				key = binary.BigEndian.AppendUint32(key, task)
+				key = binary.BigEndian.AppendUint32(key, j)
+				off := (task*17 + j) % (64 << 10)
+				emit(key, base[off:off+64<<10])
+			}
+			return nil
+		},
+		Reduce: func(_ *TaskContext, key []byte, values *Values, emit Emit) error {
+			h := fnv.New64a()
+			n := 0
+			for v, ok := values.Next(); ok; v, ok = values.Next() {
+				h.Write(v)
+				n++
+			}
+			emit(nil, fmt.Appendf(nil, "group %x: %d values, digest %016x", key[:4], n, h.Sum64()))
+			return nil
+		},
+	}
+}
+
+// A MemLimit whose 32 KiB buffers would cap the fan-in at 32 still
+// merges a reducer's 41 spilled runs in one pass: the fan-in comes from
+// the 8 KiB minimum buffer, and each merge splits its share over the
+// files it opens. No intermediate run is written — the spilled bytes
+// are exactly the map side's — residency stays under the limit, and the
+// output is the in-memory run's, byte for byte.
+func TestSpillMergesFortyOneRunsInOnePass(t *testing.T) {
+	const maps = 41
+	splits := make([]string, maps)
+	for i := range splits {
+		splits[i] = string(binary.BigEndian.AppendUint32(nil, uint32(i)))
+	}
+	eng := Engine{MemLimit: 2 << 20}
+	if old := eng.MemLimit / 2 / spillBufSize; old != 32 {
+		t.Fatalf("budget gives %d 32 KiB buffers, want the 32 of the old fan-in rule", old)
+	}
+
+	mem := newTestCluster(1, 1)
+	writeLines(mem.FS(), "in", splits...)
+	if _, err := mem.Run(onePassJob()); err != nil {
+		t.Fatal(err)
+	}
+	sp := spillCluster(t, 1, 1, eng)
+	writeLines(sp.FS(), "in", splits...)
+	st, err := sp.Run(onePassJob())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.MapTasks != maps || st.ReduceTasks != 4 {
+		t.Fatalf("%d map and %d reduce tasks, want %d and 4", st.MapTasks, st.ReduceTasks, maps)
+	}
+	if st.SpilledRuns != maps*4 || st.SpilledBytes != st.ShuffleBytes {
+		t.Fatalf("spilled %d runs of %d bytes for a %d-byte shuffle of %d map runs: a merge pass rewrote runs",
+			st.SpilledRuns, st.SpilledBytes, st.ShuffleBytes, maps*4)
+	}
+	if st.PeakResidentBytes > eng.MemLimit {
+		t.Fatalf("peak resident %d exceeds the %d-byte MemLimit", st.PeakResidentBytes, eng.MemLimit)
+	}
+	memOut, _ := mem.FS().Read("out")
+	spOut, _ := sp.FS().Read("out")
+	if fmt.Sprintf("%q", memOut) != fmt.Sprintf("%q", spOut) {
+		t.Fatalf("one-pass output differs from in-memory output:\n%q\n%q", spOut, memOut)
+	}
+}
+
+// Every merge a budget admits — up to fanIn run files read and one
+// written — fits its buffers in the task's share, whatever the limit,
+// node count or explicit fan-in; only a share below the minSpillBuf
+// floor is clamped rather than honored.
+func TestMergeBuffersFitShare(t *testing.T) {
+	for _, eng := range []Engine{
+		{MemLimit: 8 << 20}, {MemLimit: 2 << 20}, {MemLimit: 64 << 10}, {MemLimit: 4 << 10},
+		{MemLimit: 8 << 20, MergeFanIn: 500}, {MemLimit: 4 << 10, MergeFanIn: 3},
+	} {
+		for _, nodes := range []int{1, 4} {
+			fanIn, share := eng.mergeBudget(nodes)
+			rs := &runState{share: share}
+			for files := 0; files <= fanIn; files++ {
+				buf := rs.bufSize(files)
+				if buf > spillBufSize || buf > minSpillBuf && int64(files+1)*int64(buf) > share {
+					t.Fatalf("%+v on %d nodes: %d files + a writer at %d bytes each overrun the %d-byte share",
+						eng, nodes, files, buf, share)
+				}
+			}
 		}
 	}
 }
@@ -403,7 +510,7 @@ func TestValuesRemainingExactForOneGroupTasks(t *testing.T) {
 // claims more records than it holds still fails the attempt as a bad
 // run, naming the file.
 func TestRemainingBoundedByRunFile(t *testing.T) {
-	rs := &runState{dir: t.TempDir(), fanIn: 8, bufSize: 4 << 10, mem: &memAccount{}}
+	rs := &runState{dir: t.TempDir(), fanIn: 8, share: 4 << 10, mem: &memAccount{}}
 	kvs := make([]KV, 50)
 	for i := range kvs {
 		kvs[i] = KV{Key: fmt.Appendf(nil, "g%03d", i), Value: bytes.Repeat([]byte{byte(i)}, 24)}

@@ -48,9 +48,10 @@ type assignment struct {
 	// each file's own tmp+rename commit.
 	RunDir string
 
-	// FanIn and BufSize are the engine's merge budget (Engine.mergeBudget).
-	FanIn   int
-	BufSize int
+	// FanIn and MergeShare are the engine's merge budget
+	// (Engine.mergeBudget).
+	FanIn      int
+	MergeShare int64
 
 	// TraceID and SpanParent propagate the scheduler's job span to the
 	// worker, which parents its task-attempt span under them. Both

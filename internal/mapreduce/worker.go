@@ -208,7 +208,7 @@ func (w *worker) execute(a *assignment, comp *completion) error {
 		}
 	}
 	ctx := &TaskContext{JobName: a.JobName, TaskID: a.taskID(), side: a.job.Side, counters: NewCounterSet()}
-	rs := &runState{dir: a.RunDir, fanIn: a.FanIn, bufSize: a.BufSize, mem: a.mem}
+	rs := &runState{dir: a.RunDir, fanIn: a.FanIn, share: a.MergeShare, mem: a.mem}
 	defer func() {
 		comp.Work = ctx.work
 		comp.SpilledRuns, comp.SpilledBytes = rs.spilledRuns, rs.spilledBytes
@@ -393,7 +393,7 @@ func (w *worker) reduceTask(a *assignment, ctx *TaskContext, rs *runState, comp 
 	if err != nil {
 		return nil, reportBad(err)
 	}
-	cursors := openRuns(rs, runs)
+	cursors := openRuns(rs, runs, rs.bufSize(spilledFiles(runs)))
 	defer func() {
 		for _, cu := range cursors {
 			cu.close()

@@ -12,14 +12,14 @@ import (
 )
 
 // collectOneGroup runs a one-reducer job whose single group holds rows
-// 10-d Tagged records (half R in partition 0, half S in partition 1)
-// and returns the GroupBlock CollectGroupBlock built plus the heap
-// allocations that call made. A merge stream can be read once, so the
-// count is the Mallocs delta around the one call, taken the way
-// testing.AllocsPerRun takes it (GOMAXPROCS 1, runtime.ReadMemStats),
-// with the collector paused so a GC cycle's own bookkeeping cannot add
-// to it; the engine does not allocate while a reducer pulls resident
-// values.
+// 10-d job-2 records, a JoinKey and the coordinates (half R in
+// partition 0, half S in partition 1), and returns the GroupBlock
+// CollectGroupBlock built plus the heap allocations that call made. A
+// merge stream can be read once, so the count is the Mallocs delta
+// around the one call, taken the way testing.AllocsPerRun takes it
+// (GOMAXPROCS 1, runtime.ReadMemStats), with the collector paused so a
+// GC cycle's own bookkeeping cannot add to it; the engine does not
+// allocate while a reducer pulls resident values.
 func collectOneGroup(t *testing.T, rows int) (*GroupBlock, uint64) {
 	t.Helper()
 	objs := dataset.Forest(rows, 7)
@@ -41,11 +41,11 @@ func collectOneGroup(t *testing.T, rows int) (*GroupBlock, uint64) {
 		Name: "collect", Input: []string{"in"}, Output: "out",
 		Partition: mapreduce.Uint32Partition, GroupKeyPrefix: codec.JoinKeyGroupPrefix,
 		Map: func(_ *mapreduce.TaskContext, rec dfs.Record, emit mapreduce.Emit) error {
-			tg, err := codec.DecodeTagged(rec)
+			tg, coords, err := codec.PeekTagged(rec)
 			if err != nil {
 				return err
 			}
-			emit(codec.JoinKey(0, tg), rec)
+			emit(codec.JoinKey(0, tg), coords)
 			return nil
 		},
 		Reduce: func(_ *mapreduce.TaskContext, _ []byte, values *mapreduce.Values, _ mapreduce.Emit) error {

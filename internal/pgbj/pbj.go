@@ -126,10 +126,12 @@ func buildPBJJob(s pbjSpec) *mapreduce.Job {
 }
 
 // pbjRouteMap replicates each object to its row or column of the √N×√N
-// block grid: R-partition blocks join every S block and vice versa.
+// block grid: R-partition blocks join every S block and vice versa. As
+// in PGBJ's job 2, the JoinKey holds the tags and the value the
+// coordinates.
 func pbjRouteMap(ctx *mapreduce.TaskContext, rec dfs.Record, emit mapreduce.Emit) error {
 	b := ctx.Side(sideBlocks).(int)
-	t, err := codec.DecodeTagged(rec)
+	t, coords, err := codec.PeekTagged(rec)
 	if err != nil {
 		return err
 	}
@@ -137,12 +139,12 @@ func pbjRouteMap(ctx *mapreduce.TaskContext, rec dfs.Record, emit mapreduce.Emit
 	switch t.Src {
 	case codec.FromR:
 		for col := 0; col < b; col++ {
-			emit(codec.JoinKey(blk*b+col, t), rec)
+			emit(codec.JoinKey(blk*b+col, t), coords)
 		}
 	case codec.FromS:
 		ctx.Counter("replicas_s", int64(b))
 		for a := 0; a < b; a++ {
-			emit(codec.JoinKey(a*b+blk, t), rec)
+			emit(codec.JoinKey(a*b+blk, t), coords)
 		}
 	}
 	return nil

@@ -416,23 +416,25 @@ func buildSummary(fs dfs.Store, partFile string, pp *voronoi.Partitioner, k, wor
 
 // pgbjRouteMap is the map function of job 2 (Algorithm 3 lines 3–11 plus
 // the Theorem-6 group routing): R objects go to their group; S objects
-// replicate to every group whose LB admits them.
+// replicate to every group whose LB admits them. The JoinKey carries the
+// record's tags, so the value is its coordinates alone, shared with the
+// job-1 record rather than copied.
 func pgbjRouteMap(ctx *mapreduce.TaskContext, rec dfs.Record, emit mapreduce.Emit) error {
 	groupOf := ctx.Side(sideGroupOf).([]int)
 	groupLBs := ctx.Side(sideGroupLBs).([][]float64)
-	t, err := codec.DecodeTagged(rec)
+	t, coords, err := codec.PeekTagged(rec)
 	if err != nil {
 		return err
 	}
 	switch t.Src {
 	case codec.FromR:
-		emit(codec.JoinKey(groupOf[t.Partition], t), rec)
+		emit(codec.JoinKey(groupOf[t.Partition], t), coords)
 	case codec.FromS:
 		row := groupLBs[t.Partition]
 		for g, lb := range row {
 			if t.PivotDist >= lb {
 				ctx.Counter("replicas_s", 1)
-				emit(codec.JoinKey(g, t), rec)
+				emit(codec.JoinKey(g, t), coords)
 			}
 		}
 	}
@@ -463,23 +465,31 @@ type GroupBlock struct {
 
 // CollectGroupBlock streams one reducer group into a GroupBlock: one
 // flat coordinate array for the whole group with partitions tracked as
-// row ranges. The first record stamps the block's dimensionality; the
-// block is then sized once for the rest of the group (growToGroup), so
-// the collection makes a constant number of allocations whatever the
-// group's size. The block is prepared with vector.KernelAuto, so the
-// reducer's candidate loops run on the tier the group's shape picks.
+// row ranges. Each record is a JoinKey, which holds the object's id,
+// source, partition and pivot distance, and a value of its coordinates
+// (codec.AppendKeyedToBlock). The first record stamps the block's
+// dimensionality; the block is then sized once for the rest of the
+// group (growToGroup), so the collection makes a constant number of
+// allocations whatever the group's size. The block is prepared with
+// vector.KernelAuto, so the reducer's candidate loops run on the tier
+// the group's shape picks.
 func CollectGroupBlock(values *mapreduce.Values) (*GroupBlock, error) {
 	gb := &GroupBlock{Block: &vector.Block{}}
 	var openSrc codec.Source
 	var openPart int32
-	for v, ok := values.Next(); ok; v, ok = values.Next() {
-		src, part, err := codec.AppendTaggedToBlock(gb.Block, v)
+	for {
+		key := values.Key()
+		v, ok := values.Next()
+		if !ok {
+			break
+		}
+		src, part, err := codec.AppendKeyedToBlock(gb.Block, key, v)
 		if err != nil {
 			return nil, err
 		}
 		row := gb.Block.Len() - 1
 		if row == 0 {
-			growToGroup(gb.Block, values, len(v))
+			growToGroup(gb.Block, values, len(key)+len(v))
 		}
 		ranges := &gb.RParts
 		if src == codec.FromS {
@@ -500,11 +510,11 @@ func CollectGroupBlock(values *mapreduce.Values) (*GroupBlock, error) {
 // record count bounds the group, and is exact for PGBJ, PBJ and the
 // range join, whose reduce tasks each stream one group (NumReducers is
 // the group count and Uint32Partition routes by group id). The bound is
-// capped by the remaining payload bytes — every Tagged value of the
-// block's dimensionality is recLen bytes — so a damaged run description
-// cannot turn into a huge allocation. A smaller group leaves spare
-// capacity; a larger one (never, for these joins) falls back to
-// append's growth.
+// capped by the remaining payload bytes — every key and value of the
+// block's dimensionality take recLen bytes — so a damaged run
+// description cannot turn into a huge allocation. A smaller group
+// leaves spare capacity; a larger one (never, for these joins) falls
+// back to append's growth.
 func growToGroup(b *vector.Block, values *mapreduce.Values, recLen int) {
 	records, bytes := values.Remaining()
 	n := b.Len() + int(min(records, bytes/int64(recLen)))

@@ -384,6 +384,12 @@ func score(p Prediction, ds *DataStats, opts Options, reducers int, scalar bool)
 	return costJob*float64(p.Jobs) + math.Max(parallel, critical) + costSpillByte*float64(p.SpillBytes)/float64(opts.Nodes)
 }
 
+// joinRecordBytes prices one job-2 record of PGBJ or PBJ: its JoinKey,
+// which holds the tags, and a value of the object's coordinates.
+func (ds *DataStats) joinRecordBytes() int64 {
+	return int64(ds.JoinKeyBytes + 8*ds.Dims)
+}
+
 // costPGBJ evaluates one PGBJ candidate: Theorem-7 replication from the
 // sampled routing state, the Algorithm-3 replay for reducer compute, and
 // shuffle volume from the record and key sizes.
@@ -427,7 +433,7 @@ func costPGBJ(ds *DataStats, opts Options, st *pivotState, gs pgbj.GroupStrategy
 	p := Prediction{
 		Jobs:            2, // partition + join (pivot selection is driver-side)
 		ShuffleRecords:  shuffleRecords,
-		ShuffleBytes:    shuffleRecords * int64(ds.RecBytes+ds.JoinKeyBytes),
+		ShuffleBytes:    shuffleRecords * ds.joinRecordBytes(),
 		ReplicasS:       replicas,
 		MaxReducerComps: maxGroup,
 	}
@@ -469,7 +475,7 @@ func costPBJ(ds *DataStats, opts Options, st *pivotState) Plan {
 		DistComps:       int64(ds.RSize+ds.SSize)*int64(st.numPivots) + pivotSelectComps(st.strategy, st.numPivots, ds.RSize) + total,
 		MaxReducerComps: maxReducer,
 	}
-	p.ShuffleBytes = joinRecords*int64(ds.RecBytes+ds.JoinKeyBytes) +
+	p.ShuffleBytes = joinRecords*ds.joinRecordBytes() +
 		mergeRecords*int64(resultBytes(opts.K)+8)
 	p.SpillBytes = spillBytes(p.ShuffleBytes, opts.MemLimit)
 	plan := Plan{

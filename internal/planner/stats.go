@@ -31,6 +31,8 @@ type DataStats struct {
 	// RecBytes is the encoded size of one Tagged record (fixed for a
 	// given dimensionality); JoinKeyBytes and RegionKeyBytes the sizes of
 	// the composite shuffle keys the join jobs attach to each record.
+	// A JoinKey holds the record's tags, so a JoinKey-keyed record
+	// carries only the coordinates beside it (joinRecordBytes).
 	RecBytes       int
 	JoinKeyBytes   int
 	RegionKeyBytes int

@@ -226,22 +226,23 @@ func buildJoinJob(s joinSpec) *mapreduce.Job {
 
 // routeMap routes R objects to their group and replicates S objects to
 // every group whose Corollary-2 bound (with θ in place of θ_i) admits
-// them.
+// them. The JoinKey holds the tags and the value the coordinates, as in
+// PGBJ's job 2.
 func routeMap(ctx *mapreduce.TaskContext, rec dfs.Record, emit mapreduce.Emit) error {
 	groupOf := ctx.Side(sideGroupOf).([]int)
 	groupLBs := ctx.Side(sideGroupLBs).([][]float64)
-	t, err := codec.DecodeTagged(rec)
+	t, coords, err := codec.PeekTagged(rec)
 	if err != nil {
 		return err
 	}
 	switch t.Src {
 	case codec.FromR:
-		emit(codec.JoinKey(groupOf[t.Partition], t), rec)
+		emit(codec.JoinKey(groupOf[t.Partition], t), coords)
 	case codec.FromS:
 		for g, lb := range groupLBs[t.Partition] {
 			if t.PivotDist >= lb {
 				ctx.Counter("replicas_s", 1)
-				emit(codec.JoinKey(g, t), rec)
+				emit(codec.JoinKey(g, t), coords)
 			}
 		}
 	}

@@ -15,8 +15,10 @@ import (
 
 // reducerTier runs one MapReduce job whose single reduce group holds
 // every object of objs and returns the tier collect gave the block it
-// built from that group — the tier a join reducer would scan on.
-func reducerTier(t *testing.T, objs []codec.Object, collect func(*mapreduce.Values) (*vector.Block, error)) vector.Kernel {
+// built from that group — the tier a join reducer would scan on. A keyed
+// collector gets the pivot-based joins' job-2 records (a JoinKey and the
+// coordinates), the others whole Tagged records.
+func reducerTier(t *testing.T, objs []codec.Object, keyed bool, collect func(*mapreduce.Values) (*vector.Block, error)) vector.Kernel {
 	t.Helper()
 	fs := dfs.New(64)
 	if err := dataset.ToDFS(fs, "S", objs, codec.FromS); err != nil {
@@ -24,11 +26,20 @@ func reducerTier(t *testing.T, objs []codec.Object, collect func(*mapreduce.Valu
 	}
 	var got vector.Kernel
 	_, err := mapreduce.NewCluster(fs, 1).Run(&mapreduce.Job{
-		Name:   "tier",
-		Input:  []string{"S"},
-		Output: "out",
+		Name:           "tier",
+		Input:          []string{"S"},
+		Output:         "out",
+		GroupKeyPrefix: codec.JoinKeyGroupPrefix,
 		Map: func(_ *mapreduce.TaskContext, rec dfs.Record, emit mapreduce.Emit) error {
-			emit([]byte("g"), rec)
+			if !keyed {
+				emit([]byte("g"), rec)
+				return nil
+			}
+			tg, coords, err := codec.PeekTagged(rec)
+			if err != nil {
+				return err
+			}
+			emit(codec.JoinKey(0, tg), coords)
 			return nil
 		},
 		Reduce: func(_ *mapreduce.TaskContext, _ []byte, values *mapreduce.Values, _ mapreduce.Emit) error {
@@ -80,7 +91,7 @@ func TestTierPolicyAtBuildSites(t *testing.T) {
 	} {
 		objs := dataset.Uniform(tc.rows, tc.dim, 100, 1)
 		for name, collect := range collectors {
-			if got := reducerTier(t, objs, collect); got != tc.want {
+			if got := reducerTier(t, objs, name == "pgbj.CollectGroupBlock", collect); got != tc.want {
 				t.Errorf("%s: %s gave %v, want %v", tc.name, name, got, tc.want)
 			}
 		}
