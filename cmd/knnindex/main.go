@@ -143,7 +143,7 @@ func runStats(args []string) error {
 	if *idxPath == "" {
 		return fmt.Errorf("stats needs -index")
 	}
-	ix, err := loadIndex(*idxPath)
+	ix, err := vindex.LoadFile(*idxPath)
 	if err != nil {
 		return err
 	}
@@ -155,7 +155,7 @@ func loadIndexAndPoint(idxPath, pointStr string) (*vindex.Index, vector.Point, e
 	if idxPath == "" || pointStr == "" {
 		return nil, nil, fmt.Errorf("need -index and -point")
 	}
-	ix, err := loadIndex(idxPath)
+	ix, err := vindex.LoadFile(idxPath)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -164,15 +164,6 @@ func loadIndexAndPoint(idxPath, pointStr string) (*vindex.Index, vector.Point, e
 		return nil, nil, err
 	}
 	return ix, q, nil
-}
-
-func loadIndex(path string) (*vindex.Index, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return vindex.Load(f)
 }
 
 func readCSV(path string) ([]codec.Object, error) {

@@ -96,6 +96,9 @@ func run(parent context.Context, args []string, ready chan<- string) error {
 	var ix *vindex.Index
 	source := ""
 	switch {
+	case *idxPath != "" && *shards > 0:
+		// StartCluster reads the index's pivots and summary; each shard
+		// replica decodes only its own cells.
 	case *idxPath != "":
 		var err error
 		if ix, err = vindex.LoadFile(*idxPath); err != nil {
@@ -173,6 +176,9 @@ func run(parent context.Context, args []string, ready chan<- string) error {
 			return err
 		}
 		defer cluster.Close()
+		if ix == nil {
+			ix = cluster.Meta()
+		}
 		// The router's shard_* families join the server's registry so
 		// one /metrics page covers routing and serving.
 		cfg.Metrics = obs.NewRegistry()

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"net/http"
@@ -10,9 +11,11 @@ import (
 	"testing"
 	"time"
 
+	"knnjoin/internal/codec"
 	"knnjoin/internal/dataset"
 	"knnjoin/internal/serve"
 	"knnjoin/internal/shard"
+	"knnjoin/internal/vindex"
 )
 
 // TestMain lets -shards tests re-exec this test binary as shard
@@ -172,5 +175,56 @@ func TestServeShardedEndToEnd(t *testing.T) {
 		}
 	case <-time.After(15 * time.Second):
 		t.Fatal("server did not shut down")
+	}
+}
+
+// TestServeShardedCorruptIndexFailsFast damages one record of an index
+// file and starts -shards 2 on it. Only the replica that owns the
+// record's cell decodes it, so the start must notice that replica's
+// exit and fail at once — well inside the cluster's 30 s start timeout
+// — with the error a single-node load reports: the partition and the
+// record. (main exits 1 on any error run returns.)
+func TestServeShardedCorruptIndexFailsFast(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns shard processes")
+	}
+	objs := dataset.Uniform(400, 3, 100, 1)
+	ix, err := vindex.Build(objs, vindex.Options{NumPivots: 20, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := ix.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	file := buf.Bytes()
+	// A stored record starts with its object's wire form; the source
+	// tag follows the coordinates. Tag one object as R instead of S.
+	o := objs[len(objs)/2]
+	at := bytes.Index(file, codec.EncodeObject(o))
+	if at < 0 {
+		t.Fatal("object not found in the index file")
+	}
+	file[at+len(codec.EncodeObject(o))] = byte(codec.FromR)
+	_, want := vindex.Load(bytes.NewReader(file))
+	if want == nil || !strings.Contains(want.Error(), "partition ") || !strings.Contains(want.Error(), " record ") {
+		t.Fatalf("single-node load of the damaged file: %v, want an error naming the partition and the record", want)
+	}
+	path := filepath.Join(t.TempDir(), "corrupt.idx")
+	if err := os.WriteFile(path, file, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	done := make(chan error, 1)
+	go func() {
+		done <- run(context.Background(), []string{"-index", path, "-addr", "127.0.0.1:0", "-shards", "2"}, nil)
+	}()
+	select {
+	case err := <-done:
+		if err == nil || !strings.Contains(err.Error(), want.Error()) || !strings.Contains(err.Error(), "exited before serving") {
+			t.Fatalf("run = %v, want a replica's exit naming %q", err, want)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("a sharded start on a damaged index did not fail within 5 s")
 	}
 }

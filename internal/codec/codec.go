@@ -278,14 +278,23 @@ func BlockObjects(b *vector.Block) []Object {
 	return out
 }
 
-// EncodeTagged returns the wire form of t.
-func EncodeTagged(t Tagged) []byte {
-	dst := make([]byte, 0, taggedHeader+8*len(t.Point))
+// TaggedLen returns the length of the wire form of a Tagged record of
+// dim coordinates.
+func TaggedLen(dim int) int { return taggedHeader + 8*dim }
+
+// AppendTagged appends the wire form of t to dst and returns the extended
+// slice.
+func AppendTagged(dst []byte, t Tagged) []byte {
 	dst = AppendObject(dst, t.Object)
 	dst = append(dst, byte(t.Src))
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(t.Partition))
 	dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(t.PivotDist))
 	return dst
+}
+
+// EncodeTagged returns the wire form of t.
+func EncodeTagged(t Tagged) []byte {
+	return AppendTagged(make([]byte, 0, TaggedLen(len(t.Point))), t)
 }
 
 // DecodeTagged parses a Tagged record produced by EncodeTagged.

@@ -20,13 +20,17 @@ package dataset
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
 	"math"
 	"math/rand"
+	"runtime"
+	"slices"
 	"sort"
 	"strconv"
-	"strings"
+	"sync"
+	"sync/atomic"
 
 	"knnjoin/internal/codec"
 	"knnjoin/internal/dfs"
@@ -340,43 +344,204 @@ func WriteCSV(w io.Writer, objs []codec.Object) error {
 // All objects must share one dimensionality, and every coordinate must
 // be finite: strconv.ParseFloat accepts "NaN" and "Inf", which the
 // pruning bounds cannot order, so the reader rejects them, naming the
-// line and the object.
+// line and the object. A line of 1 MiB or more is bufio.ErrTooLong.
+// Where the input has several faults, the error is the first by line.
+//
+// The input is read in blocks of about 1 MiB, each cut after its last
+// newline, and the blocks are parsed on GOMAXPROCS goroutines: each
+// into one coordinate array its objects' Points share, with no
+// allocation per line. Only a few blocks of raw input are resident at
+// once, and the objects come back in input order whatever the
+// GOMAXPROCS.
 func ReadCSV(r io.Reader) ([]codec.Object, error) {
-	var out []codec.Object
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	line := 0
-	dim := -1
-	for sc.Scan() {
-		line++
-		text := strings.TrimSpace(sc.Text())
-		if text == "" {
+	return readCSV(r, 1<<20)
+}
+
+// maxCSVLine bounds a line, its "\r" included and its "\n" not: a
+// longer one is the error bufio.Scanner gives at its 1 MiB buffer.
+const maxCSVLine = 1 << 20
+
+// csvBlock is a run of whole input lines and what parsing them gave.
+type csvBlock struct {
+	raw  []byte // whole lines; the last lacks its "\n" only where reading stopped
+	line int    // the number of raw's first line
+
+	objs     []codec.Object
+	firstObj int // the line of the block's first object; 0 if none
+	dim      int // the dimensionality of that object
+	err      error
+}
+
+// readCSV is ReadCSV reading blockSize bytes at a time.
+func readCSV(r io.Reader, blockSize int) ([]codec.Object, error) {
+	// A block's parse stops at its first fault, and once one has a
+	// fault the blocks after it cannot change the result: failed stops
+	// the reading.
+	workers := runtime.GOMAXPROCS(0)
+	// The raw buffers: one being filled and one per parsing worker, so
+	// at most workers+1 blocks of input are resident.
+	free := make(chan []byte, workers+1)
+	for range cap(free) {
+		free <- nil
+	}
+	todo := make(chan *csvBlock)
+	var failed atomic.Bool
+	var wg sync.WaitGroup
+	for range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for b := range todo {
+				if b.parse(); b.err != nil {
+					failed.Store(true)
+				}
+				free <- b.raw[:0]
+				b.raw = nil
+			}
+		}()
+	}
+
+	// buf starts with the unfinished line the last read ended in.
+	var blocks []*csvBlock
+	buf := <-free
+	line := 1
+	var readErr error
+	for done := false; !done && !failed.Load(); {
+		from := len(buf)
+		buf = slices.Grow(buf, blockSize)
+		n, err := readFull(r, buf[from:from+blockSize])
+		buf = buf[:from+n]
+		cut := 0 // after the last newline; buf[:from] has none
+		if i := bytes.LastIndexByte(buf[from:], '\n'); i >= 0 {
+			cut = from + i + 1
+		}
+		switch {
+		case err != nil:
+			// Like bufio.Scanner, an input that ends or fails still
+			// gives its last, unterminated line.
+			done, cut = true, len(buf)
+			if err != io.EOF {
+				readErr = err
+			}
+		case cut == 0 && len(buf) >= maxCSVLine:
+			// One line fills the buffer: send it to be reported as too
+			// long, and read no further.
+			done, cut = true, len(buf)
+		case cut == 0:
 			continue
 		}
-		idStr, rest, ok := strings.Cut(text, ",")
-		if !ok {
-			return nil, fmt.Errorf("dataset: line %d: need id,coords", line)
-		}
-		id, err := strconv.ParseInt(strings.TrimSpace(idStr), 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("dataset: line %d: bad id: %w", line, err)
-		}
-		p, err := vector.Parse(rest)
-		if err != nil {
-			return nil, fmt.Errorf("dataset: line %d: %w", line, err)
-		}
-		if !p.IsFinite() {
-			return nil, fmt.Errorf("dataset: line %d: object %d has a non-finite coordinate", line, id)
-		}
-		if dim == -1 {
-			dim = p.Dim()
-		} else if p.Dim() != dim {
-			return nil, fmt.Errorf("dataset: line %d: dimension %d differs from %d", line, p.Dim(), dim)
-		}
-		out = append(out, codec.Object{ID: id, Point: p})
+		b := &csvBlock{raw: buf[:cut], line: line}
+		line += bytes.Count(b.raw, []byte{'\n'})
+		blocks = append(blocks, b)
+		next := append(<-free, buf[cut:]...)
+		todo <- b
+		buf = next
 	}
-	if err := sc.Err(); err != nil {
-		return nil, err
+	close(todo)
+	wg.Wait()
+
+	// Each block checked its objects against its own first one; the
+	// first object of each block is checked against the input's here,
+	// before the block's own fault, which can only come after it.
+	dim, total := -1, 0
+	for _, b := range blocks {
+		if b.firstObj > 0 && dim >= 0 && b.dim != dim {
+			return nil, fmt.Errorf("dataset: line %d: dimension %d differs from %d", b.firstObj, b.dim, dim)
+		}
+		if b.err != nil {
+			return nil, b.err
+		}
+		if b.firstObj > 0 && dim < 0 {
+			dim = b.dim
+		}
+		total += len(b.objs)
+	}
+	if readErr != nil {
+		return nil, readErr
+	}
+	if total == 0 {
+		return nil, nil
+	}
+	out := make([]codec.Object, 0, total)
+	for _, b := range blocks {
+		out = append(out, b.objs...)
 	}
 	return out, nil
+}
+
+// readFull reads into p until it is full or the input ends (io.EOF,
+// whatever was read) or fails. Like bufio.Scanner it gives up with
+// io.ErrNoProgress after 100 reads in a row that return nothing.
+func readFull(r io.Reader, p []byte) (int, error) {
+	n, empty := 0, 0
+	for n < len(p) {
+		m, err := r.Read(p[n:])
+		n += m
+		switch {
+		case err != nil:
+			return n, err
+		case m > 0:
+			empty = 0
+		case empty == 99:
+			return n, io.ErrNoProgress
+		default:
+			empty++
+		}
+	}
+	return n, nil
+}
+
+// parse parses the block's lines, stopping at the first fault. The
+// objects' coordinates go to one array, sized once the first object
+// gives the dimensionality; each object's Point is a full slice of it.
+func (b *csvBlock) parse() {
+	var coords []float64
+	var ids []int64
+	rest := b.raw
+	for line := b.line; len(rest) > 0; line++ {
+		text, tail, _ := bytes.Cut(rest, []byte{'\n'})
+		rest = tail
+		if len(text) >= maxCSVLine {
+			b.err = bufio.ErrTooLong
+			return
+		}
+		text = bytes.TrimSpace(text)
+		if len(text) == 0 {
+			continue
+		}
+		idText, point, ok := bytes.Cut(text, []byte{','})
+		if !ok {
+			b.err = fmt.Errorf("dataset: line %d: need id,coords", line)
+			return
+		}
+		id, err := strconv.ParseInt(string(bytes.TrimSpace(idText)), 10, 64)
+		if err != nil {
+			b.err = fmt.Errorf("dataset: line %d: bad id: %w", line, err)
+			return
+		}
+		from := len(coords)
+		if coords, err = vector.AppendParsed(coords, point); err != nil {
+			b.err = fmt.Errorf("dataset: line %d: %w", line, err)
+			return
+		}
+		p := vector.Point(coords[from:])
+		if !p.IsFinite() {
+			b.err = fmt.Errorf("dataset: line %d: object %d has a non-finite coordinate", line, id)
+			return
+		}
+		if b.firstObj == 0 {
+			b.dim, b.firstObj = p.Dim(), line
+			lines := bytes.Count(rest, []byte{'\n'}) + 2
+			coords = slices.Grow(coords, (lines-1)*b.dim)
+			ids = make([]int64, 0, lines)
+		} else if p.Dim() != b.dim {
+			b.err = fmt.Errorf("dataset: line %d: dimension %d differs from %d", line, p.Dim(), b.dim)
+			return
+		}
+		ids = append(ids, id)
+	}
+	b.objs = make([]codec.Object, len(ids))
+	for i, id := range ids {
+		b.objs[i] = codec.Object{ID: id, Point: coords[i*b.dim : (i+1)*b.dim : (i+1)*b.dim]}
+	}
 }

@@ -9,6 +9,7 @@ import (
 	"os"
 	"reflect"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -525,5 +526,60 @@ func TestFaultEventMatching(t *testing.T) {
 	}
 	if !pinned.matches(1, "x", 5, AtTaskStart) {
 		t.Fatal("pinned worker should match any task/attempt")
+	}
+}
+
+// metaCountingStore counts the chunk service's /meta requests per file:
+// the service answers each with one Bytes call.
+type metaCountingStore struct {
+	dfs.Store
+	mu    sync.Mutex
+	metas map[string]int
+}
+
+func (s *metaCountingStore) Bytes(name string) int64 {
+	s.mu.Lock()
+	s.metas[name]++
+	s.mu.Unlock()
+	return s.Store.Bytes(name)
+}
+
+// A worker process fetches a job's split list once, with its first map
+// task, not once per map task: at most one /meta per input file per
+// worker and job, with the in-process output unchanged.
+func TestDistWorkerFetchesSplitsOncePerJob(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns worker processes")
+	}
+	spec := testJobSpec{In: "in", Out: "out", NumReducers: 2, Mode: "wordcount"}
+	input := wordRecords("in", 200) // 25 splits of 8 records
+	want, _ := runInProcess(t, spec, input)
+
+	store := &metaCountingStore{Store: dfs.New(8), metas: map[string]int{}}
+	input(store)
+	const workers = 2
+	c, err := NewDistCluster(store, 4, DistConfig{Workers: workers})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	js, err := c.Run(testKind.New(spec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := store.Read(spec.Out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("output differs from in-process: %s", firstDiff(got, want))
+	}
+	if js.MapTasks < 20 || js.WorkerTasks == 0 {
+		t.Fatalf("%d map tasks, %d on workers: the test needs many map tasks on worker processes", js.MapTasks, js.WorkerTasks)
+	}
+	store.mu.Lock()
+	defer store.mu.Unlock()
+	if n := store.metas["in"]; n > workers {
+		t.Fatalf("%d /meta requests for the input over %d map tasks, want at most one per worker (%d)", n, js.MapTasks, workers)
 	}
 }

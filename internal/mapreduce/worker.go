@@ -60,10 +60,13 @@ type worker struct {
 
 	// A worker process reads input through the coordinator's chunk
 	// service and rebuilds jobs from the kind registry — the cluster
-	// runs them one at a time, so caching one suffices.
-	store       *dfs.Remote
-	cachedJobID int64
-	cachedJob   *Job
+	// runs them one at a time, so caching one suffices. The job's split
+	// list is fetched by its first map task here and kept with it: the
+	// input of a job does not change while it runs.
+	store        *dfs.Remote
+	cachedJobID  int64
+	cachedJob    *Job
+	cachedSplits []dfs.Split
 }
 
 // loop is the worker's life: next task → execute → report.
@@ -432,26 +435,30 @@ func (w *worker) reduceTask(a *assignment, ctx *TaskContext, rs *runState, comp 
 // localize fills in what an assignment decoded off the wire lacks: the
 // job, rebuilt from the kind registry; a map task's split, located in
 // the job's split list as the chunk service cuts it (identically to the
-// coordinator's store); a private memory account; the attempt's
-// directory.
+// coordinator's store) — both cached per job; a private memory account;
+// the attempt's directory.
 func (w *worker) localize(a *assignment) error {
 	if w.cachedJob == nil || w.cachedJobID != a.JobID {
 		job, err := buildKindJob(a.Kind, a.Spec)
 		if err != nil {
 			return err
 		}
-		w.cachedJobID, w.cachedJob = a.JobID, job
+		w.cachedJobID, w.cachedJob, w.cachedSplits = a.JobID, job, nil
 	}
 	a.job, a.mem = w.cachedJob, &memAccount{}
 	if a.Phase == "map" {
-		splits, err := w.store.Splits(a.job.Input...)
-		if err != nil {
-			return err
+		if w.cachedSplits == nil {
+			splits, err := w.store.Splits(a.job.Input...)
+			if err != nil {
+				return err
+			}
+			w.cachedSplits = splits
 		}
-		if a.Index < 0 || a.Index >= len(splits) {
-			return fmt.Errorf("mapreduce: split %d out of range (%d splits)", a.Index, len(splits))
+		if a.Index < 0 || a.Index >= len(w.cachedSplits) {
+			return fmt.Errorf("mapreduce: split %d out of range (%d splits)", a.Index, len(w.cachedSplits))
 		}
-		a.split = splits[a.Index]
+		// Split.Load fetches the chunk again on every attempt.
+		a.split = w.cachedSplits[a.Index]
 	}
 	return os.MkdirAll(a.RunDir, 0o755)
 }

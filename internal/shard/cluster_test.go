@@ -190,6 +190,54 @@ func TestClusterByteIdentity(t *testing.T) {
 	}
 }
 
+// TestClusterReloadRejectsDamagedCell reloads a file with one damaged
+// record. The router reads only the file's metadata, so the damage is
+// met by the replicas that own the record's cell: the reload fails
+// naming the partition and the record, and the router keeps routing
+// the old generation, byte-identical to the single-node server that
+// never reloaded. A sound file reloads afterwards as usual.
+func TestClusterReloadRejectsDamagedCell(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns shard processes")
+	}
+	dir := t.TempDir()
+	pathA, _ := saveIndex(t, dataset.Gaussian(900, 3, 6, 0.08, 100, 21), dir, "a.idx")
+	objsB := dataset.Gaussian(700, 3, 4, 0.1, 80, 22)
+	pathB, _ := saveIndex(t, objsB, dir, "b.idx")
+	file, err := os.ReadFile(pathB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := codec.EncodeObject(objsB[100])
+	at := bytes.Index(file, rec)
+	if at < 0 {
+		t.Fatal("object not found in the index file")
+	}
+	file[at+len(rec)] = byte(codec.FromR) // its source tag
+	damaged := filepath.Join(dir, "damaged.idx")
+	if err := os.WriteFile(damaged, file, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	tw := startTwin(t, pathA, ClusterConfig{Shards: 2}, RouterConfig{})
+	code, body := postRaw(t, tw.sharded.URL+"/reload", fmt.Sprintf(`{"path":%q}`, damaged))
+	if code != http.StatusUnprocessableEntity || !strings.Contains(string(body), "partition ") || !strings.Contains(string(body), " record ") {
+		t.Fatalf("reload of a damaged file: %d %s, want 422 naming the partition and the record", code, body)
+	}
+	if st := tw.router.Stats(); st.Gen != 1 {
+		t.Fatalf("router generation after a failed reload: %d, want 1", st.Gen)
+	}
+	for trial := 0; trial < 6; trial++ {
+		q := dataset.Gaussian(1, 3, 6, 0.2, 100, int64(trial)+40)[0].Point
+		checkIdentical(t, tw, "/knn", knnBody(t, q, 5), fmt.Sprintf("after failed reload, knn %d", trial))
+	}
+	checkIdentical(t, tw, "/reload", fmt.Sprintf(`{"path":%q}`, pathB), "sound reload")
+	for trial := 0; trial < 6; trial++ {
+		q := dataset.Gaussian(1, 3, 4, 0.2, 80, int64(trial)+40)[0].Point
+		checkIdentical(t, tw, "/knn", knnBody(t, q, 5), fmt.Sprintf("after sound reload, knn %d", trial))
+	}
+}
+
 // TestClusterFailover is the deterministic failover matrix: kill or
 // freeze replicas mid-query-stream and pin every response to the
 // healthy single-node bytes.

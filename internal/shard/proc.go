@@ -96,17 +96,10 @@ type shardProc struct {
 	fired  []bool
 }
 
-// loadSubset loads an index file and restricts it to the given cells.
-func loadSubset(path string, cells []int) (*vindex.Index, error) {
-	ix, err := vindex.LoadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	return ix.Subset(cells)
-}
-
 func runShard(cfg procConfig) error {
-	sub, err := loadSubset(cfg.Index, cfg.Cells)
+	// The replica decodes, and so validates, only the cells it owns;
+	// the router read nothing but their framing.
+	sub, err := vindex.LoadFile(cfg.Index, vindex.OnlyCells(cfg.Cells))
 	if err != nil {
 		return err
 	}
@@ -314,7 +307,7 @@ func (p *shardProc) handleReload(w http.ResponseWriter, r *http.Request) {
 		writeShardErr(w, http.StatusBadRequest, "bad reload request: %v", err)
 		return
 	}
-	sub, err := loadSubset(req.Index, req.Cells)
+	sub, err := vindex.LoadFile(req.Index, vindex.OnlyCells(req.Cells))
 	if err != nil {
 		writeShardErr(w, http.StatusUnprocessableEntity, "loading %s: %v", req.Index, err)
 		return

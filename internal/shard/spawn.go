@@ -3,6 +3,7 @@ package shard
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
 	"os/exec"
@@ -16,8 +17,9 @@ import (
 
 // ClusterConfig configures StartCluster.
 type ClusterConfig struct {
-	// IndexPath is the index file every replica loads its cell subset
-	// from (built by `knnindex build` or vindex.Save).
+	// IndexPath is the index file every replica decodes its own cells
+	// from (built by `knnindex build` or vindex.Save); the router reads
+	// only its pivots and summary.
 	IndexPath string
 	// Shards is the number of shards the cells are partitioned across.
 	Shards int
@@ -63,25 +65,66 @@ type Cluster struct {
 	gen    int64
 
 	mu    sync.Mutex
-	procs []*exec.Cmd
+	procs []*replicaProc
 	eps   [][]string // [shard][replica] base URL
 }
 
-// StartCluster loads the index's metadata, partitions its cells with
-// AssignCells, re-executes the current binary once per replica (the
-// child enters RunShardIfSpawned), and waits until every replica is
-// serving.
+// replicaProc is one spawned replica process. A goroutine waits on it
+// from the start, so a replica that dies while the cluster starts is
+// noticed at once and reported with the last lines it wrote to stderr.
+type replicaProc struct {
+	shard, replica int
+	cmd            *exec.Cmd
+	stderr         stderrTail
+	exited         chan struct{} // closed once cmd.Wait has returned
+	err            error         // cmd.Wait's result, set before exited closes
+}
+
+// stderrTail keeps the last bytes written to it.
+type stderrTail struct{ b []byte }
+
+func (t *stderrTail) Write(p []byte) (int, error) {
+	const keep = 4 << 10
+	t.b = append(t.b, p...)
+	if len(t.b) > keep {
+		t.b = t.b[len(t.b)-keep:]
+	}
+	return len(p), nil
+}
+
+// exitErr returns the error of a replica that has exited, or nil while
+// it runs.
+func (p *replicaProc) exitErr() error {
+	select {
+	case <-p.exited:
+	default:
+		return nil
+	}
+	msg := strings.TrimSpace(string(p.stderr.b))
+	if i := strings.LastIndexByte(msg, '\n'); i >= 0 {
+		msg = msg[i+1:]
+	}
+	return fmt.Errorf("shard %d replica %d exited before serving (%v): %s", p.shard, p.replica, p.err, msg)
+}
+
+// StartCluster loads the index's metadata — pivots and summary, no
+// object records — partitions its cells with AssignCells, re-executes
+// the current binary once per replica (the child enters
+// RunShardIfSpawned and decodes only its own cells), and waits until
+// every replica is serving. A replica that exits first, say on a
+// damaged record in one of its cells, fails the start at once with the
+// replica's error.
 func StartCluster(cfg ClusterConfig) (*Cluster, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Shards < 1 {
 		return nil, fmt.Errorf("shard: cluster needs at least 1 shard, got %d", cfg.Shards)
 	}
-	ix, err := vindex.LoadFile(cfg.IndexPath)
+	meta, err := vindex.LoadFile(cfg.IndexPath, vindex.NoCells)
 	if err != nil {
 		return nil, err
 	}
-	owner, assign := AssignCells(ix, cfg.Shards)
-	c := &Cluster{cfg: cfg, meta: ix.MetaOnly(), owner: owner, assign: assign, gen: 1, dir: cfg.Dir}
+	owner, assign := AssignCells(meta, cfg.Shards)
+	c := &Cluster{cfg: cfg, meta: meta, owner: owner, assign: assign, gen: 1, dir: cfg.Dir}
 	if c.dir == "" {
 		if c.dir, err = os.MkdirTemp("", "knnshard-*"); err != nil {
 			return nil, err
@@ -107,14 +150,18 @@ func StartCluster(cfg ClusterConfig) (*Cluster, error) {
 				c.Close()
 				return nil, err
 			}
-			cmd := exec.Command(exe)
-			cmd.Env = append(os.Environ(), shardEnv+"="+string(raw))
-			cmd.Stdout, cmd.Stderr = os.Stderr, os.Stderr
-			if err := cmd.Start(); err != nil {
+			p := &replicaProc{shard: s, replica: r, cmd: exec.Command(exe), exited: make(chan struct{})}
+			p.cmd.Env = append(os.Environ(), shardEnv+"="+string(raw))
+			p.cmd.Stdout, p.cmd.Stderr = os.Stderr, io.MultiWriter(os.Stderr, &p.stderr)
+			if err := p.cmd.Start(); err != nil {
 				c.Close()
 				return nil, fmt.Errorf("spawning shard %d replica %d: %w", s, r, err)
 			}
-			c.procs = append(c.procs, cmd)
+			go func() {
+				p.err = p.cmd.Wait()
+				close(p.exited)
+			}()
+			c.procs = append(c.procs, p)
 		}
 	}
 	if err := c.await(addrFiles); err != nil {
@@ -125,6 +172,7 @@ func StartCluster(cfg ClusterConfig) (*Cluster, error) {
 }
 
 // await polls for every replica's address file, then health-checks it.
+// Every poll first checks that no replica has exited.
 func (c *Cluster) await(addrFiles [][]string) error {
 	deadline := time.Now().Add(c.cfg.StartTimeout)
 	c.eps = make([][]string, len(addrFiles))
@@ -133,6 +181,9 @@ func (c *Cluster) await(addrFiles [][]string) error {
 		c.eps[s] = make([]string, len(addrFiles[s]))
 		for r, file := range addrFiles[s] {
 			for {
+				if err := c.exitErr(); err != nil {
+					return err
+				}
 				raw, err := os.ReadFile(file)
 				if err == nil && len(raw) > 0 {
 					c.eps[s][r] = "http://" + strings.TrimSpace(string(raw))
@@ -144,6 +195,9 @@ func (c *Cluster) await(addrFiles [][]string) error {
 				time.Sleep(10 * time.Millisecond)
 			}
 			for {
+				if err := c.exitErr(); err != nil {
+					return err
+				}
 				resp, err := client.Get(c.eps[s][r] + "/healthz")
 				if err == nil {
 					resp.Body.Close()
@@ -156,6 +210,16 @@ func (c *Cluster) await(addrFiles [][]string) error {
 				}
 				time.Sleep(10 * time.Millisecond)
 			}
+		}
+	}
+	return nil
+}
+
+// exitErr returns the error of the first replica found to have exited.
+func (c *Cluster) exitErr() error {
+	for _, p := range c.procs {
+		if err := p.exitErr(); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -177,19 +241,22 @@ func (c *Cluster) Endpoints() [][]string { return c.eps }
 // Gen returns the initial generation number.
 func (c *Cluster) Gen() int64 { return c.gen }
 
-// Reload loads a new index file, recomputes the cell assignment, and
-// pushes the new generation to every replica of every shard (each
+// Reload loads a new index file's metadata, recomputes the cell
+// assignment, and pushes the new generation to every replica of every
+// shard, each of which decodes and validates its own cells (each
 // retains the previous generation, so walks in flight keep completing
 // consistently). It returns the new routing state for the router to
 // swap in atomically. Every replica must be reachable: a reload is an
-// administrative operation against a healthy cluster, and on failure
-// the old generation simply keeps serving everywhere.
+// administrative operation against a healthy cluster, and on failure —
+// an unreachable replica, or a damaged record in some replica's cells —
+// the router keeps routing the old generation, which every replica
+// still holds.
 func (c *Cluster) Reload(path string) (meta *vindex.Index, owner []int, gen int64, err error) {
-	ix, err := vindex.LoadFile(path)
+	meta, err = vindex.LoadFile(path, vindex.NoCells)
 	if err != nil {
 		return nil, nil, 0, err
 	}
-	owner, assign := AssignCells(ix, c.cfg.Shards)
+	owner, assign := AssignCells(meta, c.cfg.Shards)
 	c.mu.Lock()
 	c.gen++
 	gen = c.gen
@@ -213,7 +280,7 @@ func (c *Cluster) Reload(path string) (meta *vindex.Index, owner []int, gen int6
 			}
 		}
 	}
-	return ix.MetaOnly(), owner, gen, nil
+	return meta, owner, gen, nil
 }
 
 func (c *Cluster) cleanup() {
@@ -225,13 +292,11 @@ func (c *Cluster) cleanup() {
 // Close kills every replica process, reaps it, and removes the scratch
 // dir when the cluster created it.
 func (c *Cluster) Close() {
-	for _, cmd := range c.procs {
-		if cmd.Process != nil {
-			cmd.Process.Kill()
-		}
+	for _, p := range c.procs {
+		p.cmd.Process.Kill()
 	}
-	for _, cmd := range c.procs {
-		cmd.Wait()
+	for _, p := range c.procs {
+		<-p.exited
 	}
 	c.cleanup()
 }

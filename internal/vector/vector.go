@@ -8,8 +8,10 @@
 package vector
 
 import (
+	"bytes"
 	"fmt"
 	"math"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -77,20 +79,33 @@ func (p Point) String() string {
 
 // Parse parses a comma-separated coordinate list into a Point.
 func Parse(s string) (Point, error) {
-	s = strings.TrimSpace(s)
-	if s == "" {
-		return nil, fmt.Errorf("vector: empty point string")
+	return AppendParsed(nil, []byte(s))
+}
+
+// AppendParsed parses a comma-separated coordinate list, as Parse does,
+// and appends the coordinates to dst, so a caller parsing many points
+// can keep them in one backing array. The list is trimmed of spaces,
+// must not be empty, and every field, trimmed again, must parse as a
+// float64. On error dst comes back at the length it was given.
+func AppendParsed(dst []float64, s []byte) ([]float64, error) {
+	s = bytes.TrimSpace(s)
+	if len(s) == 0 {
+		return dst, fmt.Errorf("vector: empty point string")
 	}
-	fields := strings.Split(s, ",")
-	p := make(Point, len(fields))
-	for i, f := range fields {
-		v, err := strconv.ParseFloat(strings.TrimSpace(f), 64)
+	n := len(dst)
+	dst = slices.Grow(dst, bytes.Count(s, []byte{','})+1)
+	for {
+		f, rest, more := bytes.Cut(s, []byte{','})
+		v, err := strconv.ParseFloat(string(bytes.TrimSpace(f)), 64)
 		if err != nil {
-			return nil, fmt.Errorf("vector: bad coordinate %q: %w", f, err)
+			return dst[:n], fmt.Errorf("vector: bad coordinate %q: %w", f, err)
 		}
-		p[i] = v
+		dst = append(dst, v)
+		if !more {
+			return dst, nil
+		}
+		s = rest
 	}
-	return p, nil
 }
 
 // Metric identifies a distance measure over Points.

@@ -87,7 +87,8 @@ func (ix *Index) window(w *voronoi.Walk, j int, gap float64, st *Stats) (from, t
 // KNNStep executes partition j's step of the walk: the decision, its
 // Stats accounting, and — for a scan — the windowed kernel scan plus θ
 // tightening, which leaves the next step's θ in w. The index must hold
-// partition j's objects (the full index, or a Subset that owns cell j).
+// partition j's objects (the full index, or a load of OnlyCells naming
+// cell j).
 func (ix *Index) KNNStep(w *voronoi.Walk, j int, q vector.Point, gap float64, heap *nnheap.KHeap, sc *vector.Scratch, st *Stats) {
 	if from, to, ok := ix.window(w, j, gap, st); ok {
 		ix.blocks[j].NearestKRangeScratch(q, from, to, ix.opts.Metric, heap, sc)
@@ -156,8 +157,8 @@ func (ix *Index) RangeStep(j int, q vector.Point, lo, hi, radius float64, out []
 }
 
 // PartitionLen returns the number of objects partition j holds
-// according to the summary — on a Subset, zero for cells the subset
-// does not own.
+// according to the summary — on a load of OnlyCells, zero for the cells
+// it does not name.
 func (ix *Index) PartitionLen(j int) int { return ix.sum.S[j].Count }
 
 // Pivots returns the partitioner's pivot points. The slice is the

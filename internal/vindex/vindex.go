@@ -223,11 +223,20 @@ func forEach(n int, fn func(i int)) {
 	wg.Wait()
 }
 
-// blockFromPart assembles one partition's columnar block on the scan
-// tier its shape picks. The rows must already be sorted by pivot
+// blockFromPart assembles one partition's columnar block, sized once
+// for its rows, on the scan tier its shape picks. The rows must already be sorted by pivot
 // distance so PivotDistWindow stays valid on the block.
 func blockFromPart(part []codec.Tagged) (*vector.Block, error) {
 	blk := &vector.Block{}
+	if len(part) > 0 {
+		dim := part[0].Point.Dim()
+		blk = &vector.Block{
+			Dim:       dim,
+			IDs:       make([]int64, 0, len(part)),
+			PivotDist: make([]float64, 0, len(part)),
+			Coords:    make([]float64, 0, len(part)*dim),
+		}
+	}
 	for _, t := range part {
 		if err := blk.Append(t.ID, t.PivotDist, t.Point); err != nil {
 			return nil, err

@@ -5,9 +5,10 @@
 package voronoi
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"sync/atomic"
 
 	"knnjoin/internal/codec"
@@ -283,10 +284,10 @@ func (p *Partitioner) Partition(objs []codec.Object, src codec.Source, distCount
 // distance. Reducers keep S-partitions in this order so Theorem 2's window
 // becomes two binary searches.
 func SortByPivotDist(objs []codec.Tagged) {
-	sort.Slice(objs, func(i, j int) bool {
-		if objs[i].PivotDist != objs[j].PivotDist {
-			return objs[i].PivotDist < objs[j].PivotDist
+	slices.SortFunc(objs, func(a, b codec.Tagged) int {
+		if c := cmp.Compare(a.PivotDist, b.PivotDist); c != 0 {
+			return c
 		}
-		return objs[i].ID < objs[j].ID
+		return cmp.Compare(a.ID, b.ID)
 	})
 }
