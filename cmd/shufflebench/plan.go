@@ -2,7 +2,6 @@ package main
 
 import (
 	"fmt"
-	"runtime"
 	"time"
 
 	"knnjoin"
@@ -13,22 +12,11 @@ import (
 // planRatioGate is the suite's acceptance bound: the planner's pick must
 // never measure more than this factor slower than the best fixed plan in
 // the grid. planSlackNs absorbs sub-millisecond timer noise on runs so
-// short that a ratio alone would be meaningless. A pick over the gate
-// is confirmed before the suite fails: the pick and the best fixed plan
-// run back to back for up to planConfirmRounds more rounds, fastest of
-// each kept, so a scheduler stall in one sample cannot fail the gate but
-// a pick that is really slower still does.
+// short that a ratio alone would be meaningless.
 const (
-	planRatioGate     = 1.5
-	planSlackNs       = 5e6
-	planConfirmRounds = 8
+	planRatioGate = 1.5
+	planSlackNs   = 5e6
 )
-
-// overPlanGate reports whether a pick measured at wall breaks the gate
-// against a best fixed plan measured at best.
-func overPlanGate(wall, best float64) bool {
-	return wall > best*planRatioGate && wall-best > planSlackNs
-}
 
 // FixedPlan is one grid configuration's measurement.
 type FixedPlan struct {
@@ -92,14 +80,11 @@ func planWorkloads(n int) []struct {
 
 // measureJoin runs one configuration `reps` times and keeps the fastest
 // wall plus its stats — the standard way to strip scheduler noise from
-// a deterministic computation. Each run starts from a collected heap, as
-// testing.B's runs do, so garbage left by the configuration before it
-// is not collected inside its timed window.
+// a deterministic computation.
 func measureJoin(r, s []codec.Object, opts knnjoin.Options, reps int) (float64, *knnjoin.Stats, error) {
 	best := -1.0
 	var bestStats *knnjoin.Stats
 	for i := 0; i < reps; i++ {
-		runtime.GC()
 		start := time.Now()
 		_, st, err := knnjoin.Join(r, s, opts)
 		wall := float64(time.Since(start).Nanoseconds())
@@ -134,7 +119,6 @@ func runPlanSuite(n, k, nodes, reps int) (*PlanReport, error) {
 		}
 		row := PlanWorkload{Name: w.name, RSize: len(w.r), SSize: len(s), Dims: w.r[0].Point.Dim()}
 
-		bestIdx := 0
 		for _, g := range grid {
 			opts := g.opts
 			opts.K, opts.Nodes, opts.Seed = k, nodes, 1
@@ -147,7 +131,6 @@ func runPlanSuite(n, k, nodes, reps int) (*PlanReport, error) {
 			})
 			if row.BestWallNs == 0 || wall < row.BestWallNs {
 				row.BestFixed, row.BestWallNs = g.name, wall
-				bestIdx = len(row.Fixed) - 1
 			}
 			if wall > row.WorstWallNs {
 				row.WorstFixed, row.WorstWallNs = g.name, wall
@@ -177,28 +160,12 @@ func runPlanSuite(n, k, nodes, reps int) (*PlanReport, error) {
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", w.name, err)
 		}
-		pickOpts := knnjoin.Options{
+		wall, st, err := measureJoin(w.r, s, knnjoin.Options{
 			K: k, Algorithm: algo, Nodes: nodes, Seed: 1, NumPivots: pick.NumPivots,
 			PivotStrategy: pick.PivotStrategy, GroupStrategy: pick.GroupStrategy,
-		}
-		wall, st, err := measureJoin(w.r, s, pickOpts, reps)
+		}, reps)
 		if err != nil {
 			return nil, fmt.Errorf("%s/%s: %w", w.name, pick.Config(), err)
-		}
-		bestOpts := grid[bestIdx].opts
-		bestOpts.K, bestOpts.Nodes, bestOpts.Seed = k, nodes, 1
-		for i := 0; i < planConfirmRounds && overPlanGate(wall, row.BestWallNs); i++ {
-			pw, _, err := measureJoin(w.r, s, pickOpts, 1)
-			if err != nil {
-				return nil, fmt.Errorf("%s/%s: %w", w.name, pick.Config(), err)
-			}
-			bw, _, err := measureJoin(w.r, s, bestOpts, 1)
-			if err != nil {
-				return nil, fmt.Errorf("%s/%s: %w", w.name, row.BestFixed, err)
-			}
-			wall = min(wall, pw)
-			row.BestWallNs = min(row.BestWallNs, bw)
-			row.Fixed[bestIdx].WallNs = row.BestWallNs
 		}
 		row.Planned = pick.Config()
 		row.PlannedWallNs = wall
@@ -208,7 +175,7 @@ func runPlanSuite(n, k, nodes, reps int) (*PlanReport, error) {
 		row.PredictedDistComps = pick.Predicted.DistComps
 		row.RatioToBest = wall / row.BestWallNs
 
-		if overPlanGate(wall, row.BestWallNs) {
+		if wall > row.BestWallNs*planRatioGate && wall-row.BestWallNs > planSlackNs {
 			return nil, fmt.Errorf(
 				"%s: planner pick %q measured %.1fms, %.2f× the best fixed plan %q (%.1fms) — gate is %.1f×",
 				w.name, row.Planned, wall/1e6, row.RatioToBest, row.BestFixed,

@@ -191,24 +191,39 @@ func TestClusterByteIdentity(t *testing.T) {
 }
 
 // TestClusterReloadRejectsDamagedCell reloads a file with one damaged
-// record. The router reads only the file's metadata, so the damage is
-// met by the replicas that own the record's cell: the reload fails
-// naming the partition and the record, and the router keeps routing
-// the old generation, byte-identical to the single-node server that
-// never reloaded. A sound file reloads afterwards as usual.
+// record, twice in a row. The router reads only the file's metadata,
+// so the damage is met by the replicas that own the record's cell: the
+// reload fails naming the partition and the record, and the router
+// keeps routing the old generation, byte-identical to the single-node
+// server that never reloaded. The record sits in a cell of the last
+// shard, so every other shard has taken each failed generation before
+// the failure; they must still hold the router's. A sound file reloads
+// afterwards as usual.
 func TestClusterReloadRejectsDamagedCell(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns shard processes")
 	}
+	const shards = 2
 	dir := t.TempDir()
 	pathA, _ := saveIndex(t, dataset.Gaussian(900, 3, 6, 0.08, 100, 21), dir, "a.idx")
 	objsB := dataset.Gaussian(700, 3, 4, 0.1, 80, 22)
-	pathB, _ := saveIndex(t, objsB, dir, "b.idx")
+	pathB, ixB := saveIndex(t, objsB, dir, "b.idx")
+	owner, _ := AssignCells(ixB, shards)
+	victim := -1
+	for i, o := range objsB {
+		if part, _ := ixB.AssignQuery(o.Point, nil); owner[part] == shards-1 {
+			victim = i
+			break
+		}
+	}
+	if victim < 0 {
+		t.Fatal("no object in a cell of the last shard")
+	}
 	file, err := os.ReadFile(pathB)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := codec.EncodeObject(objsB[100])
+	rec := codec.EncodeObject(objsB[victim])
 	at := bytes.Index(file, rec)
 	if at < 0 {
 		t.Fatal("object not found in the index file")
@@ -219,17 +234,21 @@ func TestClusterReloadRejectsDamagedCell(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	tw := startTwin(t, pathA, ClusterConfig{Shards: 2}, RouterConfig{})
-	code, body := postRaw(t, tw.sharded.URL+"/reload", fmt.Sprintf(`{"path":%q}`, damaged))
-	if code != http.StatusUnprocessableEntity || !strings.Contains(string(body), "partition ") || !strings.Contains(string(body), " record ") {
-		t.Fatalf("reload of a damaged file: %d %s, want 422 naming the partition and the record", code, body)
-	}
-	if st := tw.router.Stats(); st.Gen != 1 {
-		t.Fatalf("router generation after a failed reload: %d, want 1", st.Gen)
-	}
-	for trial := 0; trial < 6; trial++ {
-		q := dataset.Gaussian(1, 3, 6, 0.2, 100, int64(trial)+40)[0].Point
-		checkIdentical(t, tw, "/knn", knnBody(t, q, 5), fmt.Sprintf("after failed reload, knn %d", trial))
+	tw := startTwin(t, pathA, ClusterConfig{Shards: shards}, RouterConfig{})
+	for attempt := 1; attempt <= 2; attempt++ {
+		code, body := postRaw(t, tw.sharded.URL+"/reload", fmt.Sprintf(`{"path":%q}`, damaged))
+		if code != http.StatusUnprocessableEntity || !strings.Contains(string(body), fmt.Sprintf("shard %d ", shards-1)) ||
+			!strings.Contains(string(body), "partition ") || !strings.Contains(string(body), " record ") {
+			t.Fatalf("reload %d of a damaged file: %d %s, want 422 from shard %d naming the partition and the record", attempt, code, body, shards-1)
+		}
+		if st := tw.router.Stats(); st.Gen != 1 {
+			t.Fatalf("router generation after failed reload %d: %d, want 1", attempt, st.Gen)
+		}
+		for trial := 0; trial < 6; trial++ {
+			q := dataset.Gaussian(1, 3, 6, 0.2, 100, int64(trial)+40)[0].Point
+			checkIdentical(t, tw, "/knn", knnBody(t, q, 5), fmt.Sprintf("after failed reload %d, knn %d", attempt, trial))
+			checkIdentical(t, tw, "/range", rangeBody(t, q, 4), fmt.Sprintf("after failed reload %d, range %d", attempt, trial))
+		}
 	}
 	checkIdentical(t, tw, "/reload", fmt.Sprintf(`{"path":%q}`, pathB), "sound reload")
 	for trial := 0; trial < 6; trial++ {

@@ -171,7 +171,7 @@ func goldenServing(t *testing.T, b *strings.Builder, name string, r, s []codec.O
 		}
 		line("range", st, h.Sum64(), "")
 
-		meta := ix.MetaOnly()
+		meta := metaOf(t, ix)
 		for _, shards := range []int{1, 2, 4} {
 			owner, cells := AssignCells(ix, shards)
 			ls := newLocalScan(t, ix, cells)

@@ -83,9 +83,10 @@ type shardProc struct {
 	mRanges  *obs.Counter
 	mReloads *obs.Counter
 
-	// gens maps generation → subset index. The two most recent
-	// generations are retained so router walks in flight across a
-	// /shard/reload finish on the generation they started with.
+	// gens maps generation → subset index. Two generations are
+	// retained, the newest and the one the router routes, so router
+	// walks in flight across a /shard/reload finish on the generation
+	// they started with.
 	mu       sync.Mutex
 	gens     map[int64]*vindex.Index
 	genOrder []int64
@@ -122,7 +123,7 @@ func runShard(cfg procConfig) error {
 	p.mScans = reg.Counter("shard_scan_requests_total", "Delegated /shard/scan runs executed.")
 	p.mRanges = reg.Counter("shard_range_requests_total", "Delegated /shard/range runs executed.")
 	p.mReloads = reg.Counter("shard_reloads_total", "Index generations loaded via /shard/reload.")
-	p.putGen(cfg.Gen, sub)
+	p.putGen(cfg.Gen, cfg.Gen, sub)
 
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /shard/scan", p.handleScan)
@@ -165,14 +166,22 @@ func (p *shardProc) gate(h http.Handler) http.Handler {
 	})
 }
 
-func (p *shardProc) putGen(gen int64, ix *vindex.Index) {
+// putGen stores generation gen and evicts the oldest generations but
+// live until two remain. A reload that failed at another shard leaves
+// its generation here unused; keeping live means any number of such
+// failures in a row cannot evict the generation the router routes.
+func (p *shardProc) putGen(gen, live int64, ix *vindex.Index) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.gens[gen] = ix
 	p.genOrder = append(p.genOrder, gen)
-	for len(p.genOrder) > 2 {
-		delete(p.gens, p.genOrder[0])
-		p.genOrder = p.genOrder[1:]
+	for i := 0; len(p.genOrder) > 2; {
+		if p.genOrder[i] == live {
+			i++
+			continue
+		}
+		delete(p.gens, p.genOrder[i])
+		p.genOrder = append(p.genOrder[:i], p.genOrder[i+1:]...)
 	}
 }
 
@@ -313,7 +322,7 @@ func (p *shardProc) handleReload(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	p.srv.Swap(sub, req.Index)
-	p.putGen(req.Gen, sub)
+	p.putGen(req.Gen, req.Live, sub)
 	p.mReloads.Inc()
 	writeShardJSON(w, serve.HealthResponse{Status: "ok", Objects: sub.Len(), Partitions: sub.NumPartitions()})
 }

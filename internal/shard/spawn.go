@@ -62,7 +62,8 @@ type Cluster struct {
 	meta   *vindex.Index // routing-only view of the current generation
 	owner  []int         // cell → shard
 	assign [][]int       // shard → cells
-	gen    int64
+	gen    int64         // newest generation number handed out
+	live   int64         // generation the router routes; replicas never evict it
 
 	mu    sync.Mutex
 	procs []*replicaProc
@@ -124,7 +125,7 @@ func StartCluster(cfg ClusterConfig) (*Cluster, error) {
 		return nil, err
 	}
 	owner, assign := AssignCells(meta, cfg.Shards)
-	c := &Cluster{cfg: cfg, meta: meta, owner: owner, assign: assign, gen: 1, dir: cfg.Dir}
+	c := &Cluster{cfg: cfg, meta: meta, owner: owner, assign: assign, gen: 1, live: 1, dir: cfg.Dir}
 	if c.dir == "" {
 		if c.dir, err = os.MkdirTemp("", "knnshard-*"); err != nil {
 			return nil, err
@@ -243,14 +244,16 @@ func (c *Cluster) Gen() int64 { return c.gen }
 
 // Reload loads a new index file's metadata, recomputes the cell
 // assignment, and pushes the new generation to every replica of every
-// shard, each of which decodes and validates its own cells (each
-// retains the previous generation, so walks in flight keep completing
-// consistently). It returns the new routing state for the router to
-// swap in atomically. Every replica must be reachable: a reload is an
-// administrative operation against a healthy cluster, and on failure —
-// an unreachable replica, or a damaged record in some replica's cells —
-// the router keeps routing the old generation, which every replica
-// still holds.
+// shard, each of which decodes and validates its own cells. Each
+// request names the generation the router routes now, and a replica
+// keeps it beside the newest one whatever else it evicts, so walks in
+// flight keep completing consistently. It returns the new routing
+// state for the router to swap in atomically. Every replica must be
+// reachable: a reload is an administrative operation against a healthy
+// cluster, and on failure — an unreachable replica, or a damaged
+// record in some replica's cells — the router keeps routing the old
+// generation, which every replica still holds however many reloads
+// fail in a row. A failed generation's number is never reused.
 func (c *Cluster) Reload(path string) (meta *vindex.Index, owner []int, gen int64, err error) {
 	meta, err = vindex.LoadFile(path, vindex.NoCells)
 	if err != nil {
@@ -259,11 +262,11 @@ func (c *Cluster) Reload(path string) (meta *vindex.Index, owner []int, gen int6
 	owner, assign := AssignCells(meta, c.cfg.Shards)
 	c.mu.Lock()
 	c.gen++
-	gen = c.gen
+	gen, live := c.gen, c.live
 	c.mu.Unlock()
 	client := &http.Client{Timeout: c.cfg.StartTimeout}
 	for s := range c.eps {
-		body, err := json.Marshal(ReloadShardRequest{Gen: gen, Index: path, Cells: assign[s]})
+		body, err := json.Marshal(ReloadShardRequest{Gen: gen, Live: live, Index: path, Cells: assign[s]})
 		if err != nil {
 			return nil, nil, 0, err
 		}
@@ -280,6 +283,9 @@ func (c *Cluster) Reload(path string) (meta *vindex.Index, owner []int, gen int6
 			}
 		}
 	}
+	c.mu.Lock()
+	c.live = gen
+	c.mu.Unlock()
 	return meta, owner, gen, nil
 }
 

@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"bytes"
 	"math"
 	"testing"
 
@@ -17,6 +18,21 @@ func buildIndex(t *testing.T, objs []codec.Object) *vindex.Index {
 		t.Fatal(err)
 	}
 	return ix
+}
+
+// metaOf is the router's view of ix: ix saved, then loaded with
+// NoCells, as StartCluster and Cluster.Reload load it.
+func metaOf(t *testing.T, ix *vindex.Index) *vindex.Index {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := ix.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	meta, err := vindex.Load(&buf, vindex.NoCells)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return meta
 }
 
 // localScan executes scan requests against the full index in-process,
@@ -72,7 +88,7 @@ func (l *localScan) rangeScan(sh int, req *RangeScanRequest) (*RangeScanResponse
 func TestKNNWalkByteIdentity(t *testing.T) {
 	objs := dataset.Gaussian(1500, 4, 8, 0.05, 100, 7)
 	ix := buildIndex(t, objs)
-	meta := ix.MetaOnly()
+	meta := metaOf(t, ix)
 	points := map[int64]vector.Point{}
 	for _, o := range objs {
 		points[o.ID] = o.Point
@@ -123,7 +139,7 @@ func TestKNNWalkByteIdentity(t *testing.T) {
 func TestKNNWalkRunBatching(t *testing.T) {
 	objs := dataset.Gaussian(2000, 4, 6, 0.03, 100, 11)
 	ix := buildIndex(t, objs)
-	meta := ix.MetaOnly()
+	meta := metaOf(t, ix)
 	const shards = 4
 	owner, cells := AssignCells(ix, shards)
 
@@ -154,7 +170,7 @@ func TestKNNWalkRunBatching(t *testing.T) {
 func TestRangeWalkByteIdentity(t *testing.T) {
 	objs := dataset.Gaussian(1200, 3, 5, 0.08, 100, 13)
 	ix := buildIndex(t, objs)
-	meta := ix.MetaOnly()
+	meta := metaOf(t, ix)
 
 	for _, shards := range []int{1, 2, 4} {
 		owner, cells := AssignCells(ix, shards)

@@ -11,7 +11,7 @@
 // — produces correct neighbors but different Stats, because θ tightens
 // as partitions are scanned in pivot-distance order and later windows
 // shrink. So the router holds a metadata-only view of the index
-// (vindex.MetaOnly: pivots, pivot-distance matrix, summary — no
+// (vindex.Load with NoCells: pivots, pivot-distance matrix, summary — no
 // objects) and walks partitions in the exact single-node visit order,
 // delegating each maximal run of consecutive same-shard partitions as
 // one scan RPC that carries the walk state (θ, the candidate heap in
@@ -146,11 +146,15 @@ type RangeScanResponse struct {
 }
 
 // ReloadShardRequest is the body of POST /shard/reload: load a new
-// index generation alongside the current one (the shard retains the
-// previous generation so in-flight router walks finish consistently).
+// index generation alongside the one the router routes (the shard
+// retains that generation so in-flight router walks finish
+// consistently, even after failed reloads).
 type ReloadShardRequest struct {
 	// Gen is the new generation number.
 	Gen int64 `json:"gen"`
+	// Live is the generation the router routes while the reload runs;
+	// the shard never evicts it.
+	Live int64 `json:"live"`
 	// Index is the index file to load; Cells the shard's new cell set.
 	Index string `json:"index"`
 	// Cells is the set of Voronoi cells this shard now owns.

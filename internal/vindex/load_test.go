@@ -17,6 +17,24 @@ import (
 	"knnjoin/internal/voronoi"
 )
 
+// MetaOnly is the oracle of a load of NoCells: the whole index with
+// its object storage dropped afterwards — the full pivot set,
+// pivot-distance matrix and summary, and an empty block per cell.
+func (ix *Index) MetaOnly() *Index {
+	n := ix.pp.NumPartitions()
+	blocks := make([]*vector.Block, n)
+	for j := range blocks {
+		blocks[j] = &vector.Block{}
+	}
+	return &Index{
+		pp:     ix.pp,
+		sum:    ix.sum,
+		blocks: blocks,
+		size:   ix.size,
+		opts:   ix.opts,
+	}
+}
+
 // Subset is the oracle of a load of OnlyCells(cells): the whole index,
 // restricted afterwards to the given cells. It shares the owned cells'
 // blocks and zeroes the summary rows of the others, with the

@@ -105,8 +105,10 @@ type CellSet struct {
 var (
 	// AllCells decodes every cell: the whole index.
 	AllCells = CellSet{}
-	// NoCells decodes no cell: the routing-only view Index.MetaOnly
-	// returns, with every pivot and summary row and no object storage.
+	// NoCells decodes no cell: the routing-only view the sharded
+	// router holds, with every pivot and summary row and no object
+	// storage. Scanning methods must not be called on it: the walk
+	// would direct scans at cells whose blocks are empty here.
 	NoCells = CellSet{meta: true}
 )
 
@@ -303,7 +305,7 @@ func load(r io.Reader, length int64, sel []CellSet) (*Index, error) {
 
 	// The format records no scan tier: each decoded block gets the one
 	// its shape picks, exactly as Build gives it. A cell left undecoded
-	// gets an empty block, as MetaOnly gives it.
+	// gets an empty block.
 	blocks := make([]*vector.Block, numPivots)
 	stored, size := 0, 0
 	for i := range blocks {
