@@ -10,14 +10,11 @@ package knnjoin
 // just time.
 
 import (
-	"fmt"
 	"io"
 	"testing"
 
-	"knnjoin/internal/benchjobs"
 	"knnjoin/internal/dataset"
 	"knnjoin/internal/experiments"
-	"knnjoin/internal/mapreduce"
 	"knnjoin/internal/pivot"
 	"knnjoin/internal/vector"
 	"knnjoin/internal/voronoi"
@@ -223,127 +220,6 @@ func BenchmarkLOFOutlierScoring(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, _, err := LOF(objs, 10, Options{Nodes: 9, Seed: 1}); err != nil {
 			b.Fatal(err)
-		}
-	}
-}
-
-// ---- Shuffle micro-benchmarks ----------------------------------------
-//
-// These isolate the engine's sort-merge shuffle (map-side sorted runs,
-// k-way merge, streaming key groups) from the join algorithms: trivial
-// map and reduce work, so ns/op and allocs/op are the shuffle itself.
-// The keys=32000 case measures the many-distinct-keys regime (merge jobs
-// keyed by object id); keys=256 measures the few-keys/many-values regime
-// (block joins keyed by reducer id); the secondary-sort case measures
-// composite JoinKey-style keys with a grouping prefix (the PGBJ join).
-// The job definitions live in internal/benchjobs, shared with
-// cmd/shufflebench so BENCH_shuffle.json measures the identical work.
-
-func benchmarkShuffle(b *testing.B, job *mapreduce.Job) {
-	in := benchjobs.Input(benchjobs.Records)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := benchjobs.Run(job, in); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkShuffleSortMerge(b *testing.B) {
-	for _, keys := range []int{32000, 256} {
-		b.Run(fmt.Sprintf("keys=%d", keys), func(b *testing.B) {
-			benchmarkShuffle(b, benchjobs.FlatJob(keys))
-		})
-	}
-}
-
-// Composite keys with a 4-byte grouping prefix and a pivot-distance
-// suffix — the shape every pivot-join job ships since the shuffle took
-// over SortByPivotDist.
-func BenchmarkShuffleSecondarySort(b *testing.B) {
-	benchmarkShuffle(b, benchjobs.CompositeJob())
-}
-
-// ---- Distance-path micro-benchmarks ----------------------------------
-//
-// These isolate the reduce-side distance path: decoding a reducer value
-// group and running the PGBJ-shaped windowed join, through the legacy
-// per-Object path (scalar) and the columnar Block path (block). The
-// workloads live in internal/benchjobs, shared with cmd/distbench so
-// BENCH_dist.json records the identical work.
-
-func BenchmarkDistDecode(b *testing.B) {
-	for _, dim := range []int{2, 8, 32} {
-		recs := benchjobs.DistInput(10000, dim, 1)
-		b.Run(fmt.Sprintf("scalar/d=%d", dim), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := benchjobs.DecodeScalar(recs); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		b.Run(fmt.Sprintf("block/d=%d", dim), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := benchjobs.DecodeBlock(recs); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-func BenchmarkDistPGBJReduce(b *testing.B) {
-	const k, queries = 10, 64
-	for _, dim := range []int{2, 8, 32} {
-		recs := benchjobs.DistInput(10000, dim, 1)
-		qs := benchjobs.DistQueries(queries, dim, 2)
-		theta, err := benchjobs.DistTheta(recs, benchjobs.DistWindowFrac)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Run(fmt.Sprintf("scalar/d=%d", dim), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := benchjobs.JoinScalar(recs, qs, k, theta); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		b.Run(fmt.Sprintf("block/d=%d", dim), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := benchjobs.JoinBlock(recs, qs, k, theta); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkDistKernelTiers is the kernel tier matrix on the same
-// PGBJ-reducer workload, through the query-batched kernels — the rows
-// `distbench -suite kernels` records in BENCH_dist.json.
-func BenchmarkDistKernelTiers(b *testing.B) {
-	const k, queries = 10, 64
-	for _, dim := range []int{2, 8, 32} {
-		recs := benchjobs.DistInput(10000, dim, 1)
-		qs := benchjobs.DistQueries(queries, dim, 2)
-		theta, err := benchjobs.DistTheta(recs, benchjobs.DistWindowFrac)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, kern := range []vector.Kernel{vector.KernelScalar, vector.KernelBlock, vector.KernelQuantized} {
-			b.Run(fmt.Sprintf("%v/d=%d", kern, dim), func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					if _, err := benchjobs.JoinKernelBatch(recs, qs, k, theta, kern); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
 		}
 	}
 }

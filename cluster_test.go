@@ -40,9 +40,9 @@ func assertRanOnWorkers(t *testing.T, st *Stats) {
 }
 
 // TestClusterModeMatchesInProcess runs every join algorithm once on the
-// in-process engine and once on three worker processes: the multi-
-// process engine must return byte-identical results — same neighbor
-// IDs, same distances, same order.
+// in-process engine and once on three worker processes (PGBJ on one,
+// two and three): the multi-process engine must return byte-identical
+// results — same neighbor IDs, same distances, same order.
 func TestClusterModeMatchesInProcess(t *testing.T) {
 	skipClusterShort(t)
 	r := dataset.Uniform(300, 4, 100, 11)
@@ -54,15 +54,21 @@ func TestClusterModeMatchesInProcess(t *testing.T) {
 			if err != nil {
 				t.Fatalf("in-process: %v", err)
 			}
-			opts.Workers = 3
-			got, st, err := Join(r, s, opts)
-			if err != nil {
-				t.Fatalf("3 workers: %v", err)
+			workers := []int{3}
+			if alg == PGBJ {
+				workers = []int{1, 2, 3}
 			}
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("%v: cluster-mode output differs from in-process output", alg)
+			for _, w := range workers {
+				opts.Workers = w
+				got, st, err := Join(r, s, opts)
+				if err != nil {
+					t.Fatalf("%d workers: %v", w, err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("%v: output on %d workers differs from in-process output", alg, w)
+				}
+				assertRanOnWorkers(t, st)
 			}
-			assertRanOnWorkers(t, st)
 		})
 	}
 }

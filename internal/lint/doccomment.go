@@ -7,8 +7,8 @@ import (
 
 // exportedDocPaths lists the package-path suffixes (module root included
 // as "knnjoin") whose exported identifiers must all carry doc comments —
-// the API-bearing packages formerly enforced by cmd/doccheck, plus this
-// lint package itself. Everything else only needs a package comment.
+// the API-bearing packages, this lint package included. Everything else
+// only needs a package comment.
 var exportedDocPaths = map[string]bool{
 	"knnjoin":            true,
 	"internal/mapreduce": true,
@@ -25,9 +25,9 @@ var exportedDocPaths = map[string]bool{
 	"internal/obs":       true,
 }
 
-// DocComment is the documentation gate, folded in from cmd/doccheck so
-// the doc rules have exactly one implementation behind one driver. Rule
-// one: every package carries a package comment on at least one non-test
+// DocComment is the documentation gate, the one implementation of the
+// doc rules, run by cmd/knnlint with the rest of the suite. Rule one:
+// every package carries a package comment on at least one non-test
 // file. Rule two: in the API-bearing packages, every exported
 // identifier has a doc comment (a comment on a const/var block covers
 // its members, the stdlib convention for enum-style groups).
@@ -101,7 +101,7 @@ func receiverExported(fd *ast.FuncDecl) bool {
 }
 
 // checkExportedDocs walks one file and reports exported declarations
-// without doc comments, mirroring the retired cmd/doccheck rules.
+// without doc comments.
 func checkExportedDocs(pass *Pass, f *ast.File) {
 	for _, decl := range f.Decls {
 		switch d := decl.(type) {

@@ -13,9 +13,8 @@
 //     (the PR-4 data race),
 //   - atomicsnap: state published via atomic.Pointer snapshots is never
 //     mutated after publication or shadowed beside the pointer,
-//   - doccomment: the documentation gates formerly enforced by
-//     cmd/doccheck (package comments everywhere, exported-identifier
-//     docs in the API-bearing packages).
+//   - doccomment: the documentation gates (package comments everywhere,
+//     exported-identifier docs in the API-bearing packages).
 //
 // The framework deliberately mirrors the golang.org/x/tools/go/analysis
 // API shape (Analyzer, Pass, analysistest-style fixtures) but is built

@@ -60,3 +60,14 @@ func TestRunCLIUnknownPattern(t *testing.T) {
 		t.Fatalf("RunCLI on bad pattern = %d, want 2 (output: %s)", code, sb.String())
 	}
 }
+
+// TestRepositoryIsFullyDocumented runs the doccomment analyzer over the
+// whole module, so `go test ./...` holds the doc rules without the lint
+// sweep: every package carries a comment and the API-bearing packages
+// document every exported identifier.
+func TestRepositoryIsFullyDocumented(t *testing.T) {
+	var sb strings.Builder
+	if code := RunCLI(&sb, []*Analyzer{DocComment}, []string{"knnjoin/..."}); code != 0 {
+		t.Fatalf("doccomment on the repository exited %d:\n%s", code, sb.String())
+	}
+}

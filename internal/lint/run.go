@@ -65,10 +65,9 @@ func Run(analyzers []*Analyzer, patterns ...string) ([]Diagnostic, error) {
 	return kept, nil
 }
 
-// RunCLI is the shared command-line driver behind cmd/knnlint and the
-// cmd/doccheck compatibility wrapper: run the given analyzers over the
-// patterns (default ./...), print findings to w, and return the process
-// exit code (0 clean, 1 findings, 2 load failure).
+// RunCLI is the command-line driver behind cmd/knnlint: run the given
+// analyzers over the patterns (default ./...), print findings to w, and
+// return the process exit code (0 clean, 1 findings, 2 load failure).
 func RunCLI(w io.Writer, analyzers []*Analyzer, patterns []string) int {
 	diags, err := Run(analyzers, patterns...)
 	if err != nil {

@@ -428,12 +428,10 @@ func (l localLink) heartbeat(h *heartbeatMsg) {
 	l.c.heartbeatLocked(l.j, h)
 }
 
-// runJob executes one job: build the task table, put workers on it, wait
-// for the commit of every task (watchdogging leases), then assemble the
-// output and statistics from the committed attempts — and only from
-// those, which is why job output is byte-identical no matter which
-// workers ran it or how many attempts died or duplicated along the way.
-func (c *Cluster) runJob(job *Job, splits []dfs.Split) (*JobStats, error) {
+// newCoordJob builds the task table of one job: every split a pending
+// map task, and NumReducers (default: one per node) pending reduce
+// tasks unless the job is map-only.
+func (c *Cluster) newCoordJob(job *Job, splits []dfs.Split) *coordJob {
 	j := &coordJob{
 		job: job, splits: splits, nReduce: job.NumReducers, mapOnly: job.Reduce == nil,
 		maxAttempts: job.MaxAttempts,
@@ -461,6 +459,16 @@ func (c *Cluster) runJob(job *Job, splits []dfs.Split) (*JobStats, error) {
 	}
 	j.maxRedispatch = 16 + 8*(len(j.maps)+len(j.reduces))
 	j.stats = JobStats{Job: job.Name, MapTasks: len(j.maps), ReduceTasks: len(j.reduces)}
+	return j
+}
+
+// runJob executes one job: build the task table, put workers on it, wait
+// for the commit of every task (watchdogging leases), then assemble the
+// output and statistics from the committed attempts — and only from
+// those, which is why job output is byte-identical no matter which
+// workers ran it or how many attempts died or duplicated along the way.
+func (c *Cluster) runJob(job *Job, splits []dfs.Split) (*JobStats, error) {
+	j := c.newCoordJob(job, splits)
 
 	// Run files: worker processes exchange everything through the shared
 	// scratch directory; goroutine workers need one only to spill runs.

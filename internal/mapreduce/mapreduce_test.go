@@ -12,6 +12,7 @@ import (
 	"sync/atomic"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"knnjoin/internal/dfs"
 )
@@ -1060,9 +1061,11 @@ func TestMergerProperties(t *testing.T) {
 	}
 }
 
-// A failing map task must short-circuit a large job end-to-end: the
-// cluster stops dispatching remaining splits instead of mapping them all
-// and then discarding the result.
+// A failing map task must short-circuit a large job: once the scheduler
+// has recorded the failure it dispatches no further attempt, so the
+// remaining splits are never mapped and then discarded. The count is
+// taken from the task table with the test playing both workers against
+// the scheduler, so goroutine timing cannot move it.
 func TestFailingMapTaskShortCircuitsJob(t *testing.T) {
 	fs := dfs.New(1) // one record per split
 	const splits = 5000
@@ -1072,15 +1075,14 @@ func TestFailingMapTaskShortCircuitsJob(t *testing.T) {
 	}
 	writeLines(fs, "in", lines...)
 	c := NewCluster(fs, 2)
-	var mapped atomic.Int64
+	poisoned := errors.New("poisoned record")
 	job := &Job{
 		Name:   "failfast",
 		Input:  []string{"in"},
 		Output: "out",
 		Map: func(_ *TaskContext, rec dfs.Record, emit Emit) error {
-			mapped.Add(1)
 			if string(rec) == "0" {
-				return errors.New("poisoned record")
+				return poisoned
 			}
 			emit(rec, rec)
 			return nil
@@ -1090,10 +1092,39 @@ func TestFailingMapTaskShortCircuitsJob(t *testing.T) {
 			return nil
 		},
 	}
-	if _, err := c.Run(job); err == nil {
-		t.Fatal("job with a poisoned split succeeded")
+	if _, err := c.Run(job); !errors.Is(err, poisoned) {
+		t.Fatalf("job with a poisoned split: err = %v, want the map error", err)
 	}
-	if n := mapped.Load(); n > splits/10 {
-		t.Fatalf("mapped %d of %d records after the poisoned split failed", n, splits)
+
+	in, err := fs.Splits("in")
+	if err != nil {
+		t.Fatal(err)
+	}
+	j := c.newCoordJob(job, in)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	now := time.Now()
+	first, second := c.assignLocked(j, 0, now), c.assignLocked(j, 1, now)
+	if first == nil || second == nil || first.Index != 0 || second.Index != 1 {
+		t.Fatalf("first assignments %+v, %+v: want map tasks 0 and 1", first, second)
+	}
+	c.completeLocked(j, &completion{Worker: 0, Phase: "map", Index: 0, Attempt: first.Attempt,
+		Err: poisoned.Error(), err: poisoned})
+	if !j.completed || !errors.Is(j.err, poisoned) {
+		t.Fatalf("the failed attempt did not fail the job (completed=%v, err=%v)", j.completed, j.err)
+	}
+	// The other worker finishes its split after the failure, then both
+	// ask for more work.
+	if c.completeLocked(j, &completion{Worker: 1, Phase: "map", Index: 1, Attempt: second.Attempt}) {
+		t.Fatal("a map attempt committed after the job failed")
+	}
+	c.assignLocked(j, 0, now)
+	c.assignLocked(j, 1, now)
+	dispatched := 0
+	for i := range j.maps {
+		dispatched += j.maps[i].attempts
+	}
+	if after := dispatched - 2; after != 0 {
+		t.Fatalf("%d map attempts dispatched after the failure was recorded, want 0", after)
 	}
 }

@@ -1,6 +1,7 @@
 package planner_test
 
 import (
+	"math"
 	"testing"
 
 	"knnjoin"
@@ -68,10 +69,9 @@ func TestPredictionsMatchMeasuredReplication(t *testing.T) {
 // TestRankingAgreesWithMeasuredCost sweeps seeds and checks that the
 // ranking's strong preferences are real: whenever the model scores one
 // exact algorithm at least 1.8× cheaper than another, the measured
-// deterministic cost proxy (shuffle bytes plus distance computations,
-// priced at the model's own weights) must not order them the other way
-// by more than 25%. Wall clocks stay out of it so the test cannot
-// flake.
+// deterministic cost (each run's measured work re-scored by the model's
+// own score, MeasuredScore) must not order them the other way by more
+// than 25%. Wall clocks stay out of it so the test cannot flake.
 func TestRankingAgreesWithMeasuredCost(t *testing.T) {
 	algos := []knnjoin.Algorithm{knnjoin.PGBJ, knnjoin.HBRJ, knnjoin.Broadcast, knnjoin.Theta}
 	for _, seed := range []int64{1, 2, 3} {
@@ -99,10 +99,7 @@ func TestRankingAgreesWithMeasuredCost(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			// The same cost collapse the score uses, fed with actuals
-			// (fused-kernel distance pricing at dims=4 plus the shuffle
-			// byte rate — mirror the cost.go weights).
-			measured[a.String()] = float64(st.Pairs)*14 + float64(st.ShuffleBytes)*20
+			measured[a.String()] = planner.MeasuredScore(a.String(), st, ds, opts)
 		}
 		for i, a := range algos {
 			for _, b := range algos[i+1:] {
@@ -117,6 +114,77 @@ func TestRankingAgreesWithMeasuredCost(t *testing.T) {
 						seed, b, sb, a, sa, mb, ma)
 				}
 			}
+		}
+	}
+}
+
+// TestPickWithinGateOfBestFixedPlan is the planner's regression gate. On
+// four workload shapes (uniform, Gaussian clusters, Zipf-skewed density
+// and a lopsided |R| ≪ |S| join) it runs each of the seven fixed plans
+// once and the planner's pick (Algorithm Auto, which executes
+// planner.Best) once, and re-scores every run's measured work with the
+// ranking's own score. The pick must score within pickGate of the best
+// fixed plan. Every input is a count, exact per seed, so the gate reads
+// no clock: a pick with half again the work of the best plan fails on
+// any host.
+func TestPickWithinGateOfBestFixedPlan(t *testing.T) {
+	const n, k, nodes, pickGate = 800, 10, 4, 1.5
+	shapes := []struct {
+		name string
+		r, s []knnjoin.Object
+	}{
+		{"uniform", dataset.Uniform(n, 4, 100, 1), nil},
+		{"gaussian", dataset.Gaussian(n, 4, 8, 0, 100, 1), nil},
+		{"zipf", dataset.Zipf(n, 2, 64, 100, 1), nil},
+		{"lopsided", dataset.Uniform(n/16, 4, 100, 1), dataset.Uniform(n, 4, 100, 2)},
+	}
+	fixed := []knnjoin.Options{
+		{Algorithm: knnjoin.PGBJ, GroupStrategy: knnjoin.GeometricGrouping},
+		{Algorithm: knnjoin.PGBJ, GroupStrategy: knnjoin.GreedyGrouping},
+		{Algorithm: knnjoin.PBJ},
+		{Algorithm: knnjoin.HBRJ},
+		{Algorithm: knnjoin.Broadcast},
+		{Algorithm: knnjoin.Theta},
+		{Algorithm: knnjoin.BruteForce},
+	}
+	for _, sh := range shapes {
+		s := sh.s
+		if s == nil {
+			s = sh.r
+		}
+		popts := planner.Options{K: k, Nodes: nodes, Seed: 1}
+		ds, err := planner.Measure(sh.r, s, popts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		run := func(opts knnjoin.Options) *knnjoin.Stats {
+			opts.K, opts.Nodes, opts.Seed = k, nodes, 1
+			_, st, err := knnjoin.Join(sh.r, s, opts)
+			if err != nil {
+				t.Fatalf("%s %v: %v", sh.name, opts.Algorithm, err)
+			}
+			return st
+		}
+		best, bestName := math.Inf(1), ""
+		for _, opts := range fixed {
+			name := opts.Algorithm.String()
+			if opts.Algorithm == knnjoin.PGBJ {
+				name += "/" + opts.GroupStrategy.String()
+			}
+			if sc := planner.MeasuredScore(opts.Algorithm.String(), run(opts), ds, popts); sc < best {
+				best, bestName = sc, name
+			}
+		}
+		st := run(knnjoin.Options{Algorithm: knnjoin.Auto})
+		if st.Plan == nil {
+			t.Fatalf("%s: Auto ran without a plan", sh.name)
+		}
+		pick := planner.MeasuredScore(st.Plan.Algorithm, st, ds, popts)
+		t.Logf("%s: pick %s scores %.3g, %.2f× the best fixed plan %s (%.3g)",
+			sh.name, st.Plan.Algorithm, pick, pick/best, bestName, best)
+		if pick > best*pickGate {
+			t.Errorf("%s: the planner's pick (%s) scores %.3g on its measured work, %.2f× the best fixed plan %s (%.3g); the gate is %.1f×",
+				sh.name, st.Plan.Algorithm, pick, pick/best, bestName, best, pickGate)
 		}
 	}
 }

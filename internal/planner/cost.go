@@ -19,10 +19,11 @@ import (
 // Cost weights, in nanosecond-like units. The absolute values are rough
 // calibrations of this repository's kernels on commodity hardware; only
 // their ratios matter, because the planner ranks plans rather than
-// forecasting wall clocks. The plan benchmark suite
-// (cmd/shufflebench -suite plan) is the regression gate that keeps the
-// ratios honest: it fails when the ranking picks a plan measurably far
-// from the best fixed one.
+// forecasting wall clocks. TestPickWithinGateOfBestFixedPlan gates the
+// predictions under these weights: it re-scores the measured work of the
+// planner's pick and of every fixed plan with score, and fails when the
+// pick is far from the best fixed one. It reads no clock, so whether the
+// weights still match the kernels' speed is the benchmark's to show.
 const (
 	// costDistBase and costDistDim price one distance computation on the
 	// fused block kernels (vector.Block.NearestK and friends): a fixed
@@ -68,10 +69,9 @@ func scalarDistCost(n int64, dims int) float64 {
 
 // kernelFactor scales the fused-kernel distance price for the scan
 // tier vector.AutoTier gives a reducer block of rows rows at
-// dimensionality dims, so plans are priced as what will run. Calibrated
-// against the BENCH_dist kernel suite: the quantized uint8 first pass
-// cuts filter bandwidth 8× and costs ~0.5× the fused loop where the
-// rule picks it.
+// dimensionality dims, so plans are priced as what will run. The
+// quantized uint8 first pass cuts filter bandwidth 8× and measured ~0.5×
+// the fused loop where the rule picks it.
 func kernelFactor(dims, rows int) float64 {
 	if vector.AutoTier(dims, rows) == vector.KernelQuantized {
 		return 0.5

@@ -25,9 +25,9 @@
 //     are ranked but flagged, and skipped by Best unless requested.
 //
 // The public API surfaces this as knnjoin.AutoPlan and Algorithm Auto;
-// cmd/knnplan is the standalone EXPLAIN tool; the plan benchmark suite
-// (cmd/shufflebench -suite plan) regression-gates the ranking against
-// measured wall times.
+// cmd/knnplan is the standalone EXPLAIN tool; TestPickWithinGateOfBestFixedPlan
+// regression-gates the ranking against the measured work of every fixed
+// plan.
 package planner
 
 import (
@@ -75,9 +75,6 @@ type Options struct {
 	// PivotStrategies is the strategy grid; nil selects random and
 	// farthest (k-means costs more to evaluate than it tends to return).
 	PivotStrategies []pivot.Strategy
-	// AllowApproximate lets Best return a flagged approximate plan
-	// (ZKNN, LSH) when it ranks first.
-	AllowApproximate bool
 }
 
 func (o Options) withDefaults() Options {

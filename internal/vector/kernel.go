@@ -119,8 +119,8 @@ func (b *Block) ActiveKernel() Kernel { return b.kern }
 
 // AutoTier is the one tier policy: the tier KernelAuto gives a block of
 // rows rows at dimensionality dim, and the tier the planner prices. The
-// quantized tier wins once the scan is bandwidth-bound — BENCH_dist
-// places the crossover around d=8 — and needs enough rows for its
+// quantized tier wins once the scan is bandwidth-bound — the crossover
+// measured around d=8 — and needs enough rows for its
 // one-time code build to amortize. Small or low-dimensional blocks stay
 // on the fused float64 kernel, which is already compute-bound there.
 func AutoTier(dim, rows int) Kernel {

@@ -581,17 +581,6 @@ func TestPartitionLosslessQuick(t *testing.T) {
 	}
 }
 
-func BenchmarkAssign(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	pp := NewPartitioner(randPivots(rng, 400, 10, 100), vector.L2)
-	pt := randObjects(rng, 1, 10, 100)[0].Point
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		pp.Assign(pt, nil)
-	}
-}
-
 func BenchmarkBoundKNN(b *testing.B) {
 	rng := rand.New(rand.NewSource(2))
 	pivots := randPivots(rng, 200, 10, 100)
