@@ -204,7 +204,7 @@ func (c *Cluster) workerExitedLocked(j *coordJob, worker int) {
 	j.live--
 	c.reclaimLocked(j, "worker-exit", func(a attemptRec) bool { return a.worker == worker })
 	if j.live == 0 {
-		c.finishLocked(j, fmt.Errorf("mapreduce: job %q: all workers exited", j.job.Name))
+		c.finishLocked(j, fmt.Errorf("mapreduce: job %q: all workers exited%s", j.job.Name, c.exitReport(j)))
 	}
 }
 
@@ -512,7 +512,7 @@ func (c *Cluster) runJob(job *Job, splits []dfs.Split) (*JobStats, error) {
 		c.cur = j
 		j.live, j.lease = c.procs.live, c.lease()
 		if j.live == 0 {
-			c.finishLocked(j, fmt.Errorf("mapreduce: job %q: all %d worker processes exited", job.Name, c.cfg.Workers))
+			c.finishLocked(j, fmt.Errorf("mapreduce: job %q: all %d worker processes exited%s", job.Name, c.cfg.Workers, c.exitReport(j)))
 		}
 	}
 	if len(j.maps)+len(j.reduces) == 0 {

@@ -7,11 +7,11 @@ import (
 	"net"
 	"net/http"
 	"os"
-	"os/exec"
 	"time"
 
 	"knnjoin/internal/dfs"
 	"knnjoin/internal/obs"
+	"knnjoin/internal/proc"
 )
 
 // DistConfig configures a distributed cluster: the scheduler in this
@@ -83,9 +83,8 @@ type workerProcs struct {
 	srv  *http.Server
 	base string
 
-	cmds   []*exec.Cmd
-	exited []chan struct{}
-	live   int // processes not yet exited; guarded by Cluster.mu
+	children []*proc.Child
+	live     int // workers not yet seen to exit; guarded by Cluster.mu
 
 	// metrics backs the coordinator's /metrics endpoint.
 	metrics *obs.Registry
@@ -135,7 +134,7 @@ func NewDistCluster(fs dfs.Store, n int, cfg DistConfig) (*Cluster, error) {
 // worker processes. On error the caller Closes the cluster, which tears
 // down whatever was started.
 func (c *Cluster) startProcs() error {
-	p := &workerProcs{metrics: obs.NewRegistry()}
+	p := &workerProcs{metrics: obs.NewRegistry(), live: c.cfg.Workers}
 	c.procs = p
 	c.mJobs = p.metrics.Counter("mr_jobs_total", "Jobs run on this cluster.")
 	c.mTasks = p.metrics.Counter("mr_worker_tasks_total", "Task attempts committed by worker processes.")
@@ -172,45 +171,34 @@ func (c *Cluster) startProcs() error {
 	p.srv = obs.NewServer(mux)
 	go p.srv.Serve(ln)
 
-	exe, err := os.Executable()
-	if err != nil {
-		return fmt.Errorf("mapreduce: locate own binary for worker re-exec: %w", err)
-	}
 	hb := c.lease() / 4
 	for i := 0; i < c.cfg.Workers; i++ {
-		wc := workerConfig{URL: p.base, Index: i, HeartbeatMs: hb.Milliseconds(),
-			Faults: c.cfg.Faults, TraceDir: c.cfg.TraceDir}
-		raw, err := json.Marshal(wc)
+		child, err := proc.Start(fmt.Sprintf("worker %d", i), workerEnv, workerConfig{URL: p.base, Index: i,
+			HeartbeatMs: hb.Milliseconds(), Faults: c.cfg.Faults, TraceDir: c.cfg.TraceDir})
 		if err != nil {
-			return fmt.Errorf("mapreduce: worker config: %w", err)
+			return fmt.Errorf("mapreduce: %w", err)
 		}
-		cmd := exec.Command(exe)
-		cmd.Env = append(os.Environ(), workerEnv+"="+string(raw))
-		// Workers share the parent's stderr; stdout stays clean for CLIs
-		// that write results there.
-		cmd.Stdout = os.Stderr
-		cmd.Stderr = os.Stderr
-		if err := cmd.Start(); err != nil {
-			return fmt.Errorf("mapreduce: spawn worker %d: %w", i, err)
-		}
-		done := make(chan struct{})
-		p.cmds = append(p.cmds, cmd)
-		p.exited = append(p.exited, done)
-		c.mu.Lock()
-		p.live++
-		c.mu.Unlock()
+		p.children = append(p.children, child)
 		go func() {
-			cmd.Wait()
+			<-child.Exited()
 			c.mu.Lock()
 			p.live--
 			if c.cur != nil {
 				c.workerExitedLocked(c.cur, i)
 			}
 			c.mu.Unlock()
-			close(done)
 		}()
 	}
 	return nil
+}
+
+// exitReport names each worker process's exit status and last stderr
+// line, for a job left with none; goroutine workers leave none.
+func (c *Cluster) exitReport(j *coordJob) (report string) {
+	for i := 0; !j.local && i < len(c.procs.children); i++ {
+		report += fmt.Sprintf("; %v", c.procs.children[i].Err())
+	}
+	return report
 }
 
 // poll answers one /poll.
@@ -327,19 +315,11 @@ func jsonHandler[Req, Resp any](fn func(*Req) Resp) http.HandlerFunc {
 	}
 }
 
-// stop kills the workers, stops the coordinator server, and removes the
-// scratch directory once every worker has been reaped. It copes with a
-// partially started transport.
+// stop kills and reaps the workers, stops the coordinator server, and
+// removes the scratch directory. It copes with a partially started
+// transport.
 func (p *workerProcs) stop() {
-	for _, cmd := range p.cmds {
-		cmd.Process.Kill()
-	}
-	for _, done := range p.exited {
-		select {
-		case <-done:
-		case <-time.After(5 * time.Second):
-		}
-	}
+	proc.Kill(p.children...)
 	if p.srv != nil {
 		p.srv.Close()
 	}

@@ -169,7 +169,3 @@ func faultActionName(a FaultAction) string {
 	}
 	return "unknown"
 }
-
-// faultKillExitCode distinguishes fault-plan kills from crashes in
-// worker exit diagnostics.
-const faultKillExitCode = 3

@@ -1,12 +1,15 @@
 package mapreduce
 
 import (
+	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
 	"knnjoin/internal/dfs"
 	"knnjoin/internal/obs"
+	"knnjoin/internal/proc"
 )
 
 // The recovery matrix: deterministic fault plans kill, stall, freeze and
@@ -267,7 +270,8 @@ func TestFaultPlanReplaysIdentically(t *testing.T) {
 }
 
 // TestFaultAllWorkersDeadFailsJob kills every worker on its first task:
-// with nobody left the job must fail instead of waiting forever.
+// with nobody left the job must fail instead of waiting forever, and on
+// worker processes the error must report each one's fault-kill exit.
 func TestFaultAllWorkersDeadFailsJob(t *testing.T) {
 	plan := &FaultPlan{Events: []FaultEvent{
 		{Worker: -1, Point: AtTaskStart, Action: ActKill},
@@ -275,8 +279,12 @@ func TestFaultAllWorkersDeadFailsJob(t *testing.T) {
 	spec := testJobSpec{In: "in", Out: "out", NumReducers: 2, Mode: "wordcount"}
 	onBothTransports(t, DistConfig{Workers: 1, LeaseTimeout: faultLease, Faults: plan},
 		func(t *testing.T, cfg DistConfig) {
-			if _, _, err := runDist(t, spec, wordRecords("in", 20), cfg); err == nil {
+			_, _, err := runDist(t, spec, wordRecords("in", 20), cfg)
+			if err == nil {
 				t.Fatal("job with every worker dead reported success")
+			}
+			if want := fmt.Sprintf("exit status %d", proc.FaultKillExitCode); cfg.Workers > 0 && !strings.Contains(err.Error(), want) {
+				t.Fatalf("job error %q does not report the workers' exit (%s)", err, want)
 			}
 		})
 }

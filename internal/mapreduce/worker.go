@@ -15,6 +15,7 @@ import (
 
 	"knnjoin/internal/dfs"
 	"knnjoin/internal/obs"
+	"knnjoin/internal/proc"
 )
 
 // link is how a worker reaches the scheduler. Goroutine workers call it
@@ -474,51 +475,37 @@ const workerEnv = "KNNJOIN_MR_WORKER"
 // returns in that case. Call it first thing in main (and in TestMain for
 // test binaries that use a distributed cluster); it is a no-op in
 // ordinary processes.
-func RunWorkerIfSpawned() {
-	raw := os.Getenv(workerEnv)
-	if raw == "" {
-		return
-	}
-	var cfg workerConfig
-	if err := json.Unmarshal([]byte(raw), &cfg); err != nil {
-		fmt.Fprintf(os.Stderr, "mapreduce worker: bad config: %v\n", err)
-		os.Exit(1)
-	}
-	os.Exit(runWorker(cfg))
-}
+func RunWorkerIfSpawned() { proc.IfSpawned(workerEnv, runWorker) }
 
 // runWorker is a worker process's main: the shared loop over an httpLink.
-func runWorker(cfg workerConfig) int {
+func runWorker(cfg workerConfig) error {
 	l := &httpLink{url: cfg.URL, client: &http.Client{}}
 	w := &worker{
 		index: cfg.Index, link: l, inj: newInjector(cfg.Index, cfg.Faults),
-		kill:    func() { os.Exit(faultKillExitCode) },
+		kill:    func() { os.Exit(proc.FaultKillExitCode) },
 		hbEvery: time.Duration(cfg.HeartbeatMs) * time.Millisecond,
 	}
 	if cfg.TraceDir != "" {
 		tr, err := obs.NewTracer(cfg.TraceDir, fmt.Sprintf("worker-%d", cfg.Index))
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "mapreduce worker %d: tracer: %v\n", cfg.Index, err)
-			return 1
+			return fmt.Errorf("mapreduce worker %d: tracer: %w", cfg.Index, err)
 		}
 		w.tracer = tr
 		defer tr.Close()
 	}
 	store, err := dfs.NewRemote(cfg.URL + "/dfs")
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "mapreduce worker %d: chunk service: %v\n", cfg.Index, err)
-		return 1
+		return fmt.Errorf("mapreduce worker %d: chunk service: %w", cfg.Index, err)
 	}
 	w.store = store
 	w.loop()
-	return l.exit
+	return nil
 }
 
 // httpLink is a worker process's link: JSON POSTs to the coordinator.
 type httpLink struct {
 	url    string
 	client *http.Client
-	exit   int // the process's exit code once next returns nil
 }
 
 // post sends one JSON request to the coordinator and decodes the reply.
@@ -540,21 +527,14 @@ func (l *httpLink) post(path string, req, resp any) error {
 
 // next polls until the coordinator hands out a task or says to shut down.
 func (l *httpLink) next(worker int) *assignment {
-	failures := 0
 	for {
 		var resp pollResponse
 		if err := l.post("/poll", pollRequest{Worker: worker}, &resp); err != nil {
-			// The coordinator being unreachable for a sustained stretch
-			// means the job (or the whole cluster) is gone; exit rather
-			// than poll forever.
-			if failures++; failures > 200 {
-				l.exit = 1
-				return nil
-			}
+			// The coordinator lives as long as the worker's parent, and
+			// the worker exits with its parent (package proc): retry.
 			time.Sleep(20 * time.Millisecond)
 			continue
 		}
-		failures = 0
 		if resp.Shutdown {
 			return nil
 		}

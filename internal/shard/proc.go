@@ -10,19 +10,17 @@ import (
 	"sync/atomic"
 
 	"knnjoin/internal/obs"
+	"knnjoin/internal/proc"
 	"knnjoin/internal/serve"
 	"knnjoin/internal/vindex"
 )
 
 // shardEnv carries a procConfig (JSON) into a spawned shard replica.
-// Replicas are re-executed copies of the parent binary, the same
-// re-exec idiom the MapReduce workers use; RunShardIfSpawned turns the
-// re-exec into a shard server before the program's own main logic.
+// Replicas are re-executed copies of the parent binary, started and
+// supervised by package proc like the MapReduce workers;
+// RunShardIfSpawned turns the re-exec into a shard server before the
+// program's own main logic.
 const shardEnv = "KNNJOIN_SHARD"
-
-// faultKillExitCode distinguishes fault-plan kills from crashes in
-// replica exit diagnostics (same value as the MapReduce workers').
-const faultKillExitCode = 3
 
 // procConfig is everything a shard replica needs, shipped via shardEnv.
 type procConfig struct {
@@ -35,8 +33,6 @@ type procConfig struct {
 	Replica int `json:"replica"`
 	// Gen is the initial index generation number.
 	Gen int64 `json:"gen"`
-	// AddrFile is where the replica publishes its bound address.
-	AddrFile string `json:"addr_file"`
 	// Faults is the deterministic fault-injection plan, if any.
 	Faults *FaultPlan `json:"faults,omitempty"`
 	// TraceDir, when set, makes the replica write scan spans as JSONL
@@ -50,22 +46,7 @@ type procConfig struct {
 // replica and, if so, serves until killed — it never returns in that
 // case. Call it first thing in main (and in TestMain for test binaries
 // that start shard clusters); it is a no-op in ordinary processes.
-func RunShardIfSpawned() {
-	raw := os.Getenv(shardEnv)
-	if raw == "" {
-		return
-	}
-	var cfg procConfig
-	if err := json.Unmarshal([]byte(raw), &cfg); err != nil {
-		fmt.Fprintf(os.Stderr, "shard: bad config: %v\n", err)
-		os.Exit(1)
-	}
-	if err := runShard(cfg); err != nil {
-		fmt.Fprintf(os.Stderr, "shard %d replica %d: %v\n", cfg.Shard, cfg.Replica, err)
-		os.Exit(1)
-	}
-	os.Exit(0)
-}
+func RunShardIfSpawned() { proc.IfSpawned(shardEnv, runShard) }
 
 // shardProc is one shard replica: a serve.Server over the cell subset
 // (so the shard's own /knn, /range, /knn/batch, /healthz work
@@ -97,6 +78,8 @@ type shardProc struct {
 	fired  []bool
 }
 
+// runShard loads the replica's cells, sends its address as the ready
+// line, and serves.
 func runShard(cfg procConfig) error {
 	// The replica decodes, and so validates, only the cells it owns;
 	// the router read nothing but their framing.
@@ -138,20 +121,10 @@ func runShard(cfg procConfig) error {
 	if err != nil {
 		return err
 	}
-	if err := writeAddrFile(cfg.AddrFile, ln.Addr().String()); err != nil {
+	if err := proc.SendReady(ln.Addr().String()); err != nil {
 		return err
 	}
 	return obs.NewServer(p.gate(mux)).Serve(ln)
-}
-
-// writeAddrFile publishes the bound address via tmp+rename, so a
-// polling parent never reads a half-written file.
-func writeAddrFile(path, addr string) error {
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, []byte(addr), 0o644); err != nil {
-		return err
-	}
-	return os.Rename(tmp, path)
 }
 
 // gate wedges every handler once the replica is frozen — including
@@ -235,7 +208,7 @@ func (p *shardProc) maybeFault(n int64) {
 	}
 	switch act.Action {
 	case FaultKill:
-		os.Exit(faultKillExitCode)
+		os.Exit(proc.FaultKillExitCode)
 	case FaultFreeze:
 		p.frozen.Store(true)
 		select {} // wedge this request too; gate catches the rest

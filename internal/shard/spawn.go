@@ -3,15 +3,12 @@ package shard
 import (
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
-	"os"
-	"os/exec"
-	"path/filepath"
 	"strings"
 	"sync"
 	"time"
 
+	"knnjoin/internal/proc"
 	"knnjoin/internal/vindex"
 )
 
@@ -27,11 +24,8 @@ type ClusterConfig struct {
 	Replicas int
 	// Faults is the deterministic fault plan shipped to every replica.
 	Faults *FaultPlan
-	// Dir holds the replica address files (default: a temp dir removed
-	// on Close).
-	Dir string
-	// StartTimeout bounds waiting for every replica to publish its
-	// address and pass a health check (default 30s).
+	// StartTimeout bounds waiting for every replica to report that it
+	// is serving (default 30s).
 	StartTimeout time.Duration
 	// TraceDir, when set, makes every replica write scan spans as JSONL
 	// there; pair it with a router tracer over the same directory so
@@ -55,9 +49,7 @@ func (c ClusterConfig) withDefaults() ClusterConfig {
 // cell assignment that routes to them. Start with StartCluster, stop
 // with Close.
 type Cluster struct {
-	cfg    ClusterConfig
-	dir    string
-	ownDir bool
+	cfg ClusterConfig
 
 	meta   *vindex.Index // routing-only view of the current generation
 	owner  []int         // cell → shard
@@ -66,46 +58,8 @@ type Cluster struct {
 	live   int64         // generation the router routes; replicas never evict it
 
 	mu    sync.Mutex
-	procs []*replicaProc
-	eps   [][]string // [shard][replica] base URL
-}
-
-// replicaProc is one spawned replica process. A goroutine waits on it
-// from the start, so a replica that dies while the cluster starts is
-// noticed at once and reported with the last lines it wrote to stderr.
-type replicaProc struct {
-	shard, replica int
-	cmd            *exec.Cmd
-	stderr         stderrTail
-	exited         chan struct{} // closed once cmd.Wait has returned
-	err            error         // cmd.Wait's result, set before exited closes
-}
-
-// stderrTail keeps the last bytes written to it.
-type stderrTail struct{ b []byte }
-
-func (t *stderrTail) Write(p []byte) (int, error) {
-	const keep = 4 << 10
-	t.b = append(t.b, p...)
-	if len(t.b) > keep {
-		t.b = t.b[len(t.b)-keep:]
-	}
-	return len(p), nil
-}
-
-// exitErr returns the error of a replica that has exited, or nil while
-// it runs.
-func (p *replicaProc) exitErr() error {
-	select {
-	case <-p.exited:
-	default:
-		return nil
-	}
-	msg := strings.TrimSpace(string(p.stderr.b))
-	if i := strings.LastIndexByte(msg, '\n'); i >= 0 {
-		msg = msg[i+1:]
-	}
-	return fmt.Errorf("shard %d replica %d exited before serving (%v): %s", p.shard, p.replica, p.err, msg)
+	procs []*proc.Child // shard-major: shard s replica r at s*Replicas+r
+	eps   [][]string    // [shard][replica] base URL
 }
 
 // StartCluster loads the index's metadata — pivots and summary, no
@@ -125,105 +79,31 @@ func StartCluster(cfg ClusterConfig) (*Cluster, error) {
 		return nil, err
 	}
 	owner, assign := AssignCells(meta, cfg.Shards)
-	c := &Cluster{cfg: cfg, meta: meta, owner: owner, assign: assign, gen: 1, live: 1, dir: cfg.Dir}
-	if c.dir == "" {
-		if c.dir, err = os.MkdirTemp("", "knnshard-*"); err != nil {
-			return nil, err
-		}
-		c.ownDir = true
-	}
-	exe, err := os.Executable()
-	if err != nil {
-		c.cleanup()
-		return nil, err
-	}
-	addrFiles := make([][]string, cfg.Shards)
+	c := &Cluster{cfg: cfg, meta: meta, owner: owner, assign: assign, gen: 1, live: 1}
 	for s := 0; s < cfg.Shards; s++ {
-		addrFiles[s] = make([]string, cfg.Replicas)
 		for r := 0; r < cfg.Replicas; r++ {
-			addrFiles[s][r] = filepath.Join(c.dir, fmt.Sprintf("shard-%d-%d.addr", s, r))
-			raw, err := json.Marshal(procConfig{
+			p, err := proc.Start(fmt.Sprintf("shard %d replica %d", s, r), shardEnv, procConfig{
 				Index: cfg.IndexPath, Cells: assign[s], Shard: s, Replica: r,
-				Gen: 1, AddrFile: addrFiles[s][r], Faults: cfg.Faults,
-				TraceDir: cfg.TraceDir, Pprof: cfg.Pprof,
+				Gen: 1, Faults: cfg.Faults, TraceDir: cfg.TraceDir, Pprof: cfg.Pprof,
 			})
 			if err != nil {
 				c.Close()
 				return nil, err
 			}
-			p := &replicaProc{shard: s, replica: r, cmd: exec.Command(exe), exited: make(chan struct{})}
-			p.cmd.Env = append(os.Environ(), shardEnv+"="+string(raw))
-			p.cmd.Stdout, p.cmd.Stderr = os.Stderr, io.MultiWriter(os.Stderr, &p.stderr)
-			if err := p.cmd.Start(); err != nil {
-				c.Close()
-				return nil, fmt.Errorf("spawning shard %d replica %d: %w", s, r, err)
-			}
-			go func() {
-				p.err = p.cmd.Wait()
-				close(p.exited)
-			}()
 			c.procs = append(c.procs, p)
 		}
 	}
-	if err := c.await(addrFiles); err != nil {
+	// Each replica's ready line is the address it listens on.
+	addrs, err := proc.Ready(c.procs, cfg.StartTimeout)
+	if err != nil {
 		c.Close()
 		return nil, err
 	}
+	c.eps = make([][]string, cfg.Shards)
+	for i, addr := range addrs {
+		c.eps[i/cfg.Replicas] = append(c.eps[i/cfg.Replicas], "http://"+addr)
+	}
 	return c, nil
-}
-
-// await polls for every replica's address file, then health-checks it.
-// Every poll first checks that no replica has exited.
-func (c *Cluster) await(addrFiles [][]string) error {
-	deadline := time.Now().Add(c.cfg.StartTimeout)
-	c.eps = make([][]string, len(addrFiles))
-	client := &http.Client{Timeout: 2 * time.Second}
-	for s := range addrFiles {
-		c.eps[s] = make([]string, len(addrFiles[s]))
-		for r, file := range addrFiles[s] {
-			for {
-				if err := c.exitErr(); err != nil {
-					return err
-				}
-				raw, err := os.ReadFile(file)
-				if err == nil && len(raw) > 0 {
-					c.eps[s][r] = "http://" + strings.TrimSpace(string(raw))
-					break
-				}
-				if time.Now().After(deadline) {
-					return fmt.Errorf("shard %d replica %d: no address after %v", s, r, c.cfg.StartTimeout)
-				}
-				time.Sleep(10 * time.Millisecond)
-			}
-			for {
-				if err := c.exitErr(); err != nil {
-					return err
-				}
-				resp, err := client.Get(c.eps[s][r] + "/healthz")
-				if err == nil {
-					resp.Body.Close()
-					if resp.StatusCode == http.StatusOK {
-						break
-					}
-				}
-				if time.Now().After(deadline) {
-					return fmt.Errorf("shard %d replica %d: unhealthy after %v", s, r, c.cfg.StartTimeout)
-				}
-				time.Sleep(10 * time.Millisecond)
-			}
-		}
-	}
-	return nil
-}
-
-// exitErr returns the error of the first replica found to have exited.
-func (c *Cluster) exitErr() error {
-	for _, p := range c.procs {
-		if err := p.exitErr(); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // Meta returns the routing-only index view of the generation the
@@ -289,20 +169,5 @@ func (c *Cluster) Reload(path string) (meta *vindex.Index, owner []int, gen int6
 	return meta, owner, gen, nil
 }
 
-func (c *Cluster) cleanup() {
-	if c.ownDir {
-		os.RemoveAll(c.dir)
-	}
-}
-
-// Close kills every replica process, reaps it, and removes the scratch
-// dir when the cluster created it.
-func (c *Cluster) Close() {
-	for _, p := range c.procs {
-		p.cmd.Process.Kill()
-	}
-	for _, p := range c.procs {
-		<-p.exited
-	}
-	c.cleanup()
-}
+// Close kills every replica process and reaps it.
+func (c *Cluster) Close() { proc.Kill(c.procs...) }
