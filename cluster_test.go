@@ -1,6 +1,7 @@
 package knnjoin
 
 import (
+	"errors"
 	"os"
 	"reflect"
 	"strings"
@@ -334,5 +335,90 @@ func TestTracedFaultedJoinProducesMergedTrace(t *testing.T) {
 	}
 	if len(evs) < len(spans) {
 		t.Fatalf("chrome export has %d events for %d spans", len(evs), len(spans))
+	}
+}
+
+// TestJoinToMatchesJoin: JoinTo and RangeJoinTo stream exactly what the
+// in-process Join and RangeJoin return — same results, same order, same
+// cost counts — for every algorithm, in process, on the disk-backed
+// engine under an 8M budget and on two worker processes. An error from
+// the callback stops the join and comes back unchanged.
+func TestJoinToMatchesJoin(t *testing.T) {
+	r, s := forest(300, 1), forest(400, 2)
+	engines := []struct {
+		name string
+		set  func(*Options)
+	}{
+		{"in-process", func(*Options) {}},
+		{"mem-limit-8M", func(o *Options) { o.MemLimit = 8 << 20 }},
+		{"workers-2", func(o *Options) { o.Workers = 2 }},
+	}
+	collect := func(got *[]Result) func(Result) error {
+		return func(res Result) error {
+			*got = append(*got, res.Clone())
+			return nil
+		}
+	}
+	for _, algo := range []Algorithm{PGBJ, PBJ, HBRJ, Broadcast, BruteForce, ZKNN, Theta, LSH, Auto} {
+		base := Options{K: 4, Algorithm: algo, Seed: 3}
+		want, wantSt, err := Join(r, s, base)
+		if err != nil {
+			t.Fatalf("%v: %v", algo, err)
+		}
+		for _, e := range engines {
+			t.Run(algo.String()+"/"+e.name, func(t *testing.T) {
+				if e.name == "workers-2" {
+					skipClusterShort(t)
+				}
+				opts := base
+				e.set(&opts)
+				var got []Result
+				st, err := JoinTo(r, s, opts, collect(&got))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatal("JoinTo streamed other results than Join returned")
+				}
+				if st.Pairs != wantSt.Pairs || st.OutputPairs != wantSt.OutputPairs {
+					t.Fatalf("JoinTo stats: pairs %d, output %d; Join: %d, %d",
+						st.Pairs, st.OutputPairs, wantSt.Pairs, wantSt.OutputPairs)
+				}
+			})
+		}
+	}
+
+	ropts := RangeOptions{Radius: 250, Seed: 3}
+	want, wantSt, err := RangeJoin(r, s, ropts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if wantSt.OutputPairs <= int64(len(want)) {
+		t.Fatalf("radius too small to test: %d pairs over %d rows", wantSt.OutputPairs, len(want))
+	}
+	for _, e := range engines {
+		t.Run("range/"+e.name, func(t *testing.T) {
+			if e.name == "workers-2" {
+				skipClusterShort(t)
+			}
+			var o Options
+			e.set(&o)
+			opts := ropts
+			opts.MemLimit, opts.Workers = o.MemLimit, o.Workers
+			var got []Result
+			st, err := RangeJoinTo(r, s, opts, collect(&got))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) || st.OutputPairs != wantSt.OutputPairs {
+				t.Fatal("RangeJoinTo streamed other results than RangeJoin returned")
+			}
+		})
+	}
+
+	stop := errors.New("stop")
+	calls := 0
+	if _, err := JoinTo(r, s, Options{K: 4}, func(Result) error { calls++; return stop }); err != stop || calls != 1 {
+		t.Errorf("JoinTo returned %v after %d calls, want the callback's error after 1", err, calls)
 	}
 }

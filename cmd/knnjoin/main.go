@@ -150,24 +150,30 @@ func run(args []string) error {
 		return nil
 	}
 
+	// kNN and range rows go to stdout straight from the join's output
+	// stream; the stats follow on stderr once the join has returned.
+	out := bufio.NewWriter(os.Stdout)
+	rows := &rowWriter{w: out}
+	each := rows.write
+	if *statsOnly {
+		each = func(knnjoin.Result) error { return nil }
+	}
+
 	if *radius > 0 {
-		results, st, err := knnjoin.RangeJoin(r, s, knnjoin.RangeOptions{
+		st, err := knnjoin.RangeJoinTo(r, s, knnjoin.RangeOptions{
 			Radius: *radius, Metric: metric, Nodes: *nodes,
 			NumPivots: *numPivots, PivotStrategy: ps, Seed: *seed,
 			SpillDir: *spillDir, MemLimit: memLimit,
 			Workers: *workers, TraceDir: *traceDir,
-		})
+		}, each)
 		if err != nil {
 			return err
 		}
 		fmt.Fprintln(os.Stderr, st.String())
 		if *verbose {
-			printJobs(st)
+			printJobs(st, *workers > 0)
 		}
-		if *statsOnly {
-			return nil
-		}
-		return writeResults(os.Stdout, results)
+		return out.Flush()
 	}
 
 	if *pairsMode {
@@ -182,28 +188,27 @@ func run(args []string) error {
 		}
 		fmt.Fprintln(os.Stderr, st.String())
 		if *verbose {
-			printJobs(st)
+			printJobs(st, *workers > 0)
 		}
 		if *statsOnly {
 			return nil
 		}
-		w := bufio.NewWriter(os.Stdout)
 		var row []byte
 		for _, p := range pairs {
 			row = appendRow(row[:0], p.RID, p.SID, p.Dist)
-			if _, err := w.Write(row); err != nil {
+			if _, err := out.Write(row); err != nil {
 				return err
 			}
 		}
-		return w.Flush()
+		return out.Flush()
 	}
 
-	results, st, err := knnjoin.Join(r, s, knnjoin.Options{
+	st, err := knnjoin.JoinTo(r, s, knnjoin.Options{
 		K: *k, Algorithm: algo, Metric: metric, Nodes: *nodes,
 		NumPivots: *numPivots, PivotStrategy: ps, GroupStrategy: gs, Seed: *seed,
 		SpillDir: *spillDir, MemLimit: memLimit, Workers: *workers,
 		TraceDir: *traceDir, Pprof: *pprofOn,
-	})
+	}, each)
 	if err != nil {
 		return err
 	}
@@ -216,12 +221,9 @@ func run(args []string) error {
 		fmt.Fprintf(os.Stderr, "  %-20s %v\n", p.Name, p.Wall)
 	}
 	if *verbose {
-		printJobs(st)
+		printJobs(st, *workers > 0)
 	}
-	if *statsOnly {
-		return nil
-	}
-	return writeResults(os.Stdout, results)
+	return out.Flush()
 }
 
 // printJobs writes the -v detail to stderr: how many of the charged
@@ -229,9 +231,10 @@ func run(args []string) error {
 // many of the charged reducer pivot distances the join reducers
 // computed, the per-job actuals table — where each job's shuffle bytes,
 // spill bytes and wall time (split into map and reduce phases) went —
-// and this process's peak resident set and garbage-collection count
-// (worker processes of -workers are not included).
-func printJobs(st *knnjoin.Stats) {
+// and this process's peak resident set and garbage-collection count.
+// With workers it adds the peak resident set of the largest worker
+// process, which the join has reaped by the time it returns.
+func printJobs(st *knnjoin.Stats, workers bool) {
 	if st.AssignCharged > 0 {
 		fmt.Fprintf(os.Stderr, "  assignment: evaluated %d of %d pivot comparisons\n",
 			st.AssignEvaluated, st.AssignCharged)
@@ -250,26 +253,30 @@ func printJobs(st *knnjoin.Stats) {
 			j.MapWall.Round(time.Microsecond), j.ReduceWall.Round(time.Microsecond),
 			j.Wall.Round(time.Microsecond))
 	}
-	if rss, ok := peakRSS(); ok {
+	if rss, ok := peakRSS(false); ok {
 		var ms runtime.MemStats
 		runtime.ReadMemStats(&ms)
 		fmt.Fprintf(os.Stderr, "  process: peak RSS %.1f MB, %d GCs\n", float64(rss)/(1<<20), ms.NumGC)
 	}
+	if rss, ok := peakRSS(true); ok && workers {
+		fmt.Fprintf(os.Stderr, "  workers: peak RSS %.1f MB\n", float64(rss)/(1<<20))
+	}
 }
 
-// writeResults prints "rID,sID,distance" lines to w.
-func writeResults(w io.Writer, results []knnjoin.Result) error {
-	bw := bufio.NewWriter(w)
-	var row []byte
-	for _, res := range results {
-		for _, nb := range res.Neighbors {
-			row = appendRow(row[:0], res.RID, nb.ID, nb.Dist)
-			if _, err := bw.Write(row); err != nil {
-				return err
-			}
+// rowWriter writes each result's neighbors as "rID,sID,distance" lines.
+type rowWriter struct {
+	w   io.Writer
+	row []byte
+}
+
+func (rw *rowWriter) write(res knnjoin.Result) error {
+	for _, nb := range res.Neighbors {
+		rw.row = appendRow(rw.row[:0], res.RID, nb.ID, nb.Dist)
+		if _, err := rw.w.Write(rw.row); err != nil {
+			return err
 		}
 	}
-	return bw.Flush()
+	return nil
 }
 
 // appendRow appends one output line, byte for byte what

@@ -14,6 +14,13 @@ import (
 	"knnjoin/internal/dataset"
 )
 
+// TestMain lets -workers runs re-execute the test binary as their
+// worker processes.
+func TestMain(m *testing.M) {
+	knnjoin.RunWorkerIfSpawned()
+	os.Exit(m.Run())
+}
+
 func writeTestCSV(t *testing.T, n int, seed int64) string {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "pts.csv")
@@ -269,11 +276,14 @@ func TestAppendRowMatchesFmt(t *testing.T) {
 		{RID: 8},
 		{RID: 9, Neighbors: []knnjoin.Neighbor{{ID: 3, Dist: 1e-5}}},
 	}
-	if err := writeResults(&buf, results); err != nil {
-		t.Fatal(err)
+	rows := &rowWriter{w: &buf}
+	for _, res := range results {
+		if err := rows.write(res); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if want := "7,7,0\n7,9,1.2345675e+06\n9,3,1e-05\n"; buf.String() != want {
-		t.Errorf("writeResults = %q, want %q", buf.String(), want)
+		t.Errorf("rowWriter wrote %q, want %q", buf.String(), want)
 	}
 }
 
@@ -306,18 +316,27 @@ func TestRunRejectsNonFiniteCoordinates(t *testing.T) {
 // -v reports the pruned assignment scan's evaluated count beside the
 // charged one, then the join reducers' evaluated pivot distances beside
 // the charged ones on the next line, and closes with this process's
-// peak RSS and GC count where getrusage exists.
+// peak RSS and GC count where getrusage exists — and, under -workers,
+// the largest worker process's peak RSS on the line after.
 func TestRunVerboseAssignmentLine(t *testing.T) {
 	csv := writeTestCSV(t, 400, 9)
+	for _, workers := range []string{"0", "2"} {
+		t.Run("workers="+workers, func(t *testing.T) {
+			checkVerboseLines(t, workers != "0",
+				"-r", csv, "-self", "-k", "2", "-v", "-stats-only", "-workers", workers)
+		})
+	}
+}
+
+func checkVerboseLines(t *testing.T, workers bool, args ...string) {
+	t.Helper()
 	old := os.Stderr
 	rp, wp, err := os.Pipe()
 	if err != nil {
 		t.Fatal(err)
 	}
 	os.Stderr = wp
-	_, runErr := captureStdout(t, func() error {
-		return run([]string{"-r", csv, "-self", "-k", "2", "-v", "-stats-only"})
-	})
+	_, runErr := captureStdout(t, func() error { return run(args) })
 	os.Stderr = old
 	wp.Close()
 	stderr, _ := io.ReadAll(rp)
@@ -341,17 +360,26 @@ func TestRunVerboseAssignmentLine(t *testing.T) {
 		t.Fatalf("-v printed reducer pivot distances evaluated %d of %d under the assignment line; stderr:\n%s",
 			redEvaluated, redCharged, stderr)
 	}
-	var rssMB float64
+	var rssMB, workerMB float64
 	var gcs int64
-	found := false
-	for _, line := range strings.Split(string(stderr), "\n") {
+	found, foundWorkers := false, false
+	for i, line := range lines {
 		if n, _ := fmt.Sscanf(strings.TrimSpace(line), "process: peak RSS %f MB, %d GCs", &rssMB, &gcs); n == 2 {
 			found = true
+			if i+1 < len(lines) {
+				n, _ := fmt.Sscanf(strings.TrimSpace(lines[i+1]), "workers: peak RSS %f MB", &workerMB)
+				foundWorkers = n == 1
+			}
 			break
 		}
 	}
-	if _, ok := peakRSS(); found != ok || (found && rssMB <= 0) {
+	_, ok := peakRSS(false)
+	if found != ok || (found && rssMB <= 0) {
 		t.Fatalf("-v process line: found %v (getrusage available: %v), peak RSS %.1f MB, %d GCs; stderr:\n%s",
 			found, ok, rssMB, gcs, stderr)
+	}
+	if foundWorkers != (ok && workers) || (foundWorkers && workerMB <= 0) {
+		t.Fatalf("-v workers line: found %v (want %v), peak RSS %.1f MB; stderr:\n%s",
+			foundWorkers, ok && workers, workerMB, stderr)
 	}
 }

@@ -2,5 +2,5 @@
 
 package main
 
-// peakRSS is unavailable off unix; -v omits its process line.
-func peakRSS() (int64, bool) { return 0, false }
+// peakRSS is unavailable off unix; -v omits its process lines.
+func peakRSS(children bool) (int64, bool) { return 0, false }

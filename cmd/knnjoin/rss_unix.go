@@ -7,11 +7,16 @@ import (
 	"syscall"
 )
 
-// peakRSS returns this process's peak resident set size in bytes, as
-// getrusage(RUSAGE_SELF) reports it.
-func peakRSS() (int64, bool) {
+// peakRSS returns the peak resident set size in bytes, as getrusage
+// reports it: this process's (RUSAGE_SELF), or with children the largest
+// of its terminated and reaped child processes (RUSAGE_CHILDREN).
+func peakRSS(children bool) (int64, bool) {
+	who := syscall.RUSAGE_SELF
+	if children {
+		who = syscall.RUSAGE_CHILDREN
+	}
 	var ru syscall.Rusage
-	if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {
+	if err := syscall.Getrusage(who, &ru); err != nil {
 		return 0, false
 	}
 	if runtime.GOOS == "darwin" || runtime.GOOS == "ios" {

@@ -34,6 +34,31 @@ func ExampleJoin() {
 	// r=1: (s=102 d=1) (s=101 d=13)
 }
 
+// JoinTo streams the same results in the same order, one at a time, so
+// a caller that writes them out never holds them all. The Result is
+// reused for the next call.
+func ExampleJoinTo() {
+	r := []knnjoin.Object{
+		{ID: 0, Point: knnjoin.Point{0, 0}},
+		{ID: 1, Point: knnjoin.Point{10, 10}},
+	}
+	s := []knnjoin.Object{
+		{ID: 100, Point: knnjoin.Point{1, 0}},
+		{ID: 101, Point: knnjoin.Point{0, 2}},
+		{ID: 102, Point: knnjoin.Point{9, 10}},
+	}
+	_, err := knnjoin.JoinTo(r, s, knnjoin.Options{K: 1}, func(res knnjoin.Result) error {
+		fmt.Printf("%d,%d,%g\n", res.RID, res.Neighbors[0].ID, res.Neighbors[0].Dist)
+		return nil
+	})
+	if err != nil {
+		panic(err)
+	}
+	// Output:
+	// 0,100,1
+	// 1,102,1
+}
+
 // A self-join asks each object for its neighbors within the same set;
 // with K+1 and ExcludeSelf the trivial self-match is dropped. Object 1
 // is equidistant to 0 and 2; kNN ties may resolve to either (Definition

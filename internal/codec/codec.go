@@ -324,20 +324,60 @@ func EncodeResult(r Result) []byte {
 
 // DecodeResult parses a Result produced by EncodeResult.
 func DecodeResult(b []byte) (Result, error) {
+	rid, n, err := peekResult(b)
+	if err != nil {
+		return Result{}, err
+	}
+	r := Result{RID: rid, Neighbors: make([]Neighbor, n)}
+	decodeNeighbors(r.Neighbors, b)
+	return r, nil
+}
+
+// DecodeResultInto is DecodeResult into r, reusing the storage of
+// r.Neighbors: a reader that streams many results decodes them all into
+// one Result.
+func DecodeResultInto(r *Result, b []byte) error {
+	rid, n, err := peekResult(b)
+	if err != nil {
+		return err
+	}
+	r.RID, r.Neighbors = rid, slices.Grow(r.Neighbors[:0], n)[:n]
+	decodeNeighbors(r.Neighbors, b)
+	return nil
+}
+
+// PeekResult checks an EncodeResult record as DecodeResult does and
+// returns its R object ID without decoding the neighbors.
+func PeekResult(b []byte) (int64, error) {
+	rid, _, err := peekResult(b)
+	return rid, err
+}
+
+func peekResult(b []byte) (rid int64, n int, err error) {
 	if len(b) < 12 {
-		return Result{}, fmt.Errorf("codec: result truncated: %d bytes", len(b))
+		return 0, 0, fmt.Errorf("codec: result truncated: %d bytes", len(b))
 	}
-	r := Result{RID: int64(binary.LittleEndian.Uint64(b))}
-	n := int(binary.LittleEndian.Uint32(b[8:]))
+	n = int(binary.LittleEndian.Uint32(b[8:]))
 	if n < 0 || len(b) < 12+16*n {
-		return Result{}, fmt.Errorf("codec: result truncated: n=%d, have %d bytes", n, len(b))
+		return 0, 0, fmt.Errorf("codec: result truncated: n=%d, have %d bytes", n, len(b))
 	}
-	r.Neighbors = make([]Neighbor, n)
+	return int64(binary.LittleEndian.Uint64(b)), n, nil
+}
+
+// decodeNeighbors fills nbs from a record peekResult has checked.
+func decodeNeighbors(nbs []Neighbor, b []byte) {
 	off := 12
-	for i := 0; i < n; i++ {
-		r.Neighbors[i].ID = int64(binary.LittleEndian.Uint64(b[off:]))
-		r.Neighbors[i].Dist = math.Float64frombits(binary.LittleEndian.Uint64(b[off+8:]))
+	for i := range nbs {
+		nbs[i].ID = int64(binary.LittleEndian.Uint64(b[off:]))
+		nbs[i].Dist = math.Float64frombits(binary.LittleEndian.Uint64(b[off+8:]))
 		off += 16
 	}
-	return r, nil
+}
+
+// Clone returns a copy of r that shares no storage with it — how a
+// collector keeps a Result that a streaming reader will overwrite.
+func (r Result) Clone() Result {
+	nbs := make([]Neighbor, len(r.Neighbors))
+	copy(nbs, r.Neighbors)
+	return Result{RID: r.RID, Neighbors: nbs}
 }

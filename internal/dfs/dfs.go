@@ -33,11 +33,16 @@ type Record []byte
 type Store interface {
 	// ChunkRecords returns the configured records-per-chunk (split size).
 	ChunkRecords() int
-	// Write stores records under name, replacing any existing file.
+	// Write stores records under name, replacing any existing file. The
+	// store takes ownership of records: the caller must not modify the
+	// slice or the bytes of any record afterwards.
 	Write(name string, records []Record) error
-	// Append adds records to an existing or new file.
+	// Append adds records to an existing or new file, taking ownership
+	// of them as Write does.
 	Append(name string, records []Record) error
-	// Read returns all records of the named file in write order.
+	// Read returns all records of the named file in write order. The
+	// slice is the caller's to reorder; the record bytes may be shared
+	// with the store and are read-only.
 	Read(name string) ([]Record, error)
 	// Remove deletes the named file; removing a missing file is a no-op.
 	Remove(name string)
@@ -75,34 +80,23 @@ func New(chunkRecords int) *FS {
 func (fs *FS) ChunkRecords() int { return fs.chunkSize }
 
 // Write stores records under name, replacing any existing file. The
-// records are copied so callers may reuse their buffers. The error is
-// always nil; it exists so FS satisfies Store, whose disk-backed
-// implementation can genuinely fail.
+// file keeps the slice as given (see Store.Write): every writer hands
+// over records it has just built, so copying them would only double
+// the file's footprint. The error is always nil; it exists so FS
+// satisfies Store, whose disk-backed implementation can genuinely fail.
 func (fs *FS) Write(name string, records []Record) error {
-	cp := make([]Record, len(records))
-	for i, r := range records {
-		c := make(Record, len(r))
-		copy(c, r)
-		cp[i] = c
-	}
 	fs.mu.Lock()
-	fs.files[name] = cp
+	fs.files[name] = records
 	fs.mu.Unlock()
 	return nil
 }
 
-// Append adds records to an existing or new file. The error is always
-// nil (see Write).
+// Append adds records to an existing or new file, keeping them as given
+// (see Write). The error is always nil.
 func (fs *FS) Append(name string, records []Record) error {
 	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	cur := fs.files[name]
-	for _, r := range records {
-		c := make(Record, len(r))
-		copy(c, r)
-		cur = append(cur, c)
-	}
-	fs.files[name] = cur
+	fs.files[name] = append(fs.files[name], records...)
+	fs.mu.Unlock()
 	return nil
 }
 

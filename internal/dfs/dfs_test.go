@@ -36,14 +36,42 @@ func TestReadMissing(t *testing.T) {
 	}
 }
 
-func TestWriteCopiesInput(t *testing.T) {
+// TestWriteKeepsCallerRecords pins the ownership contract of Store.Write
+// and Append: the in-memory store keeps the records it is handed, bytes
+// shared with the caller, and costs a constant number of allocations
+// whatever the record count.
+func TestWriteKeepsCallerRecords(t *testing.T) {
 	fs := New(0)
-	r := Record("abc")
-	fs.Write("a", []Record{r})
-	r[0] = 'Z'
-	got, _ := fs.Read("a")
-	if string(got[0]) != "abc" {
-		t.Fatal("Write did not copy caller's buffer")
+	w, a := Record("abc"), Record("def")
+	fs.Write("w", []Record{w})
+	fs.Append("a", []Record{a})
+	for name, rec := range map[string]Record{"w": w, "a": a} {
+		got, err := fs.Read(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != 1 || &got[0][0] != &rec[0] {
+			t.Errorf("%s: the store holds a copy of the caller's record", name)
+		}
+	}
+
+	allocs := func(n int) (write, appendNew float64) {
+		recs := make([]Record, n)
+		for i := range recs {
+			recs[i] = Record(fmt.Sprint(i))
+		}
+		write = testing.AllocsPerRun(20, func() { fs.Write("w", recs) })
+		appendNew = testing.AllocsPerRun(20, func() {
+			fs.Remove("a")
+			fs.Append("a", recs)
+		})
+		return write, appendNew
+	}
+	w1, a1 := allocs(1)
+	wn, an := allocs(10000)
+	if w1 != wn || a1 != an || wn > 1 || an > 1 {
+		t.Errorf("allocations per call: Write %v at 1 record, %v at 10000; Append %v and %v; want a constant ≤ 1",
+			w1, wn, a1, an)
 	}
 }
 

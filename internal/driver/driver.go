@@ -190,22 +190,50 @@ func (e *Env) Results() ([]codec.Result, error) {
 }
 
 // ReadResults decodes a result file produced by any join job and returns
-// the results sorted by R object ID.
+// the results sorted by R object ID: EachResult, collected.
 func ReadResults(fs dfs.Store, name string) ([]codec.Result, error) {
-	recs, err := fs.Read(name)
-	if err != nil {
+	out := make([]codec.Result, 0, fs.Size(name))
+	if err := EachResult(fs, name, func(r codec.Result) error {
+		out = append(out, r.Clone())
+		return nil
+	}); err != nil {
 		return nil, err
 	}
-	out := make([]codec.Result, len(recs))
-	for i, r := range recs {
-		res, err := codec.DecodeResult(r)
-		if err != nil {
-			return nil, fmt.Errorf("driver: result record %d of %q: %w", i, name, err)
-		}
-		out[i] = res
-	}
-	SortResults(out)
 	return out, nil
+}
+
+// EachResult calls fn with every result of a result file produced by any
+// join job, in ascending R object ID — the one output path of every join.
+// Each record is checked before fn sees the first result, so a damaged
+// file fails whole, naming its first bad record in write order. The
+// records are ordered by SortResults' comparison of their R IDs, so
+// results with equal R IDs come in the order SortResults gives them.
+// fn's Result, neighbors included, is reused for the next one: copy it
+// (Result.Clone) to keep it. An error from fn stops the walk and is
+// returned.
+func EachResult(fs dfs.Store, name string, fn func(codec.Result) error) error {
+	recs, err := fs.Read(name)
+	if err != nil {
+		return err
+	}
+	for i, r := range recs {
+		if _, err := codec.PeekResult(r); err != nil {
+			return fmt.Errorf("driver: result record %d of %q: %w", i, name, err)
+		}
+	}
+	rid := func(b dfs.Record) int64 {
+		id, _ := codec.PeekResult(b) // checked above
+		return id
+	}
+	sort.Slice(recs, func(i, j int) bool { return rid(recs[i]) < rid(recs[j]) })
+	var res codec.Result
+	for _, r := range recs {
+		_ = codec.DecodeResultInto(&res, r) // checked above
+		if err := fn(res); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // AddJobStats appends one MapReduce job's measured actuals to the

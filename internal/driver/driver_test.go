@@ -1,7 +1,12 @@
 package driver
 
 import (
+	"errors"
+	"fmt"
 	"math"
+	"math/rand"
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
 
@@ -110,5 +115,96 @@ func TestLoadRSRejectsNonFiniteCoordinates(t *testing.T) {
 	// The first object of a set is checked like the rest.
 	if err := CheckObjects([]codec.Object{obj(5, math.NaN())}, nil); err == nil {
 		t.Error("NaN in the first object accepted")
+	}
+}
+
+// readResultsOracle is the output path EachResult replaced: decode every
+// record in write order, then sort the decoded slice by R ID.
+func readResultsOracle(fs dfs.Store, name string) ([]codec.Result, error) {
+	recs, err := fs.Read(name)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]codec.Result, len(recs))
+	for i, r := range recs {
+		res, err := codec.DecodeResult(r)
+		if err != nil {
+			return nil, fmt.Errorf("driver: result record %d of %q: %w", i, name, err)
+		}
+		out[i] = res
+	}
+	SortResults(out)
+	return out, nil
+}
+
+// EachResult must hand out exactly the oracle's results in the oracle's
+// order — duplicate R IDs included, whose relative order is whatever
+// the unstable sort makes of them — and fail on a damaged file with the
+// oracle's error, before calling fn at all.
+func TestEachResultMatchesReadResults(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	var recs []dfs.Record
+	for i := 0; i < 3000; i++ {
+		res := codec.Result{RID: rng.Int63n(500)} // many duplicate R IDs
+		for j := rng.Intn(4); j > 0; j-- {
+			res.Neighbors = append(res.Neighbors, codec.Neighbor{ID: int64(i), Dist: rng.Float64()})
+		}
+		recs = append(recs, codec.EncodeResult(res))
+	}
+	fs := dfs.New(0)
+	fs.Write("out", recs)
+	want, err := readResultsOracle(fs, "out")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []codec.Result
+	if err := EachResult(fs, "out", func(r codec.Result) error {
+		got = append(got, r.Clone())
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatal("EachResult's stream differs from decode-all plus SortResults")
+	}
+	collected, err := ReadResults(fs, "out")
+	if err != nil || !reflect.DeepEqual(collected, want) {
+		t.Fatalf("ReadResults differs from decode-all plus SortResults (err %v)", err)
+	}
+	stop := errors.New("stop")
+	calls := 0
+	if err := EachResult(fs, "out", func(codec.Result) error { calls++; return stop }); err != stop || calls != 1 {
+		t.Fatalf("fn's error: EachResult returned %v after %d calls, want %v after 1", err, calls, stop)
+	}
+
+	// The oracle's order among equal R IDs is not write order, so a
+	// stable sort would fail the comparison above.
+	stable := make([]codec.Result, len(recs))
+	for i := range recs {
+		stable[i], _ = codec.DecodeResult(recs[i])
+	}
+	sort.SliceStable(stable, func(i, j int) bool { return stable[i].RID < stable[j].RID })
+	if reflect.DeepEqual(stable, want) {
+		t.Fatal("the input has no duplicate R IDs that an unstable sort reorders")
+	}
+
+	full := codec.EncodeResult(codec.Result{RID: 4, Neighbors: []codec.Neighbor{{ID: 1, Dist: 1}, {ID: 2, Dist: 2}}})
+	for _, bad := range []dfs.Record{
+		full[:5],           // shorter than the header
+		full[:len(full)-1], // last neighbor cut short
+		append(full[:8:8], 0xff, 0xff, 0xff, 0x7f), // a count no record holds
+	} {
+		damaged := append(append([]dfs.Record{}, recs[:2000]...), bad)
+		damaged = append(damaged, recs[2000:]...)
+		fs.Write("bad", damaged)
+		_, wantErr := readResultsOracle(fs, "bad")
+		calls := 0
+		err := EachResult(fs, "bad", func(codec.Result) error { calls++; return nil })
+		if wantErr == nil || err == nil || err.Error() != wantErr.Error() || calls != 0 {
+			t.Errorf("damaged record of %d bytes: EachResult = %v after %d calls, want %v after none", len(bad), err, calls, wantErr)
+		}
+	}
+	if err := EachResult(fs, "missing", func(codec.Result) error { return nil }); err == nil {
+		t.Error("missing file accepted")
 	}
 }

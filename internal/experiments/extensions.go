@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"knnjoin/internal/codec"
+	"knnjoin/internal/driver"
 	"knnjoin/internal/lsh"
 	"knnjoin/internal/naive"
 	"knnjoin/internal/pgbj"
@@ -51,7 +52,7 @@ func (r *Runner) LSH() (*ExpResult, error) {
 			env.Close()
 			return nil, err
 		}
-		results, err := naive.ReadResults(env.FS, "out")
+		results, err := driver.ReadResults(env.FS, "out")
 		env.Close()
 		if err != nil {
 			return nil, err
@@ -68,7 +69,7 @@ func (r *Runner) LSH() (*ExpResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	zResults, err := naive.ReadResults(env.FS, "out")
+	zResults, err := driver.ReadResults(env.FS, "out")
 	if err != nil {
 		return nil, err
 	}
@@ -271,7 +272,7 @@ func (r *Runner) RangeJoinExp() (*ExpResult, error) {
 			env.Close()
 			return nil, err
 		}
-		got, err := naive.ReadResults(env.FS, "out")
+		got, err := driver.ReadResults(env.FS, "out")
 		env.Close()
 		if err != nil {
 			return nil, err

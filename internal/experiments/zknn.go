@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"knnjoin/internal/codec"
+	"knnjoin/internal/driver"
 	"knnjoin/internal/naive"
 	"knnjoin/internal/stats"
 	"knnjoin/internal/vector"
@@ -40,7 +41,7 @@ func (r *Runner) ZKNN() (*ExpResult, error) {
 			env.Close()
 			return nil, err
 		}
-		results, err := naive.ReadResults(env.FS, "out")
+		results, err := driver.ReadResults(env.FS, "out")
 		env.Close()
 		if err != nil {
 			return nil, err

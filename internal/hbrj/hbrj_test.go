@@ -7,6 +7,7 @@ import (
 	"knnjoin/internal/codec"
 	"knnjoin/internal/dataset"
 	"knnjoin/internal/dfs"
+	"knnjoin/internal/driver"
 	"knnjoin/internal/mapreduce"
 	"knnjoin/internal/naive"
 	"knnjoin/internal/vector"
@@ -22,7 +23,7 @@ func runHBRJ(t testing.TB, rObjs, sObjs []codec.Object, opts Options, nodes int)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := naive.ReadResults(fs, "out")
+	got, err := driver.ReadResults(fs, "out")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +154,7 @@ func TestMergeResultsKeepsKBest(t *testing.T) {
 	if _, err := MergeResults(cluster, "partials", "merged", 2); err != nil {
 		t.Fatal(err)
 	}
-	got, err := naive.ReadResults(fs, "merged")
+	got, err := driver.ReadResults(fs, "merged")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,6 +10,7 @@ import (
 	"knnjoin/internal/codec"
 	"knnjoin/internal/dataset"
 	"knnjoin/internal/dfs"
+	"knnjoin/internal/driver"
 	"knnjoin/internal/mapreduce"
 	"knnjoin/internal/naive"
 	"knnjoin/internal/vector"
@@ -26,7 +27,7 @@ func runLSH(t testing.TB, rObjs, sObjs []codec.Object, opts Options, nodes int) 
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := naive.ReadResults(fs, "out")
+	got, err := driver.ReadResults(fs, "out")
 	if err != nil {
 		t.Fatal(err)
 	}

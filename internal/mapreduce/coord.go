@@ -585,23 +585,33 @@ func (c *Cluster) runJob(job *Job, splits []dfs.Split) (*JobStats, error) {
 // order for map-only jobs, reduce tasks in index order otherwise —
 // writes the job output, and folds the committed attempts' metrics into
 // JobStats: the shuffle volume is every key and value byte of the
-// committed runs, the paper's "shuffling cost".
+// committed runs, the paper's "shuffling cost". The output list is
+// sized once from the committed record counts and handed to the store,
+// which keeps it (dfs.Store.Write).
 func (c *Cluster) assemble(j *coordJob) (*JobStats, error) {
 	stats := &j.stats
 	counters := NewCounterSet()
 	fold := func(tasks []taskState, each func(*completion)) ([]dfs.Record, int64, error) {
-		var out []dfs.Record
+		var n int64
+		for i := range tasks {
+			if d := tasks[i].done; d.OutFile != nil {
+				n += d.OutFile.Records
+			} else {
+				n += int64(len(d.out))
+			}
+		}
+		out := make([]dfs.Record, 0, n)
 		work := make([]int64, len(tasks))
 		for i := range tasks {
 			d := tasks[i].done
-			recs := d.out
 			if d.OutFile != nil {
 				var err error
-				if recs, err = readFramedFile(d.OutFile.Path, d.OutFile.Records); err != nil {
+				if out, err = appendFramedFile(out, d.OutFile.Path, d.OutFile.Records); err != nil {
 					return nil, 0, fmt.Errorf("mapreduce: job %q: %w", j.job.Name, err)
 				}
+			} else {
+				out = append(out, d.out...)
 			}
-			out = append(out, recs...)
 			work[i] = d.Work
 			stats.SpilledRuns += d.SpilledRuns
 			stats.SpilledBytes += d.SpilledBytes

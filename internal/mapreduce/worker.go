@@ -610,16 +610,15 @@ func writeFramedFile(path string, records []dfs.Record) error {
 	return nil
 }
 
-// readFramedFile loads a writeFramedFile-committed file, verifying the
-// expected record count.
-func readFramedFile(path string, records int64) ([]dfs.Record, error) {
+// appendFramedFile appends the records of a writeFramedFile-committed
+// file to out, verifying the expected record count.
+func appendFramedFile(out []dfs.Record, path string, records int64) ([]dfs.Record, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
 	r := bufio.NewReaderSize(f, spillBufSize)
-	out := make([]dfs.Record, 0, records)
 	for i := int64(0); i < records; i++ {
 		rec, err := dfs.ReadFrame(r)
 		if err != nil {

@@ -23,7 +23,7 @@ import (
 	"sort"
 
 	"knnjoin/internal/codec"
-	"knnjoin/internal/naive"
+	"knnjoin/internal/driver"
 	"knnjoin/internal/nnheap"
 	"knnjoin/internal/vector"
 )
@@ -333,7 +333,7 @@ func Join(rObjs, sObjs []codec.Object, k int, opts Options) ([]codec.Result, int
 			results = append(results, codec.Result{RID: r.ID, Neighbors: nbs})
 		}
 	}
-	naive.SortResults(results)
+	driver.SortResults(results)
 	return results, pairs, nil
 }
 

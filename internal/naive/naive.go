@@ -59,7 +59,7 @@ func BruteForce(rObjs, sObjs []codec.Object, k int, m vector.Metric) ([]codec.Re
 		}(lo, hi)
 	}
 	wg.Wait()
-	SortResults(out)
+	driver.SortResults(out)
 	return out, int64(len(rObjs)) * int64(len(sObjs))
 }
 
@@ -71,9 +71,6 @@ func toNeighbors(cands []nnheap.Candidate) []codec.Neighbor {
 	}
 	return nbs
 }
-
-// SortResults orders results by R object ID in place.
-func SortResults(rs []codec.Result) { driver.SortResults(rs) }
 
 // BroadcastOptions configures the basic strategy.
 type BroadcastOptions struct {
@@ -184,10 +181,4 @@ func broadcastReduce(ctx *mapreduce.TaskContext, _ []byte, values *mapreduce.Val
 	ctx.Counter("pairs", scanned)
 	ctx.AddWork(scanned)
 	return nil
-}
-
-// ReadResults decodes a result file produced by any join job in this
-// repository and returns the results sorted by R object ID.
-func ReadResults(fs dfs.Store, name string) ([]codec.Result, error) {
-	return driver.ReadResults(fs, name)
 }

@@ -7,6 +7,7 @@ import (
 	"knnjoin/internal/codec"
 	"knnjoin/internal/dataset"
 	"knnjoin/internal/dfs"
+	"knnjoin/internal/driver"
 	"knnjoin/internal/mapreduce"
 	"knnjoin/internal/vector"
 )
@@ -105,7 +106,7 @@ func runBroadcast(t *testing.T, rObjs, sObjs []codec.Object, k, nodes int) ([]co
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadResults(fs, "out")
+	got, err := driver.ReadResults(fs, "out")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,11 +162,11 @@ func TestBroadcastRejectsBadK(t *testing.T) {
 
 func TestReadResultsErrors(t *testing.T) {
 	fs := dfs.New(0)
-	if _, err := ReadResults(fs, "missing"); err == nil {
+	if _, err := driver.ReadResults(fs, "missing"); err == nil {
 		t.Error("missing file accepted")
 	}
 	fs.Write("bad", []dfs.Record{[]byte("x")})
-	if _, err := ReadResults(fs, "bad"); err == nil {
+	if _, err := driver.ReadResults(fs, "bad"); err == nil {
 		t.Error("garbage accepted")
 	}
 }

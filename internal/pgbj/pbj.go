@@ -18,7 +18,8 @@ import (
 // the √N×√N block framework of H-BRJ. Compared to PGBJ it skips the
 // grouping phase; each reducer joins one (R-block, S-block) pair with a
 // bound θ derived only from the S objects it received, and an extra
-// MapReduce job merges the per-block partial results.
+// MapReduce job merges the per-block partial results. Like Run, it
+// removes rFile and sFile once job 1 has committed.
 func RunPBJ(cluster *mapreduce.Cluster, rFile, sFile, outFile string, opts Options) (*stats.Report, error) {
 	opts, err := opts.validate(cluster)
 	if err != nil {
@@ -44,6 +45,8 @@ func RunPBJ(cluster *mapreduce.Cluster, rFile, sFile, outFile string, opts Optio
 		return nil, err
 	}
 	defer cluster.FS().Remove(partFile)
+	cluster.FS().Remove(rFile)
+	cluster.FS().Remove(sFile)
 
 	sum, err := buildSummary(cluster.FS(), partFile, pp, opts.K, cluster.Nodes(), report)
 	if err != nil {

@@ -6,8 +6,8 @@ import (
 	"knnjoin/internal/codec"
 	"knnjoin/internal/dataset"
 	"knnjoin/internal/dfs"
+	"knnjoin/internal/driver"
 	"knnjoin/internal/mapreduce"
-	"knnjoin/internal/naive"
 	"knnjoin/internal/pivot"
 	"knnjoin/internal/vector"
 )
@@ -22,7 +22,7 @@ func runPBJ(t testing.TB, rObjs, sObjs []codec.Object, opts Options, nodes int) 
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := naive.ReadResults(fs, "out")
+	got, err := driver.ReadResults(fs, "out")
 	if err != nil {
 		t.Fatal(err)
 	}

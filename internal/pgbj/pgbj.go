@@ -215,7 +215,10 @@ func buildJoinJob(s joinSpec) *mapreduce.Job {
 
 // Run executes the full PGBJ pipeline on the cluster. rFile and sFile must
 // contain Tagged records (dataset.ToDFS); outFile receives codec.Result
-// records, one per object of R.
+// records, one per object of R. Run consumes its inputs: once job 1 has
+// committed, rFile and sFile are removed from the store, since job 2
+// reads only job 1's output and they would otherwise stay resident
+// through it.
 func Run(cluster *mapreduce.Cluster, rFile, sFile, outFile string, opts Options) (*stats.Report, error) {
 	opts, err := opts.validate(cluster)
 	if err != nil {
@@ -242,6 +245,8 @@ func Run(cluster *mapreduce.Cluster, rFile, sFile, outFile string, opts Options)
 		return nil, err
 	}
 	defer cluster.FS().Remove(partFile)
+	cluster.FS().Remove(rFile)
+	cluster.FS().Remove(sFile)
 
 	// ---- Phase 3: index merging — build TR/TS from job-1 output ---------
 	sum, err := buildSummary(cluster.FS(), partFile, pp, opts.K, cluster.Nodes(), report)

@@ -2,14 +2,17 @@ package pgbj
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"knnjoin/internal/codec"
 	"knnjoin/internal/dataset"
 	"knnjoin/internal/dfs"
+	"knnjoin/internal/driver"
 	"knnjoin/internal/mapreduce"
 	"knnjoin/internal/naive"
 	"knnjoin/internal/pivot"
+	"knnjoin/internal/stats"
 	"knnjoin/internal/vector"
 )
 
@@ -25,7 +28,7 @@ func runPGBJ(t testing.TB, rObjs, sObjs []codec.Object, opts Options, nodes int)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := naive.ReadResults(fs, "out")
+	got, err := driver.ReadResults(fs, "out")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,5 +306,42 @@ func TestParseGroupStrategy(t *testing.T) {
 	}
 	if GroupStrategy(7).String() != "GroupStrategy(7)" {
 		t.Error("bad fallback string")
+	}
+}
+
+// Run and RunPBJ consume their inputs: once job 1 has committed, R and S
+// are gone from the store, in memory and on disk, and the job output is
+// all that is left. A run that fails before job 1 leaves them in place.
+func TestRunConsumesInputs(t *testing.T) {
+	objs := dataset.Uniform(300, 2, 100, 21)
+	for _, run := range []struct {
+		name string
+		fn   func(*mapreduce.Cluster, string, string, string, Options) (*stats.Report, error)
+	}{{"Run", Run}, {"RunPBJ", RunPBJ}} {
+		for _, disk := range []bool{false, true} {
+			var fs dfs.Store = dfs.New(64)
+			if disk {
+				d, err := dfs.NewDisk(t.TempDir(), 64)
+				if err != nil {
+					t.Fatal(err)
+				}
+				fs = d
+			}
+			cluster := mapreduce.NewCluster(fs, 4)
+			dataset.ToDFS(fs, "R", objs, codec.FromR)
+			dataset.ToDFS(fs, "S", objs, codec.FromS)
+			if _, err := run.fn(cluster, "R", "S", "out", Options{K: 0, NumPivots: 8}); err == nil {
+				t.Fatalf("%s: K = 0 accepted", run.name)
+			}
+			if got := fs.List(); !reflect.DeepEqual(got, []string{"R", "S"}) {
+				t.Errorf("%s (disk %v): a failed run left files %v, want R and S", run.name, disk, got)
+			}
+			if _, err := run.fn(cluster, "R", "S", "out", Options{K: 3, NumPivots: 8, Seed: 1}); err != nil {
+				t.Fatal(err)
+			}
+			if got := fs.List(); !reflect.DeepEqual(got, []string{"out"}) {
+				t.Errorf("%s (disk %v): files %v after the run, want only out", run.name, disk, got)
+			}
+		}
 	}
 }

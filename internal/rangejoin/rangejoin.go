@@ -79,7 +79,8 @@ const (
 // Run executes the range join on the cluster. rFile and sFile must
 // contain Tagged records (dataset.ToDFS); outFile receives one
 // codec.Result per R object that has at least one in-range partner,
-// neighbors ascending by distance.
+// neighbors ascending by distance. Like pgbj.Run, Run consumes its
+// inputs: rFile and sFile are removed once job 1 has committed.
 func Run(cluster *mapreduce.Cluster, rFile, sFile, outFile string, opts Options) (*stats.Report, error) {
 	opts, err := opts.validate(cluster)
 	if err != nil {
@@ -127,6 +128,8 @@ func Run(cluster *mapreduce.Cluster, rFile, sFile, outFile string, opts Options)
 		return nil, err
 	}
 	defer cluster.FS().Remove(partFile)
+	cluster.FS().Remove(rFile)
+	cluster.FS().Remove(sFile)
 	report.AddPhase("Data Partitioning", time.Since(start))
 	driver.AddJobStats(report, js)
 	report.Pairs += js.Counters["pairs"]

@@ -8,8 +8,8 @@ import (
 	"knnjoin/internal/codec"
 	"knnjoin/internal/dataset"
 	"knnjoin/internal/dfs"
+	"knnjoin/internal/driver"
 	"knnjoin/internal/mapreduce"
-	"knnjoin/internal/naive"
 	"knnjoin/internal/stats"
 	"knnjoin/internal/vector"
 )
@@ -24,7 +24,7 @@ func runRange(t testing.TB, rObjs, sObjs []codec.Object, opts Options, nodes int
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := naive.ReadResults(fs, "out")
+	got, err := driver.ReadResults(fs, "out")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +193,7 @@ func runRangeQuiet(rObjs, sObjs []codec.Object, opts Options, nodes int) ([]code
 	if _, err := Run(cluster, "R", "S", "out", opts); err != nil {
 		return nil, err
 	}
-	return naive.ReadResults(fs, "out")
+	return driver.ReadResults(fs, "out")
 }
 
 func BenchmarkRangeJoin(b *testing.B) {
@@ -207,5 +207,21 @@ func BenchmarkRangeJoin(b *testing.B) {
 		if _, err := Run(cluster, "R", "S", "out", Options{Radius: 0.1, NumPivots: 200, Seed: 1}); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// Run consumes its inputs like pgbj.Run: once job 1 has committed, R
+// and S are gone and the job output is all that is left.
+func TestRunConsumesInputs(t *testing.T) {
+	objs := dataset.Uniform(300, 2, 100, 22)
+	fs := dfs.New(64)
+	cluster := mapreduce.NewCluster(fs, 4)
+	dataset.ToDFS(fs, "R", objs, codec.FromR)
+	dataset.ToDFS(fs, "S", objs, codec.FromS)
+	if _, err := Run(cluster, "R", "S", "out", Options{Radius: 5, NumPivots: 8, Seed: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if got := fs.List(); len(got) != 1 || got[0] != "out" {
+		t.Errorf("files %v after the run, want only out", got)
 	}
 }

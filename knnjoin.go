@@ -313,35 +313,63 @@ func resolveAuto(r, s []Object, opts Options) (Options, *stats.PlanInfo, error) 
 // algorithms may return fewer when their candidate structures miss).
 // The returned Stats expose the run's cost measures. With Algorithm
 // Auto the cost-based planner picks the algorithm and knobs first, and
-// Stats.Plan records the choice with its predictions.
+// Stats.Plan records the choice with its predictions. Join collects
+// what JoinTo streams.
 func Join(r, s []Object, opts Options) ([]Result, *Stats, error) {
+	var results []Result
+	if len(r) > 0 {
+		results = make([]Result, 0, len(r))
+	}
+	st, err := JoinTo(r, s, opts, func(res Result) error {
+		results = append(results, res.Clone())
+		return nil
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	return results, st, nil
+}
+
+// JoinTo is Join with the results streamed to each, in the order Join
+// returns them, instead of gathered into one slice: a caller that writes
+// the rows out never holds them all. The Result each receives, and its
+// Neighbors, are reused for the next call; copy them (Result.Clone) to
+// keep them. An error from each stops the join and is returned. The
+// join's own output is read from its job's output file after the last
+// job, so the Stats are complete before each is first called.
+func JoinTo(r, s []Object, opts Options, each func(Result) error) (*Stats, error) {
 	var planInfo *stats.PlanInfo
 	if opts.Algorithm == Auto {
 		if opts.K <= 0 {
-			return nil, nil, fmt.Errorf("knnjoin: Options.K must be positive, got %d", opts.K)
+			return nil, fmt.Errorf("knnjoin: Options.K must be positive, got %d", opts.K)
 		}
 		var err error
 		if opts, planInfo, err = resolveAuto(r, s, opts); err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 	}
 	opts, err := opts.withDefaults(len(r))
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if len(r) == 0 {
-		return nil, &Stats{Algorithm: opts.Algorithm.String(), K: opts.K}, nil
+		return &Stats{Algorithm: opts.Algorithm.String(), K: opts.K}, nil
 	}
 
 	if opts.Algorithm == BruteForce {
 		if err := driver.CheckObjects(r, s); err != nil {
-			return nil, nil, fmt.Errorf("knnjoin: %w", err)
+			return nil, fmt.Errorf("knnjoin: %w", err)
 		}
 		results, pairs := naive.BruteForce(r, s, opts.K, opts.Metric)
 		rep := &Stats{Algorithm: "bruteforce", K: opts.K, RSize: len(r), SSize: len(s),
 			Dims: r[0].Point.Dim(), Nodes: 1, Pairs: pairs, OutputPairs: countPairs(results)}
 		rep.Plan = planInfo
-		return results, rep, nil
+		for _, res := range results {
+			if err := each(res); err != nil {
+				return nil, err
+			}
+		}
+		return rep, nil
 	}
 
 	env, err := driver.NewEnv(driver.Config{
@@ -351,11 +379,11 @@ func Join(r, s []Object, opts Options) ([]Result, *Stats, error) {
 		Pprof: opts.Pprof,
 	})
 	if err != nil {
-		return nil, nil, fmt.Errorf("knnjoin: %w", err)
+		return nil, fmt.Errorf("knnjoin: %w", err)
 	}
 	defer env.Close()
 	if err := env.LoadRS(r, s); err != nil {
-		return nil, nil, fmt.Errorf("knnjoin: %w", err)
+		return nil, fmt.Errorf("knnjoin: %w", err)
 	}
 	cluster, rf, sf, of := env.Cluster, driver.RFile, driver.SFile, driver.OutFile
 
@@ -380,7 +408,7 @@ func Join(r, s []Object, opts Options) ([]Result, *Stats, error) {
 		})
 	case ZKNN:
 		if opts.Metric != L2 {
-			return nil, nil, fmt.Errorf("knnjoin: ZKNN supports only the L2 metric (z-order locality is Euclidean)")
+			return nil, fmt.Errorf("knnjoin: ZKNN supports only the L2 metric (z-order locality is Euclidean)")
 		}
 		rep, err = zknn.Run(cluster, rf, sf, of, zknn.Options{K: opts.K, Seed: opts.Seed})
 	case Theta:
@@ -389,22 +417,21 @@ func Join(r, s []Object, opts Options) ([]Result, *Stats, error) {
 		})
 	case LSH:
 		if opts.Metric != L2 {
-			return nil, nil, fmt.Errorf("knnjoin: LSH supports only the L2 metric (the p-stable hash family is Euclidean)")
+			return nil, fmt.Errorf("knnjoin: LSH supports only the L2 metric (the p-stable hash family is Euclidean)")
 		}
 		rep, err = lsh.Run(cluster, rf, sf, of, lsh.Options{K: opts.K, Seed: opts.Seed})
 	default:
-		return nil, nil, fmt.Errorf("knnjoin: unknown algorithm %v", opts.Algorithm)
+		return nil, fmt.Errorf("knnjoin: unknown algorithm %v", opts.Algorithm)
 	}
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	rep.Dims = r[0].Point.Dim()
 	rep.Plan = planInfo
-	results, err := env.Results()
-	if err != nil {
-		return nil, nil, err
+	if err := driver.EachResult(env.FS, of, each); err != nil {
+		return nil, err
 	}
-	return results, rep, nil
+	return rep, nil
 }
 
 func countPairs(results []Result) int64 {
@@ -454,10 +481,29 @@ type RangeOptions struct {
 // object with neighbors ascending. It runs the paper's PGBJ pipeline
 // with the fixed radius standing in for the derived kNN bound θ_i
 // (Definition 3 made distributed). R objects with no in-range partner
-// are omitted from the result.
+// are omitted from the result. RangeJoin collects what RangeJoinTo
+// streams.
 func RangeJoin(r, s []Object, opts RangeOptions) ([]Result, *Stats, error) {
+	var results []Result
+	if len(r) > 0 && len(s) > 0 {
+		results = make([]Result, 0, len(r))
+	}
+	st, err := RangeJoinTo(r, s, opts, func(res Result) error {
+		results = append(results, res.Clone())
+		return nil
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	return results, st, nil
+}
+
+// RangeJoinTo is RangeJoin with the results streamed to each, under
+// JoinTo's contract: ascending R object ID, one reused Result per call,
+// and an error from each stops the join.
+func RangeJoinTo(r, s []Object, opts RangeOptions, each func(Result) error) (*Stats, error) {
 	if opts.Radius < 0 {
-		return nil, nil, fmt.Errorf("knnjoin: RangeOptions.Radius must not be negative, got %g", opts.Radius)
+		return nil, fmt.Errorf("knnjoin: RangeOptions.Radius must not be negative, got %g", opts.Radius)
 	}
 	if opts.Nodes <= 0 {
 		opts.Nodes = 4
@@ -472,32 +518,31 @@ func RangeJoin(r, s []Object, opts RangeOptions) ([]Result, *Stats, error) {
 		opts.NumPivots = len(r)
 	}
 	if len(r) == 0 || len(s) == 0 {
-		return nil, &Stats{Algorithm: "range-join"}, nil
+		return &Stats{Algorithm: "range-join"}, nil
 	}
 	env, err := driver.NewEnv(driver.Config{
 		Nodes: opts.Nodes, SpillDir: opts.SpillDir, MemLimit: opts.MemLimit,
 		Workers: opts.Workers, Faults: opts.Faults, TraceDir: opts.TraceDir,
 	})
 	if err != nil {
-		return nil, nil, fmt.Errorf("knnjoin: %w", err)
+		return nil, fmt.Errorf("knnjoin: %w", err)
 	}
 	defer env.Close()
 	if err := env.LoadRS(r, s); err != nil {
-		return nil, nil, fmt.Errorf("knnjoin: %w", err)
+		return nil, fmt.Errorf("knnjoin: %w", err)
 	}
 	rep, err := rangejoin.Run(env.Cluster, driver.RFile, driver.SFile, driver.OutFile, rangejoin.Options{
 		Radius: opts.Radius, Metric: opts.Metric, NumPivots: opts.NumPivots,
 		PivotStrategy: opts.PivotStrategy, Seed: opts.Seed,
 	})
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	rep.Dims = r[0].Point.Dim()
-	results, err := env.Results()
-	if err != nil {
-		return nil, nil, err
+	if err := driver.EachResult(env.FS, driver.OutFile, each); err != nil {
+		return nil, err
 	}
-	return results, rep, nil
+	return rep, nil
 }
 
 // Pair is one result of a top-k closest-pairs join: an R object, an S
