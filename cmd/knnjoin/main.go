@@ -98,6 +98,9 @@ func run(args []string) error {
 			return fmt.Errorf("-mem-limit: %w", err)
 		}
 	}
+	if !(*radius >= 0) { // NaN fails every comparison
+		return fmt.Errorf("-range must be a non-negative radius, got %g", *radius)
+	}
 	if *rPath == "" {
 		return fmt.Errorf("-r is required")
 	}

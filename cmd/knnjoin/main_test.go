@@ -201,6 +201,8 @@ func TestRunErrors(t *testing.T) {
 		{"-r", csv, "-self", "-pivot-strategy", "psychic"},
 		{"-r", csv, "-self", "-group-strategy", "astrology"},
 		{"-r", csv, "-self", "-k", "0"},
+		{"-r", csv, "-self", "-range", "-1"},
+		{"-r", csv, "-self", "-range", "NaN"},
 	} {
 		if _, err := captureStdout(t, func() error { return run(args) }); err == nil {
 			t.Errorf("run(%v): expected error", args)

@@ -329,6 +329,33 @@ func FromDFS(fs dfs.Store, name string) ([]codec.Tagged, error) {
 	return out, nil
 }
 
+// Sample draws up to n objects uniformly, without replacement, from the
+// named files of Tagged records: the files are read in the order given
+// and, when they hold more than n objects, the first n of a permutation
+// seeded with seed are kept, in that order. Fewer objects are returned
+// whole.
+func Sample(fs dfs.Store, n int, seed int64, names ...string) ([]codec.Object, error) {
+	var all []codec.Object
+	for _, name := range names {
+		tagged, err := FromDFS(fs, name)
+		if err != nil {
+			return nil, err
+		}
+		for _, t := range tagged {
+			all = append(all, t.Object)
+		}
+	}
+	if n >= len(all) {
+		return all, nil
+	}
+	idx := rand.New(rand.NewSource(seed)).Perm(len(all))[:n]
+	out := make([]codec.Object, n)
+	for i, j := range idx {
+		out[i] = all[j]
+	}
+	return out, nil
+}
+
 // WriteCSV writes objects as "id,x1,x2,..." lines.
 func WriteCSV(w io.Writer, objs []codec.Object) error {
 	bw := bufio.NewWriter(w)

@@ -3,7 +3,9 @@
 // configured), simulate a cluster over it, load the R and S datasets as
 // Tagged records, run an algorithm, and decode the result file. Join,
 // RangeJoin, ClosestPairs and LOF (via the self-join) all run through
-// one Env instead of four copies of that setup. It also
+// one Env instead of four copies of that setup. Every job of every
+// join runs through RunJob, which folds the job's counters into the
+// run's Stats in one place. The package also
 // hosts the reduce-side collection helpers shared by the block/region
 // reducers — including the columnar-Block collectors every driver's hot
 // loop now runs on — and the emit-time conversion from candidate heaps
@@ -16,6 +18,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"time"
 
 	"knnjoin/internal/codec"
 	"knnjoin/internal/dataset"
@@ -236,18 +239,8 @@ func EachResult(fs dfs.Store, name string, fn func(codec.Result) error) error {
 	return nil
 }
 
-// AddJobStats appends one MapReduce job's measured actuals to the
-// report's per-job breakdown. Every algorithm calls it after each
-// cluster.Run, so the public Stats expose where shuffle bytes and
-// distance computations were actually spent, job by job. Distance
-// computations are read from the conventional "pairs" counter; jobs
-// that count comparisons under another name use AddJobStatsCounter.
-func AddJobStats(rep *stats.Report, js *mapreduce.JobStats) {
-	AddJobStatsCounter(rep, js, "pairs")
-}
-
 // AssignEvaluatedCounter is the job counter in which a Voronoi
-// partitioning job (pgbj.PartitionJob) reports the object–pivot
+// partitioning job (job 1 of pgbj.Partition) reports the object–pivot
 // distances its pruned nearest-pivot scans actually computed; the job's
 // "pairs" counter keeps the |P| per object the paper's algorithm is
 // charged.
@@ -264,17 +257,43 @@ const (
 	ReducerPivotEvaluatedCounter = "reducer_pivot_evaluated"
 )
 
-// AddJobStatsCounter is AddJobStats with the job's comparison counter
-// named explicitly (e.g. setsim's "verified").
-func AddJobStatsCounter(rep *stats.Report, js *mapreduce.JobStats, distCounter string) {
+// RunJob runs one MapReduce job of a join and folds what it measured
+// into the report: the one place a job's counters become Stats. It
+// records phase with the wall around cluster.Run, appends the job's
+// JobStat, and folds
+//
+//   - the "pairs" counter into Pairs,
+//   - ShuffleBytes and ShuffleRecords into theirs,
+//   - the "replicas_s" counter into ReplicasS,
+//   - the simulated map plus reduce makespan into SimMakespan,
+//   - the assignment and reducer-pivot counters into theirs, and
+//   - the "result_pairs" counter into OutputPairs — assigned, not
+//     added, so the last job, the one that writes the output, wins over
+//     the partial counts of a job whose lists a merge job reduces.
+//
+// JoinSkew stays with the caller, which knows which job is its join.
+func RunJob(cluster *mapreduce.Cluster, rep *stats.Report, phase string, job *mapreduce.Job) (*mapreduce.JobStats, error) {
+	start := time.Now()
+	js, err := cluster.Run(job)
+	if err != nil {
+		return nil, err
+	}
+	rep.AddPhase(phase, time.Since(start))
+	pairs := js.Counters["pairs"]
 	if ev := js.Counters[AssignEvaluatedCounter]; ev > 0 {
 		// Only partitioning jobs set it, and all their comparisons are
 		// assignment.
 		rep.AssignEvaluated += ev
-		rep.AssignCharged += js.Counters[distCounter]
+		rep.AssignCharged += pairs
 	}
 	rep.ReducerPivotCharged += js.Counters[ReducerPivotChargedCounter]
 	rep.ReducerPivotEvaluated += js.Counters[ReducerPivotEvaluatedCounter]
+	rep.Pairs += pairs
+	rep.ShuffleBytes += js.ShuffleBytes
+	rep.ShuffleRecords += js.ShuffleRecords
+	rep.ReplicasS += js.Counters["replicas_s"]
+	rep.SimMakespan += js.SimMapMakespan + js.SimReduceMakespan
+	rep.OutputPairs = js.Counters["result_pairs"]
 	loaded := 0
 	for _, n := range js.ReduceInputRecords {
 		if n > 0 {
@@ -285,7 +304,7 @@ func AddJobStatsCounter(rep *stats.Report, js *mapreduce.JobStats, distCounter s
 		Name:               js.Job,
 		ShuffleRecords:     js.ShuffleRecords,
 		ShuffleBytes:       js.ShuffleBytes,
-		DistComps:          js.Counters[distCounter],
+		DistComps:          pairs,
 		SpilledBytes:       js.SpilledBytes,
 		Wall:               js.Wall(),
 		MapWall:            js.MapWall,
@@ -295,6 +314,7 @@ func AddJobStatsCounter(rep *stats.Report, js *mapreduce.JobStats, distCounter s
 		ReduceGroups:       js.ReduceGroups,
 		LoadedReducers:     loaded,
 	})
+	return js, nil
 }
 
 // CollectRSBlocks streams one reducer group of Tagged values into two
@@ -344,14 +364,15 @@ const joinBatchRows = 64
 // (1-Bucket-Theta regions, broadcast, LSH buckets): each S panel is
 // loaded once per batch of queries instead of once per query, and the
 // per-query results are bit-identical to the sequential NearestK loop.
-// Returns the scanned pair count for the "pairs" counter.
-func JoinBlocksKNN(rBlk, sBlk *vector.Block, k int, m vector.Metric, emit mapreduce.Emit) int64 {
+// It counts the scanned pairs ("pairs", also the task's work) and the
+// emitted neighbors ("result_pairs") on ctx.
+func JoinBlocksKNN(ctx *mapreduce.TaskContext, rBlk, sBlk *vector.Block, k int, m vector.Metric, emit mapreduce.Emit) {
 	squared := m == vector.L2
 	var heaps []*nnheap.KHeap
 	var qs []vector.Point
 	var cbuf []nnheap.Candidate
 	var nbuf []codec.Neighbor
-	var pairs int64
+	var pairs, resultPairs int64
 	for base := 0; base < rBlk.Len(); base += joinBatchRows {
 		end := base + joinBatchRows
 		if end > rBlk.Len() {
@@ -371,10 +392,13 @@ func JoinBlocksKNN(rBlk, sBlk *vector.Block, k int, m vector.Metric, emit mapred
 		for i, row := 0, base; row < end; i, row = i+1, row+1 {
 			cbuf = heaps[i].AppendSorted(cbuf[:0])
 			nbuf = AppendNeighbors(nbuf[:0], cbuf, squared)
+			resultPairs += int64(len(nbuf))
 			emit(nil, codec.EncodeResult(codec.Result{RID: rBlk.IDs[row], Neighbors: nbuf}))
 		}
 	}
-	return pairs
+	ctx.Counter("pairs", pairs)
+	ctx.Counter("result_pairs", resultPairs)
+	ctx.AddWork(pairs)
 }
 
 // AppendNeighbors converts sorted candidates into result neighbors,

@@ -13,7 +13,6 @@ package hbrj
 import (
 	"fmt"
 	"sort"
-	"time"
 
 	"knnjoin/internal/codec"
 	"knnjoin/internal/dfs"
@@ -74,31 +73,17 @@ func Run(cluster *mapreduce.Cluster, rFile, sFile, outFile string, opts Options)
 		Blocks: b,
 		Opts:   opts,
 	})
-	start := time.Now()
-	js, err := cluster.Run(job)
+	js, err := driver.RunJob(cluster, report, "Block Join", job)
 	if err != nil {
 		return nil, err
 	}
-	report.AddPhase("Block Join", time.Since(start))
-	driver.AddJobStats(report, js)
-	report.Pairs += js.Counters["pairs"]
-	report.ShuffleBytes += js.ShuffleBytes
-	report.ShuffleRecords += js.ShuffleRecords
-	report.ReplicasS = js.Counters["replicas_s"]
-	report.SimMakespan += js.SimMapMakespan + js.SimReduceMakespan
 	report.JoinSkew = js.ReduceSkew()
 
-	ms, err := MergeResults(cluster, partialFile, outFile, opts.K)
+	_, err = driver.RunJob(cluster, report, "Result Merging", MergeJob(partialFile, outFile, opts.K))
 	cluster.FS().Remove(partialFile)
 	if err != nil {
 		return nil, err
 	}
-	report.AddPhase("Result Merging", ms.Wall())
-	driver.AddJobStats(report, ms)
-	report.ShuffleBytes += ms.ShuffleBytes
-	report.ShuffleRecords += ms.ShuffleRecords
-	report.SimMakespan += ms.SimMapMakespan + ms.SimReduceMakespan
-	report.OutputPairs = ms.Counters["result_pairs"]
 	return report, nil
 }
 
@@ -186,15 +171,15 @@ func blockJoinReduce(ctx *mapreduce.TaskContext, _ []byte, values *mapreduce.Val
 	return nil
 }
 
-// MergeResults is the second MapReduce job shared by H-BRJ and PBJ: it
-// groups partial kNN lists by R object — keyed by the object id's
-// order-preserving binary encoding, so each reducer emits its share in
-// ascending-RID order (ids are hash-scattered across reducers, so the
-// concatenated file is only per-reducer sorted) — and keeps the k
-// global best. The input file holds codec.Result records; so does the
-// output.
-func MergeResults(cluster *mapreduce.Cluster, inFile, outFile string, k int) (*mapreduce.JobStats, error) {
-	return cluster.Run(mergeKind.New(mergeSpec{Input: inFile, Output: outFile, K: k}))
+// MergeJob builds the second MapReduce job shared by H-BRJ, PBJ,
+// 1-Bucket-Theta, H-zkNNJ and RankReduce: it groups partial kNN lists
+// by R object — keyed by the object id's order-preserving binary
+// encoding, so each reducer emits its share in ascending-RID order (ids
+// are hash-scattered across reducers, so the concatenated file is only
+// per-reducer sorted) — and keeps the k global best. The input file
+// holds codec.Result records; so does the output.
+func MergeJob(inFile, outFile string, k int) *mapreduce.Job {
+	return mergeKind.New(mergeSpec{Input: inFile, Output: outFile, K: k})
 }
 
 // mergeSpec rebuilds the merge job in a worker process.

@@ -151,7 +151,7 @@ func TestMergeResultsKeepsKBest(t *testing.T) {
 		recs[i] = codec.EncodeResult(p)
 	}
 	fs.Write("partials", recs)
-	if _, err := MergeResults(cluster, "partials", "merged", 2); err != nil {
+	if _, err := cluster.Run(MergeJob("partials", "merged", 2)); err != nil {
 		t.Fatal(err)
 	}
 	got, err := driver.ReadResults(fs, "merged")

@@ -26,6 +26,7 @@ import (
 	"time"
 
 	"knnjoin/internal/codec"
+	"knnjoin/internal/dataset"
 	"knnjoin/internal/dfs"
 	"knnjoin/internal/driver"
 	"knnjoin/internal/hbrj"
@@ -148,10 +149,14 @@ func Run(cluster *mapreduce.Cluster, rFile, sFile, outFile string, opts Options)
 
 	// ---- Driver: sample, estimate bucket width, draw hash tables -------
 	prepStart := time.Now()
-	sample, dims, err := sampleTagged(cluster.FS(), opts.SampleSize, opts.Seed, rFile, sFile)
+	sample, err := dataset.Sample(cluster.FS(), opts.SampleSize, opts.Seed, rFile, sFile)
 	if err != nil {
 		return nil, err
 	}
+	if len(sample) == 0 {
+		return nil, fmt.Errorf("lsh: empty input")
+	}
+	dims := sample[0].Point.Dim()
 	w := opts.BucketWidth
 	if w == 0 {
 		w = estimateWidth(sample, opts.K)
@@ -170,32 +175,18 @@ func Run(cluster *mapreduce.Cluster, rFile, sFile, outFile string, opts Options)
 		W:      w,
 		Opts:   opts,
 	})
-	start := time.Now()
-	js, err := cluster.Run(job)
+	js, err := driver.RunJob(cluster, report, "Bucket Join", job)
 	if err != nil {
 		return nil, err
 	}
-	report.AddPhase("Bucket Join", time.Since(start))
-	driver.AddJobStats(report, js)
-	report.Pairs += js.Counters["pairs"]
-	report.ShuffleBytes += js.ShuffleBytes
-	report.ShuffleRecords += js.ShuffleRecords
-	report.ReplicasS = js.Counters["replicas_s"]
-	report.SimMakespan += js.SimMapMakespan + js.SimReduceMakespan
 	report.JoinSkew = js.ReduceSkew()
 
 	// ---- Job 2: merge the L candidate lists per object ------------------
-	ms, err := hbrj.MergeResults(cluster, partialFile, outFile, opts.K)
+	_, err = driver.RunJob(cluster, report, "Result Merging", hbrj.MergeJob(partialFile, outFile, opts.K))
 	cluster.FS().Remove(partialFile)
 	if err != nil {
 		return nil, err
 	}
-	report.AddPhase("Result Merging", ms.Wall())
-	driver.AddJobStats(report, ms)
-	report.ShuffleBytes += ms.ShuffleBytes
-	report.ShuffleRecords += ms.ShuffleRecords
-	report.SimMakespan += ms.SimMapMakespan + ms.SimReduceMakespan
-	report.OutputPairs = ms.Counters["result_pairs"]
 	return report, nil
 }
 
@@ -252,44 +243,8 @@ func bucketReduce(ctx *mapreduce.TaskContext, _ []byte, values *mapreduce.Values
 	if err != nil {
 		return err
 	}
-	driver.JoinBlocksKNN(rBlk, sBlk, opts.K, vector.L2, emit)
-	pairs := int64(rBlk.Len()) * int64(sBlk.Len())
-	ctx.Counter("pairs", pairs)
-	ctx.AddWork(pairs)
+	driver.JoinBlocksKNN(ctx, rBlk, sBlk, opts.K, vector.L2, emit)
 	return nil
-}
-
-// sampleTagged draws up to n objects uniformly from the named Tagged
-// files and reports the dimensionality.
-func sampleTagged(fs dfs.Store, n int, seed int64, names ...string) ([]codec.Object, int, error) {
-	var all []codec.Object
-	for _, name := range names {
-		recs, err := fs.Read(name)
-		if err != nil {
-			return nil, 0, err
-		}
-		for _, rec := range recs {
-			t, err := codec.DecodeTagged(rec)
-			if err != nil {
-				return nil, 0, err
-			}
-			all = append(all, t.Object)
-		}
-	}
-	if len(all) == 0 {
-		return nil, 0, fmt.Errorf("lsh: empty input")
-	}
-	dims := all[0].Point.Dim()
-	if n >= len(all) {
-		return all, dims, nil
-	}
-	rng := rand.New(rand.NewSource(seed))
-	idx := rng.Perm(len(all))[:n]
-	out := make([]codec.Object, n)
-	for i, j := range idx {
-		out[i] = all[j]
-	}
-	return out, dims, nil
 }
 
 // estimateWidth returns twice the mean k-th-neighbor distance over up to

@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
-	"time"
 
 	"knnjoin/internal/codec"
 	"knnjoin/internal/dfs"
@@ -102,20 +101,11 @@ func Broadcast(cluster *mapreduce.Cluster, rFile, sFile, outFile string, opts Br
 		Nodes:  n,
 		Opts:   opts,
 	})
-	start := time.Now()
-	js, err := cluster.Run(job)
+	js, err := driver.RunJob(cluster, report, "KNN Join", job)
 	if err != nil {
 		return nil, err
 	}
-	report.AddPhase("KNN Join", time.Since(start))
-	driver.AddJobStats(report, js)
-	report.Pairs = js.Counters["pairs"]
-	report.ShuffleBytes = js.ShuffleBytes
-	report.ShuffleRecords = js.ShuffleRecords
-	report.ReplicasS = js.Counters["replicas_s"]
-	report.SimMakespan = js.SimMapMakespan + js.SimReduceMakespan
 	report.JoinSkew = js.ReduceSkew()
-	report.OutputPairs = js.OutputRecords * int64(opts.K)
 	return report, nil
 }
 
@@ -177,8 +167,6 @@ func broadcastReduce(ctx *mapreduce.TaskContext, _ []byte, values *mapreduce.Val
 	if err != nil {
 		return err
 	}
-	scanned := driver.JoinBlocksKNN(rBlk, sBlk, opts.K, opts.Metric, emit)
-	ctx.Counter("pairs", scanned)
-	ctx.AddWork(scanned)
+	driver.JoinBlocksKNN(ctx, rBlk, sBlk, opts.K, opts.Metric, emit)
 	return nil
 }

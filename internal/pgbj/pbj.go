@@ -2,7 +2,6 @@ package pgbj
 
 import (
 	"math"
-	"time"
 
 	"knnjoin/internal/codec"
 	"knnjoin/internal/dfs"
@@ -34,24 +33,11 @@ func RunPBJ(cluster *mapreduce.Cluster, rFile, sFile, outFile string, opts Optio
 	}
 
 	// Phases 1–3 are identical to PGBJ: pivots, partitioning, summary.
-	pivots, err := selectPivots(cluster.FS(), rFile, opts, report)
+	part, err := Partition(cluster, report, "pgbj-partition", rFile, sFile, outFile, opts)
 	if err != nil {
 		return nil, err
 	}
-	pp := voronoi.NewPartitioner(pivots, opts.Metric)
-
-	partFile := outFile + ".partitioned"
-	if err := runPartitionJob(cluster, pivots, opts.Metric, []string{rFile, sFile}, partFile, report); err != nil {
-		return nil, err
-	}
-	defer cluster.FS().Remove(partFile)
-	cluster.FS().Remove(rFile)
-	cluster.FS().Remove(sFile)
-
-	sum, err := buildSummary(cluster.FS(), partFile, pp, opts.K, cluster.Nodes(), report)
-	if err != nil {
-		return nil, err
-	}
+	defer cluster.FS().Remove(part.File)
 
 	// Block join: Voronoi partitions are hashed into √N blocks per
 	// dataset; reducer (a,b) joins R-block a against S-block b with the
@@ -63,38 +49,24 @@ func RunPBJ(cluster *mapreduce.Cluster, rFile, sFile, outFile string, opts Optio
 	// sorted by pivot distance (the order localThetas and the Theorem-2
 	// windows need).
 	job := pbjKind.New(pbjSpec{
-		Input:   partFile,
+		Input:   part.File,
 		Output:  partialFile,
-		Pivots:  pivots,
-		Summary: sum,
+		Pivots:  part.Partitioner.Pivots,
+		Summary: part.Summary,
 		Blocks:  b,
 		Opts:    opts,
 	})
-	start := time.Now()
-	js, err := cluster.Run(job)
+	js, err := driver.RunJob(cluster, report, "KNN Join", job)
 	if err != nil {
 		return nil, err
 	}
-	report.AddPhase("KNN Join", time.Since(start))
-	driver.AddJobStats(report, js)
-	report.Pairs += js.Counters["pairs"]
-	report.ShuffleBytes += js.ShuffleBytes
-	report.ShuffleRecords += js.ShuffleRecords
-	report.ReplicasS = js.Counters["replicas_s"]
-	report.SimMakespan += js.SimMapMakespan + js.SimReduceMakespan
 	report.JoinSkew = js.ReduceSkew()
 
-	ms, err := hbrj.MergeResults(cluster, partialFile, outFile, opts.K)
+	_, err = driver.RunJob(cluster, report, "Result Merging", hbrj.MergeJob(partialFile, outFile, opts.K))
 	cluster.FS().Remove(partialFile)
 	if err != nil {
 		return nil, err
 	}
-	report.AddPhase("Result Merging", ms.Wall())
-	driver.AddJobStats(report, ms)
-	report.ShuffleBytes += ms.ShuffleBytes
-	report.ShuffleRecords += ms.ShuffleRecords
-	report.SimMakespan += ms.SimMapMakespan + ms.SimReduceMakespan
-	report.OutputPairs = ms.Counters["result_pairs"]
 	return report, nil
 }
 

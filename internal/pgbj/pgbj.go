@@ -21,6 +21,7 @@ import (
 	"time"
 
 	"knnjoin/internal/codec"
+	"knnjoin/internal/dataset"
 	"knnjoin/internal/dfs"
 	"knnjoin/internal/driver"
 	"knnjoin/internal/grouping"
@@ -166,16 +167,6 @@ func partitionMap(ctx *mapreduce.TaskContext, rec dfs.Record, emit mapreduce.Emi
 	return nil
 }
 
-// PartitionJob builds the Voronoi-partitioning job (MapReduce job 1 of
-// PGBJ, PBJ and the range join) as a registered kind, so it can execute
-// on worker processes of a distributed cluster. name becomes the job
-// name; inputs must hold Tagged records.
-func PartitionJob(name string, inputs []string, output string, pivots []vector.Point, metric vector.Metric) *mapreduce.Job {
-	return partitionKind.New(partitionSpec{
-		Name: name, Inputs: inputs, Output: output, Pivots: pivots, Metric: metric,
-	})
-}
-
 // joinSpec rebuilds MapReduce job 2 in a worker process: pivots (the
 // Partitioner is reconstructed), the summary tables, the grouping
 // products and the options — exactly the side data the map and reduce
@@ -232,27 +223,13 @@ func Run(cluster *mapreduce.Cluster, rFile, sFile, outFile string, opts Options)
 		SSize:     cluster.FS().Size(sFile),
 	}
 
-	// ---- Phase 1: pivot selection (preprocessing on the master) --------
-	pivots, err := selectPivots(cluster.FS(), rFile, opts, report)
+	// ---- Phases 1–3: pivot selection, job 1, index merging ------------
+	part, err := Partition(cluster, report, "pgbj-partition", rFile, sFile, outFile, opts)
 	if err != nil {
 		return nil, err
 	}
-	pp := voronoi.NewPartitioner(pivots, opts.Metric)
-
-	// ---- Phase 2: MapReduce job 1 — data partitioning -------------------
-	partFile := outFile + ".partitioned"
-	if err := runPartitionJob(cluster, pivots, opts.Metric, []string{rFile, sFile}, partFile, report); err != nil {
-		return nil, err
-	}
-	defer cluster.FS().Remove(partFile)
-	cluster.FS().Remove(rFile)
-	cluster.FS().Remove(sFile)
-
-	// ---- Phase 3: index merging — build TR/TS from job-1 output ---------
-	sum, err := buildSummary(cluster.FS(), partFile, pp, opts.K, cluster.Nodes(), report)
-	if err != nil {
-		return nil, err
-	}
+	defer cluster.FS().Remove(part.File)
+	pp, sum := part.Partitioner, part.Summary
 
 	// ---- Phase 4: partition grouping ------------------------------------
 	start := time.Now()
@@ -279,41 +256,73 @@ func Run(cluster *mapreduce.Cluster, rFile, sFile, outFile string, opts Options)
 	// reducer already in SortByPivotDist order. Built through the kind
 	// registry so a distributed cluster can rebuild it in workers.
 	job := joinKind.New(joinSpec{
-		Input:    partFile,
+		Input:    part.File,
 		Output:   outFile,
-		Pivots:   pivots,
+		Pivots:   pp.Pivots,
 		Summary:  sum,
 		Thetas:   thetas,
 		GroupOf:  groups.GroupOf,
 		GroupLBs: groupLBs,
 		Opts:     opts,
 	})
-	start = time.Now()
-	js, err := cluster.Run(job)
+	js, err := driver.RunJob(cluster, report, "KNN Join", job)
 	if err != nil {
 		return nil, err
 	}
-	report.AddPhase("KNN Join", time.Since(start))
-	driver.AddJobStats(report, js)
-	report.Pairs += js.Counters["pairs"]
-	report.ShuffleBytes += js.ShuffleBytes
-	report.ShuffleRecords += js.ShuffleRecords
-	report.ReplicasS = js.Counters["replicas_s"]
-	report.SimMakespan += js.SimMapMakespan + js.SimReduceMakespan
 	report.JoinSkew = js.ReduceSkew()
-	report.OutputPairs = sumNeighborCount(js)
 	return report, nil
 }
 
-func sumNeighborCount(js *mapreduce.JobStats) int64 {
-	return js.Counters["result_pairs"]
+// Partitioned is what PGBJ's first three phases hand the join: the
+// pivots drawn from R, as the Voronoi partitioner over them; the TR/TS
+// summary tables; and the name of job 1's output file, every object of
+// R ∪ S tagged with its partition and pivot distance.
+type Partitioned struct {
+	Partitioner *voronoi.Partitioner
+	Summary     *voronoi.Summary
+	File        string
+}
+
+// Partition runs phases 1–3 of PGBJ, which PBJ and the range join share:
+// it selects opts.NumPivots pivots from rFile with opts.PivotStrategy
+// and opts.Seed (Pivot Selection), runs the Voronoi partitioning job,
+// named job, over rFile and sFile into outFile+".partitioned" (Data
+// Partitioning), and merges the summary tables for opts.K (Index
+// Merging), charging each phase to rep. Once the job has committed,
+// rFile and sFile are removed: the joins read only its output. The
+// partitioned file is the caller's to remove.
+func Partition(cluster *mapreduce.Cluster, rep *stats.Report, job, rFile, sFile, outFile string, opts Options) (*Partitioned, error) {
+	pivots, err := selectPivots(cluster.FS(), rFile, opts, rep)
+	if err != nil {
+		return nil, err
+	}
+	pp := voronoi.NewPartitioner(pivots, opts.Metric)
+
+	// Job 1: a map-only job that tags every object of R and S with its
+	// nearest pivot (Figure 4), built through the kind registry so a
+	// distributed cluster can rebuild it in workers.
+	partFile := outFile + ".partitioned"
+	if _, err := driver.RunJob(cluster, rep, "Data Partitioning", partitionKind.New(partitionSpec{
+		Name: job, Inputs: []string{rFile, sFile}, Output: partFile, Pivots: pivots, Metric: opts.Metric,
+	})); err != nil {
+		return nil, err
+	}
+	cluster.FS().Remove(rFile)
+	cluster.FS().Remove(sFile)
+
+	sum, err := buildSummary(cluster.FS(), partFile, pp, opts.K, cluster.Nodes(), rep)
+	if err != nil {
+		cluster.FS().Remove(partFile)
+		return nil, err
+	}
+	return &Partitioned{Partitioner: pp, Summary: sum, File: partFile}, nil
 }
 
 // selectPivots reads R and runs the configured pivot-selection strategy,
 // charging its time and distance computations to the report.
 func selectPivots(fs dfs.Store, rFile string, opts Options, report *stats.Report) ([]vector.Point, error) {
 	start := time.Now()
-	tagged, err := fromDFS(fs, rFile)
+	tagged, err := dataset.FromDFS(fs, rFile)
 	if err != nil {
 		return nil, err
 	}
@@ -333,22 +342,6 @@ func selectPivots(fs dfs.Store, rFile string, opts Options, report *stats.Report
 	report.Pairs += distCount
 	report.AddPhase("Pivot Selection", time.Since(start))
 	return pivots, nil
-}
-
-// runPartitionJob is MapReduce job 1: a map-only job that tags every
-// object of R and S with its nearest pivot (Figure 4).
-func runPartitionJob(cluster *mapreduce.Cluster, pivots []vector.Point, metric vector.Metric, inputs []string, outFile string, report *stats.Report) error {
-	job := PartitionJob("pgbj-partition", inputs, outFile, pivots, metric)
-	start := time.Now()
-	js, err := cluster.Run(job)
-	if err != nil {
-		return err
-	}
-	report.AddPhase("Data Partitioning", time.Since(start))
-	driver.AddJobStats(report, js)
-	report.Pairs += js.Counters["pairs"]
-	report.SimMakespan += js.SimMapMakespan
-	return nil
 }
 
 // buildSummary is the index-merging phase: it folds the partitioned file
@@ -665,21 +658,4 @@ func joinPartitions(ctx *mapreduce.TaskContext, pp *voronoi.Partitioner, sum *vo
 	ctx.Counter(driver.ReducerPivotChargedCounter, pivotCharged)
 	ctx.Counter(driver.ReducerPivotEvaluatedCounter, pivotEvaluated)
 	ctx.AddWork(pairs)
-}
-
-// fromDFS decodes a file of Tagged records.
-func fromDFS(fs dfs.Store, name string) ([]codec.Tagged, error) {
-	recs, err := fs.Read(name)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]codec.Tagged, len(recs))
-	for i, r := range recs {
-		t, err := codec.DecodeTagged(r)
-		if err != nil {
-			return nil, fmt.Errorf("pgbj: record %d of %q: %w", i, name, err)
-		}
-		out[i] = t
-	}
-	return out, nil
 }

@@ -9,7 +9,8 @@
 // partitioning with summary tables (MapReduce job 1), geometric grouping
 // of R-partitions, Theorem-6/Corollary-2 replica routing of S, and a
 // reducer that prunes with Corollary 1 hyperplane tests and Theorem-2
-// windows. The package exists to demonstrate that claim of the paper's
+// windows. Pivot selection, job 1 and index merging are PGBJ's own
+// (pgbj.Partition), with a summary for k = 1. The package exists to demonstrate that claim of the paper's
 // §2.3 ("we can answer range selection queries based on the following
 // theorem") at full join scale, and because a distributed ε-range join
 // is the building block of DBSCAN-style clustering.
@@ -52,8 +53,8 @@ type Options struct {
 }
 
 func (o Options) validate(cluster *mapreduce.Cluster) (Options, error) {
-	if o.Radius < 0 {
-		return o, fmt.Errorf("rangejoin: radius must not be negative, got %g", o.Radius)
+	if !(o.Radius >= 0) { // NaN fails every comparison
+		return o, fmt.Errorf("rangejoin: radius must be a non-negative number, got %g", o.Radius)
 	}
 	if o.NumPivots <= 0 {
 		return o, fmt.Errorf("rangejoin: NumPivots must be positive, got %d", o.NumPivots)
@@ -93,62 +94,21 @@ func Run(cluster *mapreduce.Cluster, rFile, sFile, outFile string, opts Options)
 		SSize:     cluster.FS().Size(sFile),
 	}
 
-	// ---- Pivot selection on R -------------------------------------------
-	start := time.Now()
-	rTagged, err := readTagged(cluster.FS(), rFile)
-	if err != nil {
-		return nil, err
-	}
-	if len(rTagged) == 0 {
-		return nil, fmt.Errorf("rangejoin: empty R input %q", rFile)
-	}
-	objs := make([]codec.Object, len(rTagged))
-	for i, t := range rTagged {
-		objs[i] = t.Object
-	}
-	var distCount int64
-	pivots, err := pivot.Select(opts.PivotStrategy, objs, opts.NumPivots, pivot.Options{
-		Metric: opts.Metric, Seed: opts.Seed, DistCount: &distCount,
+	// ---- Pivot selection, job 1, index merging: PGBJ's, at k = 1 -------
+	// The kNN bound θ_i is never derived, so the summary needs only each
+	// S-partition's nearest pivot distance.
+	part, err := pgbj.Partition(cluster, report, "range-partition", rFile, sFile, outFile, pgbj.Options{
+		K: 1, Metric: opts.Metric, NumPivots: opts.NumPivots,
+		PivotStrategy: opts.PivotStrategy, Seed: opts.Seed,
 	})
 	if err != nil {
 		return nil, err
 	}
-	report.Pairs += distCount
-	pp := voronoi.NewPartitioner(pivots, opts.Metric)
-	report.AddPhase("Pivot Selection", time.Since(start))
+	defer cluster.FS().Remove(part.File)
+	pp, sum := part.Partitioner, part.Summary
 
-	// ---- Job 1: Voronoi partitioning (map-only) --------------------------
-	// Identical to PGBJ's partition step, so the job is its registered
-	// kind, sharing the worker-side rebuild path.
-	partFile := outFile + ".partitioned"
-	partJob := pgbj.PartitionJob("range-partition", []string{rFile, sFile}, partFile, pivots, opts.Metric)
-	start = time.Now()
-	js, err := cluster.Run(partJob)
-	if err != nil {
-		return nil, err
-	}
-	defer cluster.FS().Remove(partFile)
-	cluster.FS().Remove(rFile)
-	cluster.FS().Remove(sFile)
-	report.AddPhase("Data Partitioning", time.Since(start))
-	driver.AddJobStats(report, js)
-	report.Pairs += js.Counters["pairs"]
-	report.SimMakespan += js.SimMapMakespan
-
-	// ---- Index merging + grouping ----------------------------------------
-	start = time.Now()
-	parted, err := readTagged(cluster.FS(), partFile)
-	if err != nil {
-		return nil, err
-	}
-	builder := voronoi.NewSummaryBuilder(pp.NumPartitions(), 1)
-	for _, t := range parted {
-		builder.Add(t)
-	}
-	sum := builder.Finalize()
-	report.AddPhase("Index Merging", time.Since(start))
-
-	start = time.Now()
+	// ---- Partition grouping ----------------------------------------------
+	start := time.Now()
 	groups, err := grouping.Geometric(pp, sum, opts.NumGroups)
 	if err != nil {
 		return nil, err
@@ -167,28 +127,19 @@ func Run(cluster *mapreduce.Cluster, rFile, sFile, outFile string, opts Options)
 	// suffix streams each group's S partitions in SortByPivotDist order —
 	// the shuffle's secondary sort replaces the reducer-side sort.
 	job := joinKind.New(joinSpec{
-		Input:    partFile,
+		Input:    part.File,
 		Output:   outFile,
-		Pivots:   pivots,
+		Pivots:   pp.Pivots,
 		Summary:  sum,
 		GroupOf:  groups.GroupOf,
 		GroupLBs: groupLBs,
 		Opts:     opts,
 	})
-	start = time.Now()
-	js, err = cluster.Run(job)
+	js, err := driver.RunJob(cluster, report, "Range Join", job)
 	if err != nil {
 		return nil, err
 	}
-	report.AddPhase("Range Join", time.Since(start))
-	driver.AddJobStats(report, js)
-	report.Pairs += js.Counters["pairs"]
-	report.ShuffleBytes += js.ShuffleBytes
-	report.ShuffleRecords += js.ShuffleRecords
-	report.ReplicasS = js.Counters["replicas_s"]
-	report.SimMakespan += js.SimMapMakespan + js.SimReduceMakespan
 	report.JoinSkew = js.ReduceSkew()
-	report.OutputPairs = js.Counters["result_pairs"]
 	return report, nil
 }
 
@@ -361,21 +312,4 @@ func BruteForce(rObjs, sObjs []codec.Object, radius float64, m vector.Metric) []
 	}
 	sort.Slice(out, func(a, b int) bool { return out[a].RID < out[b].RID })
 	return out
-}
-
-// readTagged decodes a file of Tagged records.
-func readTagged(fs dfs.Store, name string) ([]codec.Tagged, error) {
-	recs, err := fs.Read(name)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]codec.Tagged, len(recs))
-	for i, r := range recs {
-		t, err := codec.DecodeTagged(r)
-		if err != nil {
-			return nil, fmt.Errorf("rangejoin: record %d of %q: %w", i, name, err)
-		}
-		out[i] = t
-	}
-	return out, nil
 }

@@ -2,6 +2,7 @@ package rangejoin
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -10,8 +11,10 @@ import (
 	"knnjoin/internal/dfs"
 	"knnjoin/internal/driver"
 	"knnjoin/internal/mapreduce"
+	"knnjoin/internal/pgbj"
 	"knnjoin/internal/stats"
 	"knnjoin/internal/vector"
+	"knnjoin/internal/voronoi"
 )
 
 func runRange(t testing.TB, rObjs, sObjs []codec.Object, opts Options, nodes int) ([]codec.Result, *stats.Report) {
@@ -140,6 +143,9 @@ func TestValidation(t *testing.T) {
 	if _, err := Run(cluster, "R", "S", "out", Options{Radius: -1, NumPivots: 4}); err == nil {
 		t.Error("negative radius accepted")
 	}
+	if _, err := Run(cluster, "R", "S", "out", Options{Radius: math.NaN(), NumPivots: 4}); err == nil {
+		t.Error("NaN radius accepted")
+	}
 	if _, err := Run(cluster, "R", "S", "out", Options{Radius: 1}); err == nil {
 		t.Error("zero pivots accepted")
 	}
@@ -223,5 +229,63 @@ func TestRunConsumesInputs(t *testing.T) {
 	}
 	if got := fs.List(); len(got) != 1 || got[0] != "out" {
 		t.Errorf("files %v after the run, want only out", got)
+	}
+}
+
+// serialSummary is the index merging the range join ran before it
+// shared PGBJ's: one builder fed every record of the partitioned file
+// in file order. It stays as the oracle of the shared step, which
+// builds one summary per split on a bounded pool and merges them.
+func serialSummary(t *testing.T, fs dfs.Store, partFile string, partitions, k int) *voronoi.Summary {
+	t.Helper()
+	tagged, err := dataset.FromDFS(fs, partFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := voronoi.NewSummaryBuilder(partitions, k)
+	for _, tg := range tagged {
+		b.Add(tg)
+	}
+	return b.Finalize()
+}
+
+// The shared job-1 step's summary equals the serial build on inputs
+// full of tied pivot distances — a pile of duplicates at six points and
+// an integer grid — at the range join's k = 1 and at a kNN k: counts, L
+// and U are integer sums, minima and maxima, and KDists keep distances
+// only, so the order in which split builders merge cannot show.
+func TestPartitionSummaryMatchesSerialBuild(t *testing.T) {
+	var pile, grid []codec.Object
+	spots := []vector.Point{{0, 0, 0}, {1, 0, 0}, {0, 1, 0}, {3, 4, 0}, {0, 0, 5}, {1, 1, 1}}
+	for i := 0; i < 900; i++ {
+		pile = append(pile, codec.Object{ID: int64(i), Point: spots[i%len(spots)].Clone()})
+	}
+	for x := 0; x < 9; x++ {
+		for y := 0; y < 9; y++ {
+			for z := 0; z < 9; z++ {
+				grid = append(grid, codec.Object{ID: int64(len(grid)), Point: vector.Point{float64(x), float64(y), float64(z)}})
+			}
+		}
+	}
+	for name, objs := range map[string][]codec.Object{"duplicate pile": pile, "integer grid": grid} {
+		for _, k := range []int{1, 10} {
+			fs := dfs.New(64)
+			cluster := mapreduce.NewCluster(fs, 4)
+			dataset.ToDFS(fs, "R", objs, codec.FromR)
+			dataset.ToDFS(fs, "S", objs, codec.FromS)
+			part, err := pgbj.Partition(cluster, &stats.Report{}, "range-partition", "R", "S", "out",
+				pgbj.Options{K: k, NumPivots: 12, Seed: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			splits, err := fs.Splits(part.File)
+			if err != nil || len(splits) < 8 {
+				t.Fatalf("%s: %d splits (%v), want many", name, len(splits), err)
+			}
+			want := serialSummary(t, fs, part.File, part.Partitioner.NumPartitions(), k)
+			if !reflect.DeepEqual(part.Summary, want) {
+				t.Errorf("%s, k=%d: the shared step's summary differs from the serial build", name, k)
+			}
+		}
 	}
 }

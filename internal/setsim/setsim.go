@@ -29,7 +29,6 @@ import (
 	"math"
 	"math/rand"
 	"sort"
-	"time"
 
 	"knnjoin/internal/codec"
 	"knnjoin/internal/dfs"
@@ -200,22 +199,14 @@ func Run(cluster *mapreduce.Cluster, inFile, outFile string, opts Options) ([]Si
 		Combine: sumCounts,
 		Reduce:  sumCounts,
 	}
-	start := time.Now()
-	js, err := cluster.Run(countJob)
-	if err != nil {
+	if _, err := driver.RunJob(cluster, report, "Token Ordering", countJob); err != nil {
 		return nil, nil, err
 	}
-	driver.AddJobStats(report, js)
-	report.ShuffleBytes += js.ShuffleBytes
-	report.ShuffleRecords += js.ShuffleRecords
-	report.SimMakespan += js.SimMapMakespan + js.SimReduceMakespan
-
 	rankOf, err := tokenRanks(cluster.FS(), countFile)
 	cluster.FS().Remove(countFile)
 	if err != nil {
 		return nil, nil, err
 	}
-	report.AddPhase("Token Ordering", time.Since(start))
 
 	// ---- Stage 2: RID-pair generation ------------------------------------
 	pairFile := outFile + ".pairs"
@@ -242,24 +233,16 @@ func Run(cluster *mapreduce.Cluster, inFile, outFile string, opts Options) ([]Si
 			wire := EncodeRecord(Record{ID: r.ID, Tokens: ranked})
 			for _, tok := range ranked[:prefixLen(len(ranked), opts.Threshold)] {
 				emit(codec.Uint32Key(uint32(tok)), wire)
-				ctx.Counter("prefix_replicas", 1)
+				ctx.Counter("replicas_s", 1)
 			}
 			return nil
 		},
 		Reduce: verifyReduce,
 	}
-	start = time.Now()
-	js, err = cluster.Run(pairJob)
+	js, err := driver.RunJob(cluster, report, "RID-Pair Generation", pairJob)
 	if err != nil {
 		return nil, nil, err
 	}
-	report.AddPhase("RID-Pair Generation", time.Since(start))
-	driver.AddJobStatsCounter(report, js, "verified")
-	report.Pairs += js.Counters["verified"]
-	report.ReplicasS = js.Counters["prefix_replicas"]
-	report.ShuffleBytes += js.ShuffleBytes
-	report.ShuffleRecords += js.ShuffleRecords
-	report.SimMakespan += js.SimMapMakespan + js.SimReduceMakespan
 	report.JoinSkew = js.ReduceSkew()
 
 	// ---- Stage 3: deduplication ------------------------------------------
@@ -283,18 +266,11 @@ func Run(cluster *mapreduce.Cluster, inFile, outFile string, opts Options) ([]Si
 			return nil
 		},
 	}
-	start = time.Now()
-	ms, err := cluster.Run(dedupJob)
+	_, err = driver.RunJob(cluster, report, "Deduplication", dedupJob)
 	cluster.FS().Remove(pairFile)
 	if err != nil {
 		return nil, nil, err
 	}
-	report.AddPhase("Deduplication", time.Since(start))
-	driver.AddJobStats(report, ms)
-	report.ShuffleBytes += ms.ShuffleBytes
-	report.ShuffleRecords += ms.ShuffleRecords
-	report.SimMakespan += ms.SimMapMakespan + ms.SimReduceMakespan
-	report.OutputPairs = ms.Counters["result_pairs"]
 
 	pairs, err := ReadPairs(cluster.FS(), outFile)
 	if err != nil {
@@ -390,7 +366,7 @@ func verifyReduce(ctx *mapreduce.TaskContext, _ []byte, values *mapreduce.Values
 			}
 		}
 	}
-	ctx.Counter("verified", verified)
+	ctx.Counter("pairs", verified)
 	ctx.AddWork(verified)
 	return nil
 }

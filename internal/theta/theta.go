@@ -23,7 +23,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
-	"time"
 
 	"knnjoin/internal/codec"
 	"knnjoin/internal/dfs"
@@ -120,31 +119,17 @@ func Run(cluster *mapreduce.Cluster, rFile, sFile, outFile string, opts Options)
 		Cols:   cols,
 		Opts:   opts,
 	})
-	start := time.Now()
-	js, err := cluster.Run(job)
+	js, err := driver.RunJob(cluster, report, "Region Join", job)
 	if err != nil {
 		return nil, err
 	}
-	report.AddPhase("Region Join", time.Since(start))
-	driver.AddJobStats(report, js)
-	report.Pairs += js.Counters["pairs"]
-	report.ShuffleBytes += js.ShuffleBytes
-	report.ShuffleRecords += js.ShuffleRecords
-	report.ReplicasS = js.Counters["replicas_s"]
-	report.SimMakespan += js.SimMapMakespan + js.SimReduceMakespan
 	report.JoinSkew = js.ReduceSkew()
 
-	ms, err := hbrj.MergeResults(cluster, partialFile, outFile, opts.K)
+	_, err = driver.RunJob(cluster, report, "Result Merging", hbrj.MergeJob(partialFile, outFile, opts.K))
 	cluster.FS().Remove(partialFile)
 	if err != nil {
 		return nil, err
 	}
-	report.AddPhase("Result Merging", ms.Wall())
-	driver.AddJobStats(report, ms)
-	report.ShuffleBytes += ms.ShuffleBytes
-	report.ShuffleRecords += ms.ShuffleRecords
-	report.SimMakespan += ms.SimMapMakespan + ms.SimReduceMakespan
-	report.OutputPairs = ms.Counters["result_pairs"]
 	return report, nil
 }
 
@@ -214,9 +199,6 @@ func regionReduce(ctx *mapreduce.TaskContext, _ []byte, values *mapreduce.Values
 	if err != nil {
 		return err
 	}
-	driver.JoinBlocksKNN(rBlk, sBlk, opts.K, opts.Metric, emit)
-	pairs := int64(rBlk.Len()) * int64(sBlk.Len())
-	ctx.Counter("pairs", pairs)
-	ctx.AddWork(pairs)
+	driver.JoinBlocksKNN(ctx, rBlk, sBlk, opts.K, opts.Metric, emit)
 	return nil
 }

@@ -24,11 +24,11 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"math/rand"
 	"sort"
 	"time"
 
 	"knnjoin/internal/codec"
+	"knnjoin/internal/dataset"
 	"knnjoin/internal/dfs"
 	"knnjoin/internal/driver"
 	"knnjoin/internal/mapreduce"
@@ -200,11 +200,11 @@ func Run(cluster *mapreduce.Cluster, rFile, sFile, outFile string, opts Options)
 
 	// ---- Driver: threshold τ, slab axis and boundaries -----------------
 	prepStart := time.Now()
-	rSample, err := sampleFile(cluster.FS(), rFile, opts.SampleSize, opts.Seed)
+	rSample, err := dataset.Sample(cluster.FS(), opts.SampleSize, opts.Seed, rFile)
 	if err != nil {
 		return nil, nil, err
 	}
-	sSample, err := sampleFile(cluster.FS(), sFile, opts.SampleSize, opts.Seed+1)
+	sSample, err := dataset.Sample(cluster.FS(), opts.SampleSize, opts.Seed+1, sFile)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -228,34 +228,19 @@ func Run(cluster *mapreduce.Cluster, rFile, sFile, outFile string, opts Options)
 		Boundaries: boundaries,
 		Opts:       opts,
 	})
-	start := time.Now()
-	js, err := cluster.Run(job)
+	js, err := driver.RunJob(cluster, report, "Pair Join", job)
 	if err != nil {
 		return nil, nil, err
 	}
-	report.AddPhase("Pair Join", time.Since(start))
-	driver.AddJobStats(report, js)
-	report.Pairs += js.Counters["pairs"]
-	report.ShuffleBytes += js.ShuffleBytes
-	report.ShuffleRecords += js.ShuffleRecords
-	report.ReplicasS = js.Counters["replicas_s"]
-	report.SimMakespan += js.SimMapMakespan + js.SimReduceMakespan
 	report.JoinSkew = js.ReduceSkew()
 
 	// ---- Job 2: global top-k merge --------------------------------------
 	merge := mergeKind.New(mergeSpec{Input: partialFile, Output: outFile, Opts: opts})
-	start = time.Now()
-	ms, err := cluster.Run(merge)
+	_, err = driver.RunJob(cluster, report, "Top-k Merge", merge)
 	cluster.FS().Remove(partialFile)
 	if err != nil {
 		return nil, nil, err
 	}
-	report.AddPhase("Top-k Merge", time.Since(start))
-	driver.AddJobStats(report, ms)
-	report.ShuffleBytes += ms.ShuffleBytes
-	report.ShuffleRecords += ms.ShuffleRecords
-	report.SimMakespan += ms.SimMapMakespan + ms.SimReduceMakespan
-	report.OutputPairs = ms.OutputRecords
 
 	pairs, err := ReadPairs(cluster.FS(), outFile)
 	if err != nil {
@@ -349,9 +334,11 @@ func mergeReduce(ctx *mapreduce.TaskContext, _ []byte, values *mapreduce.Values,
 		}
 		heap.push(p)
 	}
-	for _, p := range heap.sorted() {
+	top := heap.sorted()
+	for _, p := range top {
 		emit(nil, EncodePair(p))
 	}
+	ctx.Counter("result_pairs", int64(len(top)))
 	return nil
 }
 
@@ -425,32 +412,6 @@ func ReadPairs(fs dfs.Store, name string) ([]Pair, error) {
 			return nil, fmt.Errorf("topk: pair record %d: %w", i, err)
 		}
 		out[i] = p
-	}
-	return out, nil
-}
-
-// sampleFile draws up to n objects uniformly from one Tagged file.
-func sampleFile(fs dfs.Store, name string, n int, seed int64) ([]codec.Object, error) {
-	recs, err := fs.Read(name)
-	if err != nil {
-		return nil, err
-	}
-	objs := make([]codec.Object, len(recs))
-	for i, rec := range recs {
-		t, err := codec.DecodeTagged(rec)
-		if err != nil {
-			return nil, err
-		}
-		objs[i] = t.Object
-	}
-	if n >= len(objs) {
-		return objs, nil
-	}
-	rng := rand.New(rand.NewSource(seed))
-	idx := rng.Perm(len(objs))[:n]
-	out := make([]codec.Object, n)
-	for i, j := range idx {
-		out[i] = objs[j]
 	}
 	return out, nil
 }

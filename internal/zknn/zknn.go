@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"knnjoin/internal/codec"
+	"knnjoin/internal/dataset"
 	"knnjoin/internal/dfs"
 	"knnjoin/internal/driver"
 	"knnjoin/internal/hbrj"
@@ -80,10 +81,14 @@ func Run(cluster *mapreduce.Cluster, rFile, sFile, outFile string, opts Options)
 
 	// ---- Driver: bounding box, shift vectors, boundary estimation ------
 	prepStart := time.Now()
-	sample, dims, err := sampleObjects(cluster.FS(), rFile, sFile, opts.SampleSize, opts.Seed)
+	sample, err := dataset.Sample(cluster.FS(), opts.SampleSize, opts.Seed, rFile, sFile)
 	if err != nil {
 		return nil, err
 	}
+	if len(sample) == 0 {
+		return nil, fmt.Errorf("zknn: empty input")
+	}
+	dims := sample[0].Point.Dim()
 	min, max := boundingBox(sample, dims)
 	// Shift magnitude: a few percent of the box diagonal per dimension.
 	span := 0.0
@@ -134,32 +139,18 @@ func Run(cluster *mapreduce.Cluster, rFile, sFile, outFile string, opts Options)
 		Boundaries: boundaries,
 		Opts:       opts,
 	})
-	start := time.Now()
-	js, err := cluster.Run(job)
+	js, err := driver.RunJob(cluster, report, "Candidate Join", job)
 	if err != nil {
 		return nil, err
 	}
-	report.AddPhase("Candidate Join", time.Since(start))
-	driver.AddJobStats(report, js)
-	report.Pairs += js.Counters["pairs"]
-	report.ShuffleBytes += js.ShuffleBytes
-	report.ShuffleRecords += js.ShuffleRecords
-	report.ReplicasS = js.Counters["replicas_s"]
-	report.SimMakespan += js.SimMapMakespan + js.SimReduceMakespan
 	report.JoinSkew = js.ReduceSkew()
 
 	// ---- Job 2: merge the α candidate lists per object ------------------
-	ms, err := hbrj.MergeResults(cluster, partialFile, outFile, opts.K)
+	_, err = driver.RunJob(cluster, report, "Result Merging", hbrj.MergeJob(partialFile, outFile, opts.K))
 	cluster.FS().Remove(partialFile)
 	if err != nil {
 		return nil, err
 	}
-	report.AddPhase("Result Merging", ms.Wall())
-	driver.AddJobStats(report, ms)
-	report.ShuffleBytes += ms.ShuffleBytes
-	report.ShuffleRecords += ms.ShuffleRecords
-	report.SimMakespan += ms.SimMapMakespan + ms.SimReduceMakespan
-	report.OutputPairs = ms.Counters["result_pairs"]
 	return report, nil
 }
 
@@ -304,39 +295,6 @@ func candidateReduce(ctx *mapreduce.TaskContext, _ []byte, values *mapreduce.Val
 	ctx.Counter("pairs", pairs)
 	ctx.AddWork(pairs)
 	return nil
-}
-
-// sampleObjects draws up to n objects uniformly from the two files and
-// reports the dimensionality.
-func sampleObjects(fs dfs.Store, rFile, sFile string, n int, seed int64) ([]codec.Object, int, error) {
-	var all []codec.Object
-	for _, name := range []string{rFile, sFile} {
-		recs, err := fs.Read(name)
-		if err != nil {
-			return nil, 0, err
-		}
-		for _, rec := range recs {
-			t, err := codec.DecodeTagged(rec)
-			if err != nil {
-				return nil, 0, err
-			}
-			all = append(all, t.Object)
-		}
-	}
-	if len(all) == 0 {
-		return nil, 0, fmt.Errorf("zknn: empty input")
-	}
-	dims := all[0].Point.Dim()
-	if n >= len(all) {
-		return all, dims, nil
-	}
-	rng := rand.New(rand.NewSource(seed))
-	idx := rng.Perm(len(all))[:n]
-	out := make([]codec.Object, n)
-	for i, j := range idx {
-		out[i] = all[j]
-	}
-	return out, dims, nil
 }
 
 // boundingBox computes per-dimension min/max of the sample.

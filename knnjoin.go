@@ -229,16 +229,31 @@ func (o Options) withDefaults(rSize int) (Options, error) {
 	if o.Nodes <= 0 {
 		o.Nodes = 4
 	}
-	if o.NumPivots <= 0 {
-		o.NumPivots = int(2 * math.Sqrt(float64(rSize)))
-	}
-	if o.NumPivots < o.Nodes {
-		o.NumPivots = o.Nodes
-	}
-	if o.NumPivots > rSize {
-		o.NumPivots = rSize
-	}
+	o.NumPivots = numPivots(o.NumPivots, o.Nodes, rSize)
 	return o, nil
+}
+
+// numPivots resolves a NumPivots option for |R| = rSize on nodes nodes:
+// ≈ 2·√|R| when unset, clamped to [nodes, |R|].
+func numPivots(n, nodes, rSize int) int {
+	if n <= 0 {
+		n = int(2 * math.Sqrt(float64(rSize)))
+	}
+	return min(max(n, nodes), rSize)
+}
+
+// loadEnv builds a join's environment and loads R and S into it. The
+// caller closes the environment.
+func loadEnv(cfg driver.Config, r, s []Object) (*driver.Env, error) {
+	env, err := driver.NewEnv(cfg)
+	if err != nil {
+		return nil, fmt.Errorf("knnjoin: %w", err)
+	}
+	if err := env.LoadRS(r, s); err != nil {
+		env.Close()
+		return nil, fmt.Errorf("knnjoin: %w", err)
+	}
+	return env, nil
 }
 
 // Plan is one ranked candidate configuration produced by the cost-based
@@ -372,19 +387,16 @@ func JoinTo(r, s []Object, opts Options, each func(Result) error) (*Stats, error
 		return rep, nil
 	}
 
-	env, err := driver.NewEnv(driver.Config{
+	env, err := loadEnv(driver.Config{
 		Nodes: opts.Nodes, ChunkRecords: opts.ChunkRecords,
 		SpillDir: opts.SpillDir, MemLimit: opts.MemLimit,
 		Workers: opts.Workers, Faults: opts.Faults, TraceDir: opts.TraceDir,
 		Pprof: opts.Pprof,
-	})
+	}, r, s)
 	if err != nil {
-		return nil, fmt.Errorf("knnjoin: %w", err)
+		return nil, err
 	}
 	defer env.Close()
-	if err := env.LoadRS(r, s); err != nil {
-		return nil, fmt.Errorf("knnjoin: %w", err)
-	}
 	cluster, rf, sf, of := env.Cluster, driver.RFile, driver.SFile, driver.OutFile
 
 	var rep *Stats
@@ -452,7 +464,8 @@ func SelfJoin(objs []Object, opts Options) ([]Result, *Stats, error) {
 
 // RangeOptions configures RangeJoin.
 type RangeOptions struct {
-	// Radius is θ, the inclusive distance threshold. Required, ≥ 0.
+	// Radius is θ, the inclusive distance threshold. Required, ≥ 0 (not
+	// NaN).
 	Radius float64
 	// Metric is the distance measure; default L2.
 	Metric Metric
@@ -502,35 +515,24 @@ func RangeJoin(r, s []Object, opts RangeOptions) ([]Result, *Stats, error) {
 // JoinTo's contract: ascending R object ID, one reused Result per call,
 // and an error from each stops the join.
 func RangeJoinTo(r, s []Object, opts RangeOptions, each func(Result) error) (*Stats, error) {
-	if opts.Radius < 0 {
-		return nil, fmt.Errorf("knnjoin: RangeOptions.Radius must not be negative, got %g", opts.Radius)
+	if !(opts.Radius >= 0) { // NaN fails every comparison
+		return nil, fmt.Errorf("knnjoin: RangeOptions.Radius must be a non-negative number, got %g", opts.Radius)
 	}
 	if opts.Nodes <= 0 {
 		opts.Nodes = 4
 	}
-	if opts.NumPivots <= 0 {
-		opts.NumPivots = int(2 * math.Sqrt(float64(len(r))))
-	}
-	if opts.NumPivots < opts.Nodes {
-		opts.NumPivots = opts.Nodes
-	}
-	if opts.NumPivots > len(r) {
-		opts.NumPivots = len(r)
-	}
+	opts.NumPivots = numPivots(opts.NumPivots, opts.Nodes, len(r))
 	if len(r) == 0 || len(s) == 0 {
 		return &Stats{Algorithm: "range-join"}, nil
 	}
-	env, err := driver.NewEnv(driver.Config{
+	env, err := loadEnv(driver.Config{
 		Nodes: opts.Nodes, SpillDir: opts.SpillDir, MemLimit: opts.MemLimit,
 		Workers: opts.Workers, Faults: opts.Faults, TraceDir: opts.TraceDir,
-	})
+	}, r, s)
 	if err != nil {
-		return nil, fmt.Errorf("knnjoin: %w", err)
+		return nil, err
 	}
 	defer env.Close()
-	if err := env.LoadRS(r, s); err != nil {
-		return nil, fmt.Errorf("knnjoin: %w", err)
-	}
 	rep, err := rangejoin.Run(env.Cluster, driver.RFile, driver.SFile, driver.OutFile, rangejoin.Options{
 		Radius: opts.Radius, Metric: opts.Metric, NumPivots: opts.NumPivots,
 		PivotStrategy: opts.PivotStrategy, Seed: opts.Seed,
@@ -593,17 +595,14 @@ func ClosestPairs(r, s []Object, opts PairOptions) ([]Pair, *Stats, error) {
 	if len(r) == 0 || len(s) == 0 {
 		return nil, &Stats{Algorithm: "top-k pairs", K: opts.K}, nil
 	}
-	env, err := driver.NewEnv(driver.Config{
+	env, err := loadEnv(driver.Config{
 		Nodes: opts.Nodes, SpillDir: opts.SpillDir, MemLimit: opts.MemLimit,
 		Workers: opts.Workers, Faults: opts.Faults, TraceDir: opts.TraceDir,
-	})
+	}, r, s)
 	if err != nil {
-		return nil, nil, fmt.Errorf("knnjoin: %w", err)
+		return nil, nil, err
 	}
 	defer env.Close()
-	if err := env.LoadRS(r, s); err != nil {
-		return nil, nil, fmt.Errorf("knnjoin: %w", err)
-	}
 	pairs, rep, err := topk.Run(env.Cluster, driver.RFile, driver.SFile, driver.OutFile, topk.Options{
 		K: opts.K, Metric: opts.Metric, ExcludeSelf: opts.ExcludeSelf,
 		Unordered: opts.Unordered, Seed: opts.Seed,

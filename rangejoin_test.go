@@ -43,6 +43,9 @@ func TestRangeJoinValidationAndEdges(t *testing.T) {
 	if _, _, err := RangeJoin(objs, objs, RangeOptions{Radius: -1}); err == nil {
 		t.Error("negative radius accepted")
 	}
+	if _, _, err := RangeJoin(objs, objs, RangeOptions{Radius: math.NaN()}); err == nil {
+		t.Error("NaN radius accepted")
+	}
 	if got, st, err := RangeJoin(nil, objs, RangeOptions{Radius: 1}); err != nil || len(got) != 0 || st == nil {
 		t.Errorf("empty R: %v, %v, %v", got, st, err)
 	}
