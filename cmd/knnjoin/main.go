@@ -8,8 +8,8 @@
 //	knnjoin -r pts.csv -self -k 5 -algo hbrj -stats-only
 //	knnjoin -r pts.csv -self -k 20 -pairs -exclude-self -unordered
 //	knnjoin -r huge.csv -self -k 10 -mem-limit 256M   # out-of-core backend
-//	knnjoin -r pts.csv -self -k 10 -algo auto          # cost-based planner picks
-//	knnjoin -r pts.csv -self -k 10 -explain            # print ranked plans, run nothing
+//	knnjoin -r pts.csv -self -k 10 -algo auto          # Auto's rule picks
+//	knnjoin -r pts.csv -self -k 10 -explain            # print Auto's pick, run nothing
 //	knnjoin -r pts.csv -self -k 10 -workers 4          # multi-process cluster mode
 //
 // Input files hold one "id,x1,x2,..." line per object (see cmd/datagen).
@@ -31,7 +31,6 @@ import (
 	"knnjoin"
 	"knnjoin/internal/dataset"
 	"knnjoin/internal/obs"
-	"knnjoin/internal/planner"
 	"knnjoin/internal/stats"
 )
 
@@ -63,11 +62,11 @@ func run(args []string) error {
 	pairsMode := fs.Bool("pairs", false, "top-k closest pairs of R×S instead of a kNN join")
 	excludeSelf := fs.Bool("exclude-self", false, "with -pairs: drop pairs of an object with itself")
 	unordered := fs.Bool("unordered", false, "with -pairs: report each unordered pair once (rID < sID)")
-	radius := fs.Float64("range", 0, "θ-range join with this radius instead of a kNN join")
+	radius := fs.Float64("range", 0, "θ-range join with this radius (0 finds exact duplicates) instead of a kNN join")
 	covtype := fs.Bool("covtype", false, "inputs are UCI covtype.data[.gz] files (10 quantitative attributes)")
 	spillDir := fs.String("spill-dir", "", "out-of-core backend: spill DFS chunks and shuffle runs under this directory")
 	memLimitFlag := fs.String("mem-limit", "", "resident shuffle budget, e.g. 64M (spills to -spill-dir or a temp dir; with -workers it bounds the merge buffers)")
-	explain := fs.Bool("explain", false, "print the planner's ranked candidate plans and exit without joining")
+	explain := fs.Bool("explain", false, "print the configuration -algo auto runs, and why, and exit without joining")
 	workers := fs.Int("workers", 0, "run MapReduce jobs on this many worker processes (0 = goroutine workers in this process)")
 	traceDir := fs.String("trace", "", "write observability spans as JSONL under this directory (render with knntrace)")
 	pprofOn := fs.Bool("pprof", false, "with -workers: expose net/http/pprof on the coordinator's HTTP server")
@@ -77,6 +76,8 @@ func run(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	rangeSet := false
+	fs.Visit(func(f *flag.Flag) { rangeSet = rangeSet || f.Name == "range" })
 	if *cpuProfile != "" {
 		stop, err := obs.StartCPUProfile(*cpuProfile)
 		if err != nil {
@@ -136,20 +137,18 @@ func run(args []string) error {
 		}
 	}
 
+	opts := knnjoin.Options{
+		K: *k, Algorithm: algo, Metric: metric, Nodes: *nodes,
+		NumPivots: *numPivots, PivotStrategy: ps, GroupStrategy: gs, Seed: *seed,
+		SpillDir: *spillDir, MemLimit: memLimit, Workers: *workers,
+		TraceDir: *traceDir, Pprof: *pprofOn,
+	}
 	if *explain {
-		popts := planner.Options{
-			K: *k, Nodes: *nodes, Metric: metric, MemLimit: memLimit,
-			Seed: *seed, NumPivots: *numPivots,
-		}
-		ds, err := planner.Measure(r, s, popts)
+		plan, err := knnjoin.ExplainAuto(r, s, opts)
 		if err != nil {
 			return err
 		}
-		plans, err := planner.Plans(ds, popts)
-		if err != nil {
-			return err
-		}
-		fmt.Print(planner.Explain(ds, plans))
+		fmt.Println(plan)
 		return nil
 	}
 
@@ -162,7 +161,7 @@ func run(args []string) error {
 		each = func(knnjoin.Result) error { return nil }
 	}
 
-	if *radius > 0 {
+	if rangeSet {
 		st, err := knnjoin.RangeJoinTo(r, s, knnjoin.RangeOptions{
 			Radius: *radius, Metric: metric, Nodes: *nodes,
 			NumPivots: *numPivots, PivotStrategy: ps, Seed: *seed,
@@ -206,12 +205,7 @@ func run(args []string) error {
 		return out.Flush()
 	}
 
-	st, err := knnjoin.JoinTo(r, s, knnjoin.Options{
-		K: *k, Algorithm: algo, Metric: metric, Nodes: *nodes,
-		NumPivots: *numPivots, PivotStrategy: ps, GroupStrategy: gs, Seed: *seed,
-		SpillDir: *spillDir, MemLimit: memLimit, Workers: *workers,
-		TraceDir: *traceDir, Pprof: *pprofOn,
-	}, each)
+	st, err := knnjoin.JoinTo(r, s, opts, each)
 	if err != nil {
 		return err
 	}

@@ -210,44 +210,94 @@ func TestRunErrors(t *testing.T) {
 	}
 }
 
+// TestRunAutoAlgo: -algo auto runs Auto's rule, which picks PGBJ on
+// this input, so its rows are -algo pgbj's byte for byte.
 func TestRunAutoAlgo(t *testing.T) {
-	csv := writeTestCSV(t, 150, 9)
+	csv := writeTestCSV(t, 600, 9)
 	out, err := captureStdout(t, func() error {
 		return run([]string{"-r", csv, "-self", "-k", "2", "-algo", "auto", "-nodes", "2"})
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := len(strings.Split(strings.TrimSpace(out), "\n")); n != 300 {
-		t.Fatalf("got %d result lines, want 300", n)
+	if n := len(strings.Split(strings.TrimSpace(out), "\n")); n != 1200 {
+		t.Fatalf("got %d result lines, want 1200", n)
 	}
-	// Auto must match the manually picked algorithms bit for bit.
 	direct, err := captureStdout(t, func() error {
-		return run([]string{"-r", csv, "-self", "-k", "2", "-algo", "bruteforce", "-nodes", "2"})
+		return run([]string{"-r", csv, "-self", "-k", "2", "-algo", "pgbj", "-nodes", "2"})
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if out != direct {
-		t.Fatal("auto output differs from the exact join")
+		t.Fatal("auto output differs from the PGBJ join")
 	}
 }
 
+// TestRunExplain: -explain prints the rule's pick and reason, and joins
+// nothing.
 func TestRunExplain(t *testing.T) {
-	csv := writeTestCSV(t, 200, 10)
+	for _, c := range []struct {
+		n    int
+		want string
+	}{
+		{600, "plan pgbj pivots=48/random/geometric: "},
+		{200, "plan bruteforce: "},
+	} {
+		csv := writeTestCSV(t, c.n, 10)
+		out, err := captureStdout(t, func() error {
+			return run([]string{"-r", csv, "-self", "-k", "3", "-explain"})
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.HasPrefix(out, c.want) || strings.Count(out, "\n") != 1 {
+			t.Errorf("n=%d: explain printed %q, want one line starting %q", c.n, out, c.want)
+		}
+	}
+}
+
+// TestRunRangeZeroFindsDuplicatesOnly: -range 0 is a range join at
+// radius 0, not "no range join": on a self-join it prints each object's
+// self pair and its exact duplicates, nothing else.
+func TestRunRangeZeroFindsDuplicatesOnly(t *testing.T) {
+	base := dataset.Uniform(20, 3, 100, 11)
+	objs := make([]knnjoin.Object, 0, 3*len(base))
+	for range 3 {
+		for _, o := range base {
+			objs = append(objs, knnjoin.Object{ID: int64(len(objs)), Point: o.Point})
+		}
+	}
+	path := filepath.Join(t.TempDir(), "dups.csv")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := dataset.WriteCSV(f, objs); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
 	out, err := captureStdout(t, func() error {
-		return run([]string{"-r", csv, "-self", "-k", "3", "-explain"})
+		return run([]string{"-r", path, "-self", "-range", "0", "-nodes", "4"})
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"|R|=200", "score", "bruteforce"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("explain output missing %q:\n%s", want, out)
-		}
+	lines := strings.Split(strings.TrimSpace(out), "\n")
+	if len(lines) != 3*len(objs) {
+		t.Fatalf("got %d lines, want %d: each object, its self pair and its two duplicates", len(lines), 3*len(objs))
 	}
-	if strings.Contains(out, ",0,0") {
-		t.Error("explain mode still printed result pairs")
+	for _, line := range lines {
+		var rid, sid int64
+		var dist float64
+		if _, err := fmt.Sscanf(line, "%d,%d,%g", &rid, &sid, &dist); err != nil {
+			t.Fatalf("malformed line %q: %v", line, err)
+		}
+		if dist != 0 || rid%20 != sid%20 {
+			t.Fatalf("line %q pairs two distinct points", line)
+		}
 	}
 }
 

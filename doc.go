@@ -36,14 +36,13 @@
 // ExcludeSelf post-processes self-join results, the Parse* functions
 // turn CLI strings into the option enums.
 //
-// Callers who would rather not hand-pick the configuration can set
-// Options.Algorithm to Auto: the cost-based planner samples both
-// datasets, evaluates the paper's cost model (Theorem-7 replication,
-// Theorem-2 window selectivity, shuffle volume, spill pressure) across
-// every exact algorithm and a grid of tuning knobs, executes the
-// cheapest plan, and records the choice with its predictions in
-// Stats.Plan. AutoPlan returns the full ranked candidate list without
-// executing anything — EXPLAIN for kNN joins (cmd/knnplan is its CLI).
+// Callers who would rather not hand-pick the algorithm can set
+// Options.Algorithm to Auto: a fixed rule, read off measured runs of
+// every fixed plan (ARCHITECTURE.md, "Auto: the evidence table"), runs
+// PGBJ with the caller's pivot and grouping options, or the centralized
+// join when |R|·|S| is too small to be worth a MapReduce job, and
+// records the choice in Stats.Plan. ExplainAuto tells the choice
+// without joining.
 //
 // Joins larger than memory run on the out-of-core execution backend:
 // setting Options.SpillDir (or just Options.MemLimit) moves dataset

@@ -137,26 +137,17 @@ func ExampleLOF() {
 	// most anomalous: object 25 (LOF 20.3)
 }
 
-// Planning without executing: rank every candidate configuration for a
-// workload, then let Join run the winner by setting Algorithm to Auto.
-func ExampleAutoPlan() {
-	r := make([]knnjoin.Object, 512)
+// Asking which configuration Algorithm Auto runs, without joining.
+func ExampleExplainAuto() {
+	r := make([]knnjoin.Object, 1024)
 	for i := range r {
 		r[i] = knnjoin.Object{ID: int64(i), Point: knnjoin.Point{float64(i % 32), float64(i / 32)}}
 	}
-	plans, err := knnjoin.AutoPlan(r, r, knnjoin.Options{K: 4, Seed: 1})
+	plan, err := knnjoin.ExplainAuto(r, r, knnjoin.Options{K: 4})
 	if err != nil {
 		panic(err)
 	}
-	// plans[0] is the cheapest; approximate plans are flagged.
-	for _, p := range plans[:3] {
-		fmt.Printf("%s approx=%v predicted-replication=%.1f\n",
-			p.Algo, p.Approximate, float64(p.Predicted.ReplicasS)/float64(len(r)))
-	}
-	// Executing the pick — identical to running plans[0] by hand:
-	_, stats, err := knnjoin.Join(r, r, knnjoin.Options{K: 4, Algorithm: knnjoin.Auto, Seed: 1})
-	if err != nil {
-		panic(err)
-	}
-	fmt.Println("chosen:", stats.Plan.Algorithm)
+	fmt.Println(plan)
+	// Output:
+	// plan pgbj pivots=64/random/geometric: the default above the brute-force cut (ARCHITECTURE.md, "Auto: the evidence table")
 }

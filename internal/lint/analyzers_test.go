@@ -25,7 +25,7 @@ func TestAnalyzerScopes(t *testing.T) {
 		{MapRange, "knnjoin/internal/serve", true},
 		{MapRange, "knnjoin/internal/stats", false},
 		{SqrtFree, "knnjoin/internal/vector", true},
-		{SqrtFree, "knnjoin/internal/planner", false},
+		{SqrtFree, "knnjoin/internal/stats", false},
 		{QueryPure, "knnjoin/internal/vindex", true},
 		{QueryPure, "knnjoin/internal/serve", false},
 		{AtomicSnap, "knnjoin/internal/shard", true},

@@ -19,7 +19,6 @@ var exportedDocPaths = map[string]bool{
 	"internal/grouping":  true,
 	"internal/serve":     true,
 	"internal/vindex":    true,
-	"internal/planner":   true,
 	"internal/shard":     true,
 	"internal/lint":      true,
 	"internal/obs":       true,

@@ -8,8 +8,8 @@ import (
 )
 
 // MapRange guards the byte-identity contract against Go's randomized
-// map iteration order. In the shuffle engine, the driver packages, the
-// planner, and the serving tiers, anything that flows out of a
+// map iteration order. In the shuffle engine, the driver packages and
+// the serving tiers, anything that flows out of a
 // range-over-map in iteration order — emitted records, encoded wire
 // bytes, appended result slices, float accumulations — produces
 // different bytes on different runs. The analyzer flags every
@@ -26,7 +26,7 @@ var MapRange = &Analyzer{
 		"internal/driver", "internal/pgbj", "internal/hbrj", "internal/naive",
 		"internal/theta", "internal/zknn", "internal/lsh", "internal/topk",
 		"internal/rangejoin", "internal/setsim",
-		"internal/planner", "internal/serve", "internal/shard",
+		"internal/serve", "internal/shard",
 		"internal/obs",
 	),
 	Run: runMapRange,

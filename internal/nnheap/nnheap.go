@@ -144,9 +144,9 @@ func RestoreKHeap(k int, items []Candidate) (*KHeap, error) {
 			return nil, fmt.Errorf("nnheap: RestoreKHeap: max-heap invariant violated at index %d", i)
 		}
 	}
-	h := &KHeap{k: k, items: make([]Candidate, 0, k)}
-	h.items = append(h.items, items...)
-	return h, nil
+	// The array grows as candidates are pushed: a k read off the wire
+	// must not size an allocation.
+	return &KHeap{k: k, items: slices.Clone(items)}, nil
 }
 
 func (h *KHeap) up(i int) {

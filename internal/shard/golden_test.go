@@ -13,7 +13,6 @@ import (
 	"knnjoin/internal/mapreduce"
 	"knnjoin/internal/nnheap"
 	"knnjoin/internal/pgbj"
-	"knnjoin/internal/planner"
 	"knnjoin/internal/rangejoin"
 	"knnjoin/internal/stats"
 	"knnjoin/internal/vector"
@@ -31,8 +30,7 @@ import (
 //     visit order, empty cells included;
 //   - a range query skips empty cells before charging their pivot;
 //   - the router replays the single-node walk and adds its RPC and
-//     contacted-shard counts;
-//   - the planner's replay prices its plans from the same walk.
+//     contacted-shard counts.
 //
 // It lives in package shard because only here are the router's walk and
 // every layer below it in reach.
@@ -50,7 +48,6 @@ func TestGoldenCounts(t *testing.T) {
 	for _, in := range inputs {
 		goldenJoins(t, &b, &evaluated, in.name, in.r, in.s, in.radius)
 		goldenServing(t, &b, in.name, in.r, in.s, in.radius)
-		goldenPlans(t, &b, in.name, in.r, in.s)
 	}
 	b.WriteString(evaluated.String())
 	got, want := strings.Split(b.String(), "\n"), strings.Split(goldenWant, "\n")
@@ -204,26 +201,6 @@ func goldenServing(t *testing.T, b *strings.Builder, name string, r, s []codec.O
 	}
 }
 
-// goldenPlans records every ranked plan's predicted costs.
-func goldenPlans(t *testing.T, b *strings.Builder, name string, r, s []codec.Object) {
-	t.Helper()
-	opts := planner.Options{K: 5, Nodes: 4, Seed: 1}
-	ds, err := planner.Measure(r, s, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plans, err := planner.Plans(ds, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range plans {
-		pr := p.Predicted
-		fmt.Fprintf(b, "%s plan %q jobs=%d shuffle=%d/%d replicas=%d dist=%d maxred=%d spill=%d score=%016x\n",
-			name, p.Config(), pr.Jobs, pr.ShuffleRecords, pr.ShuffleBytes, pr.ReplicasS,
-			pr.DistComps, pr.MaxReducerComps, pr.SpillBytes, math.Float64bits(p.Score))
-	}
-}
-
 func hashCands(h interface{ Write([]byte) (int, error) }, cs []nnheap.Candidate) {
 	for _, c := range cs {
 		fmt.Fprintf(h, "%d:%x,", c.ID, math.Float64bits(c.Dist))
@@ -240,17 +217,11 @@ func hashObjects(h interface{ Write([]byte) (int, error) }, objs []codec.Object)
 
 // goldenWant was recorded before the Algorithm-3 walk moved into
 // voronoi.Walk; a change to any line is a change in what a walk computes
-// or charges. The forest10d plan lines alone were re-recorded when
-// the planner began pricing reducer blocks at the tier vector.AutoTier
-// gives them: 10-d groups scan quantized, so every score and with it
-// the ranking moved, while each plan's predicted counts did not. The
-// closing reducer-pivots lines count the |r,p_j| the join reducers
-// computed beside the ones they are charged (a share of pairs): they
-// were added when the reducers began deciding cells from the pivot gap.
-// The pgbj and pbj plan lines were re-recorded when job 2's value
-// dropped the tags its JoinKey already holds: their priced shuffle
-// bytes and scores moved, and with the scores the ranking; no other
-// count of any line did.
+// or charges. The closing reducer-pivots lines count the |r,p_j| the
+// join reducers computed beside the ones they are charged (a share of
+// pairs): they were added when the reducers began deciding cells from
+// the pivot gap. The cost-based planner's plan lines were removed with
+// the planner; no other line moved.
 const goldenWant = `osm2d pgbj pairs=106687 replicas=4836 out=500/a071276a9ab40a55
 osm2d pgbj-nohyperplane pairs=118601 replicas=4836 out=500/a071276a9ab40a55
 osm2d pgbj-nowindow pairs=126075 replicas=4836 out=500/a071276a9ab40a55
@@ -285,30 +256,6 @@ osm2d LInf router2-knn dist=17120 scanned=215 pruned=4649 ans=35f764ba7ac3e593 r
 osm2d LInf router2-range dist=10263 scanned=0 pruned=0 ans=3b3e80b3d192ce21 contacted=82
 osm2d LInf router4-knn dist=17120 scanned=215 pruned=4649 ans=35f764ba7ac3e593 rpcs=120 contacted=104
 osm2d LInf router4-range dist=10263 scanned=0 pruned=0 ans=3b3e80b3d192ce21 contacted=74
-osm2d plan "pgbj p=22 random/greedy" jobs=2 shuffle=4759/195119 replicas=4259 dist=87892 maxred=15842 spill=0 score=4153e70480000000
-osm2d plan "pgbj p=44 random/geometric" jobs=2 shuffle=4727/193807 replicas=4227 dist=131590 maxred=15893 spill=0 score=415455f6e0000000
-osm2d plan "pgbj p=22 random/geometric" jobs=2 shuffle=5347/219227 replicas=4847 dist=87892 maxred=15047 spill=0 score=41545cbb80000000
-osm2d plan "pgbj p=44 random/greedy" jobs=2 shuffle=5472/224352 replicas=4972 dist=131590 maxred=13680 spill=0 score=4154eb1c20000000
-osm2d plan "pgbj p=88 random/geometric" jobs=2 shuffle=4512/184992 replicas=4012 dist=224096 maxred=12929 spill=0 score=4155235a00000000
-osm2d plan "broadcast" jobs=1 shuffle=6500/351000 replicas=6000 dist=750000 maxred=187500 spill=0 score=4156312700000000
-osm2d plan "pgbj p=88 random/greedy" jobs=2 shuffle=5975/244975 replicas=5475 dist=224096 maxred=14654 spill=0 score=4156483cc0000000
-osm2d plan "pgbj p=22 farthest/geometric" jobs=2 shuffle=5397/221277 replicas=4897 dist=199395 maxred=73161 spill=0 score=41568c9d00000000
-osm2d plan "pgbj p=22 farthest/greedy" jobs=2 shuffle=5613/230133 replicas=5113 dist=199395 maxred=72353 spill=0 score=4156af2d00000000
-osm2d plan "pgbj p=88 farthest/geometric" jobs=2 shuffle=5292/216972 replicas=4792 dist=326150 maxred=59357 spill=0 score=4156d19320000000
-osm2d plan "pgbj p=44 farthest/geometric" jobs=2 shuffle=5220/214020 replicas=4720 dist=281496 maxred=86057 spill=0 score=4156f3b5c0000000
-osm2d plan "pgbj p=44 farthest/greedy" jobs=2 shuffle=5614/230174 replicas=5114 dist=281496 maxred=82834 spill=0 score=41571ff700000000
-osm2d plan "pgbj p=88 farthest/greedy" jobs=2 shuffle=5761/236201 replicas=5261 dist=326150 maxred=57504 spill=0 score=41572f7760000000
-osm2d plan "bruteforce" jobs=0 shuffle=0/0 replicas=0 dist=750000 maxred=187500 spill=0 score=4158519600000000
-osm2d plan "zknn" jobs=2 shuffle=7500/492000 replicas=4500 dist=30000 maxred=7500 spill=0 score=4158f52900000000
-osm2d plan "hbrj" jobs=2 shuffle=5000/316000 replicas=3000 dist=127445 maxred=31861 spill=0 score=41596b1ca0000000
-osm2d plan "lsh" jobs=2 shuffle=10000/656000 replicas=6000 dist=40000 maxred=10000 spill=0 score=415c30cc00000000
-osm2d plan "pbj p=22 random" jobs=3 shuffle=5000/264000 replicas=3000 dist=88355 maxred=11088 spill=0 score=415cd9b810000000
-osm2d plan "pbj p=44 random" jobs=3 shuffle=5000/264000 replicas=3000 dist=132746 maxred=11186 spill=0 score=415d50eee0000000
-osm2d plan "pbj p=22 farthest" jobs=3 shuffle=5000/264000 replicas=3000 dist=199440 maxred=36110 spill=0 score=415e040b00000000
-osm2d plan "pbj p=88 random" jobs=3 shuffle=5000/264000 replicas=3000 dist=225115 maxred=12278 spill=0 score=415e48fe90000000
-osm2d plan "theta" jobs=2 shuffle=5500/389000 replicas=1500 dist=750000 maxred=187500 spill=0 score=415e8bd300000000
-osm2d plan "pbj p=44 farthest" jobs=3 shuffle=5000/264000 replicas=3000 dist=281808 maxred=42952 spill=0 score=415ee13f00000000
-osm2d plan "pbj p=88 farthest" jobs=3 shuffle=5000/264000 replicas=3000 dist=326644 maxred=26661 spill=0 score=415f59a7c0000000
 forest10d pgbj pairs=151750 replicas=5637 out=500/c2a8d37c8493db2c
 forest10d pgbj-nohyperplane pairs=169546 replicas=5637 out=500/c2a8d37c8493db2c
 forest10d pgbj-nowindow pairs=190216 replicas=5637 out=500/c2a8d37c8493db2c
@@ -343,30 +290,6 @@ forest10d LInf router2-knn dist=21603 scanned=592 pruned=4272 ans=e728af80ae9e5d
 forest10d LInf router2-range dist=13866 scanned=0 pruned=0 ans=894665a8b374a16a contacted=118
 forest10d LInf router4-knn dist=21603 scanned=592 pruned=4272 ans=e728af80ae9e5d6c rpcs=402 contacted=185
 forest10d LInf router4-range dist=13866 scanned=0 pruned=0 ans=894665a8b374a16a contacted=167
-forest10d plan "pgbj p=44 random/geometric" jobs=2 shuffle=6167/647535 replicas=5667 dist=169294 maxred=23430 spill=0 score=415d775ad0000000
-forest10d plan "pgbj p=22 random/geometric" jobs=2 shuffle=6266/657930 replicas=5766 dist=152710 maxred=36976 spill=0 score=415d7b8cd0000000
-forest10d plan "pgbj p=22 random/greedy" jobs=2 shuffle=6429/675045 replicas=5929 dist=152710 maxred=33891 spill=0 score=415dcf1e90000000
-forest10d plan "pgbj p=44 random/greedy" jobs=2 shuffle=6356/667380 replicas=5856 dist=169294 maxred=23624 spill=0 score=415dd84110000000
-forest10d plan "pgbj p=88 random/geometric" jobs=2 shuffle=6001/630105 replicas=5501 dist=265655 maxred=24186 spill=0 score=415e30cac8000000
-forest10d plan "pgbj p=88 random/greedy" jobs=2 shuffle=6091/639555 replicas=5591 dist=265655 maxred=24732 spill=0 score=415e5eef48000000
-forest10d plan "broadcast" jobs=1 shuffle=6500/767000 replicas=6000 dist=750000 maxred=187500 spill=0 score=415e7bf480000000
-forest10d plan "pgbj p=88 farthest/geometric" jobs=2 shuffle=6171/647955 replicas=5671 dist=361642 maxred=62356 spill=0 score=415f9571f0000000
-forest10d plan "pgbj p=88 farthest/greedy" jobs=2 shuffle=6359/667695 replicas=5859 dist=361642 maxred=61628 spill=0 score=415ff5d4f0000000
-forest10d plan "zknn" jobs=2 shuffle=7500/876000 replicas=4500 dist=30000 maxred=7500 spill=0 score=416025e940000000
-forest10d plan "pgbj p=44 farthest/geometric" jobs=2 shuffle=6203/651315 replicas=5703 dist=302183 maxred=117047 spill=0 score=4160687ef0000000
-forest10d plan "pgbj p=44 farthest/greedy" jobs=2 shuffle=6326/664230 replicas=5826 dist=302183 maxred=117004 spill=0 score=416087c900000000
-forest10d plan "pbj p=22 random" jobs=3 shuffle=5000/520000 replicas=3000 dist=152749 maxred=27187 spill=0 score=41613da62c000000
-forest10d plan "pbj p=44 random" jobs=3 shuffle=5000/520000 replicas=3000 dist=169340 maxred=20335 spill=0 score=416154f090000000
-forest10d plan "theta" jobs=2 shuffle=5500/613000 replicas=1500 dist=750000 maxred=187500 spill=0 score=4161969040000000
-forest10d plan "pbj p=88 random" jobs=3 shuffle=5000/520000 replicas=3000 dist=265682 maxred=22420 spill=0 score=4161dc2f78000000
-forest10d plan "bruteforce" jobs=0 shuffle=0/0 replicas=0 dist=750000 maxred=187500 spill=0 score=4161e1a300000000
-forest10d plan "pbj p=44 farthest" jobs=3 shuffle=5000/520000 replicas=3000 dist=302258 maxred=48064 spill=0 score=41620f87f8000000
-forest10d plan "pbj p=88 farthest" jobs=3 shuffle=5000/520000 replicas=3000 dist=361702 maxred=35425 spill=0 score=416262faa8000000
-forest10d plan "pbj p=22 farthest" jobs=3 shuffle=5000/520000 replicas=3000 dist=440940 maxred=96485 spill=0 score=4162d236d0000000
-forest10d plan "lsh" jobs=2 shuffle=10000/1168000 replicas=6000 dist=40000 maxred=10000 spill=0 score=4162fcd700000000
-forest10d plan "hbrj" jobs=2 shuffle=5000/572000 replicas=3000 dist=319406 maxred=79851 spill=0 score=4164b31be0000000
-forest10d plan "pgbj p=22 farthest/geometric" jobs=2 shuffle=6246/655830 replicas=5746 dist=440881 maxred=350641 spill=0 score=4165933430000000
-forest10d plan "pgbj p=22 farthest/greedy" jobs=2 shuffle=6473/679665 replicas=5973 dist=440881 maxred=349816 spill=0 score=4165c8c320000000
 osm2d pgbj reducer-pivots evaluated=1960 charged=10690
 osm2d pgbj-nohyperplane reducer-pivots evaluated=2494 charged=10690
 osm2d pgbj-nowindow reducer-pivots evaluated=2173 charged=10690

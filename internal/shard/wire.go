@@ -211,6 +211,9 @@ func execScan(ix *vindex.Index, req *ScanRequest) (*ScanResponse, error) {
 	if req.QPart < 0 || req.QPart >= numPart {
 		return nil, fmt.Errorf("scan: query partition %d out of range [0,%d)", req.QPart, numPart)
 	}
+	if len(req.Q) != ix.Dim() {
+		return nil, fmt.Errorf("scan: query has %d coordinates, the index %d", len(req.Q), ix.Dim())
+	}
 	q := bitsPoint(req.Q)
 	heap, err := wireHeap(req.K, req.Heap)
 	if err != nil {
@@ -237,6 +240,9 @@ func execScan(ix *vindex.Index, req *ScanRequest) (*ScanResponse, error) {
 // execRangeScan runs one range-scan request — the /shard/range handler
 // core, shared with the in-process tests like execScan.
 func execRangeScan(ix *vindex.Index, req *RangeScanRequest) (*RangeScanResponse, error) {
+	if len(req.Q) != ix.Dim() {
+		return nil, fmt.Errorf("range scan: query has %d coordinates, the index %d", len(req.Q), ix.Dim())
+	}
 	q := bitsPoint(req.Q)
 	radius := math.Float64frombits(req.Radius)
 	numPart := ix.NumPartitions()

@@ -1,11 +1,16 @@
 package shard
 
 import (
+	"bytes"
+	"encoding/json"
 	"math"
+	"strings"
 	"testing"
 
+	"knnjoin/internal/dataset"
 	"knnjoin/internal/nnheap"
 	"knnjoin/internal/vector"
+	"knnjoin/internal/vindex"
 )
 
 // TestHeapWireRoundTrip: the wire form preserves the heap's internal
@@ -59,4 +64,60 @@ func TestPointBitsRoundTrip(t *testing.T) {
 			t.Fatalf("coordinate %d: %x → %x", i, math.Float64bits(p[i]), math.Float64bits(got[i]))
 		}
 	}
+}
+
+// TestExecRejectsRaggedQueries: a scan or range-scan request whose query
+// point does not have the index's dimensionality is an error (HTTP 400
+// at the shard's socket), not a panic in the distance kernels.
+func TestExecRejectsRaggedQueries(t *testing.T) {
+	ix := buildIndex(t, dataset.Uniform(200, 3, 100, 1))
+	for _, q := range [][]uint64{nil, pointBits(vector.Point{1}), pointBits(vector.Point{1, 2, 3, 4})} {
+		scan := &ScanRequest{K: 3, Q: q, Theta: math.Float64bits(math.Inf(1)), Parts: []ScanPart{{J: 0}}}
+		if _, err := execScan(ix, scan); err == nil || !strings.Contains(err.Error(), "coordinates") {
+			t.Errorf("scan with %d coordinates: err = %v, want a dimension error", len(q), err)
+		}
+		rng := &RangeScanRequest{Q: q, Radius: math.Float64bits(10), Parts: []RangePart{{J: 0, Hi: math.Float64bits(100)}}}
+		if _, err := execRangeScan(ix, rng); err == nil || !strings.Contains(err.Error(), "coordinates") {
+			t.Errorf("range scan with %d coordinates: err = %v, want a dimension error", len(q), err)
+		}
+	}
+}
+
+// FuzzExecScan: whatever JSON reaches a shard's socket, decoded as the
+// /shard/scan and /shard/range handlers decode it, execScan and
+// execRangeScan must return an error or a response, and never panic.
+func FuzzExecScan(f *testing.F) {
+	ix, err := vindex.Build(dataset.Uniform(200, 3, 100, 1), vindex.Options{Seed: 1})
+	if err != nil {
+		f.Fatal(err)
+	}
+	q := pointBits(vector.Point{50, 50, 50})
+	for _, req := range []any{
+		ScanRequest{K: 3, Q: q, QDist: math.Float64bits(1), Theta: math.Float64bits(math.Inf(1)),
+			Parts: []ScanPart{{J: 0, Gap: math.Float64bits(1)}, {J: 1, Gap: math.Float64bits(2)}}},
+		ScanRequest{K: 3, Q: q[:1], Theta: math.Float64bits(math.Inf(1)), Parts: []ScanPart{{J: 0}}},
+		ScanRequest{K: 1 << 40, Q: q, Theta: math.Float64bits(math.Inf(1)), Parts: []ScanPart{{J: 0}}},
+		RangeScanRequest{Q: q, Radius: math.Float64bits(20), Parts: []RangePart{{J: 0, Hi: math.Float64bits(100)}}},
+		RangeScanRequest{Q: q[:1], Radius: math.Float64bits(20), Parts: []RangePart{{J: 0}}},
+	} {
+		body, err := json.Marshal(req)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(body)
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		var scan ScanRequest
+		if json.NewDecoder(bytes.NewReader(body)).Decode(&scan) == nil {
+			if resp, err := execScan(ix, &scan); (resp == nil) == (err == nil) {
+				t.Fatalf("execScan returned %v and %v", resp, err)
+			}
+		}
+		var rng RangeScanRequest
+		if json.NewDecoder(bytes.NewReader(body)).Decode(&rng) == nil {
+			if resp, err := execRangeScan(ix, &rng); (resp == nil) == (err == nil) {
+				t.Fatalf("execRangeScan returned %v and %v", resp, err)
+			}
+		}
+	})
 }

@@ -69,44 +69,27 @@ type JobStat struct {
 	LoadedReducers int
 }
 
-// PlanInfo records what the cost-based planner chose and predicted for a
-// run whose configuration was planned rather than hand-picked (Algorithm
-// Auto, or an explicit AutoPlan). Predicted values are the cost model's
-// estimates; the Report's ShuffleBytes, Pairs and ReplicasS fields hold
-// the measured actuals the predictions are checked against.
+// PlanInfo records the configuration a run with Algorithm Auto resolved
+// to, and why.
 type PlanInfo struct {
 	// Algorithm, NumPivots, PivotStrategy and GroupStrategy are the
-	// chosen configuration (strategy fields are empty for algorithms
+	// chosen configuration (the last three are empty for algorithms
 	// without pivots).
 	Algorithm     string
 	NumPivots     int
 	PivotStrategy string
 	GroupStrategy string
-	// Score is the plan's predicted cost in the planner's nanosecond-like
-	// cost units; lower is better. Candidates is how many plans the
-	// chosen one was ranked against.
-	Score      float64
-	Candidates int
-	// PredictedShuffleBytes, PredictedDistComps and PredictedReplicasS
-	// are the cost model's estimates for the chosen plan.
-	PredictedShuffleBytes int64
-	PredictedDistComps    int64
-	PredictedReplicasS    int64
-	// Why is the planner's one-line human-readable justification.
+	// Why is the rule's one-line reason.
 	Why string
 }
 
-// String renders the chosen plan and its predictions on one line.
+// String renders the chosen configuration and its reason on one line.
 func (p *PlanInfo) String() string {
 	cfg := p.Algorithm
 	if p.NumPivots > 0 {
-		cfg = fmt.Sprintf("%s pivots=%d/%s", p.Algorithm, p.NumPivots, p.PivotStrategy)
-		if p.GroupStrategy != "" {
-			cfg += "/" + p.GroupStrategy
-		}
+		cfg = fmt.Sprintf("%s pivots=%d/%s/%s", p.Algorithm, p.NumPivots, p.PivotStrategy, p.GroupStrategy)
 	}
-	return fmt.Sprintf("plan %s score=%.3g predicted: shuffle=%s dist=%d repl=%d",
-		cfg, p.Score, FormatBytes(p.PredictedShuffleBytes), p.PredictedDistComps, p.PredictedReplicasS)
+	return fmt.Sprintf("plan %s: %s", cfg, p.Why)
 }
 
 // Report aggregates everything one join run measures.
@@ -163,8 +146,8 @@ type Report struct {
 	// pivot selection, which belongs to no job).
 	Jobs []JobStat
 
-	// Plan is set when the run's configuration was chosen by the
-	// cost-based planner (Algorithm Auto); nil for hand-picked runs.
+	// Plan is set when the run's configuration was chosen by Algorithm
+	// Auto's rule; nil for hand-picked runs.
 	Plan *PlanInfo
 }
 

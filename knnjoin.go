@@ -12,7 +12,6 @@ import (
 	"knnjoin/internal/naive"
 	"knnjoin/internal/pgbj"
 	"knnjoin/internal/pivot"
-	"knnjoin/internal/planner"
 	"knnjoin/internal/rangejoin"
 	"knnjoin/internal/stats"
 	"knnjoin/internal/theta"
@@ -77,11 +76,8 @@ const (
 	// et al., LSDS-IR'10; ref [15]): APPROXIMATE like ZKNN, with recall
 	// governed by the table count rather than the shift count.
 	LSH
-	// Auto delegates the choice to the cost-based planner: the join
-	// samples both datasets, evaluates the paper's cost model across
-	// every exact algorithm and its tuning grid, executes the cheapest
-	// plan, and records the chosen plan plus its predictions in Stats
-	// (see AutoPlan).
+	// Auto resolves to a configuration by a fixed rule (ExplainAuto
+	// tells which, and why) and records the choice in Stats.Plan.
 	Auto
 )
 
@@ -256,70 +252,40 @@ func loadEnv(cfg driver.Config, r, s []Object) (*driver.Env, error) {
 	return env, nil
 }
 
-// Plan is one ranked candidate configuration produced by the cost-based
-// planner: a concrete algorithm plus tuning knobs, the model's
-// prediction, and the score the ranking sorts by (lower is better).
-type Plan = planner.Plan
+// bruteForcePairs is the largest |R|·|S| at which Algorithm Auto runs
+// the centralized join: up to it, computing every distance costs less
+// than one MapReduce job ("Auto: the evidence table" in ARCHITECTURE.md).
+const bruteForcePairs = 1 << 18
 
-// Prediction is the cost model's estimate attached to each Plan: jobs,
-// shuffle volume, S replication, distance computations and spill
-// pressure.
-type Prediction = planner.Prediction
+// resolveAuto is Algorithm Auto's rule, read off the evidence table in
+// ARCHITECTURE.md: BruteForce up to bruteForcePairs (empty inputs
+// included), else PGBJ with the caller's NumPivots, PivotStrategy and
+// GroupStrategy. A sampled cost model used to choose; it picked no plan
+// that beat that default by more than the benchmark's bound, and its
+// planning cost more than the join. opts has its defaults resolved.
+func resolveAuto(rSize, sSize int, opts Options) (Options, *stats.PlanInfo) {
+	info := &stats.PlanInfo{}
+	if pairs := rSize * sSize; pairs <= bruteForcePairs {
+		opts.Algorithm = BruteForce
+		info.Why = fmt.Sprintf("|R|·|S| = %d ≤ %d: every distance costs less than one MapReduce job", pairs, bruteForcePairs)
+	} else {
+		opts.Algorithm, info.Why = PGBJ, "the default above the brute-force cut (ARCHITECTURE.md, \"Auto: the evidence table\")"
+		info.NumPivots = opts.NumPivots
+		info.PivotStrategy, info.GroupStrategy = opts.PivotStrategy.String(), opts.GroupStrategy.String()
+	}
+	info.Algorithm = opts.Algorithm.String()
+	return opts, info
+}
 
-// AutoPlan ranks every candidate configuration for joining r and s with
-// the given options: it samples both datasets, measures their shape
-// (intrinsic dimensionality, cluster skew), evaluates the paper's cost
-// model — Theorem-7 replication, Theorem-2 window selectivity, shuffle
-// volume, spill pressure under MemLimit — for each algorithm across a
-// grid of NumPivots, PivotStrategy and GroupStrategy, and returns the
-// plans sorted by ascending predicted cost. Approximate algorithms
-// (ZKNN, LSH) are ranked but flagged; Join with Algorithm Auto executes
-// the first exact plan. Options.NumPivots, when positive, pins the
-// pivot grid to that value; K is required and Seed makes planning
-// deterministic.
-func AutoPlan(r, s []Object, opts Options) ([]Plan, error) {
-	if opts.K <= 0 {
-		return nil, fmt.Errorf("knnjoin: Options.K must be positive, got %d", opts.K)
-	}
-	po := planner.Options{
-		K: opts.K, Nodes: opts.Nodes, Metric: opts.Metric,
-		MemLimit: opts.MemLimit, Seed: opts.Seed, NumPivots: opts.NumPivots,
-	}
-	ds, err := planner.Measure(r, s, po)
+// ExplainAuto returns the configuration Join runs for r and s under
+// Algorithm Auto, and why, without joining.
+func ExplainAuto(r, s []Object, opts Options) (*stats.PlanInfo, error) {
+	opts, err := opts.withDefaults(len(r))
 	if err != nil {
 		return nil, err
 	}
-	return planner.Plans(ds, po)
-}
-
-// resolveAuto runs the planner and pins the options to the winning
-// plan's configuration, returning the plan record Join stores in Stats.
-func resolveAuto(r, s []Object, opts Options) (Options, *stats.PlanInfo, error) {
-	if len(r) == 0 || len(s) == 0 {
-		// Nothing to sample; the centralized join handles the degenerate
-		// input without cluster overhead.
-		opts.Algorithm = BruteForce
-		return opts, nil, nil
-	}
-	plans, err := AutoPlan(r, s, opts)
-	if err != nil {
-		return opts, nil, err
-	}
-	best := planner.Best(plans, false)
-	if best == nil {
-		return opts, nil, fmt.Errorf("knnjoin: planner produced no executable plan")
-	}
-	algo, err := ParseAlgorithm(best.Algo)
-	if err != nil {
-		return opts, nil, err
-	}
-	opts.Algorithm = algo
-	if best.NumPivots > 0 {
-		opts.NumPivots = best.NumPivots
-		opts.PivotStrategy = best.PivotStrategy
-		opts.GroupStrategy = best.GroupStrategy
-	}
-	return opts, best.PlanInfo(len(plans)), nil
+	_, info := resolveAuto(len(r), len(s), opts)
+	return info, nil
 }
 
 // Join computes the kNN join of r and s — exact for every algorithm but
@@ -327,9 +293,8 @@ func resolveAuto(r, s []Object, opts Options) (Options, *stats.PlanInfo, error) 
 // min(K, |S|) neighbors ascending by distance (the approximate
 // algorithms may return fewer when their candidate structures miss).
 // The returned Stats expose the run's cost measures. With Algorithm
-// Auto the cost-based planner picks the algorithm and knobs first, and
-// Stats.Plan records the choice with its predictions. Join collects
-// what JoinTo streams.
+// Auto, Stats.Plan records the configuration the rule chose. Join
+// collects what JoinTo streams.
 func Join(r, s []Object, opts Options) ([]Result, *Stats, error) {
 	var results []Result
 	if len(r) > 0 {
@@ -353,19 +318,13 @@ func Join(r, s []Object, opts Options) ([]Result, *Stats, error) {
 // join's own output is read from its job's output file after the last
 // job, so the Stats are complete before each is first called.
 func JoinTo(r, s []Object, opts Options, each func(Result) error) (*Stats, error) {
-	var planInfo *stats.PlanInfo
-	if opts.Algorithm == Auto {
-		if opts.K <= 0 {
-			return nil, fmt.Errorf("knnjoin: Options.K must be positive, got %d", opts.K)
-		}
-		var err error
-		if opts, planInfo, err = resolveAuto(r, s, opts); err != nil {
-			return nil, err
-		}
-	}
 	opts, err := opts.withDefaults(len(r))
 	if err != nil {
 		return nil, err
+	}
+	var planInfo *stats.PlanInfo
+	if opts.Algorithm == Auto {
+		opts, planInfo = resolveAuto(len(r), len(s), opts)
 	}
 	if len(r) == 0 {
 		return &Stats{Algorithm: opts.Algorithm.String(), K: opts.K}, nil

@@ -193,11 +193,11 @@ lsh: RankReduce k=5 |R|=1200 |S|=1500 dims=3 nodes=4
   job lsh-bucket-join: shuffle=918000B/10800rec dist=14276 groups=3661 loaded=4
   job knn-merge: shuffle=259456B/4800rec dist=0 groups=1200 loaded=4
 auto: PGBJ-rg k=5 |R|=1200 |S|=1500 dims=3 nodes=4
-  pairs=251753 assign=32897/91800 reducer_pivot=14823/40800 shuffle=352555B/7195rec replicas_s=5995 makespan=67616 skew=1.01015
+  pairs=352196 assign=46614/186300 reducer_pivot=17314/82194 shuffle=341187B/6963rec replicas_s=5763 makespan=93411 skew=1.01565
   output_pairs=6000
   phases: [Pivot Selection, Data Partitioning, Index Merging, Partition Grouping, KNN Join]
-  job pgbj-partition: shuffle=0B/0rec dist=91800 groups=0 loaded=0
-  job pgbj-join: shuffle=352555B/7195rec dist=158270 groups=4 loaded=4
+  job pgbj-partition: shuffle=0B/0rec dist=186300 groups=0 loaded=0
+  job pgbj-join: shuffle=341187B/6963rec dist=158858 groups=4 loaded=4
 range: range-join k=0 |R|=1200 |S|=1500 dims=3 nodes=4
   pairs=292498 assign=46614/186300 reducer_pivot=13057/66888 shuffle=253428B/5172rec replicas_s=3972 makespan=130217 skew=1.07579
   output_pairs=1498
