@@ -116,7 +116,7 @@ func TestStatsJobsActuals(t *testing.T) {
 		}
 		return out
 	}
-	for _, a := range []Algorithm{PGBJ, PBJ, HBRJ, Broadcast, Theta, ZKNN, LSH} {
+	for _, a := range []Algorithm{PGBJ, PBJ, HBRJ, Broadcast, ZKNN} {
 		t.Run(a.String(), func(t *testing.T) {
 			st := run(a)
 			if len(st.Jobs) == 0 {

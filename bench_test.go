@@ -147,23 +147,12 @@ func BenchmarkJoinPGBJ(b *testing.B)      { benchmarkAlgorithm(b, PGBJ) }
 func BenchmarkJoinPBJ(b *testing.B)       { benchmarkAlgorithm(b, PBJ) }
 func BenchmarkJoinHBRJ(b *testing.B)      { benchmarkAlgorithm(b, HBRJ) }
 func BenchmarkJoinBroadcast(b *testing.B) { benchmarkAlgorithm(b, Broadcast) }
-func BenchmarkJoinTheta(b *testing.B)     { benchmarkAlgorithm(b, Theta) }
 func BenchmarkJoinZKNN(b *testing.B)      { benchmarkAlgorithm(b, ZKNN) }
-func BenchmarkJoinLSH(b *testing.B)       { benchmarkAlgorithm(b, LSH) }
 
 func BenchmarkZKNNRecallCost(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		r := experiments.NewRunner(benchCfg())
 		if _, err := r.ZKNN(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkLSHRecallCost(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r := experiments.NewRunner(benchCfg())
-		if _, err := r.LSH(); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -191,15 +180,6 @@ func BenchmarkReducerSkew(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		r := experiments.NewRunner(benchCfg())
 		if _, err := r.Skew(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkSetSimilarity(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r := experiments.NewRunner(benchCfg())
-		if _, err := r.SetSim(); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -48,7 +48,7 @@ func TestClusterModeMatchesInProcess(t *testing.T) {
 	skipClusterShort(t)
 	r := dataset.Uniform(300, 4, 100, 11)
 	s := dataset.Uniform(340, 4, 100, 12)
-	for _, alg := range []Algorithm{PGBJ, PBJ, HBRJ, Broadcast, ZKNN, Theta, LSH} {
+	for _, alg := range []Algorithm{PGBJ, PBJ, HBRJ, Broadcast, ZKNN} {
 		t.Run(alg.String(), func(t *testing.T) {
 			opts := Options{K: 3, Algorithm: alg, Nodes: 4, Seed: 5}
 			want, _, err := Join(r, s, opts)
@@ -359,7 +359,7 @@ func TestJoinToMatchesJoin(t *testing.T) {
 			return nil
 		}
 	}
-	for _, algo := range []Algorithm{PGBJ, PBJ, HBRJ, Broadcast, BruteForce, ZKNN, Theta, LSH, Auto} {
+	for _, algo := range []Algorithm{PGBJ, PBJ, HBRJ, Broadcast, BruteForce, ZKNN, Auto} {
 		base := Options{K: 4, Algorithm: algo, Seed: 3}
 		want, wantSt, err := Join(r, s, base)
 		if err != nil {

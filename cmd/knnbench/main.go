@@ -29,7 +29,7 @@ import (
 var order = []string{
 	"table2", "table3", "fig6", "fig7", "fig8", "fig9",
 	"fig10", "fig11", "fig12", "ablation", "grouping-cost",
-	"zknn", "lsh", "baselines", "topk", "range", "skew", "setsim", "centralized",
+	"zknn", "baselines", "topk", "range", "skew",
 }
 
 func main() {
@@ -154,8 +154,6 @@ func run(args []string) error {
 			res, err = r.GroupingCost()
 		case "zknn":
 			res, err = r.ZKNN()
-		case "lsh":
-			res, err = r.LSH()
 		case "baselines":
 			res, err = r.Baselines()
 		case "topk":
@@ -164,10 +162,6 @@ func run(args []string) error {
 			res, err = r.RangeJoinExp()
 		case "skew":
 			res, err = r.Skew()
-		case "setsim":
-			res, err = r.SetSim()
-		case "centralized":
-			res, err = r.Centralized()
 		}
 		if err != nil {
 			return fmt.Errorf("%s: %w", name, err)

@@ -51,7 +51,7 @@ func run(args []string) error {
 	sPath := fs.String("s", "", "CSV file of the inner dataset S")
 	self := fs.Bool("self", false, "self-join: use R as S")
 	k := fs.Int("k", 10, "number of nearest neighbors")
-	algoName := fs.String("algo", "pgbj", "algorithm: pgbj | pbj | hbrj | broadcast | theta | bruteforce | zknn | lsh | auto")
+	algoName := fs.String("algo", "pgbj", "algorithm: pgbj | pbj | hbrj | broadcast | bruteforce | zknn | auto")
 	metricName := fs.String("metric", "l2", "distance metric: l2 | l1 | linf")
 	nodes := fs.Int("nodes", 4, "simulated cluster nodes")
 	numPivots := fs.Int("pivots", 0, "number of pivots (0 = auto)")

@@ -172,7 +172,7 @@ func TestRunCovTypeInput(t *testing.T) {
 func TestRunAllAlgorithms(t *testing.T) {
 	csv := writeTestCSV(t, 80, 5)
 	var outputs []string
-	for _, algo := range []string{"pgbj", "pbj", "hbrj", "broadcast", "theta", "bruteforce"} {
+	for _, algo := range []string{"pgbj", "pbj", "hbrj", "broadcast", "bruteforce"} {
 		out, err := captureStdout(t, func() error {
 			return run([]string{"-r", csv, "-self", "-k", "3", "-algo", algo, "-nodes", "4"})
 		})
@@ -197,6 +197,8 @@ func TestRunErrors(t *testing.T) {
 		{"-r", csv},                // missing -s / -self
 		{"-r", "missing", "-self"}, // bad file
 		{"-r", csv, "-self", "-algo", "quantum"},
+		{"-r", csv, "-self", "-algo", "theta"},
+		{"-r", csv, "-self", "-algo", "lsh"},
 		{"-r", csv, "-self", "-metric", "hamming"},
 		{"-r", csv, "-self", "-pivot-strategy", "psychic"},
 		{"-r", csv, "-self", "-group-strategy", "astrology"},

@@ -7,9 +7,8 @@
 // neighbors in S. The package's flagship algorithm is PGBJ, the paper's
 // Voronoi-partitioning + grouping join; the baselines it was evaluated
 // against (PBJ, H-BRJ, the broadcast strategy and a centralized
-// brute-force join) and two approximate methods from its related work
-// (H-zkNNJ under ZKNN, RankReduce-style hashing under LSH) are provided
-// under the same API.
+// brute-force join) and one approximate method from its related work
+// (H-zkNNJ under ZKNN) are provided under the same API.
 //
 // # The API surface
 //
@@ -54,8 +53,8 @@
 //
 //	results, stats, err := knnjoin.Join(r, s, knnjoin.Options{K: 10})
 //
-// Every algorithm except the deliberately approximate ZKNN and LSH
-// returns exact results, verified equal to the brute-force oracle across
+// Every algorithm except the deliberately approximate ZKNN returns
+// exact results, verified equal to the brute-force oracle across
 // seed sweeps; they differ only in cost.
 //
 // See ARCHITECTURE.md at the repository root for the map from the

@@ -79,7 +79,7 @@ func KeyFloat64(key []byte) float64 {
 const RegionKeyGroupPrefix = 4
 
 // RegionKey builds the shuffle key of the block/region join jobs (H-BRJ,
-// 1-Bucket-Theta, broadcast): the reducer region id as grouping prefix,
+// broadcast): the reducer region id as grouping prefix,
 // then the source tag and object id, so a region's objects stream to the
 // reducer R-first in ascending id order — a deterministic order that no
 // reducer has to re-establish.

@@ -319,9 +319,9 @@ func RunJob(cluster *mapreduce.Cluster, rep *stats.Report, phase string, job *ma
 
 // CollectRSBlocks streams one reducer group of Tagged values into two
 // columnar Blocks, R and S, in arrival (key) order — the block form of
-// CollectRS shared by every region/bucket reducer (H-BRJ,
-// 1-Bucket-Theta, LSH buckets, broadcast). Each side decodes with a
-// constant number of allocations instead of two per point. The S block
+// CollectRS shared by the region reducers (H-BRJ, broadcast, top-k
+// pairs). Each side decodes with a constant number of allocations
+// instead of two per point. The S block
 // — the one the distance kernels sweep — is prepared with
 // vector.KernelAuto; the R block only sources queries and keeps its
 // plain float64 rows.
@@ -350,55 +350,6 @@ func CollectRSBlocks(values *mapreduce.Values) (rs, ss *vector.Block, err error)
 	}
 	ss.Prepare(vector.KernelAuto)
 	return rs, ss, nil
-}
-
-// joinBatchRows is the R-row batch width of JoinBlocksKNN: enough
-// queries to amortize streaming an S panel across the batch, few enough
-// that the per-query heaps stay cache-resident.
-const joinBatchRows = 64
-
-// JoinBlocksKNN emits one Result per R row — the row's k nearest S rows
-// — sweeping S in cache-sized panels across batches of R rows via the
-// query-batched kernels. It is the shared reduce loop of every region/
-// bucket reducer whose join is a full rBlk × sBlk nested loop
-// (1-Bucket-Theta regions, broadcast, LSH buckets): each S panel is
-// loaded once per batch of queries instead of once per query, and the
-// per-query results are bit-identical to the sequential NearestK loop.
-// It counts the scanned pairs ("pairs", also the task's work) and the
-// emitted neighbors ("result_pairs") on ctx.
-func JoinBlocksKNN(ctx *mapreduce.TaskContext, rBlk, sBlk *vector.Block, k int, m vector.Metric, emit mapreduce.Emit) {
-	squared := m == vector.L2
-	var heaps []*nnheap.KHeap
-	var qs []vector.Point
-	var cbuf []nnheap.Candidate
-	var nbuf []codec.Neighbor
-	var pairs, resultPairs int64
-	for base := 0; base < rBlk.Len(); base += joinBatchRows {
-		end := base + joinBatchRows
-		if end > rBlk.Len() {
-			end = rBlk.Len()
-		}
-		qs = qs[:0]
-		for row := base; row < end; row++ {
-			qs = append(qs, rBlk.At(row))
-		}
-		for len(heaps) < len(qs) {
-			heaps = append(heaps, nnheap.NewKHeap(k))
-		}
-		for _, h := range heaps[:len(qs)] {
-			h.Reset()
-		}
-		pairs += sBlk.NearestKBatch(qs, m, heaps[:len(qs)])
-		for i, row := 0, base; row < end; i, row = i+1, row+1 {
-			cbuf = heaps[i].AppendSorted(cbuf[:0])
-			nbuf = AppendNeighbors(nbuf[:0], cbuf, squared)
-			resultPairs += int64(len(nbuf))
-			emit(nil, codec.EncodeResult(codec.Result{RID: rBlk.IDs[row], Neighbors: nbuf}))
-		}
-	}
-	ctx.Counter("pairs", pairs)
-	ctx.Counter("result_pairs", resultPairs)
-	ctx.AddWork(pairs)
 }
 
 // AppendNeighbors converts sorted candidates into result neighbors,

@@ -597,7 +597,7 @@ func (r *Runner) All(w io.Writer) error {
 	}
 	for _, f := range []func() (*ExpResult, error){
 		r.Fig8, r.Fig9, r.Fig10, r.Fig11, r.Fig12,
-		r.Ablation, r.GroupingCost, r.ZKNN, r.LSH, r.Baselines, r.TopKPairs, r.RangeJoinExp, r.Skew, r.SetSim, r.Centralized,
+		r.Ablation, r.GroupingCost, r.ZKNN, r.Baselines, r.TopKPairs, r.RangeJoinExp, r.Skew,
 	} {
 		if err := run(f()); err != nil {
 			return err

@@ -230,21 +230,6 @@ func TestZKNNExperiment(t *testing.T) {
 	}
 }
 
-func TestLSHExperiment(t *testing.T) {
-	r := NewRunner(quickCfg())
-	res, err := r.LSH()
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows := res.Tables[0].Rows
-	if len(rows) != 6 { // exact + 4 table counts + H-zkNNJ
-		t.Fatalf("rows = %d, want 6", len(rows))
-	}
-	if rows[0][1] != "1" {
-		t.Fatalf("exact recall cell = %q, want 1", rows[0][1])
-	}
-}
-
 func TestBaselinesExperiment(t *testing.T) {
 	r := NewRunner(quickCfg())
 	res, err := r.Baselines()
@@ -252,8 +237,8 @@ func TestBaselinesExperiment(t *testing.T) {
 		t.Fatal(err)
 	}
 	rows := res.Tables[0].Rows
-	if len(rows) != 5 {
-		t.Fatalf("rows = %d, want 5", len(rows))
+	if len(rows) != 4 {
+		t.Fatalf("rows = %d, want 4", len(rows))
 	}
 	// The broadcast strategy replicates S to every node; nothing may
 	// replicate more.
@@ -279,23 +264,6 @@ func TestTopKPairsExperiment(t *testing.T) {
 	}
 }
 
-func TestSetSimExperiment(t *testing.T) {
-	r := NewRunner(quickCfg())
-	res, err := r.SetSim()
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows := res.Tables[0].Rows
-	if len(rows) != 3 {
-		t.Fatalf("rows = %d, want 3", len(rows))
-	}
-	for _, row := range rows {
-		if row[5] != "true" {
-			t.Fatalf("setsim row %v reported inexact results", row)
-		}
-	}
-}
-
 func TestSkewExperiment(t *testing.T) {
 	r := NewRunner(quickCfg())
 	res, err := r.Skew()
@@ -303,8 +271,8 @@ func TestSkewExperiment(t *testing.T) {
 		t.Fatal(err)
 	}
 	rows := res.Tables[0].Rows
-	if len(rows) != 6 { // 3 pivot strategies + H-BRJ + broadcast + theta
-		t.Fatalf("rows = %d, want 6", len(rows))
+	if len(rows) != 5 { // 3 pivot strategies + H-BRJ + broadcast
+		t.Fatalf("rows = %d, want 5", len(rows))
 	}
 	skewOf := func(row []string) float64 {
 		var v float64
@@ -342,23 +310,6 @@ func TestRangeJoinExperiment(t *testing.T) {
 	}
 }
 
-func TestCentralizedExperiment(t *testing.T) {
-	r := NewRunner(quickCfg())
-	res, err := r.Centralized()
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows := res.Tables[0].Rows
-	if len(rows) != 6 {
-		t.Fatalf("rows = %d, want 6 (nested loop, R-tree, MuX, Gorder, iDistance, vindex)", len(rows))
-	}
-	for _, row := range rows {
-		if row[3] != "true" {
-			t.Fatalf("method %q reported inexact results", row[0])
-		}
-	}
-}
-
 func TestAllRuns(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full experiment sweep in -short mode")
@@ -371,7 +322,7 @@ func TestAllRuns(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := b.String()
-	for _, name := range []string{"table2", "table3", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12", "ablation", "grouping-cost", "zknn", "lsh", "baselines", "topk", "range", "skew", "setsim", "centralized"} {
+	for _, name := range []string{"table2", "table3", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12", "ablation", "grouping-cost", "zknn", "baselines", "topk", "range", "skew"} {
 		if !strings.Contains(out, "== "+name) {
 			t.Fatalf("All output missing %s", name)
 		}

@@ -5,92 +5,21 @@ import (
 	"math"
 	"time"
 
-	"knnjoin/internal/codec"
 	"knnjoin/internal/driver"
-	"knnjoin/internal/lsh"
 	"knnjoin/internal/naive"
 	"knnjoin/internal/pgbj"
 	"knnjoin/internal/pivot"
 	"knnjoin/internal/rangejoin"
-	"knnjoin/internal/setsim"
 	"knnjoin/internal/stats"
-	"knnjoin/internal/theta"
 	"knnjoin/internal/topk"
 	"knnjoin/internal/vector"
-	"knnjoin/internal/zknn"
 )
-
-// LSH is an extension experiment: the RankReduce-style LSH join (ref
-// [15]) versus exact PGBJ and the other approximate method, H-zkNNJ —
-// the recall/cost frontier of both families the paper excludes from its
-// exact comparison.
-func (r *Runner) LSH() (*ExpResult, error) {
-	objs := r.ForestX(2)
-	k := r.cfg.K
-	exact, _ := naive.BruteForce(objs, objs, k, vector.L2)
-
-	tb := &stats.Table{Header: []string{"algo", "recall", "time", "selectivity (‰)", "shuffle"}}
-	addRow := func(name string, rep *stats.Report, results []codec.Result) {
-		tb.AddRow(name, zknn.Recall(results, exact), rep.TotalWall(),
-			rep.Selectivity()*1000, stats.FormatBytes(rep.ShuffleBytes))
-	}
-
-	pgbjRep, err := r.runAlgo("PGBJ", objs, k, r.cfg.Nodes, r.DefaultPivots())
-	if err != nil {
-		return nil, err
-	}
-	addRow("PGBJ (exact)", pgbjRep, exact)
-
-	for _, tables := range []int{1, 2, 4, 8} {
-		env, err := r.newSelfJoinEnv(objs, r.cfg.Nodes)
-		if err != nil {
-			return nil, err
-		}
-		rep, err := lsh.Run(env.Cluster, "R", "S", "out",
-			lsh.Options{K: k, Tables: tables, Seed: r.cfg.Seed})
-		if err != nil {
-			env.Close()
-			return nil, err
-		}
-		results, err := driver.ReadResults(env.FS, "out")
-		env.Close()
-		if err != nil {
-			return nil, err
-		}
-		addRow(fmt.Sprintf("RankReduce L=%d", tables), rep, results)
-	}
-
-	env, err := r.newSelfJoinEnv(objs, r.cfg.Nodes)
-	if err != nil {
-		return nil, err
-	}
-	defer env.Close()
-	zRep, err := zknn.Run(env.Cluster, "R", "S", "out", zknn.Options{K: k, Shifts: 3, Seed: r.cfg.Seed})
-	if err != nil {
-		return nil, err
-	}
-	zResults, err := driver.ReadResults(env.FS, "out")
-	if err != nil {
-		return nil, err
-	}
-	addRow("H-zkNNJ α=3", zRep, zResults)
-
-	return &ExpResult{
-		Name:   "lsh",
-		Title:  fmt.Sprintf("Approximate LSH join vs exact PGBJ and H-zkNNJ (Forest×2, %d objects, k=%d)", len(objs), k),
-		Tables: []*stats.Table{tb},
-		Notes: []string{
-			"extension beyond the paper: recall climbs with the table count L at proportional cost; " +
-				"on 10-d data random projections hold locality better than a 6-bit-per-dim z-order",
-		},
-	}, nil
-}
 
 // Baselines is an extension experiment realizing §3's shuffle-cost
 // discussion: every exact MapReduce framework in the repository on one
-// workload — the basic broadcast strategy (|R|+N·|S| shuffle), H-BRJ and
-// 1-Bucket-Theta (√N×√N cross-product tilings), PBJ (pruning without
-// grouping) and PGBJ (|R|+α·|S|).
+// workload — the basic broadcast strategy (|R|+N·|S| shuffle), H-BRJ
+// (a √N×√N cross-product tiling), PBJ (pruning without grouping) and
+// PGBJ (|R|+α·|S|).
 func (r *Runner) Baselines() (*ExpResult, error) {
 	objs := r.ForestX(5)
 	k, nodes := r.cfg.K, r.cfg.Nodes
@@ -109,15 +38,6 @@ func (r *Runner) Baselines() (*ExpResult, error) {
 			defer env.Close()
 			return naive.Broadcast(env.Cluster, "R", "S", "out",
 				naive.BroadcastOptions{K: k})
-		}},
-		{"1-Bucket-Theta", func() (*stats.Report, error) {
-			env, err := r.newSelfJoinEnv(objs, nodes)
-			if err != nil {
-				return nil, err
-			}
-			defer env.Close()
-			return theta.Run(env.Cluster, "R", "S", "out",
-				theta.Options{K: k, Seed: r.cfg.Seed})
 		}},
 		{"H-BRJ", func() (*stats.Report, error) {
 			return r.runAlgo("H-BRJ", objs, k, nodes, 0)
@@ -143,56 +63,7 @@ func (r *Runner) Baselines() (*ExpResult, error) {
 		Tables: []*stats.Table{tb},
 		Notes: []string{
 			"extension beyond the paper: §3's cost hierarchy realized — broadcast replicates S N times, " +
-				"the cross-product tilings √N times, PGBJ only α times; " +
-				"1-Bucket-Theta matches H-BRJ's costs but survives adversarial ID distributions",
-		},
-	}, nil
-}
-
-// SetSim is an extension experiment running the set-similarity join of
-// Vernica et al. (ref [16]) — the §7 related work whose techniques the
-// paper notes cannot be transferred to the kNN join. Implementing it on
-// the same MapReduce engine makes that comparison concrete: a different
-// join predicate (Jaccard threshold over token sets), a different
-// pruning idea (frequency-ordered prefix filtering), same runtime.
-func (r *Runner) SetSim() (*ExpResult, error) {
-	n := int(10000 * r.cfg.Scale)
-	if n < 300 {
-		n = 300
-	}
-	records := setsim.Baskets(n, n/4+50, 5, 15, 0.2, r.cfg.Seed)
-	cross := float64(n) * float64(n-1) / 2
-	tb := &stats.Table{Header: []string{"threshold", "time", "verified (‰ of cross)", "output pairs", "join skew", "exact"}}
-	for _, th := range []float64{0.5, 0.7, 0.9} {
-		env, err := r.newEnv(r.cfg.Nodes)
-		if err != nil {
-			return nil, err
-		}
-		if err := setsim.ToDFS(env.FS, "in", records); err != nil {
-			env.Close()
-			return nil, err
-		}
-		got, rep, err := setsim.Run(env.Cluster, "in", "out", setsim.Options{Threshold: th})
-		env.Close()
-		if err != nil {
-			return nil, err
-		}
-		want := setsim.BruteForce(records, th)
-		exact := len(got) == len(want)
-		for i := 0; exact && i < len(want); i++ {
-			exact = got[i].A == want[i].A && got[i].B == want[i].B
-		}
-		tb.AddRow(fmt.Sprintf("%.1f", th), rep.TotalWall(), float64(rep.Pairs)/cross*1000,
-			rep.OutputPairs, rep.JoinSkew, exact)
-	}
-	return &ExpResult{
-		Name:   "setsim",
-		Title:  fmt.Sprintf("Set-similarity join (ref [16], %d basket records, %d nodes)", n, r.cfg.Nodes),
-		Tables: []*stats.Table{tb},
-		Notes: []string{
-			"extension beyond the paper: the §7 technique that does NOT transfer to kNN joins, " +
-				"runnable on the same engine; prefix filtering verifies a shrinking sliver of the " +
-				"cross product as the threshold rises",
+				"H-BRJ's cross-product tiling √N times, PGBJ only α times",
 		},
 	}, nil
 }
@@ -223,19 +94,6 @@ func (r *Runner) Skew() (*ExpResult, error) {
 		}
 		tb.AddRow(base, rep.JoinSkew, rep.Phases[0].Wall, float64(rep.SimMakespan)/1e6)
 	}
-	thetaEnv, err := r.newSelfJoinEnv(objs, nodes)
-	if err != nil {
-		return nil, err
-	}
-	defer thetaEnv.Close()
-	thetaRep, err := theta.Run(thetaEnv.Cluster, "R", "S", "out",
-		theta.Options{K: k, Seed: r.cfg.Seed})
-	if err != nil {
-		return nil, err
-	}
-	tb.AddRow("1-Bucket-Theta", thetaRep.JoinSkew, thetaRep.PhaseWall("Region Join"),
-		float64(thetaRep.SimMakespan)/1e6)
-
 	return &ExpResult{
 		Name:   "skew",
 		Title:  fmt.Sprintf("Reducer load balance (Forest×2, %d objects, k=%d, %d nodes)", len(objs), k, nodes),

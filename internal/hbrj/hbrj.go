@@ -171,8 +171,8 @@ func blockJoinReduce(ctx *mapreduce.TaskContext, _ []byte, values *mapreduce.Val
 	return nil
 }
 
-// MergeJob builds the second MapReduce job shared by H-BRJ, PBJ,
-// 1-Bucket-Theta, H-zkNNJ and RankReduce: it groups partial kNN lists
+// MergeJob builds the second MapReduce job shared by H-BRJ, PBJ and
+// H-zkNNJ: it groups partial kNN lists
 // by R object — keyed by the object id's order-preserving binary
 // encoding, so each reducer emits its share in ascending-RID order (ids
 // are hash-scattered across reducers, so the concatenated file is only

@@ -10,10 +10,10 @@ import (
 // mapreduce.DefineKind is wire-safe: the spec crosses the
 // coordinator→worker process boundary as a gob blob, and gob's failure
 // modes are silent (unexported fields are dropped, nil and empty slices
-// collapse, funcs and chans refuse to encode only at runtime). Each of
-// these was a PR-7 bug class: lsh tables lost their unexported fields,
-// and zknn's shift slices came back nil where the in-process engine saw
-// empty. The analyzer walks the DefineKind type argument's full type
+// collapse, funcs and chans refuse to encode only at runtime). Both
+// silent modes have bitten here: a since-removed LSH join's hash tables
+// lost their unexported fields, and zknn's shift slices came back nil
+// where the in-process engine saw empty. The analyzer walks the DefineKind type argument's full type
 // graph and additionally flags nil-comparisons against the spec's slice
 // and map fields anywhere in the registering package, because after one
 // round-trip nil-vs-empty is no longer a meaningful distinction.

@@ -24,8 +24,7 @@ var MapRange = &Analyzer{
 	AppliesTo: inPackages(
 		"internal/mapreduce",
 		"internal/driver", "internal/pgbj", "internal/hbrj", "internal/naive",
-		"internal/theta", "internal/zknn", "internal/lsh", "internal/topk",
-		"internal/rangejoin", "internal/setsim",
+		"internal/zknn", "internal/topk", "internal/rangejoin",
 		"internal/serve", "internal/shard",
 		"internal/obs",
 	),

@@ -19,9 +19,8 @@ var SqrtFree = &Analyzer{
 		"reducer hot loops",
 	AppliesTo: inPackages(
 		"internal/vector", "internal/voronoi", "internal/vindex", "internal/driver", "internal/nnheap",
-		"internal/pgbj", "internal/hbrj", "internal/naive", "internal/theta",
-		"internal/zknn", "internal/lsh", "internal/topk", "internal/rangejoin",
-		"internal/setsim",
+		"internal/pgbj", "internal/hbrj", "internal/naive", "internal/zknn",
+		"internal/topk", "internal/rangejoin",
 	),
 	Run: runSqrtFree,
 }

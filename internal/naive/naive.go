@@ -167,6 +167,53 @@ func broadcastReduce(ctx *mapreduce.TaskContext, _ []byte, values *mapreduce.Val
 	if err != nil {
 		return err
 	}
-	driver.JoinBlocksKNN(ctx, rBlk, sBlk, opts.K, opts.Metric, emit)
+	joinBlocksKNN(ctx, rBlk, sBlk, opts.K, opts.Metric, emit)
 	return nil
+}
+
+// joinBatchRows is the R-row batch width of joinBlocksKNN: enough
+// queries to amortize streaming an S panel across the batch, few enough
+// that the per-query heaps stay cache-resident.
+const joinBatchRows = 64
+
+// joinBlocksKNN emits one Result per R row — the row's k nearest S rows
+// — sweeping S in cache-sized panels across batches of R rows via the
+// query-batched kernels, a full rBlk × sBlk nested loop: each S panel
+// is loaded once per batch of queries instead of once per query, and the
+// per-query results are bit-identical to the sequential NearestK loop.
+// It counts the scanned pairs ("pairs", also the task's work) and the
+// emitted neighbors ("result_pairs") on ctx.
+func joinBlocksKNN(ctx *mapreduce.TaskContext, rBlk, sBlk *vector.Block, k int, m vector.Metric, emit mapreduce.Emit) {
+	squared := m == vector.L2
+	var heaps []*nnheap.KHeap
+	var qs []vector.Point
+	var cbuf []nnheap.Candidate
+	var nbuf []codec.Neighbor
+	var pairs, resultPairs int64
+	for base := 0; base < rBlk.Len(); base += joinBatchRows {
+		end := base + joinBatchRows
+		if end > rBlk.Len() {
+			end = rBlk.Len()
+		}
+		qs = qs[:0]
+		for row := base; row < end; row++ {
+			qs = append(qs, rBlk.At(row))
+		}
+		for len(heaps) < len(qs) {
+			heaps = append(heaps, nnheap.NewKHeap(k))
+		}
+		for _, h := range heaps[:len(qs)] {
+			h.Reset()
+		}
+		pairs += sBlk.NearestKBatch(qs, m, heaps[:len(qs)])
+		for i, row := 0, base; row < end; i, row = i+1, row+1 {
+			cbuf = heaps[i].AppendSorted(cbuf[:0])
+			nbuf = driver.AppendNeighbors(nbuf[:0], cbuf, squared)
+			resultPairs += int64(len(nbuf))
+			emit(nil, codec.EncodeResult(codec.Result{RID: rBlk.IDs[row], Neighbors: nbuf}))
+		}
+	}
+	ctx.Counter("pairs", pairs)
+	ctx.Counter("result_pairs", resultPairs)
+	ctx.AddWork(pairs)
 }

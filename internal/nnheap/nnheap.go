@@ -32,11 +32,17 @@ type KHeap struct {
 }
 
 // NewKHeap returns a heap bounded to k candidates. k must be positive.
-func NewKHeap(k int) *KHeap {
+func NewKHeap(k int) *KHeap { return NewKHeapAmong(k, k) }
+
+// NewKHeapAmong returns a heap bounded to k candidates drawn from n
+// objects. It preallocates room for min(k, n) of them, so a k taken from
+// a request costs no more memory than the objects it searches; for
+// k ≤ n it is NewKHeap(k). k must be positive.
+func NewKHeapAmong(k, n int) *KHeap {
 	if k <= 0 {
 		panic("nnheap: k must be positive")
 	}
-	return &KHeap{k: k, items: make([]Candidate, 0, k)}
+	return &KHeap{k: k, items: make([]Candidate, 0, max(min(k, n), 0))}
 }
 
 // K returns the bound the heap was constructed with.

@@ -90,8 +90,27 @@ func TestKHeapReset(t *testing.T) {
 	}
 }
 
+// A k far above the objects searched is kept as the bound but sizes
+// nothing: the heap holds every object and never fills.
+func TestKHeapAmongHugeK(t *testing.T) {
+	h := NewKHeapAmong(1<<40, 3)
+	if cap(h.items) != 3 || h.K() != 1<<40 {
+		t.Fatalf("cap %d, K %d; want 3 and 1<<40", cap(h.items), h.K())
+	}
+	for i := 0; i < 3; i++ {
+		h.Push(Candidate{ID: int64(i), Dist: float64(3 - i)})
+	}
+	if h.Len() != 3 || h.Full() || h.Threshold(-1) != -1 {
+		t.Fatalf("len %d full %v: a heap of 3 with k = 2⁴⁰ must hold all and stay unfilled", h.Len(), h.Full())
+	}
+	if cap(NewKHeapAmong(5, 100).items) != 5 {
+		t.Fatal("k ≤ n must preallocate k, as NewKHeap does")
+	}
+}
+
 func TestKHeapPanics(t *testing.T) {
 	mustPanic(t, func() { NewKHeap(0) })
+	mustPanic(t, func() { NewKHeapAmong(0, 5) })
 	mustPanic(t, func() { NewKHeap(2).Top() })
 	mustPanic(t, func() { (&MinHeap{}).Peek() })
 }

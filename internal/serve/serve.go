@@ -475,9 +475,9 @@ func (s *Server) decode(w http.ResponseWriter, r *http.Request, dst any) bool {
 const batchChunk = 32
 
 // clampK bounds k by the index size: an index can never return more
-// than Len neighbors, and the vindex heaps allocate O(k), so the clamp
-// keeps a hostile k from forcing a huge allocation. Results for any
-// clamped k are the complete neighbor list.
+// than Len neighbors, so every k ≥ Len asks the same query and shares
+// one cache entry. Results for any clamped k are the complete neighbor
+// list.
 func clampK(k, n int) int {
 	if k > n {
 		return n

@@ -158,35 +158,45 @@ func TestValidatePointNonFinite(t *testing.T) {
 	}
 }
 
+// A k above the index size answers every neighbour, on /knn and on
+// /knn/batch. A hostile k must not force an O(k) allocation: 2⁴⁰
+// candidates would not fit in memory.
 func TestKNNKLargerThanN(t *testing.T) {
 	objs := dataset.Uniform(15, 2, 10, 3)
 	s := New(buildIndex(t, objs), "", Config{})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	code, body := post(t, ts, "/knn", knnBody(vector.Point{5, 5}, 100))
-	if code != http.StatusOK {
-		t.Fatalf("status %d: %s", code, body)
-	}
-	var resp KNNResponse
-	if err := json.Unmarshal(body, &resp); err != nil {
-		t.Fatal(err)
-	}
-	if len(resp.Neighbors) != 15 {
-		t.Fatalf("k>n returned %d neighbors, want all 15", len(resp.Neighbors))
-	}
+	for _, k := range []int{100, 2_000_000_000, 1 << 40} {
+		code, body := post(t, ts, "/knn", knnBody(vector.Point{5, 5}, k))
+		if code != http.StatusOK {
+			t.Fatalf("k=%d: status %d: %s", k, code, body)
+		}
+		var resp KNNResponse
+		if err := json.Unmarshal(body, &resp); err != nil {
+			t.Fatal(err)
+		}
+		if len(resp.Neighbors) != 15 {
+			t.Fatalf("k=%d returned %d neighbors, want all 15", k, len(resp.Neighbors))
+		}
 
-	// A hostile k must not force an O(k) allocation: it is clamped to
-	// the index size and still answers the complete neighbor list.
-	code, body = post(t, ts, "/knn", knnBody(vector.Point{5, 5}, 2_000_000_000))
-	if code != http.StatusOK {
-		t.Fatalf("huge-k status %d: %s", code, body)
-	}
-	if err := json.Unmarshal(body, &resp); err != nil {
-		t.Fatal(err)
-	}
-	if len(resp.Neighbors) != 15 {
-		t.Fatalf("huge k returned %d neighbors, want all 15", len(resp.Neighbors))
+		batch, _ := json.Marshal(BatchRequest{Queries: []KNNRequest{{Point: vector.Point{5, 5}, K: k}, {Point: vector.Point{1, 9}, K: k}}})
+		code, body = post(t, ts, "/knn/batch", string(batch))
+		if code != http.StatusOK {
+			t.Fatalf("batch k=%d: status %d: %s", k, code, body)
+		}
+		var bresp BatchResponse
+		if err := json.Unmarshal(body, &bresp); err != nil {
+			t.Fatal(err)
+		}
+		for i, raw := range bresp.Results {
+			if err := json.Unmarshal(raw, &resp); err != nil {
+				t.Fatal(err)
+			}
+			if len(resp.Neighbors) != 15 {
+				t.Fatalf("batch k=%d query %d returned %d neighbors, want all 15", k, i, len(resp.Neighbors))
+			}
+		}
 	}
 }
 

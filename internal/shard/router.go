@@ -160,7 +160,7 @@ func knnWalk(meta *vindex.Index, owner []int, gen int64, q vector.Point, k int, 
 		return nil, st, 0, nil
 	}
 	w, order, gaps := meta.StartKNN(q, k, &st.DistComputations)
-	heap := nnheap.NewKHeap(k)
+	heap := nnheap.NewKHeapAmong(k, meta.Len())
 	contacted := make(map[int]bool)
 	// local consumes partition j at the router when the walk skips or
 	// prunes it, and reports whether it did.

@@ -96,9 +96,12 @@ func TestKNNWalkByteIdentity(t *testing.T) {
 
 	for _, shards := range []int{1, 2, 3, 4, 7} {
 		owner, cells := AssignCells(ix, shards)
-		for trial := 0; trial < 30; trial++ {
+		for trial := 0; trial <= 30; trial++ {
 			q := dataset.Gaussian(1, 4, 8, 0.3, 100, int64(trial)+900)[0].Point
 			k := 1 + trial%12
+			if trial == 30 {
+				k = 1 << 40 // a hostile k: every object, and no heap sized by k
+			}
 			ls := newLocalScan(t, ix, cells)
 			got, gotSt, contacted, err := knnWalk(meta, owner, 1, q, k, ls.scan)
 			if err != nil {
@@ -108,8 +111,8 @@ func TestKNNWalkByteIdentity(t *testing.T) {
 			if gotSt != wantSt {
 				t.Fatalf("shards=%d trial=%d: stats differ: got %+v want %+v", shards, trial, gotSt, wantSt)
 			}
-			if len(got) != len(want) {
-				t.Fatalf("shards=%d trial=%d: got %d neighbors, want %d", shards, trial, len(got), len(want))
+			if len(got) != len(want) || len(got) != min(k, len(objs)) {
+				t.Fatalf("shards=%d trial=%d: got %d neighbors, want %d", shards, trial, len(got), min(k, len(objs)))
 			}
 			for i := range got {
 				if got[i].ID != want[i].ID || math.Float64bits(got[i].Dist) != math.Float64bits(want[i].Dist) {

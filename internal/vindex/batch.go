@@ -58,7 +58,7 @@ func (ix *Index) KNNBatchWithStats(qs []vector.Point, ks []int) ([][]nnheap.Cand
 		}
 		live = append(live, i)
 		walks[i], orders[i], gaps[i] = ix.StartKNN(q, ks[i], &stats[i].DistComputations)
-		heaps[i] = nnheap.NewKHeap(ks[i])
+		heaps[i] = nnheap.NewKHeapAmong(ks[i], ix.size)
 	}
 
 	// Round lockstep. byPart groups this round's queries by the

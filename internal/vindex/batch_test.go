@@ -116,9 +116,11 @@ func TestKNNBatchEmptyAndDegenerate(t *testing.T) {
 	if len(res) != 0 || len(st) != 0 {
 		t.Fatalf("empty batch returned %d/%d entries", len(res), len(st))
 	}
-	res = ix.KNNBatch([]vector.Point{{5, 5}}, 100)
-	if len(res[0]) != 50 {
-		t.Fatalf("k>n returned %d", len(res[0]))
+	for _, k := range []int{100, 1 << 40} {
+		res = ix.KNNBatch([]vector.Point{{5, 5}}, k)
+		if len(res[0]) != 50 {
+			t.Fatalf("k=%d > n returned %d", k, len(res[0]))
+		}
 	}
 }
 

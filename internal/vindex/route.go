@@ -41,7 +41,10 @@ func (ix *Index) Walk(own int, ownDist, theta float64) voronoi.Walk {
 // The distances accrue into distCount: |P| for the assignment, one per
 // partition with a kNN list for the bound, and the |P|−1 gaps. Each
 // |q,p_j| is computed once: the bound reads the gaps, and q's own gap is
-// the assignment's distance, which equals Metric.Dist bit for bit.
+// the assignment's distance, which equals Metric.Dist bit for bit. The
+// kNN lists hold at most Len entries, so a bound for more than Len
+// neighbours never fills and is +Inf: the bound is taken for at most
+// Len+1, and a k far above Len sizes no heap.
 func (ix *Index) StartKNN(q vector.Point, k int, distCount *int64) (w voronoi.Walk, order []int, gaps []float64) {
 	qPart, qDist := ix.AssignQuery(q, distCount)
 	gaps = make([]float64, ix.pp.NumPartitions())
@@ -53,7 +56,7 @@ func (ix *Index) StartKNN(q vector.Point, k int, distCount *int64) (w voronoi.Wa
 			*distCount++
 		}
 	}
-	theta := voronoi.KNNBound(k, 0, len(ix.sum.S), func(j int) (float64, []float64) {
+	theta := voronoi.KNNBound(min(k, ix.size+1), 0, len(ix.sum.S), func(j int) (float64, []float64) {
 		kd := ix.sum.S[j].KDists
 		if len(kd) == 0 {
 			return 0, nil

@@ -277,7 +277,7 @@ func (ix *Index) KNNWithStats(q vector.Point, k int) ([]nnheap.Candidate, Stats)
 		return nil, st
 	}
 	w, order, gaps := ix.StartKNN(q, k, &st.DistComputations)
-	heap := nnheap.NewKHeap(k)
+	heap := nnheap.NewKHeapAmong(k, ix.size)
 	var sc vector.Scratch
 	for _, j := range order {
 		ix.KNNStep(&w, j, q, gaps[j], heap, &sc, &st)

@@ -194,8 +194,10 @@ func TestKNNEdgeCases(t *testing.T) {
 	if got := ix.KNN(vector.Point{5, 5}, 0); got != nil {
 		t.Fatal("k=0 should return nil")
 	}
-	if got := ix.KNN(vector.Point{5, 5}, 100); len(got) != 20 {
-		t.Fatalf("k>n returned %d", len(got))
+	for _, k := range []int{100, 1 << 40} {
+		if got := ix.KNN(vector.Point{5, 5}, k); len(got) != 20 {
+			t.Fatalf("k=%d > n returned %d", k, len(got))
+		}
 	}
 	// k above BoundK still correct (starting bound falls back to +Inf).
 	ixSmall, err := Build(objs, Options{Seed: 1, BoundK: 2})

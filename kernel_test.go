@@ -22,7 +22,7 @@ func TestKernelTiersIdenticalJoins(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, alg := range []Algorithm{PGBJ, PBJ, Broadcast, Theta} {
+		for _, alg := range []Algorithm{PGBJ, PBJ, Broadcast} {
 			got, _, err := SelfJoin(objs, Options{K: 5, Algorithm: alg, Nodes: 4, Seed: 1})
 			if err != nil {
 				t.Fatalf("%v: %v", alg, err)

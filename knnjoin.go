@@ -8,13 +8,11 @@ import (
 	"knnjoin/internal/codec"
 	"knnjoin/internal/driver"
 	"knnjoin/internal/hbrj"
-	"knnjoin/internal/lsh"
 	"knnjoin/internal/naive"
 	"knnjoin/internal/pgbj"
 	"knnjoin/internal/pivot"
 	"knnjoin/internal/rangejoin"
 	"knnjoin/internal/stats"
-	"knnjoin/internal/theta"
 	"knnjoin/internal/topk"
 	"knnjoin/internal/vector"
 	"knnjoin/internal/zknn"
@@ -67,15 +65,6 @@ const (
 	// shift count) but not guaranteed; every reported distance is a true
 	// distance to a real S object.
 	ZKNN
-	// Theta is 1-Bucket-Theta (Okcan & Riedewald, SIGMOD'11): the
-	// random-tiling theta-join framework of the paper's related work
-	// (§7, ref [14]) evaluating the kNN predicate per matrix region.
-	// Exact, skew-proof, but computes the full cross product like HBRJ.
-	Theta
-	// LSH is a RankReduce-style locality-sensitive-hashing join (Stupar
-	// et al., LSDS-IR'10; ref [15]): APPROXIMATE like ZKNN, with recall
-	// governed by the table count rather than the shift count.
-	LSH
 	// Auto resolves to a configuration by a fixed rule (ExplainAuto
 	// tells which, and why) and records the choice in Stats.Plan.
 	Auto
@@ -96,10 +85,6 @@ func (a Algorithm) String() string {
 		return "bruteforce"
 	case ZKNN:
 		return "zknn"
-	case Theta:
-		return "theta"
-	case LSH:
-		return "lsh"
 	case Auto:
 		return "auto"
 	}
@@ -121,10 +106,6 @@ func ParseAlgorithm(s string) (Algorithm, error) {
 		return BruteForce, nil
 	case "zknn", "hzknnj", "approx":
 		return ZKNN, nil
-	case "theta", "1buckettheta", "onebuckettheta":
-		return Theta, nil
-	case "lsh", "rankreduce":
-		return LSH, nil
 	case "auto", "plan":
 		return Auto, nil
 	}
@@ -289,9 +270,9 @@ func ExplainAuto(r, s []Object, opts Options) (*stats.PlanInfo, error) {
 }
 
 // Join computes the kNN join of r and s — exact for every algorithm but
-// ZKNN and LSH. Results are ordered by R object ID; each holds
-// min(K, |S|) neighbors ascending by distance (the approximate
-// algorithms may return fewer when their candidate structures miss).
+// ZKNN. Results are ordered by R object ID; each holds min(K, |S|)
+// neighbors ascending by distance (ZKNN may return fewer when its
+// candidate sets miss).
 // The returned Stats expose the run's cost measures. With Algorithm
 // Auto, Stats.Plan records the configuration the rule chose. Join
 // collects what JoinTo streams.
@@ -382,15 +363,6 @@ func JoinTo(r, s []Object, opts Options, each func(Result) error) (*Stats, error
 			return nil, fmt.Errorf("knnjoin: ZKNN supports only the L2 metric (z-order locality is Euclidean)")
 		}
 		rep, err = zknn.Run(cluster, rf, sf, of, zknn.Options{K: opts.K, Seed: opts.Seed})
-	case Theta:
-		rep, err = theta.Run(cluster, rf, sf, of, theta.Options{
-			K: opts.K, Metric: opts.Metric, Seed: opts.Seed,
-		})
-	case LSH:
-		if opts.Metric != L2 {
-			return nil, fmt.Errorf("knnjoin: LSH supports only the L2 metric (the p-stable hash family is Euclidean)")
-		}
-		rep, err = lsh.Run(cluster, rf, sf, of, lsh.Options{K: opts.K, Seed: opts.Seed})
 	default:
 		return nil, fmt.Errorf("knnjoin: unknown algorithm %v", opts.Algorithm)
 	}

@@ -40,7 +40,7 @@ func TestAllAlgorithmsAgree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, alg := range []Algorithm{PGBJ, PBJ, HBRJ, Broadcast, Theta} {
+	for _, alg := range []Algorithm{PGBJ, PBJ, HBRJ, Broadcast} {
 		got, st, err := Join(objs, objs, Options{K: 5, Algorithm: alg, Nodes: 9, Seed: 1})
 		if err != nil {
 			t.Fatalf("%v: %v", alg, err)
@@ -88,43 +88,6 @@ func TestZKNNApproximateButPlausible(t *testing.T) {
 	// ZKNN rejects non-Euclidean metrics explicitly.
 	if _, _, err := SelfJoin(objs, Options{K: 5, Algorithm: ZKNN, Metric: L1}); err == nil {
 		t.Fatal("ZKNN with L1 accepted")
-	}
-}
-
-func TestLSHApproximateButPlausible(t *testing.T) {
-	objs := dataset.Uniform(1200, 3, 100, 21)
-	exact, _, err := SelfJoin(objs, Options{K: 5, Algorithm: BruteForce})
-	if err != nil {
-		t.Fatal(err)
-	}
-	approx, st, err := SelfJoin(objs, Options{K: 5, Algorithm: LSH, Nodes: 4, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Algorithm != "RankReduce" {
-		t.Fatalf("algorithm = %q", st.Algorithm)
-	}
-	if len(approx) != len(exact) {
-		t.Fatalf("rows = %d, want %d", len(approx), len(exact))
-	}
-	hits, total := 0, 0
-	for i := range exact {
-		want := make(map[int64]bool)
-		for _, nb := range exact[i].Neighbors {
-			want[nb.ID] = true
-		}
-		total += len(exact[i].Neighbors)
-		for _, nb := range approx[i].Neighbors {
-			if want[nb.ID] {
-				hits++
-			}
-		}
-	}
-	if recall := float64(hits) / float64(total); recall < 0.6 {
-		t.Fatalf("recall = %.3f, want ≥ 0.6 with default tables", recall)
-	}
-	if _, _, err := SelfJoin(objs, Options{K: 5, Algorithm: LSH, Metric: LInf}); err == nil {
-		t.Fatal("LSH with L∞ accepted")
 	}
 }
 
@@ -291,7 +254,7 @@ func TestParseAlgorithm(t *testing.T) {
 	cases := map[string]Algorithm{
 		"pgbj": PGBJ, "": PGBJ, "PBJ": PBJ, "h-brj": HBRJ, "hbrj": HBRJ,
 		"broadcast": Broadcast, "basic": Broadcast, "brute": BruteForce, "exact": BruteForce,
-		"zknn": ZKNN, "theta": Theta, "1-bucket-theta": Theta, "lsh": LSH, "rankreduce": LSH,
+		"zknn": ZKNN, "auto": Auto,
 	}
 	for in, want := range cases {
 		got, err := ParseAlgorithm(in)
@@ -299,10 +262,12 @@ func TestParseAlgorithm(t *testing.T) {
 			t.Errorf("ParseAlgorithm(%q) = %v, %v; want %v", in, got, err, want)
 		}
 	}
-	if _, err := ParseAlgorithm("quantum"); err == nil {
-		t.Error("unknown algorithm accepted")
+	for _, in := range []string{"quantum", "theta", "1-bucket-theta", "lsh", "rankreduce"} {
+		if _, err := ParseAlgorithm(in); err == nil {
+			t.Errorf("unknown algorithm %q accepted", in)
+		}
 	}
-	for _, a := range []Algorithm{PGBJ, PBJ, HBRJ, Broadcast, BruteForce, ZKNN, Theta, LSH} {
+	for _, a := range []Algorithm{PGBJ, PBJ, HBRJ, Broadcast, BruteForce, ZKNN, Auto} {
 		if a.String() == "" {
 			t.Error("empty algorithm name")
 		}

@@ -50,7 +50,7 @@ func TestSpillBackendMatchesInMemoryAcrossAlgorithms(t *testing.T) {
 	// replication), so map tasks must spill their runs.
 	const memLimit = 16 << 10
 
-	for _, alg := range []Algorithm{PGBJ, PBJ, HBRJ, Broadcast, ZKNN, Theta, LSH} {
+	for _, alg := range []Algorithm{PGBJ, PBJ, HBRJ, Broadcast, ZKNN} {
 		opts := Options{K: 4, Algorithm: alg, Nodes: 5, Seed: 3, ChunkRecords: 64}
 		want, _, err := Join(r, s, opts)
 		if err != nil {

@@ -6,8 +6,6 @@ import (
 	"testing"
 
 	"knnjoin/internal/dataset"
-	"knnjoin/internal/driver"
-	"knnjoin/internal/setsim"
 )
 
 // statsPinRun is one join of the Stats pin under an engine
@@ -18,15 +16,14 @@ type statsPinRun struct {
 	run  func(memLimit int64, workers int) (*Stats, error)
 }
 
-// statsPinRuns lists every driver the public API reaches — the nine
-// Join algorithms, the range join, the closest-pairs join — and the
-// set-similarity join, on small seeded inputs with several DFS splits,
-// each on four nodes.
+// statsPinRuns lists every driver the public API reaches — the seven
+// Join algorithms, the range join and the closest-pairs join — on small
+// seeded inputs with several DFS splits, each on four nodes.
 func statsPinRuns() []statsPinRun {
 	r := dataset.Uniform(1200, 3, 100, 41)
 	s := dataset.Uniform(1500, 3, 100, 42)
 	var runs []statsPinRun
-	for _, alg := range []Algorithm{PGBJ, PBJ, HBRJ, Broadcast, BruteForce, ZKNN, Theta, LSH, Auto} {
+	for _, alg := range []Algorithm{PGBJ, PBJ, HBRJ, Broadcast, BruteForce, ZKNN, Auto} {
 		runs = append(runs, statsPinRun{alg.String(), func(memLimit int64, workers int) (*Stats, error) {
 			_, st, err := Join(r, s, Options{K: 5, Algorithm: alg, Nodes: 4, Seed: 3,
 				ChunkRecords: 256, MemLimit: memLimit, Workers: workers})
@@ -42,18 +39,6 @@ func statsPinRuns() []statsPinRun {
 		statsPinRun{"pairs", func(memLimit int64, workers int) (*Stats, error) {
 			_, st, err := ClosestPairs(r, s, PairOptions{K: 50, Nodes: 4, Seed: 3,
 				MemLimit: memLimit, Workers: workers})
-			return st, err
-		}},
-		statsPinRun{"setsim", func(memLimit int64, workers int) (*Stats, error) {
-			env, err := driver.NewEnv(driver.Config{Nodes: 4, ChunkRecords: 256, MemLimit: memLimit, Workers: workers})
-			if err != nil {
-				return nil, err
-			}
-			defer env.Close()
-			if err := setsim.ToDFS(env.FS, "baskets", setsim.Baskets(800, 300, 4, 12, 0.1, 5)); err != nil {
-				return nil, err
-			}
-			_, st, err := setsim.Run(env.Cluster, "baskets", "out", setsim.Options{Threshold: 0.6})
 			return st, err
 		}},
 	)
@@ -180,18 +165,6 @@ zknn: H-zkNNJ k=5 |R|=1200 |S|=1500 dims=3 nodes=4
   phases: [Z Preprocessing, Candidate Join, Result Merging]
   job zknn-candidates: shuffle=920018B/14839rec dist=71825 groups=12 loaded=12
   job knn-merge: shuffle=360000B/3600rec dist=0 groups=1200 loaded=4
-theta: 1-Bucket-Theta k=5 |R|=1200 |S|=1500 dims=3 nodes=4
-  pairs=1800000 assign=0/0 reducer_pivot=0/0 shuffle=574800B/7800rec replicas_s=3000 makespan=450000 skew=1
-  output_pairs=6000
-  phases: [Region Join, Result Merging]
-  job theta-region-join: shuffle=334800B/5400rec dist=1800000 groups=4 loaded=4
-  job knn-merge: shuffle=240000B/2400rec dist=0 groups=1200 loaded=4
-lsh: RankReduce k=5 |R|=1200 |S|=1500 dims=3 nodes=4
-  pairs=14276 assign=0/0 reducer_pivot=0/0 shuffle=1177456B/15600rec replicas_s=6000 makespan=3681 skew=1.02296
-  output_pairs=5643
-  phases: [LSH Preprocessing, Bucket Join, Result Merging]
-  job lsh-bucket-join: shuffle=918000B/10800rec dist=14276 groups=3661 loaded=4
-  job knn-merge: shuffle=259456B/4800rec dist=0 groups=1200 loaded=4
 auto: PGBJ-rg k=5 |R|=1200 |S|=1500 dims=3 nodes=4
   pairs=352196 assign=46614/186300 reducer_pivot=17314/82194 shuffle=341187B/6963rec replicas_s=5763 makespan=93411 skew=1.01565
   output_pairs=6000
@@ -210,13 +183,6 @@ pairs: top-k pairs k=50 |R|=1200 |S|=1500 dims=3 nodes=4
   phases: [Threshold Estimation, Pair Join, Top-k Merge]
   job topk-pair-join: shuffle=159848B/3016rec dist=124838 groups=4 loaded=4
   job topk-merge: shuffle=5600B/200rec dist=0 groups=1 loaded=1
-setsim: set-similarity k=0 |R|=800 |S|=800 dims=0 nodes=4
-  pairs=29154 assign=0/0 reducer_pivot=0/0 shuffle=192104B/4474rec replicas_s=3017 makespan=7522 skew=1.01293
-  output_pairs=374
-  phases: [Token Ordering, RID-Pair Generation, Deduplication]
-  job setsim-token-count: shuffle=13152B/822rec dist=0 groups=360 loaded=4
-  job setsim-rid-pairs: shuffle=153552B/3017rec dist=29154 groups=358 loaded=4
-  job setsim-dedup: shuffle=25400B/635rec dist=0 groups=374 loaded=4
 `
 
 // Stats.OutputPairs counts the (r, neighbor) pairs a run returned. With
@@ -225,7 +191,7 @@ setsim: set-similarity k=0 |R|=800 |S|=800 dims=0 nodes=4
 func TestOutputPairsCountsReturnedNeighbors(t *testing.T) {
 	r := dataset.Uniform(20, 2, 100, 7)
 	s := dataset.Uniform(3, 2, 100, 8)
-	for _, alg := range []Algorithm{PGBJ, PBJ, HBRJ, Broadcast, BruteForce, ZKNN, Theta, LSH, Auto} {
+	for _, alg := range []Algorithm{PGBJ, PBJ, HBRJ, Broadcast, BruteForce, ZKNN, Auto} {
 		res, st, err := Join(r, s, Options{K: 5, Algorithm: alg, Nodes: 2, NumPivots: 2, Seed: 1})
 		if err != nil {
 			t.Fatalf("%v: %v", alg, err)
