@@ -3,11 +3,11 @@ package knnjoin
 // One benchmark per table and figure of the paper's evaluation (§6).
 // Each benchmark executes the corresponding experiment end to end at a
 // reduced scale so `go test -bench=.` finishes in minutes; use
-// `cmd/knnbench` for the full-scale reproduction and EXPERIMENTS.md for
-// recorded results. The benchmarks report the experiment's headline
-// metrics (selectivity, replication, shuffle bytes) as custom units so
-// regressions in pruning quality surface as benchmark regressions, not
-// just time.
+// `cmd/knnbench` for the full-scale reproduction and the "Evaluation
+// (§6)" section of PAPER.md for what the paper measured. The benchmarks
+// report the experiment's headline metrics (selectivity, replication,
+// shuffle bytes) as custom units so regressions in pruning quality
+// surface as benchmark regressions, not just time.
 
 import (
 	"io"

@@ -188,6 +188,26 @@ func TestRunAllAlgorithms(t *testing.T) {
 			t.Fatalf("algorithm %d output differs from pgbj", i)
 		}
 	}
+
+	// -k 2⁴⁰ on 50 objects lists all 50 neighbours of every object, the
+	// same lines from the distributed join and the centralized one.
+	tiny := writeTestCSV(t, 50, 6)
+	outputs = outputs[:0]
+	for _, algo := range []string{"pgbj", "bruteforce"} {
+		out, err := captureStdout(t, func() error {
+			return run([]string{"-r", tiny, "-self", "-k", "1099511627776", "-algo", algo})
+		})
+		if err != nil {
+			t.Fatalf("%s at k=2^40: %v", algo, err)
+		}
+		if n := len(strings.Split(strings.TrimSpace(out), "\n")); n != 50*50 {
+			t.Fatalf("%s at k=2^40: %d result lines, want %d", algo, n, 50*50)
+		}
+		outputs = append(outputs, out)
+	}
+	if outputs[0] != outputs[1] {
+		t.Fatal("pgbj output at k=2^40 differs from bruteforce")
+	}
 }
 
 func TestRunErrors(t *testing.T) {

@@ -65,7 +65,7 @@ type Config struct {
 	// temporary spill directory.
 	MemLimit int64
 	// Workers, when positive, runs every job on that many worker
-	// processes coordinated over RPC (see mapreduce.NewDistCluster)
+	// processes coordinated over RPC (see mapreduce.Config.Workers)
 	// instead of goroutine workers. Output is byte-identical either
 	// way. Worker processes always stage intermediate runs on disk;
 	// under a MemLimit their reducers merge within the same budget.
@@ -83,14 +83,6 @@ type Config struct {
 	// Pprof exposes net/http/pprof on the coordinator's HTTP server.
 	// Only meaningful with Workers > 0.
 	Pprof bool
-}
-
-// New builds an in-memory environment with nodes simulated nodes and the
-// given DFS chunk size (records per input split; ≤0 selects the DFS
-// default).
-func New(nodes, chunkRecords int) *Env {
-	fs := dfs.New(chunkRecords)
-	return &Env{FS: fs, Cluster: mapreduce.NewCluster(fs, nodes)}
 }
 
 // NewEnv builds an environment for the configuration. With a spill
@@ -124,7 +116,7 @@ func NewEnv(cfg Config) (*Env, error) {
 			return nil, fmt.Errorf("driver: spill dir: %w", err)
 		}
 	}
-	cluster, err := mapreduce.NewDistCluster(env.FS, cfg.Nodes, mapreduce.DistConfig{
+	cluster, err := mapreduce.NewCluster(env.FS, cfg.Nodes, mapreduce.Config{
 		Engine:      eng,
 		Workers:     cfg.Workers,
 		Faults:      cfg.Faults,

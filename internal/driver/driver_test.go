@@ -19,8 +19,20 @@ func obj(id int64, x float64) codec.Object {
 	return codec.Object{ID: id, Point: vector.Point{x}}
 }
 
+// newEnv builds an in-memory environment of nodes nodes and chunk
+// records per split.
+func newEnv(t *testing.T, nodes, chunk int) *Env {
+	t.Helper()
+	env, err := NewEnv(Config{Nodes: nodes, ChunkRecords: chunk})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(env.Close)
+	return env
+}
+
 func TestEnvLoadAndResults(t *testing.T) {
-	env := New(4, 2)
+	env := newEnv(t, 4, 2)
 	if err := env.LoadRS([]codec.Object{obj(1, 0), obj(2, 1)}, []codec.Object{obj(7, 5)}); err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +76,7 @@ func TestEnvLoadAndResults(t *testing.T) {
 // point they would meet inside a reducer, where Metric.Dist panics.
 func TestLoadRSRejectsMixedDimensions(t *testing.T) {
 	twoD := codec.Object{ID: 3, Point: vector.Point{1, 2}}
-	env := New(2, 0)
+	env := newEnv(t, 2, 0)
 	if err := env.LoadRS([]codec.Object{obj(1, 0), twoD}, nil); err == nil {
 		t.Error("mixed dims within R accepted")
 	}
@@ -80,7 +92,7 @@ func TestLoadRSRejectsMixedDimensions(t *testing.T) {
 }
 
 func TestReadResultsErrors(t *testing.T) {
-	env := New(1, 0)
+	env := newEnv(t, 1, 0)
 	if _, err := env.Results(); err == nil {
 		t.Error("missing output file must error")
 	}
@@ -106,7 +118,7 @@ func TestLoadRSRejectsNonFiniteCoordinates(t *testing.T) {
 			{"S", good, tainted, "S object 41"},
 			{"self-join", tainted, tainted, "R object 41"},
 		} {
-			err := New(2, 0).LoadRS(tc.r, tc.s)
+			err := newEnv(t, 2, 0).LoadRS(tc.r, tc.s)
 			if err == nil || !strings.Contains(err.Error(), tc.want) || !strings.Contains(err.Error(), "non-finite") {
 				t.Errorf("%s with %v: LoadRS = %v, want a non-finite-coordinate error naming %q", tc.name, bad, err, tc.want)
 			}

@@ -13,7 +13,7 @@
 // Each experiment returns rendered text tables whose rows correspond to
 // the series of the original table or figure. Absolute numbers differ
 // from the paper (different hardware, scale, and synthetic data); the
-// EXPERIMENTS.md file tracks the shape comparison.
+// "Evaluation (§6)" section of PAPER.md says what the paper measured.
 package experiments
 
 import (

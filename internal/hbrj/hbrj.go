@@ -87,20 +87,15 @@ func Run(cluster *mapreduce.Cluster, rFile, sFile, outFile string, opts Options)
 	return report, nil
 }
 
-// blockJoinSpec rebuilds the block-join job in a worker process. The
-// blocking factor and options travel through Side so the map and reduce
-// functions are capture-free.
+// blockJoinSpec rebuilds the block-join job in a worker process. It is
+// also the job's task state: the map and reduce functions are its
+// methods, reading the blocking factor and options from it.
 type blockJoinSpec struct {
 	RFile, SFile string
 	Output       string
 	Blocks       int
 	Opts         Options
 }
-
-const (
-	sideBlocks = "blocks"
-	sideOpts   = "opts"
-)
 
 var blockJoinKind = mapreduce.DefineKind("hbrj-block-join", buildBlockJoinJob)
 
@@ -112,19 +107,15 @@ func buildBlockJoinJob(s blockJoinSpec) *mapreduce.Job {
 		NumReducers:    s.Blocks * s.Blocks,
 		Partition:      mapreduce.Uint32Partition,
 		GroupKeyPrefix: codec.RegionKeyGroupPrefix,
-		Side: map[string]any{
-			sideBlocks: s.Blocks,
-			sideOpts:   s.Opts,
-		},
-		Map:    blockRouteMap,
-		Reduce: blockJoinReduce,
+		Map:            s.blockRouteMap,
+		Reduce:         s.blockJoinReduce,
 	}
 }
 
 // blockRouteMap replicates each object to its row or column of the b×b
 // reducer grid.
-func blockRouteMap(ctx *mapreduce.TaskContext, rec dfs.Record, emit mapreduce.Emit) error {
-	b := ctx.Side(sideBlocks).(int)
+func (s *blockJoinSpec) blockRouteMap(ctx *mapreduce.TaskContext, rec dfs.Record, emit mapreduce.Emit) error {
+	b := s.Blocks
 	t, err := codec.DecodeTagged(rec)
 	if err != nil {
 		return err
@@ -146,8 +137,8 @@ func blockRouteMap(ctx *mapreduce.TaskContext, rec dfs.Record, emit mapreduce.Em
 	return nil
 }
 
-func blockJoinReduce(ctx *mapreduce.TaskContext, _ []byte, values *mapreduce.Values, emit mapreduce.Emit) error {
-	opts := ctx.Side(sideOpts).(Options)
+func (s *blockJoinSpec) blockJoinReduce(ctx *mapreduce.TaskContext, _ []byte, values *mapreduce.Values, emit mapreduce.Emit) error {
+	opts := s.Opts
 	// Columnar decode; the R-tree's leaf points are views into the
 	// S block's flat backing store, so the bulk load copies no
 	// coordinates and the group costs a constant number of decode
@@ -182,13 +173,12 @@ func MergeJob(inFile, outFile string, k int) *mapreduce.Job {
 	return mergeKind.New(mergeSpec{Input: inFile, Output: outFile, K: k})
 }
 
-// mergeSpec rebuilds the merge job in a worker process.
+// mergeSpec rebuilds the merge job in a worker process; its K is the
+// reduce function's.
 type mergeSpec struct {
 	Input, Output string
 	K             int
 }
-
-const sideK = "k"
 
 var mergeKind = mapreduce.DefineKind("knn-merge", buildMergeJob)
 
@@ -197,9 +187,8 @@ func buildMergeJob(s mergeSpec) *mapreduce.Job {
 		Name:   "knn-merge",
 		Input:  []string{s.Input},
 		Output: s.Output,
-		Side:   map[string]any{sideK: s.K},
 		Map:    mergeMap,
-		Reduce: mergeReduce,
+		Reduce: s.mergeReduce,
 	}
 }
 
@@ -212,8 +201,8 @@ func mergeMap(_ *mapreduce.TaskContext, rec dfs.Record, emit mapreduce.Emit) err
 	return nil
 }
 
-func mergeReduce(ctx *mapreduce.TaskContext, key []byte, values *mapreduce.Values, emit mapreduce.Emit) error {
-	k := ctx.Side(sideK).(int)
+func (s *mergeSpec) mergeReduce(ctx *mapreduce.TaskContext, key []byte, values *mapreduce.Values, emit mapreduce.Emit) error {
+	k := s.K
 	rid := codec.KeyInt64(key)
 	// Partial lists may overlap (e.g. H-zkNNJ finds the same s
 	// under several shifts); a kNN list is a set, so dedupe by
@@ -235,7 +224,7 @@ func mergeReduce(ctx *mapreduce.TaskContext, key []byte, values *mapreduce.Value
 		ids = append(ids, id)
 	}
 	sort.Slice(ids, func(a, b int) bool { return ids[a] < ids[b] })
-	heap := nnheap.NewKHeap(k)
+	heap := nnheap.NewKHeapAmong(k, len(ids))
 	for _, id := range ids {
 		heap.Push(nnheap.Candidate{ID: id, Dist: best[id]})
 	}

@@ -13,10 +13,20 @@ import (
 	"knnjoin/internal/vector"
 )
 
+// newCluster builds an in-process cluster of nodes nodes over fs.
+func newCluster(t testing.TB, fs dfs.Store, nodes int) *mapreduce.Cluster {
+	t.Helper()
+	c, err := mapreduce.NewCluster(fs, nodes, mapreduce.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
 func runHBRJ(t testing.TB, rObjs, sObjs []codec.Object, opts Options, nodes int) ([]codec.Result, int64, int64) {
 	t.Helper()
 	fs := dfs.New(256)
-	cluster := mapreduce.NewCluster(fs, nodes)
+	cluster := newCluster(t, fs, nodes)
 	dataset.ToDFS(fs, "R", rObjs, codec.FromR)
 	dataset.ToDFS(fs, "S", sObjs, codec.FromS)
 	rep, err := Run(cluster, "R", "S", "out", opts)
@@ -129,7 +139,7 @@ func TestHBRJShuffleCostFormula(t *testing.T) {
 
 func TestHBRJValidation(t *testing.T) {
 	fs := dfs.New(0)
-	cluster := mapreduce.NewCluster(fs, 4)
+	cluster := newCluster(t, fs, 4)
 	if _, err := Run(cluster, "R", "S", "out", Options{K: 0}); err == nil {
 		t.Error("k=0 accepted")
 	}
@@ -140,7 +150,7 @@ func TestHBRJValidation(t *testing.T) {
 
 func TestMergeResultsKeepsKBest(t *testing.T) {
 	fs := dfs.New(0)
-	cluster := mapreduce.NewCluster(fs, 2)
+	cluster := newCluster(t, fs, 2)
 	partials := []codec.Result{
 		{RID: 1, Neighbors: []codec.Neighbor{{ID: 10, Dist: 3}, {ID: 11, Dist: 5}}},
 		{RID: 1, Neighbors: []codec.Neighbor{{ID: 12, Dist: 1}, {ID: 13, Dist: 4}}},

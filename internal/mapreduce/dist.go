@@ -14,14 +14,14 @@ import (
 	"knnjoin/internal/proc"
 )
 
-// DistConfig configures a distributed cluster: the scheduler in this
-// process plus Workers spawned worker processes (re-executions of the
-// current binary — main or TestMain must call RunWorkerIfSpawned). Jobs
-// submitted through Cluster.Run execute on the processes when they carry
-// a registered Kind; kindless jobs — and every job when Workers is zero —
+// Config configures a cluster: the scheduler in this process plus
+// Workers spawned worker processes (re-executions of the current binary
+// — main or TestMain must call RunWorkerIfSpawned). Jobs submitted
+// through Cluster.Run execute on the processes when they carry a
+// registered Kind; kindless jobs — and every job when Workers is zero —
 // run on goroutine workers of the same scheduler, under the same fault
-// plan and tracing.
-type DistConfig struct {
+// plan and tracing. The zero Config is the in-process engine.
+type Config struct {
 	// Workers is the number of worker processes; zero starts none.
 	Workers int
 
@@ -65,7 +65,7 @@ type DistConfig struct {
 	TraceParent obs.SpanContext
 }
 
-// defaultLease is the lease timeout when DistConfig leaves it zero.
+// defaultLease is the lease timeout when Config leaves it zero.
 const defaultLease = 800 * time.Millisecond
 
 // lease returns the configured lease timeout.
@@ -88,46 +88,6 @@ type workerProcs struct {
 
 	// metrics backs the coordinator's /metrics endpoint.
 	metrics *obs.Registry
-}
-
-// NewDistCluster starts a distributed cluster over fs: the scheduler,
-// tracing and fault plan of cfg, and cfg.Workers worker processes polling
-// a coordinator on loopback. The caller must Close the cluster to reap
-// the workers, the scratch directory and the trace files. The simulated
-// node count n governs NumReducers defaults, makespan accounting and the
-// number of goroutine workers, as on any cluster.
-func NewDistCluster(fs dfs.Store, n int, cfg DistConfig) (*Cluster, error) {
-	if cfg.Workers < 0 {
-		return nil, fmt.Errorf("mapreduce: DistConfig.Workers must not be negative, got %d", cfg.Workers)
-	}
-	c, err := NewClusterEngine(fs, n, cfg.Engine)
-	if err != nil {
-		return nil, err
-	}
-	c.cfg = cfg
-	for i := range c.injectors {
-		c.injectors[i] = newInjector(i, cfg.Faults)
-	}
-	if cfg.TraceDir != "" {
-		if c.tracer, err = obs.NewTracer(cfg.TraceDir, "coord"); err != nil {
-			return nil, err
-		}
-		for i := range c.tracers {
-			if c.tracers[i], err = obs.NewTracer(cfg.TraceDir, fmt.Sprintf("worker-%d", i)); err != nil {
-				c.Close()
-				return nil, err
-			}
-		}
-		c.rootSpan = c.tracer.StartSpan("cluster", cfg.TraceParent)
-		c.rootSpan.SetAttr("workers", fmt.Sprint(cfg.Workers))
-	}
-	if cfg.Workers > 0 {
-		if err := c.startProcs(); err != nil {
-			c.Close()
-			return nil, err
-		}
-	}
-	return c, nil
 }
 
 // startProcs brings up the coordinator's HTTP server and spawns the

@@ -3,9 +3,12 @@ package mapreduce
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math/rand"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"reflect"
 	"strings"
@@ -27,7 +30,7 @@ func TestMain(m *testing.M) {
 
 // testJobSpec parameterizes the toy jobs the distributed tests run.
 // One kind with a Mode switch keeps the registry surface small while
-// covering combiners, secondary sort, grouping prefixes and map-only
+// covering composite-key secondary sort, grouping prefixes and map-only
 // output contracts.
 type testJobSpec struct {
 	In, Out     string
@@ -42,7 +45,7 @@ var errBoom = errors.New("boom")
 
 // onBothTransports runs fn twice: with the workers as goroutines of this
 // process, and — unless -short — as cfg.Workers worker processes.
-func onBothTransports(t *testing.T, cfg DistConfig, fn func(t *testing.T, cfg DistConfig)) {
+func onBothTransports(t *testing.T, cfg Config, fn func(t *testing.T, cfg Config)) {
 	t.Run("goroutines", func(t *testing.T) {
 		local := cfg
 		local.Workers = 0
@@ -69,18 +72,6 @@ func buildTestJob(s testJobSpec) *Job {
 		binary.BigEndian.PutUint64(b[:], uint64(n))
 		return b[:]
 	}
-	sum := func(ctx *TaskContext, key []byte, values *Values, emit Emit) error {
-		var n int64
-		for {
-			v, ok := values.Next()
-			if !ok {
-				break
-			}
-			n += int64(binary.BigEndian.Uint64(v))
-		}
-		emit(key, count(n))
-		return nil
-	}
 	switch s.Mode {
 	case "wordcount":
 		job.Map = func(ctx *TaskContext, rec dfs.Record, emit Emit) error {
@@ -90,7 +81,6 @@ func buildTestJob(s testJobSpec) *Job {
 			}
 			return nil
 		}
-		job.Combine = sum
 		job.Reduce = func(ctx *TaskContext, key []byte, values *Values, emit Emit) error {
 			var n int64
 			for {
@@ -105,16 +95,15 @@ func buildTestJob(s testJobSpec) *Job {
 			return nil
 		}
 	case "grouped":
-		// Composite keys [group byte | record suffix], grouped on the
-		// first byte with values secondary-sorted by payload — the shape
-		// of the join drivers' pivot-distance ordering.
+		// Composite keys [group byte | payload], grouped on the first
+		// byte with values secondary-sorted by the key's payload suffix —
+		// the shape of the join drivers' pivot-distance ordering.
 		job.GroupKeyPrefix = 1
-		job.ValueCompare = bytes.Compare
 		job.Map = func(ctx *TaskContext, rec dfs.Record, emit Emit) error {
 			if len(rec) < 2 {
 				return fmt.Errorf("short record %q", rec)
 			}
-			emit([]byte{rec[0], rec[1]}, []byte(rec[1:]))
+			emit([]byte(rec), []byte(rec[1:]))
 			return nil
 		}
 		job.Reduce = func(ctx *TaskContext, key []byte, values *Values, emit Emit) error {
@@ -211,7 +200,7 @@ func runInProcess(t *testing.T, spec testJobSpec, input func(dfs.Store)) ([]dfs.
 	t.Helper()
 	fs := dfs.New(8)
 	input(fs)
-	js, err := NewCluster(fs, 4).Run(testKind.New(spec))
+	js, err := inProcess(fs, 4).Run(testKind.New(spec))
 	if err != nil {
 		t.Fatalf("in-process run: %v", err)
 	}
@@ -223,13 +212,13 @@ func runInProcess(t *testing.T, spec testJobSpec, input func(dfs.Store)) ([]dfs.
 }
 
 // runDist executes the spec's job on a fresh cluster of cfg's shape.
-func runDist(t *testing.T, spec testJobSpec, input func(dfs.Store), cfg DistConfig) ([]dfs.Record, *JobStats, error) {
+func runDist(t *testing.T, spec testJobSpec, input func(dfs.Store), cfg Config) ([]dfs.Record, *JobStats, error) {
 	t.Helper()
 	fs := dfs.New(8)
 	input(fs)
-	c, err := NewDistCluster(fs, 4, cfg)
+	c, err := NewCluster(fs, 4, cfg)
 	if err != nil {
-		t.Fatalf("NewDistCluster: %v", err)
+		t.Fatalf("NewCluster: %v", err)
 	}
 	t.Cleanup(func() { c.Close() })
 	js, err := c.Run(testKind.New(spec))
@@ -246,7 +235,7 @@ func runDist(t *testing.T, spec testJobSpec, input func(dfs.Store), cfg DistConf
 // assertIdentical compares a run on cfg's cluster against the fault-free
 // in-process reference: byte-identical output and matching deterministic
 // stats, every task committed by worker processes iff there are any.
-func assertIdentical(t *testing.T, spec testJobSpec, input func(dfs.Store), cfg DistConfig) (*JobStats, *JobStats) {
+func assertIdentical(t *testing.T, spec testJobSpec, input func(dfs.Store), cfg Config) (*JobStats, *JobStats) {
 	t.Helper()
 	want, wantJS := runInProcess(t, spec, input)
 	got, gotJS, err := runDist(t, spec, input, cfg)
@@ -288,9 +277,9 @@ func firstDiff(got, want []dfs.Record) string {
 
 func TestDistWordCountMatchesInProcess(t *testing.T) {
 	spec := testJobSpec{In: "in", Out: "out", NumReducers: 4, Mode: "wordcount"}
-	gotJS, wantJS := assertIdentical(t, spec, wordRecords("in", 200), DistConfig{Workers: 3})
-	// The combiner makes shuffle volume deterministic, so it must agree
-	// across engines too.
+	gotJS, wantJS := assertIdentical(t, spec, wordRecords("in", 200), Config{Workers: 3})
+	// Shuffle volume is deterministic, so it must agree across engines
+	// too.
 	if gotJS.ShuffleRecords != wantJS.ShuffleRecords || gotJS.ShuffleBytes != wantJS.ShuffleBytes {
 		t.Fatalf("shuffle = %d recs/%d bytes, want %d/%d",
 			gotJS.ShuffleRecords, gotJS.ShuffleBytes, wantJS.ShuffleRecords, wantJS.ShuffleBytes)
@@ -312,18 +301,18 @@ func TestDistWordCountMatchesInProcess(t *testing.T) {
 
 func TestDistGroupedSecondarySortMatchesInProcess(t *testing.T) {
 	spec := testJobSpec{In: "in", Out: "out", NumReducers: 3, Mode: "grouped"}
-	assertIdentical(t, spec, groupRecords("in", 150), DistConfig{Workers: 3})
+	assertIdentical(t, spec, groupRecords("in", 150), Config{Workers: 3})
 }
 
 func TestDistMapOnlyMatchesInProcess(t *testing.T) {
 	spec := testJobSpec{In: "in", Out: "out", NumReducers: 2, Mode: "maponly"}
-	assertIdentical(t, spec, wordRecords("in", 90), DistConfig{Workers: 3})
+	assertIdentical(t, spec, wordRecords("in", 90), Config{Workers: 3})
 }
 
 func TestDistEmptyInput(t *testing.T) {
 	empty := func(fs dfs.Store) { fs.Write("in", nil) }
 	spec := testJobSpec{In: "in", Out: "out", NumReducers: 2, Mode: "wordcount"}
-	got, _, err := runDist(t, spec, empty, DistConfig{Workers: 2})
+	got, _, err := runDist(t, spec, empty, Config{Workers: 2})
 	if err != nil {
 		t.Fatalf("distributed run: %v", err)
 	}
@@ -337,7 +326,7 @@ func TestDistEmptyInput(t *testing.T) {
 func TestDistKindlessJobFallsBackInProcess(t *testing.T) {
 	fs := dfs.New(8)
 	wordRecords("in", 40)(fs)
-	c, err := NewDistCluster(fs, 4, DistConfig{Workers: 2})
+	c, err := NewCluster(fs, 4, Config{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -366,7 +355,7 @@ func TestDistTaskErrorRetriesThenSucceeds(t *testing.T) {
 		{Worker: -1, Task: "t-wordcount/map/0", Attempt: 2, Point: AtPreCommit, Action: ActError},
 	}}
 	spec := testJobSpec{In: "in", Out: "out", NumReducers: 2, Mode: "wordcount", MaxAttempts: 3}
-	onBothTransports(t, DistConfig{Workers: 3, Faults: plan}, func(t *testing.T, cfg DistConfig) {
+	onBothTransports(t, Config{Workers: 3, Faults: plan}, func(t *testing.T, cfg Config) {
 		assertIdentical(t, spec, wordRecords("in", 60), cfg)
 	})
 }
@@ -377,7 +366,7 @@ func TestDistTaskErrorExhaustsAttempts(t *testing.T) {
 		{Worker: -1, Task: "t-wordcount/reduce/1", Attempt: 2, Point: AtTaskStart, Action: ActError},
 	}}
 	spec := testJobSpec{In: "in", Out: "out", NumReducers: 2, Mode: "wordcount", MaxAttempts: 2}
-	onBothTransports(t, DistConfig{Workers: 2, Faults: plan}, func(t *testing.T, cfg DistConfig) {
+	onBothTransports(t, Config{Workers: 2, Faults: plan}, func(t *testing.T, cfg Config) {
 		_, _, err := runDist(t, spec, wordRecords("in", 60), cfg)
 		if err == nil {
 			t.Fatal("job with an always-failing task succeeded")
@@ -395,7 +384,7 @@ func TestDistTaskErrorExhaustsAttempts(t *testing.T) {
 func TestDistFailedAttemptCountersDiscarded(t *testing.T) {
 	four := func(fs dfs.Store) { fs.Write("in", []dfs.Record{[]byte("a"), []byte("b"), []byte("c"), []byte("d")}) }
 	spec := testJobSpec{In: "in", Out: "out", NumReducers: 2, Mode: "countfail", MaxAttempts: 2}
-	onBothTransports(t, DistConfig{Workers: 1}, func(t *testing.T, cfg DistConfig) {
+	onBothTransports(t, Config{Workers: 1}, func(t *testing.T, cfg Config) {
 		_, js, err := runDist(t, spec, four, cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -413,7 +402,7 @@ func TestTaskErrorUnwraps(t *testing.T) {
 	fs := dfs.New(8)
 	fs.Write("in", []dfs.Record{[]byte("a"), []byte("b"), []byte("c")})
 	job := buildTestJob(testJobSpec{In: "in", Out: "out", NumReducers: 2, Mode: "countfail"})
-	if _, err := NewCluster(fs, 2).Run(job); !errors.Is(err, errBoom) {
+	if _, err := inProcess(fs, 2).Run(job); !errors.Is(err, errBoom) {
 		t.Fatalf("err = %v, want one that unwraps to errBoom", err)
 	}
 }
@@ -427,10 +416,10 @@ func TestDistFanInMultiPassMerge(t *testing.T) {
 		t.Skip("spawns worker processes; skipped with -short")
 	}
 	spec := testJobSpec{In: "in", Out: "out", NumReducers: 4, Mode: "wordcount"}
-	run := func(cfg DistConfig) ([]dfs.Record, *JobStats) {
+	run := func(cfg Config) ([]dfs.Record, *JobStats) {
 		fs := dfs.New(4) // 60 map tasks
 		writeLines(fs, "in", randomLines(240)...)
-		c, err := NewDistCluster(fs, 4, cfg)
+		c, err := NewCluster(fs, 4, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -445,8 +434,8 @@ func TestDistFanInMultiPassMerge(t *testing.T) {
 		}
 		return out, js
 	}
-	want, _ := run(DistConfig{})
-	got, js := run(DistConfig{Workers: 2, Engine: Engine{MergeFanIn: 3}})
+	want, _ := run(Config{})
+	got, js := run(Config{Workers: 2, Engine: Engine{SpillDir: t.TempDir(), MemLimit: 256 << 10}})
 	if js.WorkerTasks != js.MapTasks+js.ReduceTasks {
 		t.Fatalf("WorkerTasks = %d, want %d", js.WorkerTasks, js.MapTasks+js.ReduceTasks)
 	}
@@ -463,7 +452,7 @@ func TestDistFanInMultiPassMerge(t *testing.T) {
 func TestDistSequentialJobsOneCluster(t *testing.T) {
 	fs := dfs.New(8)
 	wordRecords("in", 80)(fs)
-	c, err := NewDistCluster(fs, 4, DistConfig{Workers: 2})
+	c, err := NewCluster(fs, 4, Config{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -488,7 +477,7 @@ func TestDistSequentialJobsOneCluster(t *testing.T) {
 }
 
 func TestDistClusterCloseIsIdempotent(t *testing.T) {
-	c, err := NewDistCluster(dfs.New(8), 2, DistConfig{Workers: 1})
+	c, err := NewCluster(dfs.New(8), 2, Config{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -501,7 +490,7 @@ func TestDistClusterCloseIsIdempotent(t *testing.T) {
 	if err := c.Close(); err != nil {
 		t.Fatalf("second Close: %v", err)
 	}
-	if NewCluster(dfs.New(8), 2).Distributed() {
+	if inProcess(dfs.New(8), 2).Distributed() {
 		t.Fatal("Distributed() = true on an in-process cluster")
 	}
 }
@@ -558,7 +547,7 @@ func TestDistWorkerFetchesSplitsOncePerJob(t *testing.T) {
 	store := &metaCountingStore{Store: dfs.New(8), metas: map[string]int{}}
 	input(store)
 	const workers = 2
-	c, err := NewDistCluster(store, 4, DistConfig{Workers: workers})
+	c, err := NewCluster(store, 4, Config{Workers: workers})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -582,4 +571,67 @@ func TestDistWorkerFetchesSplitsOncePerJob(t *testing.T) {
 	if n := store.metas["in"]; n > workers {
 		t.Fatalf("%d /meta requests for the input over %d map tasks, want at most one per worker (%d)", n, js.MapTasks, workers)
 	}
+}
+
+// FuzzCoordinatorDone: whatever JSON body reaches a coordinator's /done,
+// with a job in flight, the handler answers it and never panics, and
+// the scheduler commits no attempt of a task the job does not have, nor
+// a successful map attempt whose run list does not hold one run per
+// reducer.
+func FuzzCoordinatorDone(f *testing.F) {
+	const nReduce = 3
+	runs := func(n int) []runData {
+		out := make([]runData, n)
+		for i := range out {
+			out[i] = runData{File: &runFile{Path: fmt.Sprintf("run-%d", i), Records: 1, Bytes: 2}}
+		}
+		return out
+	}
+	for _, comp := range []completion{
+		{JobID: 1, Phase: "map", Index: 0, Attempt: 1, Runs: runs(nReduce), Records: 2},
+		{JobID: 1, Phase: "map", Index: 1, Attempt: 1, Runs: runs(nReduce - 1)},
+		{JobID: 1, Phase: "reduce", Index: -1, Attempt: 1},
+		{JobID: 1, Phase: "reduce", Index: 0, Attempt: 1, Err: "boom", BadRuns: []string{"run-0"}},
+	} {
+		body, err := json.Marshal(comp)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(body)
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		fs := dfs.New(2)
+		writeLines(fs, "in", "a b", "c d", "e f", "g h")
+		splits, err := fs.Splits("in")
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := inProcess(fs, 2)
+		j := c.newCoordJob(testKind.New(testJobSpec{In: "in", Out: "out", NumReducers: nReduce, Mode: "wordcount"}), splits)
+		j.id = 1
+		c.cur = j
+
+		rec := httptest.NewRecorder()
+		jsonHandler(c.done)(rec, httptest.NewRequest(http.MethodPost, "/done", bytes.NewReader(body)))
+		if rec.Body.Len() == 0 {
+			t.Fatalf("no response body (status %d)", rec.Code)
+		}
+		var comp completion
+		if json.Unmarshal(body, &comp) != nil || rec.Code != http.StatusOK {
+			return
+		}
+		var resp completionResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+			t.Fatalf("unparsable response %q: %v", rec.Body.Bytes(), err)
+		}
+		if !resp.Accepted {
+			return
+		}
+		if j.task(comp.Phase, comp.Index) == nil {
+			t.Fatalf("committed an attempt of task %s/%d the job does not have", comp.Phase, comp.Index)
+		}
+		if comp.Phase == "map" && len(comp.Runs) != nReduce {
+			t.Fatalf("committed a map attempt with %d runs for %d reducers", len(comp.Runs), nReduce)
+		}
+	})
 }

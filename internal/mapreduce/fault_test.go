@@ -49,8 +49,8 @@ func TestFaultKillMatrix(t *testing.T) {
 				{Worker: -1, Task: tc.task, Attempt: 1, Point: tc.point, Action: ActKill},
 			}}
 			spec := testJobSpec{In: "in", Out: "out", NumReducers: 3, Mode: "wordcount"}
-			onBothTransports(t, DistConfig{Workers: 3, LeaseTimeout: faultLease, Faults: plan},
-				func(t *testing.T, cfg DistConfig) {
+			onBothTransports(t, Config{Workers: 3, LeaseTimeout: faultLease, Faults: plan},
+				func(t *testing.T, cfg Config) {
 					js, _ := assertIdentical(t, spec, wordRecords("in", 60), cfg)
 					if js.ReexecutedAttempts < 1 {
 						t.Fatalf("ReexecutedAttempts = %d, want >= 1 after a kill at %s",
@@ -69,8 +69,8 @@ func TestFaultKillDuringGroupedJob(t *testing.T) {
 		{Worker: -1, Task: "t-grouped/reduce/*", Attempt: 1, Point: AtMidTask, Action: ActKill},
 	}}
 	spec := testJobSpec{In: "in", Out: "out", NumReducers: 3, Mode: "grouped"}
-	onBothTransports(t, DistConfig{Workers: 3, LeaseTimeout: faultLease, Faults: plan},
-		func(t *testing.T, cfg DistConfig) {
+	onBothTransports(t, Config{Workers: 3, LeaseTimeout: faultLease, Faults: plan},
+		func(t *testing.T, cfg Config) {
 			js, _ := assertIdentical(t, spec, groupRecords("in", 120), cfg)
 			if js.ReexecutedAttempts < 1 {
 				t.Fatalf("ReexecutedAttempts = %d, want >= 1", js.ReexecutedAttempts)
@@ -85,8 +85,8 @@ func TestFaultKillDuringMapOnlyJob(t *testing.T) {
 		{Worker: -1, Task: "t-maponly/map/2", Attempt: 1, Point: AtPreCommit, Action: ActKill},
 	}}
 	spec := testJobSpec{In: "in", Out: "out", NumReducers: 2, Mode: "maponly"}
-	onBothTransports(t, DistConfig{Workers: 3, LeaseTimeout: faultLease, Faults: plan},
-		func(t *testing.T, cfg DistConfig) {
+	onBothTransports(t, Config{Workers: 3, LeaseTimeout: faultLease, Faults: plan},
+		func(t *testing.T, cfg Config) {
 			js, _ := assertIdentical(t, spec, wordRecords("in", 80), cfg)
 			if js.ReexecutedAttempts < 1 {
 				t.Fatalf("ReexecutedAttempts = %d, want >= 1", js.ReexecutedAttempts)
@@ -103,13 +103,13 @@ func TestFaultDeadWorkerSeenNotWaitedOut(t *testing.T) {
 		{Worker: -1, Task: "t-wordcount/map/1", Attempt: 1, Point: AtMidTask, Action: ActKill},
 	}}
 	spec := testJobSpec{In: "in", Out: "out", NumReducers: 3, Mode: "wordcount"}
-	onBothTransports(t, DistConfig{Workers: 3, LeaseTimeout: time.Hour, Faults: plan},
-		func(t *testing.T, cfg DistConfig) {
+	onBothTransports(t, Config{Workers: 3, LeaseTimeout: time.Hour, Faults: plan},
+		func(t *testing.T, cfg Config) {
 			cfg.TraceDir = t.TempDir()
 			want, _ := runInProcess(t, spec, wordRecords("in", 60))
 			fs := dfs.New(8)
 			wordRecords("in", 60)(fs)
-			c, err := NewDistCluster(fs, 4, cfg)
+			c, err := NewCluster(fs, 4, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -154,8 +154,8 @@ func TestFaultTruncatedRunRepair(t *testing.T) {
 			Action: ActTruncateRun, TruncateBytes: 7},
 	}}
 	spec := testJobSpec{In: "in", Out: "out", NumReducers: 3, Mode: "wordcount"}
-	onBothTransports(t, DistConfig{Workers: 2, LeaseTimeout: faultLease, Faults: plan},
-		func(t *testing.T, cfg DistConfig) {
+	onBothTransports(t, Config{Workers: 2, LeaseTimeout: faultLease, Faults: plan},
+		func(t *testing.T, cfg Config) {
 			cfg.Engine.SpillDir = t.TempDir()
 			want, _ := runInProcess(t, spec, wordRecords("in", 60))
 			got, js, err := runDist(t, spec, wordRecords("in", 60), cfg)
@@ -189,8 +189,8 @@ func TestFaultFrozenWorkerDuplicateCompletion(t *testing.T) {
 			Action: ActFreeze, Delay: 4 * faultLease},
 	}}
 	spec := testJobSpec{In: "in", Out: "out", NumReducers: 3, Mode: "wordcount"}
-	onBothTransports(t, DistConfig{Workers: 2, LeaseTimeout: faultLease, Faults: plan},
-		func(t *testing.T, cfg DistConfig) {
+	onBothTransports(t, Config{Workers: 2, LeaseTimeout: faultLease, Faults: plan},
+		func(t *testing.T, cfg Config) {
 			js, _ := assertIdentical(t, spec, wordRecords("in", 60), cfg)
 			if js.ReexecutedAttempts < 1 {
 				t.Fatalf("ReexecutedAttempts = %d, want >= 1 after a lease loss", js.ReexecutedAttempts)
@@ -213,12 +213,12 @@ func TestFaultStragglerSpeculation(t *testing.T) {
 			Action: ActSleep, Delay: stall},
 	}}
 	spec := testJobSpec{In: "in", Out: "out", NumReducers: 2, Mode: "wordcount"}
-	onBothTransports(t, DistConfig{
+	onBothTransports(t, Config{
 		Workers:          2,
 		LeaseTimeout:     800 * time.Millisecond,
 		SpeculativeAfter: 150 * time.Millisecond,
 		Faults:           plan,
-	}, func(t *testing.T, cfg DistConfig) {
+	}, func(t *testing.T, cfg Config) {
 		want, _ := runInProcess(t, spec, wordRecords("in", 30))
 		start := time.Now()
 		got, js, err := runDist(t, spec, wordRecords("in", 30), cfg)
@@ -250,8 +250,8 @@ func TestFaultPlanReplaysIdentically(t *testing.T) {
 		{Worker: -1, Task: "t-wordcount/reduce/0", Attempt: 1, Point: AtPreCommit, Action: ActKill},
 	}}
 	spec := testJobSpec{In: "in", Out: "out", NumReducers: 2, Mode: "wordcount"}
-	onBothTransports(t, DistConfig{Workers: 3, LeaseTimeout: faultLease, Faults: plan},
-		func(t *testing.T, cfg DistConfig) {
+	onBothTransports(t, Config{Workers: 3, LeaseTimeout: faultLease, Faults: plan},
+		func(t *testing.T, cfg Config) {
 			var outs [][]dfs.Record
 			for i := 0; i < 2; i++ {
 				got, js, err := runDist(t, spec, wordRecords("in", 60), cfg)
@@ -277,8 +277,8 @@ func TestFaultAllWorkersDeadFailsJob(t *testing.T) {
 		{Worker: -1, Point: AtTaskStart, Action: ActKill},
 	}}
 	spec := testJobSpec{In: "in", Out: "out", NumReducers: 2, Mode: "wordcount"}
-	onBothTransports(t, DistConfig{Workers: 1, LeaseTimeout: faultLease, Faults: plan},
-		func(t *testing.T, cfg DistConfig) {
+	onBothTransports(t, Config{Workers: 1, LeaseTimeout: faultLease, Faults: plan},
+		func(t *testing.T, cfg Config) {
 			_, _, err := runDist(t, spec, wordRecords("in", 20), cfg)
 			if err == nil {
 				t.Fatal("job with every worker dead reported success")

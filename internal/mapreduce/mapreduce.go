@@ -11,9 +11,9 @@
 //   - reduce tasks k-way-merge the sorted runs of every map task and
 //     stream each key group to the reduce function through an iterator —
 //     no reducer ever materializes a per-key value table;
-//   - an optional secondary sort (a value comparator, or composite keys
-//     grouped on a key prefix) delivers each group's values in a
-//     caller-chosen order, like Hadoop's grouping comparator;
+//   - composite keys grouped on a key prefix deliver each group's values
+//     in the order of the keys' suffixes, like Hadoop's grouping
+//     comparator;
 //   - every byte crossing the shuffle is counted, which is exactly the
 //     "shuffling cost" series of Figures 8–12;
 //   - the simulated cluster has a fixed number of nodes, each running one
@@ -33,8 +33,8 @@
 //     way.
 //
 // Jobs are expressed with plain functions rather than an interface zoo:
-// a Map function, an optional Reduce function (nil makes a map-only job,
-// as the paper's first job is), and optional Combine/Setup hooks.
+// a Map function and an optional Reduce function (nil makes a map-only
+// job, as the paper's first job is).
 package mapreduce
 
 import (
@@ -58,33 +58,23 @@ type KV struct {
 	Value []byte
 }
 
-// Emit is the output callback handed to map, combine and reduce functions.
+// Emit is the output callback handed to map and reduce functions.
 // The engine retains both slices, so callers must not reuse their backing
 // arrays after emitting.
 type Emit func(key, value []byte)
 
-// MapFunc processes one input record. ctx carries side data and counters.
+// MapFunc processes one input record. ctx carries counters.
 type MapFunc func(ctx *TaskContext, record dfs.Record, emit Emit) error
 
 // ReduceFunc processes one key group. key is the group's first full key
 // in sort order; values streams every value of the group, sorted by full
-// key then ValueCompare (remaining ties arrive in a deterministic but
-// unspecified order, map tasks first). The same signature serves
-// combiners.
+// key (ties arrive in a deterministic but unspecified order, map tasks
+// first).
 type ReduceFunc func(ctx *TaskContext, key []byte, values *Values, emit Emit) error
-
-// SetupFunc runs once per task before any record is processed — the
-// paper's "map-setup" hook of Algorithm 3, used there to precompute the
-// LB(P_j^S, G_i) table.
-type SetupFunc func(ctx *TaskContext) error
 
 // PartitionFunc routes a key to one of n reducers. With GroupKeyPrefix
 // set, all keys sharing a group prefix must route identically.
 type PartitionFunc func(key []byte, n int) int
-
-// CompareFunc is a three-way comparator over encoded values, the
-// secondary-sort hook: negative means a before b.
-type CompareFunc func(a, b []byte) int
 
 // DefaultPartition hashes the key with FNV-1a, Hadoop-style.
 func DefaultPartition(key []byte, n int) int {
@@ -110,27 +100,18 @@ type Job struct {
 	Output string   // DFS output file; reduce (or map-only) emissions land here
 
 	// Kind names the registered job constructor (see DefineKind) that can
-	// rebuild this job — functions and side data included — in another
-	// process, and Spec is the gob-encoded argument it rebuilds from.
-	// Functions cannot cross a process boundary, so only jobs built
+	// rebuild this job — functions included — in another process, and
+	// Spec is the gob-encoded argument it rebuilds from. Functions
+	// cannot cross a process boundary, so only jobs built
 	// through a Kind run on worker processes; a distributed cluster
 	// executes kindless jobs on goroutine workers instead, as a cluster
 	// without worker processes executes every job.
 	Kind string
 	Spec []byte
 
-	Map         MapFunc
-	MapSetup    SetupFunc
-	Reduce      ReduceFunc // nil ⇒ map-only job
-	ReduceSetup SetupFunc
-	Combine     ReduceFunc // optional map-side combiner, runs over sorted runs
-	Partition   PartitionFunc
-
-	// ValueCompare, when non-nil, secondary-sorts the values within each
-	// key: map-side runs order equal-key pairs by it and the reduce-side
-	// merge preserves that order, so reduce functions see values sorted
-	// without buffering them.
-	ValueCompare CompareFunc
+	Map       MapFunc
+	Reduce    ReduceFunc // nil ⇒ map-only job
+	Partition PartitionFunc
 
 	// GroupKeyPrefix, when positive, makes reduce groups span every key
 	// sharing the same first GroupKeyPrefix bytes — Hadoop's grouping
@@ -142,10 +123,6 @@ type Job struct {
 	GroupKeyPrefix int
 
 	NumReducers int // defaults to the cluster's node count
-
-	// Side is read-only data shipped to every task, the equivalent of
-	// Hadoop's distributed cache (the paper ships the pivot set this way).
-	Side map[string]any
 
 	// MaxAttempts bounds the attempts of one task that may fail with an
 	// error. Zero means 1 attempt.
@@ -179,13 +156,9 @@ type TaskContext struct {
 	JobName string
 	TaskID  string
 
-	side     map[string]any
 	counters *CounterSet
 	work     int64
 }
-
-// Side returns the named side-data value, or nil when absent.
-func (c *TaskContext) Side(name string) any { return c.side[name] }
 
 // Counter adds delta to the named user counter.
 func (c *TaskContext) Counter(name string, delta int64) { c.counters.Add(name, delta) }
@@ -235,7 +208,7 @@ type JobStats struct {
 	MapTasks          int
 	ReduceTasks       int
 	MapInputRecords   int64
-	ShuffleRecords    int64 // records crossing the shuffle (post-combine)
+	ShuffleRecords    int64 // records crossing the shuffle
 	ShuffleBytes      int64 // key+value bytes crossing the shuffle
 	ReduceGroups      int64
 	OutputRecords     int64
@@ -268,7 +241,7 @@ type JobStats struct {
 	// intermediate runs. Zero on a fault-free run.
 	ReexecutedAttempts int64
 	// SpeculativeAttempts counts backup attempts launched against
-	// stragglers (DistConfig.SpeculativeAfter).
+	// stragglers (Config.SpeculativeAfter).
 	SpeculativeAttempts int64
 	// Counters sums the user counters of the attempts that committed.
 	Counters map[string]int64
@@ -305,7 +278,7 @@ func (s JobStats) Wall() time.Duration { return s.MapWall + s.ReduceWall }
 type Cluster struct {
 	fs    dfs.Store
 	nodes int
-	cfg   DistConfig // zero but for Engine unless built by NewDistCluster
+	cfg   Config
 
 	// Scheduler state (coord.go). wake signals idle goroutine workers;
 	// cur is the job the worker processes are serving.
@@ -337,25 +310,48 @@ type Cluster struct {
 	mSpillB  *obs.Counter
 }
 
-// NewCluster creates an in-memory-shuffle cluster of n nodes over fs.
-// n must be positive.
-func NewCluster(fs dfs.Store, n int) *Cluster {
+// NewCluster creates a cluster of n nodes over fs, configured by cfg;
+// the zero Config is the in-process engine with an in-memory shuffle.
+// With cfg.Workers > 0 it also starts the worker processes, polling a
+// coordinator on loopback. The caller must Close the cluster to reap the
+// workers, the scratch directory and the trace files. n must be
+// positive; it governs NumReducers defaults, makespan accounting and the
+// number of goroutine workers, whether or not there are processes.
+func NewCluster(fs dfs.Store, n int, cfg Config) (*Cluster, error) {
 	if n <= 0 {
 		panic("mapreduce: cluster needs at least one node")
 	}
-	c := &Cluster{fs: fs, nodes: n, injectors: make([]*injector, n), tracers: make([]*obs.Tracer, n)}
-	c.wake = sync.NewCond(&c.mu)
-	return c
-}
-
-// NewClusterEngine creates a cluster of n nodes over fs with an explicit
-// execution backend. n must be positive.
-func NewClusterEngine(fs dfs.Store, n int, eng Engine) (*Cluster, error) {
-	if err := eng.validate(); err != nil {
+	if cfg.Workers < 0 {
+		return nil, fmt.Errorf("mapreduce: Config.Workers must not be negative, got %d", cfg.Workers)
+	}
+	if err := cfg.Engine.validate(); err != nil {
 		return nil, err
 	}
-	c := NewCluster(fs, n)
-	c.cfg.Engine = eng
+	c := &Cluster{fs: fs, nodes: n, cfg: cfg, injectors: make([]*injector, n), tracers: make([]*obs.Tracer, n)}
+	c.wake = sync.NewCond(&c.mu)
+	for i := range c.injectors {
+		c.injectors[i] = newInjector(i, cfg.Faults)
+	}
+	if cfg.TraceDir != "" {
+		var err error
+		if c.tracer, err = obs.NewTracer(cfg.TraceDir, "coord"); err != nil {
+			return nil, err
+		}
+		for i := range c.tracers {
+			if c.tracers[i], err = obs.NewTracer(cfg.TraceDir, fmt.Sprintf("worker-%d", i)); err != nil {
+				c.Close()
+				return nil, err
+			}
+		}
+		c.rootSpan = c.tracer.StartSpan("cluster", cfg.TraceParent)
+		c.rootSpan.SetAttr("workers", fmt.Sprint(cfg.Workers))
+	}
+	if cfg.Workers > 0 {
+		if err := c.startProcs(); err != nil {
+			c.Close()
+			return nil, err
+		}
+	}
 	return c, nil
 }
 
@@ -366,7 +362,7 @@ func (c *Cluster) FS() dfs.Store { return c.fs }
 func (c *Cluster) Nodes() int { return c.nodes }
 
 // Distributed reports whether jobs with a registered Kind execute on
-// worker processes (see NewDistCluster).
+// worker processes (Config.Workers).
 func (c *Cluster) Distributed() bool { return c.procs != nil }
 
 // Close fails the job the worker processes are running, kills them, stops
@@ -403,11 +399,6 @@ func (c *Cluster) Run(job *Job) (*JobStats, error) {
 	if job.Output == "" {
 		return nil, fmt.Errorf("mapreduce: job %q has no Output file", job.Name)
 	}
-	if job.Combine != nil && job.Reduce == nil {
-		// A combiner only exists to shrink the shuffle; a map-only job has
-		// none, and silently skipping it would change the output contract.
-		return nil, fmt.Errorf("mapreduce: job %q has a Combine function but no Reduce", job.Name)
-	}
 	splits, err := c.fs.Splits(job.Input...)
 	if err != nil {
 		return nil, fmt.Errorf("mapreduce: job %q: %w", job.Name, err)
@@ -439,9 +430,9 @@ func streamGroups(ctx *TaskContext, fn ReduceFunc, m *merger, prefix int, emit E
 	}
 }
 
-// Values streams one key group's values to a reduce or combine function,
-// in full-key order refined by the job's ValueCompare. The iterator is
-// only valid during the function call that received it.
+// Values streams one key group's values to a reduce function, in
+// full-key order. The iterator is only valid during the function call
+// that received it.
 type Values struct {
 	m      *merger
 	group  []byte
@@ -496,16 +487,15 @@ func (v *Values) Collect() [][]byte {
 	}
 }
 
-// merger k-way-merges sorted runs. Order: key bytes, then the value
-// comparator, then run index (which preserves map-task order for ties —
-// the old engine's "arrival order within a key"). Runs arrive as cursors,
+// merger k-way-merges sorted runs. Order: key bytes, then run index
+// (which preserves map-task order for ties — the old engine's "arrival
+// order within a key"). Runs arrive as cursors,
 // so in-memory slices and spilled run files merge through the same heap;
 // each heap entry caches its cursor's current record, keeping the
 // comparison path free of indirect calls. records and bytes count what
 // the stream has left to deliver (see Values.Remaining).
 type merger struct {
 	heap           []mergeSource
-	vcmp           CompareFunc
 	fail           error
 	records, bytes int64
 }
@@ -516,19 +506,10 @@ type mergeSource struct {
 	seq int
 }
 
-// newMerger merges in-memory runs — the combiner's path.
-func newMerger(runs [][]KV, vcmp CompareFunc) *merger {
-	cursors := make([]cursor, len(runs))
-	for i, run := range runs {
-		cursors[i] = &memCursor{kvs: run}
-	}
-	return newMergerCursors(cursors, vcmp)
-}
-
-// newMergerCursors merges arbitrary cursors; a cursor's slice position is
-// its tie-breaking seq, so callers must pass runs in map-task order.
-func newMergerCursors(cursors []cursor, vcmp CompareFunc) *merger {
-	m := &merger{vcmp: vcmp}
+// newMerger merges arbitrary cursors; a cursor's slice position is its
+// tie-breaking seq, so callers must pass runs in map-task order.
+func newMerger(cursors []cursor) *merger {
+	m := &merger{}
 	for i, c := range cursors {
 		records, bytes := c.size()
 		m.records += records
@@ -553,11 +534,6 @@ func (m *merger) failure() error { return m.fail }
 func (m *merger) less(a, b mergeSource) bool {
 	if c := bytes.Compare(a.cur.Key, b.cur.Key); c != 0 {
 		return c < 0
-	}
-	if m.vcmp != nil {
-		if c := m.vcmp(a.cur.Value, b.cur.Value); c != 0 {
-			return c < 0
-		}
 	}
 	return a.seq < b.seq
 }

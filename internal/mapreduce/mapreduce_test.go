@@ -17,8 +17,15 @@ import (
 	"knnjoin/internal/dfs"
 )
 
-func newTestCluster(nodes, chunk int) *Cluster {
-	return NewCluster(dfs.New(chunk), nodes)
+func newTestCluster(nodes, chunk int) *Cluster { return inProcess(dfs.New(chunk), nodes) }
+
+// inProcess builds an in-process cluster of nodes nodes over fs.
+func inProcess(fs dfs.Store, nodes int) *Cluster {
+	c, err := NewCluster(fs, nodes, Config{})
+	if err != nil {
+		panic(err)
+	}
+	return c
 }
 
 func writeLines(fs dfs.Store, name string, lines ...string) {
@@ -30,8 +37,8 @@ func writeLines(fs dfs.Store, name string, lines ...string) {
 }
 
 // wordCountJob is the canonical end-to-end smoke test of the engine.
-func wordCountJob(input, output string, combine bool) *Job {
-	j := &Job{
+func wordCountJob(input, output string) *Job {
+	return &Job{
 		Name:   "wordcount",
 		Input:  []string{input},
 		Output: output,
@@ -54,18 +61,6 @@ func wordCountJob(input, output string, combine bool) *Job {
 			return nil
 		},
 	}
-	if combine {
-		j.Combine = func(_ *TaskContext, key []byte, values *Values, emit Emit) error {
-			total := 0
-			for v, ok := values.Next(); ok; v, ok = values.Next() {
-				n, _ := strconv.Atoi(string(v))
-				total += n
-			}
-			emit(key, []byte(strconv.Itoa(total)))
-			return nil
-		}
-	}
-	return j
 }
 
 func readCounts(t *testing.T, fs dfs.Store, name string) map[string]int {
@@ -89,7 +84,7 @@ func readCounts(t *testing.T, fs dfs.Store, name string) map[string]int {
 func TestWordCount(t *testing.T) {
 	c := newTestCluster(4, 2)
 	writeLines(c.FS(), "in", "a b a", "b c", "a", "c c c")
-	stats, err := c.Run(wordCountJob("in", "out", false))
+	stats, err := c.Run(wordCountJob("in", "out"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,69 +109,6 @@ func TestWordCount(t *testing.T) {
 	}
 	if stats.OutputRecords != 3 {
 		t.Errorf("OutputRecords = %d, want 3", stats.OutputRecords)
-	}
-}
-
-func TestCombinerReducesShuffle(t *testing.T) {
-	lines := []string{"x x x x", "x x x x", "y y y y", "y y y y"}
-	run := func(combine bool) (*JobStats, map[string]int) {
-		c := newTestCluster(2, 2)
-		writeLines(c.FS(), "in", lines...)
-		stats, err := c.Run(wordCountJob("in", "out", combine))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return stats, readCounts(t, c.FS(), "out")
-	}
-	plain, gotPlain := run(false)
-	combined, gotCombined := run(true)
-	for k, v := range gotPlain {
-		if gotCombined[k] != v {
-			t.Errorf("combiner changed result for %s: %d vs %d", k, gotCombined[k], v)
-		}
-	}
-	if combined.ShuffleRecords >= plain.ShuffleRecords {
-		t.Errorf("combiner did not reduce shuffle records: %d vs %d",
-			combined.ShuffleRecords, plain.ShuffleRecords)
-	}
-	if combined.ShuffleBytes >= plain.ShuffleBytes {
-		t.Errorf("combiner did not reduce shuffle bytes: %d vs %d",
-			combined.ShuffleBytes, plain.ShuffleBytes)
-	}
-}
-
-// The combiner runs over the map task's sorted run: each invocation must
-// see one full key group with every value of that key in this task,
-// already in sorted order.
-func TestCombinerSeesSortedGroups(t *testing.T) {
-	c := newTestCluster(1, 100) // one map task: groups span the whole input
-	writeLines(c.FS(), "in", "b a c a b a")
-	var mu sync.Mutex
-	combineCalls := make(map[string]int)
-	var keyOrder []string
-	job := wordCountJob("in", "out", true)
-	inner := job.Combine
-	job.Combine = func(ctx *TaskContext, key []byte, values *Values, emit Emit) error {
-		mu.Lock()
-		combineCalls[string(key)]++
-		keyOrder = append(keyOrder, string(key))
-		mu.Unlock()
-		return inner(ctx, key, values, emit)
-	}
-	if _, err := c.Run(job); err != nil {
-		t.Fatal(err)
-	}
-	for k, n := range combineCalls {
-		if n != 1 {
-			t.Errorf("combiner called %d times for key %s, want 1 (sorted run groups)", n, k)
-		}
-	}
-	if !sort.StringsAreSorted(keyOrder) {
-		t.Errorf("combiner key order %v, want sorted", keyOrder)
-	}
-	got := readCounts(t, c.FS(), "out")
-	if got["a"] != 3 || got["b"] != 2 || got["c"] != 1 {
-		t.Errorf("wrong counts after combining: %v", got)
 	}
 }
 
@@ -305,44 +237,6 @@ func TestNumericKeyOrderAndDeterminism(t *testing.T) {
 	}
 }
 
-// Secondary sort via ValueCompare: values of one key arrive ordered by
-// the comparator even though they were emitted shuffled across map tasks.
-func TestSecondarySortValueCompare(t *testing.T) {
-	c := newTestCluster(4, 2) // several map tasks: merge must interleave
-	writeLines(c.FS(), "in", "9", "3", "7", "1", "8", "2", "6", "4", "5", "0")
-	var mu sync.Mutex
-	var got []string
-	job := &Job{
-		Name:        "secsort",
-		Input:       []string{"in"},
-		Output:      "out",
-		NumReducers: 2,
-		Map: func(_ *TaskContext, rec dfs.Record, emit Emit) error {
-			emit([]byte("k"), rec)
-			return nil
-		},
-		ValueCompare: func(a, b []byte) int { return bytes.Compare(a, b) },
-		Reduce: func(_ *TaskContext, key []byte, values *Values, emit Emit) error {
-			mu.Lock()
-			defer mu.Unlock()
-			for v, ok := values.Next(); ok; v, ok = values.Next() {
-				got = append(got, string(v))
-				emit(key, v)
-			}
-			return nil
-		},
-	}
-	if _, err := c.Run(job); err != nil {
-		t.Fatal(err)
-	}
-	if !sort.StringsAreSorted(got) {
-		t.Fatalf("values arrived unsorted under ValueCompare: %v", got)
-	}
-	if len(got) != 10 {
-		t.Fatalf("got %d values, want 10", len(got))
-	}
-}
-
 // Composite keys with GroupKeyPrefix: one reduce call per 4-byte prefix,
 // values streamed in full-key (suffix) order — Hadoop's grouping
 // comparator pattern, which the pivot joins use to shuffle-sort their S
@@ -410,77 +304,6 @@ func TestGroupKeyPrefixSecondarySort(t *testing.T) {
 	}
 }
 
-func TestSetupHooksRunPerTask(t *testing.T) {
-	c := newTestCluster(2, 1) // 4 records, chunk=1 → 4 map tasks
-	writeLines(c.FS(), "in", "1", "2", "3", "4")
-	var mapSetups, reduceSetups int64
-	var mu sync.Mutex
-	job := &Job{
-		Name:        "setup",
-		Input:       []string{"in"},
-		Output:      "out",
-		NumReducers: 3,
-		MapSetup: func(ctx *TaskContext) error {
-			mu.Lock()
-			mapSetups++
-			mu.Unlock()
-			if !strings.Contains(ctx.TaskID, "/map/") {
-				t.Errorf("bad map TaskID %s", ctx.TaskID)
-			}
-			return nil
-		},
-		ReduceSetup: func(ctx *TaskContext) error {
-			mu.Lock()
-			reduceSetups++
-			mu.Unlock()
-			return nil
-		},
-		Map: func(_ *TaskContext, rec dfs.Record, emit Emit) error {
-			emit(rec, rec)
-			return nil
-		},
-		Reduce: func(_ *TaskContext, key []byte, _ *Values, emit Emit) error {
-			emit(key, key)
-			return nil
-		},
-	}
-	if _, err := c.Run(job); err != nil {
-		t.Fatal(err)
-	}
-	if mapSetups != 4 {
-		t.Errorf("map setups = %d, want 4", mapSetups)
-	}
-	if reduceSetups != 3 {
-		t.Errorf("reduce setups = %d, want 3", reduceSetups)
-	}
-}
-
-func TestSideData(t *testing.T) {
-	c := newTestCluster(2, 10)
-	writeLines(c.FS(), "in", "x")
-	job := &Job{
-		Name:   "side",
-		Input:  []string{"in"},
-		Output: "out",
-		Side:   map[string]any{"factor": 7},
-		Map: func(ctx *TaskContext, rec dfs.Record, emit Emit) error {
-			f := ctx.Side("factor").(int)
-			emit(nil, []byte(strconv.Itoa(f)))
-			if ctx.Side("missing") != nil {
-				t.Error("missing side data should be nil")
-			}
-			return nil
-		},
-	}
-	if _, err := c.Run(job); err != nil {
-		t.Fatal(err)
-	}
-	recs, _ := c.FS().Read("out")
-	if string(recs[0]) != "7" {
-		t.Fatalf("side data not delivered: %s", recs[0])
-	}
-}
-
 func TestUserCounters(t *testing.T) {
 	c := newTestCluster(2, 2)
 	writeLines(c.FS(), "in", "a", "b", "c")
@@ -511,7 +334,7 @@ func TestUserCounters(t *testing.T) {
 // workers.
 func faultCluster(t *testing.T, nodes, chunk int, events ...FaultEvent) *Cluster {
 	t.Helper()
-	c, err := NewDistCluster(dfs.New(chunk), nodes, DistConfig{Faults: &FaultPlan{Events: events}})
+	c, err := NewCluster(dfs.New(chunk), nodes, Config{Faults: &FaultPlan{Events: events}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -527,7 +350,7 @@ func TestTaskRetrySucceeds(t *testing.T) {
 	}
 	c := faultCluster(t, 2, 2, events...)
 	writeLines(c.FS(), "in", "a", "b", "c", "d")
-	job := wordCountJob("in", "out", false)
+	job := wordCountJob("in", "out")
 	job.MaxAttempts = 3
 	var mapped atomic.Int64
 	countWords := job.Map
@@ -556,7 +379,7 @@ func TestTaskFailsAfterMaxAttempts(t *testing.T) {
 		FaultEvent{Worker: -1, Task: "wordcount/map/*", Attempt: 1, Point: AtTaskStart, Action: ActError},
 		FaultEvent{Worker: -1, Task: "wordcount/map/*", Attempt: 2, Point: AtTaskStart, Action: ActError})
 	writeLines(c.FS(), "in", "a")
-	job := wordCountJob("in", "out", false)
+	job := wordCountJob("in", "out")
 	job.MaxAttempts = 2
 	if _, err := c.Run(job); err == nil {
 		t.Fatal("expected job failure")
@@ -584,7 +407,7 @@ func TestMapErrorAborts(t *testing.T) {
 func TestReduceErrorAborts(t *testing.T) {
 	c := newTestCluster(1, 10)
 	writeLines(c.FS(), "in", "x")
-	job := wordCountJob("in", "out", false)
+	job := wordCountJob("in", "out")
 	job.Reduce = func(_ *TaskContext, _ []byte, _ *Values, _ Emit) error {
 		return errors.New("reduce exploded")
 	}
@@ -641,14 +464,9 @@ func TestJobValidation(t *testing.T) {
 	if _, err := c.Run(&Job{Name: "noout", Map: func(*TaskContext, dfs.Record, Emit) error { return nil }}); err == nil {
 		t.Error("job without Output accepted")
 	}
-	job := wordCountJob("missing", "out", false)
+	job := wordCountJob("missing", "out")
 	if _, err := c.Run(job); err == nil {
 		t.Error("job with missing input accepted")
-	}
-	combined := wordCountJob("in", "out", true)
-	combined.Reduce = nil
-	if _, err := c.Run(combined); err == nil {
-		t.Error("map-only job with a combiner accepted (combiner would be silently skipped)")
 	}
 }
 
@@ -741,7 +559,7 @@ func TestExactlyOnceDeliveryQuick(t *testing.T) {
 		nodes := int(nodesRaw)%8 + 1
 		reducers := int(reducersRaw)%8 + 1
 		chunk := int(chunkRaw)%5 + 1
-		c := NewCluster(dfs.New(chunk), nodes)
+		c := newTestCluster(nodes, chunk)
 		lines := make([]dfs.Record, 0, len(words))
 		expected := make(map[string]int)
 		for i, w := range words {
@@ -799,7 +617,7 @@ func TestDeterminismAcrossClusterShapes(t *testing.T) {
 	for _, shape := range []struct{ nodes, chunk int }{{1, 1000}, {2, 7}, {8, 3}, {16, 1}} {
 		c := newTestCluster(shape.nodes, shape.chunk)
 		writeLines(c.FS(), "in", lines...)
-		if _, err := c.Run(wordCountJob("in", "out", true)); err != nil {
+		if _, err := c.Run(wordCountJob("in", "out")); err != nil {
 			t.Fatal(err)
 		}
 		got := readCounts(t, c.FS(), "out")
@@ -821,7 +639,7 @@ func TestDeterminismAcrossClusterShapes(t *testing.T) {
 func TestEmptyInputFile(t *testing.T) {
 	c := newTestCluster(2, 4)
 	c.FS().Write("in", nil)
-	stats, err := c.Run(wordCountJob("in", "out", false))
+	stats, err := c.Run(wordCountJob("in", "out"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -839,7 +657,7 @@ func TestReduceTaskRetry(t *testing.T) {
 		FaultEvent{Worker: -1, Task: "wordcount/reduce/0", Attempt: 1, Point: AtPreCommit, Action: ActError},
 		FaultEvent{Worker: -1, Task: "wordcount/reduce/1", Attempt: 1, Point: AtPreCommit, Action: ActError})
 	writeLines(c.FS(), "in", "a", "b")
-	job := wordCountJob("in", "out", false)
+	job := wordCountJob("in", "out")
 	job.MaxAttempts = 2
 	var reduced atomic.Int64
 	sum := job.Reduce
@@ -907,7 +725,7 @@ func TestReduceRetryReplaysStream(t *testing.T) {
 func TestMoreReducersThanNodes(t *testing.T) {
 	c := newTestCluster(2, 10)
 	writeLines(c.FS(), "in", "a b c d e f g h")
-	job := wordCountJob("in", "out", false)
+	job := wordCountJob("in", "out")
 	job.NumReducers = 16
 	stats, err := c.Run(job)
 	if err != nil {
@@ -927,7 +745,7 @@ func TestNewClusterPanicsOnZeroNodes(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	NewCluster(dfs.New(0), 0)
+	NewCluster(dfs.New(0), 0, Config{})
 }
 
 func BenchmarkWordCount(b *testing.B) {
@@ -940,7 +758,7 @@ func BenchmarkWordCount(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		c := newTestCluster(8, 256)
 		writeLines(c.FS(), "in", lines...)
-		if _, err := c.Run(wordCountJob("in", "out", true)); err != nil {
+		if _, err := c.Run(wordCountJob("in", "out")); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -1041,7 +859,11 @@ func TestMergerProperties(t *testing.T) {
 		{{Key: []byte("a"), Value: []byte("4")}, {Key: []byte("a"), Value: []byte("5")}, {Key: []byte("b"), Value: []byte("6")}},
 		{{Key: []byte("e"), Value: []byte("7")}},
 	}
-	m := newMerger(runs, nil)
+	cursors := make([]cursor, len(runs))
+	for i, run := range runs {
+		cursors[i] = &memCursor{kvs: run}
+	}
+	m := newMerger(cursors)
 	var keys, vals []string
 	for {
 		kv, ok := m.peek()
@@ -1074,7 +896,7 @@ func TestFailingMapTaskShortCircuitsJob(t *testing.T) {
 		lines[i] = strconv.Itoa(i)
 	}
 	writeLines(fs, "in", lines...)
-	c := NewCluster(fs, 2)
+	c := inProcess(fs, 2)
 	poisoned := errors.New("poisoned record")
 	job := &Job{
 		Name:   "failfast",

@@ -18,9 +18,9 @@ func TestCoordinatorMetricsParse(t *testing.T) {
 	}
 	fs := dfs.New(8)
 	wordRecords("in", 60)(fs)
-	c, err := NewDistCluster(fs, 4, DistConfig{Workers: 2})
+	c, err := NewCluster(fs, 4, Config{Workers: 2})
 	if err != nil {
-		t.Fatalf("NewDistCluster: %v", err)
+		t.Fatalf("NewCluster: %v", err)
 	}
 	defer c.Close()
 	spec := testJobSpec{In: "in", Out: "out", NumReducers: 2, Mode: "wordcount"}

@@ -8,11 +8,12 @@ import (
 )
 
 // The job-kind registry solves the one problem that separates the
-// in-process engine from a real cluster: a Job is made of Go closures
-// (Map, Reduce, Combine, Side values), and closures cannot be sent to
-// another process. Instead of serializing functions, each driver package
-// registers a named constructor — a Kind — that rebuilds its job from a
-// small gob-encoded spec. Worker processes are re-executed copies of the
+// in-process engine from a real cluster: a Job's Map and Reduce are Go
+// functions — method values of the typed task state a driver builds from
+// its parameters — and functions cannot be sent to another process.
+// Instead of serializing functions, each driver package registers a
+// named constructor — a Kind — that rebuilds its job, task state
+// included, from a small gob-encoded spec. Worker processes are re-executed copies of the
 // same binary, so every init-time registration the coordinator saw is
 // linked into the worker too; shipping (kind, spec) across the wire is
 // then enough to reconstruct the identical Map/Reduce functions on the

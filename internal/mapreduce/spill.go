@@ -33,20 +33,12 @@ type Engine struct {
 	// and run-file I/O buffers. The buffer half is shared evenly by the
 	// node-concurrent tasks, and each merge or run write divides its
 	// task's share among the files it actually opens (see mergeBudget
-	// and runState.bufSize). ≤ 0 with SpillDir set spills every run and
-	// gives every file the preferred 32 KiB buffer. The per-task working
-	// buffer is bounded separately, by the DFS split size.
+	// and runState.bufSize); a reducer whose runs do not fit its share at
+	// the 8 KiB minimum buffer merges them in passes. ≤ 0 with SpillDir
+	// set spills every run and gives every file the preferred 32 KiB
+	// buffer. The per-task working buffer is bounded separately, by the
+	// DFS split size.
 	MemLimit int64
-
-	// MergeFanIn caps how many runs a reduce task merges at once. When a
-	// reducer receives more spilled runs than this, contiguous groups are
-	// first merged into intermediate run files (Hadoop's multi-pass
-	// merge), keeping open-file read-ahead memory bounded. 0 derives the
-	// cap from MemLimit: as many runs as the task's share holds at the
-	// 8 KiB minimum buffer, leaving one buffer for a pass's writer, so a
-	// reducer merges in one pass whenever its runs fit that budget.
-	// Without a MemLimit the cap is 1024. The minimum is 2.
-	MergeFanIn int
 }
 
 // spillBufSize is the preferred I/O buffer of one open run file (or run
@@ -72,34 +64,27 @@ const defaultFanIn = 1024
 // of buffer memory (0: unbounded). Half of MemLimit is reserved for
 // retained runs (see retainOrSpill), the other half is split across the
 // n node-concurrent tasks. A merge holds its read buffers plus, in an
-// intermediate pass, one write buffer, so the derived fan-in is the
-// largest that leaves each of fanIn+1 files minMergeBuf of the share.
-// The buffers themselves are sized per merge, from the runs it opens
-// (runState.bufSize), so an explicit MergeFanIn above the derived cap
-// shrinks them rather than busting MemLimit. The result rides every
-// task assignment, so goroutine workers and worker processes merge
-// alike.
+// intermediate pass, one write buffer, so the fan-in is the largest
+// that leaves each of fanIn+1 files minMergeBuf of the share, and at
+// least 2: a reducer merges in one pass whenever its runs fit that
+// budget, and in Hadoop's multi-pass merge otherwise (reduceFanIn).
+// Without a MemLimit the fan-in is defaultFanIn. The buffers themselves
+// are sized per merge, from the runs it opens (runState.bufSize), so
+// the floor of 2 shrinks them rather than busting MemLimit. The result
+// rides every task assignment, so goroutine workers and worker
+// processes merge alike.
 func (e Engine) mergeBudget(n int) (fanIn int, share int64) {
-	fanIn = defaultFanIn
-	if e.MergeFanIn > 0 {
-		fanIn = max(e.MergeFanIn, 2)
+	if e.MemLimit <= 0 {
+		return defaultFanIn, 0
 	}
-	if e.MemLimit > 0 {
-		share = max(e.MemLimit/2/int64(n), 1)
-		if e.MergeFanIn <= 0 {
-			fanIn = int(max(min(int64(fanIn), share/minMergeBuf-1), 2))
-		}
-	}
-	return fanIn, share
+	share = max(e.MemLimit/2/int64(n), 1)
+	return int(max(min(defaultFanIn, share/minMergeBuf-1), 2)), share
 }
 
 // validate rejects configurations that silently could not spill.
 func (e Engine) validate() error {
 	if e.SpillDir == "" && e.MemLimit > 0 {
 		return fmt.Errorf("mapreduce: Engine.MemLimit set without Engine.SpillDir — nowhere to spill")
-	}
-	if e.MergeFanIn < 0 {
-		return fmt.Errorf("mapreduce: Engine.MergeFanIn must not be negative, got %d", e.MergeFanIn)
 	}
 	return nil
 }
@@ -497,7 +482,7 @@ func openRuns(rs *runState, runs []runData, buf int) []cursor {
 // those runs would produce. Records stream from the input cursors to the
 // output writer one at a time — the pass exists to cut fan-in, so its
 // memory footprint is just the open read-ahead and write buffers.
-func mergeToFile(rs *runState, runs []runData, vcmp CompareFunc) (*runFile, error) {
+func mergeToFile(rs *runState, runs []runData) (*runFile, error) {
 	buf := rs.bufSize(spilledFiles(runs))
 	cursors := openRuns(rs, runs, buf)
 	defer func() {
@@ -505,7 +490,7 @@ func mergeToFile(rs *runState, runs []runData, vcmp CompareFunc) (*runFile, erro
 			c.close()
 		}
 	}()
-	m := newMergerCursors(cursors, vcmp)
+	m := newMerger(cursors)
 	rw, err := newRunFileWriter(rs, buf)
 	if err != nil {
 		return nil, err
@@ -529,10 +514,11 @@ func mergeToFile(rs *runState, runs []runData, vcmp CompareFunc) (*runFile, erro
 }
 
 // reduceFanIn repeatedly merges contiguous groups of runs until at most
-// fanIn remain. Grouping contiguous seq ranges and breaking merge ties on
+// the attempt's fan-in remain. Grouping contiguous seq ranges and breaking merge ties on
 // source order keeps the final stream identical to a flat merge of every
 // original run, so multi-pass merging never changes job output.
-func reduceFanIn(rs *runState, runs []runData, vcmp CompareFunc, fanIn int) ([]runData, error) {
+func reduceFanIn(rs *runState, runs []runData) ([]runData, error) {
+	fanIn := rs.fanIn
 	if rs.dir == "" {
 		// In-memory backend: nothing to bound — resident slices carry no
 		// per-run read-ahead buffer, and there is nowhere to merge to.
@@ -549,7 +535,7 @@ func reduceFanIn(rs *runState, runs []runData, vcmp CompareFunc, fanIn int) ([]r
 				merged = append(merged, runs[lo])
 				continue
 			}
-			rf, err := mergeToFile(rs, runs[lo:hi], vcmp)
+			rf, err := mergeToFile(rs, runs[lo:hi])
 			if err != nil {
 				return nil, err
 			}

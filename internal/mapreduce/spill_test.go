@@ -8,7 +8,6 @@ import (
 	"hash/fnv"
 	"math/rand"
 	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
@@ -21,7 +20,7 @@ func spillCluster(t *testing.T, nodes, chunk int, eng Engine) *Cluster {
 	if eng.SpillDir == "" {
 		eng.SpillDir = t.TempDir()
 	}
-	c, err := NewClusterEngine(dfs.New(chunk), nodes, eng)
+	c, err := NewCluster(dfs.New(chunk), nodes, Config{Engine: eng})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,41 +49,39 @@ func randomLines(n int) []string {
 // run out-of-core unchanged.
 func TestSpillBackendOutputIdenticalToInMemory(t *testing.T) {
 	lines := randomLines(200)
-	for _, combine := range []bool{false, true} {
-		mem := newTestCluster(4, 16)
-		writeLines(mem.FS(), "in", lines...)
-		memStats, err := mem.Run(wordCountJob("in", "out", combine))
-		if err != nil {
-			t.Fatal(err)
-		}
+	mem := newTestCluster(4, 16)
+	writeLines(mem.FS(), "in", lines...)
+	memStats, err := mem.Run(wordCountJob("in", "out"))
+	if err != nil {
+		t.Fatal(err)
+	}
 
-		sp := spillCluster(t, 4, 16, Engine{})
-		writeLines(sp.FS(), "in", lines...)
-		spStats, err := sp.Run(wordCountJob("in", "out", combine))
-		if err != nil {
-			t.Fatal(err)
-		}
+	sp := spillCluster(t, 4, 16, Engine{})
+	writeLines(sp.FS(), "in", lines...)
+	spStats, err := sp.Run(wordCountJob("in", "out"))
+	if err != nil {
+		t.Fatal(err)
+	}
 
-		memOut, _ := mem.FS().Read("out")
-		spOut, _ := sp.FS().Read("out")
-		if len(memOut) != len(spOut) {
-			t.Fatalf("combine=%v: output sizes differ: mem %d spill %d", combine, len(memOut), len(spOut))
+	memOut, _ := mem.FS().Read("out")
+	spOut, _ := sp.FS().Read("out")
+	if len(memOut) != len(spOut) {
+		t.Fatalf("output sizes differ: mem %d spill %d", len(memOut), len(spOut))
+	}
+	for i := range memOut {
+		if !bytes.Equal(memOut[i], spOut[i]) {
+			t.Fatalf("output record %d differs: %q vs %q", i, memOut[i], spOut[i])
 		}
-		for i := range memOut {
-			if !bytes.Equal(memOut[i], spOut[i]) {
-				t.Fatalf("combine=%v: output record %d differs: %q vs %q", combine, i, memOut[i], spOut[i])
-			}
-		}
-		if spStats.SpilledRuns == 0 || spStats.SpilledBytes == 0 {
-			t.Fatalf("combine=%v: spill engine spilled nothing: %+v", combine, spStats)
-		}
-		if memStats.SpilledRuns != 0 {
-			t.Fatalf("combine=%v: in-memory engine spilled %d runs", combine, memStats.SpilledRuns)
-		}
-		if spStats.ShuffleBytes != memStats.ShuffleBytes || spStats.ShuffleRecords != memStats.ShuffleRecords {
-			t.Fatalf("combine=%v: shuffle accounting diverged: mem %d/%d spill %d/%d", combine,
-				memStats.ShuffleRecords, memStats.ShuffleBytes, spStats.ShuffleRecords, spStats.ShuffleBytes)
-		}
+	}
+	if spStats.SpilledRuns == 0 || spStats.SpilledBytes == 0 {
+		t.Fatalf("spill engine spilled nothing: %+v", spStats)
+	}
+	if memStats.SpilledRuns != 0 {
+		t.Fatalf("in-memory engine spilled %d runs", memStats.SpilledRuns)
+	}
+	if spStats.ShuffleBytes != memStats.ShuffleBytes || spStats.ShuffleRecords != memStats.ShuffleRecords {
+		t.Fatalf("shuffle accounting diverged: mem %d/%d spill %d/%d",
+			memStats.ShuffleRecords, memStats.ShuffleBytes, spStats.ShuffleRecords, spStats.ShuffleBytes)
 	}
 }
 
@@ -96,7 +93,7 @@ func TestSpillMemLimitBoundsResidency(t *testing.T) {
 
 	tight := spillCluster(t, 4, 8, Engine{MemLimit: 4 << 10})
 	writeLines(tight.FS(), "in", lines...)
-	st, err := tight.Run(wordCountJob("in", "out", false))
+	st, err := tight.Run(wordCountJob("in", "out"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +109,7 @@ func TestSpillMemLimitBoundsResidency(t *testing.T) {
 
 	roomy := spillCluster(t, 4, 8, Engine{MemLimit: 64 << 20})
 	writeLines(roomy.FS(), "in", lines...)
-	st, err = roomy.Run(wordCountJob("in", "out", false))
+	st, err = roomy.Run(wordCountJob("in", "out"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,26 +121,31 @@ func TestSpillMemLimitBoundsResidency(t *testing.T) {
 	}
 }
 
-// A tiny MergeFanIn forces multi-pass merging: intermediate run files
-// beyond the map tasks' own, and still byte-identical output.
+// A MemLimit of 256 KiB on 4 nodes leaves each task a 32 KiB buffer
+// share, a fan-in of 3 at the 8 KiB minimum buffer: a reducer of 60 map
+// tasks merges in passes, writing intermediate run files — the map runs
+// themselves stay resident — and the output is still byte-identical.
 func TestSpillFanInMultiPassMerge(t *testing.T) {
 	lines := randomLines(240)
 
 	mem := newTestCluster(4, 4) // 60 map tasks
 	writeLines(mem.FS(), "in", lines...)
-	if _, err := mem.Run(wordCountJob("in", "out", false)); err != nil {
+	if _, err := mem.Run(wordCountJob("in", "out")); err != nil {
 		t.Fatal(err)
 	}
 
-	sp := spillCluster(t, 4, 4, Engine{MergeFanIn: 3})
+	eng := Engine{MemLimit: 256 << 10}
+	if fanIn, _ := eng.mergeBudget(4); fanIn != 3 {
+		t.Fatalf("256 KiB on 4 nodes gives fan-in %d, want 3", fanIn)
+	}
+	sp := spillCluster(t, 4, 4, eng)
 	writeLines(sp.FS(), "in", lines...)
-	st, err := sp.Run(wordCountJob("in", "out", false))
+	st, err := sp.Run(wordCountJob("in", "out"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.SpilledRuns <= int64(st.MapTasks) {
-		t.Fatalf("fan-in 3 over %d map tasks produced no intermediate merges (%d spilled runs)",
-			st.MapTasks, st.SpilledRuns)
+	if st.SpilledRuns == 0 {
+		t.Fatalf("fan-in 3 over %d map tasks produced no intermediate merges", st.MapTasks)
 	}
 	memOut, _ := mem.FS().Read("out")
 	spOut, _ := sp.FS().Read("out")
@@ -240,13 +242,13 @@ func TestSpillMergesFortyOneRunsInOnePass(t *testing.T) {
 }
 
 // Every merge a budget admits — up to fanIn run files read and one
-// written — fits its buffers in the task's share, whatever the limit,
-// node count or explicit fan-in; only a share below the minSpillBuf
-// floor is clamped rather than honored.
+// written — fits its buffers in the task's share, whatever the limit or
+// node count, the floor of fan-in 2 included; only a share below the
+// minSpillBuf floor is clamped rather than honored.
 func TestMergeBuffersFitShare(t *testing.T) {
 	for _, eng := range []Engine{
-		{MemLimit: 8 << 20}, {MemLimit: 2 << 20}, {MemLimit: 64 << 10}, {MemLimit: 4 << 10},
-		{MemLimit: 8 << 20, MergeFanIn: 500}, {MemLimit: 4 << 10, MergeFanIn: 3},
+		{MemLimit: 8 << 20}, {MemLimit: 2 << 20}, {MemLimit: 256 << 10}, {MemLimit: 64 << 10},
+		{MemLimit: 4 << 10}, {MemLimit: 1 << 10},
 	} {
 		for _, nodes := range []int{1, 4} {
 			fanIn, share := eng.mergeBudget(nodes)
@@ -262,70 +264,34 @@ func TestMergeBuffersFitShare(t *testing.T) {
 	}
 }
 
-// runFilesUnder lists completed run files below the engine spill dir.
-func runFilesUnder(t *testing.T, dir string) []string {
-	t.Helper()
-	matches, err := filepath.Glob(filepath.Join(dir, "job-*", "run-*"))
+// A partially written run file must fail the reduce attempt cleanly,
+// and the retry — after the scheduler re-executes the run's producer —
+// must succeed with complete output.
+func TestSpillCrashMidMergeRetries(t *testing.T) {
+	c, err := NewCluster(dfs.New(4), 2, Config{
+		Engine: Engine{SpillDir: t.TempDir()},
+		Faults: &FaultPlan{Events: []FaultEvent{{Worker: -1, Task: "wordcount/map/0", Attempt: 1,
+			Point: AtPostCommit, Action: ActTruncateRun, TruncateBytes: 5}}},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var out []string
-	for _, m := range matches {
-		if !strings.HasSuffix(m, ".tmp") {
-			out = append(out, m)
-		}
-	}
-	return out
-}
-
-// A partially written run file must fail the reduce attempt cleanly; a
-// retry that finds the file intact again (the crash-mid-merge recovery
-// story) must succeed with complete output.
-func TestSpillCrashMidMergeRetries(t *testing.T) {
-	spillRoot := t.TempDir()
-	c := spillCluster(t, 2, 4, Engine{SpillDir: spillRoot})
+	defer c.Close()
 	writeLines(c.FS(), "in", randomLines(40)...)
-
-	var saved []byte
-	var victim string
-	job := wordCountJob("in", "out", false)
+	job := wordCountJob("in", "out")
 	job.NumReducers = 1
-	job.MaxAttempts = 2
-	attempt := 0 // one reducer, attempts in sequence: setup calls count them
-	job.ReduceSetup = func(*TaskContext) error {
-		attempt++
-		switch attempt {
-		case 1:
-			// Corrupt one run file mid-record before the first merge.
-			files := runFilesUnder(t, spillRoot)
-			if len(files) == 0 {
-				t.Fatal("no run files on disk at reduce time")
-			}
-			victim = files[0]
-			var err error
-			saved, err = os.ReadFile(victim)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := os.Truncate(victim, int64(len(saved)/2)); err != nil {
-				t.Fatal(err)
-			}
-		case 2:
-			// The "restarted node" restored the file: retry must succeed.
-			if err := os.WriteFile(victim, saved, 0o644); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return nil
+	js, err := c.Run(job)
+	if err != nil {
+		t.Fatalf("retry after a torn run file failed: %v", err)
 	}
-	if _, err := c.Run(job); err != nil {
-		t.Fatalf("retry after restored run file failed: %v", err)
+	if js.ReexecutedAttempts < 2 {
+		t.Fatalf("ReexecutedAttempts = %d, want >= 2 (map re-run + reduce retry)", js.ReexecutedAttempts)
 	}
 
 	// The recovered output must be complete and correct.
 	mem := newTestCluster(2, 4)
 	writeLines(mem.FS(), "in", randomLines(40)...)
-	ref := wordCountJob("in", "out", false)
+	ref := wordCountJob("in", "out")
 	ref.NumReducers = 1
 	if _, err := mem.Run(ref); err != nil {
 		t.Fatal(err)
@@ -345,30 +311,23 @@ func TestSpillCrashMidMergeRetries(t *testing.T) {
 // A run file that stays truncated must abort the job with a truncation
 // error after retries — never silently merge the readable prefix. The
 // scheduler answers a damaged run by re-executing its producer, so
-// "stays truncated" means every reduce attempt finds one damaged anew.
+// "stays truncated" means every map attempt tears its run anew: a plan
+// with more truncations than the job's re-dispatch budget.
 func TestSpillTruncatedRunFileAbortsJob(t *testing.T) {
-	spillRoot := t.TempDir()
-	c := spillCluster(t, 2, 4, Engine{SpillDir: spillRoot})
-	writeLines(c.FS(), "in", randomLines(40)...)
-
-	job := wordCountJob("in", "out", false)
-	job.NumReducers = 1
-	job.ReduceSetup = func(*TaskContext) error {
-		files := runFilesUnder(t, spillRoot)
-		if len(files) == 0 {
-			t.Fatal("no run files on disk at reduce time")
-		}
-		victim := files[len(files)-1]
-		fi, err := os.Stat(victim)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.Truncate(victim, fi.Size()-1); err != nil {
-			t.Fatal(err)
-		}
-		return nil
+	events := make([]FaultEvent, 64)
+	for i := range events {
+		events[i] = FaultEvent{Worker: -1, Task: "wordcount/map/*", Point: AtPostCommit,
+			Action: ActTruncateRun, TruncateBytes: 1}
 	}
-	_, err := c.Run(job)
+	c, err := NewCluster(dfs.New(4), 2, Config{Engine: Engine{SpillDir: t.TempDir()}, Faults: &FaultPlan{Events: events}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	writeLines(c.FS(), "in", randomLines(40)...)
+	job := wordCountJob("in", "out")
+	job.NumReducers = 1
+	_, err = c.Run(job)
 	if err == nil {
 		t.Fatal("job with a truncated run file succeeded")
 	}
@@ -380,17 +339,14 @@ func TestSpillTruncatedRunFileAbortsJob(t *testing.T) {
 // The engine must reject configurations that cannot spill, and clean its
 // per-job directories up after a successful run.
 func TestSpillEngineValidationAndCleanup(t *testing.T) {
-	if _, err := NewClusterEngine(dfs.New(0), 2, Engine{MemLimit: 1 << 20}); err == nil {
+	if _, err := NewCluster(dfs.New(0), 2, Config{Engine: Engine{MemLimit: 1 << 20}}); err == nil {
 		t.Fatal("MemLimit without SpillDir was accepted")
-	}
-	if _, err := NewClusterEngine(dfs.New(0), 2, Engine{MergeFanIn: -1}); err == nil {
-		t.Fatal("negative MergeFanIn was accepted")
 	}
 
 	spillRoot := t.TempDir()
 	c := spillCluster(t, 2, 8, Engine{SpillDir: spillRoot})
 	writeLines(c.FS(), "in", randomLines(30)...)
-	if _, err := c.Run(wordCountJob("in", "out", false)); err != nil {
+	if _, err := c.Run(wordCountJob("in", "out")); err != nil {
 		t.Fatal(err)
 	}
 	entries, err := os.ReadDir(spillRoot)
@@ -417,7 +373,7 @@ func TestSpillWithDiskDFS(t *testing.T) {
 
 	mem := newTestCluster(3, 8)
 	mem.FS().Write("in", recs)
-	if _, err := mem.Run(wordCountJob("in", "out", false)); err != nil {
+	if _, err := mem.Run(wordCountJob("in", "out")); err != nil {
 		t.Fatal(err)
 	}
 
@@ -425,14 +381,14 @@ func TestSpillWithDiskDFS(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := NewClusterEngine(disk, 3, Engine{SpillDir: t.TempDir()})
+	c, err := NewCluster(disk, 3, Config{Engine: Engine{SpillDir: t.TempDir()}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := disk.Write("in", recs); err != nil {
 		t.Fatal(err)
 	}
-	st, err := c.Run(wordCountJob("in", "out", false))
+	st, err := c.Run(wordCountJob("in", "out"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -462,10 +418,10 @@ func TestValuesRemainingExactForOneGroupTasks(t *testing.T) {
 		fanIn bool
 	}{
 		{"memory runs", Engine{}, false},
-		{"spilled runs, fan-in 2", Engine{MemLimit: 1 << 10, MergeFanIn: 2}, true},
+		{"spilled runs, fan-in 2", Engine{MemLimit: 1 << 10}, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			onBothTransports(t, DistConfig{Workers: 2, Engine: tc.eng}, func(t *testing.T, cfg DistConfig) {
+			onBothTransports(t, Config{Workers: 2, Engine: tc.eng}, func(t *testing.T, cfg Config) {
 				if cfg.Engine.MemLimit > 0 {
 					cfg.Engine.SpillDir = t.TempDir()
 				}
@@ -552,7 +508,7 @@ func TestRemainingBoundedByRunFile(t *testing.T) {
 			}}
 			a := &assignment{JobName: "t", Phase: "reduce", job: job,
 				Runs: []runData{{File: &runFile{Path: rf.Path, Records: tc.records, Bytes: tc.bytes}}}}
-			ctx := &TaskContext{side: job.Side, counters: NewCounterSet()}
+			ctx := &TaskContext{counters: NewCounterSet()}
 			comp := &completion{}
 			_, err := (&worker{}).reduceTask(a, ctx, rs, comp)
 			if sized > size {

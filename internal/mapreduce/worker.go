@@ -35,7 +35,7 @@ type link interface {
 // worker is one task executor: it asks the scheduler for a task, runs
 // it, reports the outcome, and asks again. A cluster runs Nodes of them
 // as goroutines for the length of a job, and a distributed cluster
-// additionally keeps DistConfig.Workers of them as processes; both run
+// additionally keeps Config.Workers of them as processes; both run
 // the same loop and the same task body over a different link.
 type worker struct {
 	index int
@@ -211,7 +211,7 @@ func (w *worker) execute(a *assignment, comp *completion) error {
 			return err
 		}
 	}
-	ctx := &TaskContext{JobName: a.JobName, TaskID: a.taskID(), side: a.job.Side, counters: NewCounterSet()}
+	ctx := &TaskContext{JobName: a.JobName, TaskID: a.taskID(), counters: NewCounterSet()}
 	rs := &runState{dir: a.RunDir, fanIn: a.FanIn, share: a.MergeShare, mem: a.mem}
 	defer func() {
 		comp.Work = ctx.work
@@ -251,17 +251,11 @@ func (w *worker) execute(a *assignment, comp *completion) error {
 }
 
 // mapTask runs one map attempt: load the split, map every record into
-// per-reducer buckets, then either sort, combine and commit the buckets
-// as runs (resident or spilled, see runState.retainOrSpill) or, for a
+// per-reducer buckets, then either sort and commit the buckets as runs (resident or spilled, see runState.retainOrSpill) or, for a
 // map-only job, return the bucket-concatenated values as the task's
 // output.
 func (w *worker) mapTask(a *assignment, ctx *TaskContext, rs *runState, comp *completion) ([]dfs.Record, error) {
 	job := a.job
-	if job.MapSetup != nil {
-		if err := job.MapSetup(ctx); err != nil {
-			return nil, fmt.Errorf("map setup: %w", err)
-		}
-	}
 	records, err := a.split.Load()
 	if err != nil {
 		return nil, fmt.Errorf("map input: %w", err)
@@ -308,12 +302,7 @@ func (w *worker) mapTask(a *assignment, ctx *TaskContext, rs *runState, comp *co
 	// Map-side sort: turn each bucket into a sorted run (the spill sort
 	// of a real Hadoop map task).
 	for r := range runs {
-		sortRun(runs[r].kvs, job.ValueCompare)
-		if job.Combine != nil {
-			if runs[r].kvs, err = combineRun(ctx, job, runs[r].kvs); err != nil {
-				return nil, fmt.Errorf("combine: %w", err)
-			}
-		}
+		sortRun(runs[r].kvs)
 	}
 	if err := w.checkpoint(a, AtPreCommit, nil); err != nil {
 		return nil, err
@@ -325,44 +314,13 @@ func (w *worker) mapTask(a *assignment, ctx *TaskContext, rs *runState, comp *co
 	return nil, w.checkpoint(a, AtPostCommit, runs)
 }
 
-// sortRun orders kvs by key bytes, then by the optional value comparator.
-// The sort is unstable (a stable sort's merge rotations dominate the
-// shuffle cost on duplicate-heavy runs) but deterministic: ties land in
-// an unspecified yet reproducible order, so jobs stay deterministic per
-// configuration; a job that needs a defined value order states it with
-// ValueCompare.
-func sortRun(kvs []KV, vcmp CompareFunc) {
-	slices.SortFunc(kvs, func(a, b KV) int {
-		if c := bytes.Compare(a.Key, b.Key); c != 0 {
-			return c
-		}
-		if vcmp != nil {
-			return vcmp(a.Value, b.Value)
-		}
-		return 0
-	})
-}
-
-// combineRun streams the sorted run's key groups through the combiner and
-// returns the combined output as a new sorted run. Combiners group on the
-// full key (Hadoop's contract — the grouping prefix applies to reducers
-// only, so a composite key's secondary order survives combining).
-func combineRun(ctx *TaskContext, job *Job, run []KV) ([]KV, error) {
-	if len(run) == 0 {
-		return run, nil
-	}
-	m := newMerger([][]KV{run}, job.ValueCompare)
-	out := make([]KV, 0, len(run))
-	emit := func(key, value []byte) {
-		out = append(out, KV{Key: key, Value: value})
-	}
-	if _, err := streamGroups(ctx, job.Combine, m, 0, emit); err != nil {
-		return nil, err
-	}
-	// The combiner may emit in any order; restore run sortedness for the
-	// reduce-side merge.
-	sortRun(out, job.ValueCompare)
-	return out, nil
+// sortRun orders kvs by key bytes. The sort is unstable (a stable
+// sort's merge rotations dominate the shuffle cost on duplicate-heavy
+// runs) but deterministic: ties land in an unspecified yet reproducible
+// order, so jobs stay deterministic per configuration; a job that needs
+// a defined value order puts it in a composite key's suffix.
+func sortRun(kvs []KV) {
+	slices.SortFunc(kvs, func(a, b KV) int { return bytes.Compare(a.Key, b.Key) })
 }
 
 // reduceTask runs one reduce attempt: k-way-merge the committed runs it
@@ -372,11 +330,6 @@ func combineRun(ctx *TaskContext, job *Job, run []KV) ([]KV, error) {
 // named in comp.BadRuns so the scheduler re-executes its producer.
 func (w *worker) reduceTask(a *assignment, ctx *TaskContext, rs *runState, comp *completion) ([]dfs.Record, error) {
 	job := a.job
-	if job.ReduceSetup != nil {
-		if err := job.ReduceSetup(ctx); err != nil {
-			return nil, fmt.Errorf("reduce setup: %w", err)
-		}
-	}
 	reportBad := func(err error) error {
 		var bad *runBadError
 		if errors.As(err, &bad) {
@@ -393,7 +346,7 @@ func (w *worker) reduceTask(a *assignment, ctx *TaskContext, rs *runState, comp 
 	// more runs than the merge fan-in admits, contiguous groups are first
 	// merged into intermediate run files (bounding the open read-ahead
 	// buffers), which cannot change the merged order.
-	runs, err := reduceFanIn(rs, a.Runs, job.ValueCompare, rs.fanIn)
+	runs, err := reduceFanIn(rs, a.Runs)
 	if err != nil {
 		return nil, reportBad(err)
 	}
@@ -403,7 +356,7 @@ func (w *worker) reduceTask(a *assignment, ctx *TaskContext, rs *runState, comp 
 			cu.close()
 		}
 	}()
-	m := newMergerCursors(cursors, job.ValueCompare)
+	m := newMerger(cursors)
 	var out []dfs.Record
 	emit := func(_, value []byte) {
 		out = append(out, dfs.Record(value))

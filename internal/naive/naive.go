@@ -46,7 +46,7 @@ func BruteForce(rObjs, sObjs []codec.Object, k int, m vector.Metric) ([]codec.Re
 		wg.Add(1)
 		go func(lo, hi int) {
 			defer wg.Done()
-			heap := nnheap.NewKHeap(k)
+			heap := nnheap.NewKHeapAmong(k, len(sObjs))
 			for i := lo; i < hi; i++ {
 				heap.Reset()
 				r := rObjs[i]
@@ -109,18 +109,15 @@ func Broadcast(cluster *mapreduce.Cluster, rFile, sFile, outFile string, opts Br
 	return report, nil
 }
 
-// broadcastSpec rebuilds the broadcast job in a worker process.
+// broadcastSpec rebuilds the broadcast job in a worker process. It is
+// also the job's task state: the map and reduce functions are its
+// methods.
 type broadcastSpec struct {
 	RFile, SFile string
 	Output       string
 	Nodes        int
 	Opts         BroadcastOptions
 }
-
-const (
-	sideNodes = "nodes"
-	sideOpts  = "opts"
-)
 
 var broadcastKind = mapreduce.DefineKind("broadcast-join", buildBroadcastJob)
 
@@ -132,19 +129,15 @@ func buildBroadcastJob(s broadcastSpec) *mapreduce.Job {
 		NumReducers:    s.Nodes,
 		Partition:      mapreduce.Uint32Partition,
 		GroupKeyPrefix: codec.RegionKeyGroupPrefix,
-		Side: map[string]any{
-			sideNodes: s.Nodes,
-			sideOpts:  s.Opts,
-		},
-		Map:    broadcastMap,
-		Reduce: broadcastReduce,
+		Map:            s.broadcastMap,
+		Reduce:         s.broadcastReduce,
 	}
 }
 
 // broadcastMap hashes each r to one reducer and replicates every s to
 // all of them — the shuffle whose N·|S| term motivates PGBJ.
-func broadcastMap(ctx *mapreduce.TaskContext, rec dfs.Record, emit mapreduce.Emit) error {
-	n := ctx.Side(sideNodes).(int)
+func (s *broadcastSpec) broadcastMap(ctx *mapreduce.TaskContext, rec dfs.Record, emit mapreduce.Emit) error {
+	n := s.Nodes
 	t, err := codec.DecodeTagged(rec)
 	if err != nil {
 		return err
@@ -161,8 +154,8 @@ func broadcastMap(ctx *mapreduce.TaskContext, rec dfs.Record, emit mapreduce.Emi
 	return nil
 }
 
-func broadcastReduce(ctx *mapreduce.TaskContext, _ []byte, values *mapreduce.Values, emit mapreduce.Emit) error {
-	opts := ctx.Side(sideOpts).(BroadcastOptions)
+func (s *broadcastSpec) broadcastReduce(ctx *mapreduce.TaskContext, _ []byte, values *mapreduce.Values, emit mapreduce.Emit) error {
+	opts := s.Opts
 	rBlk, sBlk, err := driver.CollectRSBlocks(values)
 	if err != nil {
 		return err
@@ -200,7 +193,7 @@ func joinBlocksKNN(ctx *mapreduce.TaskContext, rBlk, sBlk *vector.Block, k int, 
 			qs = append(qs, rBlk.At(row))
 		}
 		for len(heaps) < len(qs) {
-			heaps = append(heaps, nnheap.NewKHeap(k))
+			heaps = append(heaps, nnheap.NewKHeapAmong(k, sBlk.Len()))
 		}
 		for _, h := range heaps[:len(qs)] {
 			h.Reset()

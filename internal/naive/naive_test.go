@@ -12,6 +12,16 @@ import (
 	"knnjoin/internal/vector"
 )
 
+// newCluster builds an in-process cluster of nodes nodes over fs.
+func newCluster(t testing.TB, fs dfs.Store, nodes int) *mapreduce.Cluster {
+	t.Helper()
+	c, err := mapreduce.NewCluster(fs, nodes, mapreduce.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
 func TestBruteForceKnownAnswer(t *testing.T) {
 	r := []codec.Object{{ID: 0, Point: vector.Point{0, 0}}}
 	s := []codec.Object{
@@ -99,7 +109,7 @@ func TestBruteForceAlternateMetrics(t *testing.T) {
 func runBroadcast(t *testing.T, rObjs, sObjs []codec.Object, k, nodes int) ([]codec.Result, *statsReport) {
 	t.Helper()
 	fs := dfs.New(64)
-	cluster := mapreduce.NewCluster(fs, nodes)
+	cluster := newCluster(t, fs, nodes)
 	dataset.ToDFS(fs, "R", rObjs, codec.FromR)
 	dataset.ToDFS(fs, "S", sObjs, codec.FromS)
 	rep, err := Broadcast(cluster, "R", "S", "out", BroadcastOptions{K: k})
@@ -154,7 +164,7 @@ func TestBroadcastSingleNode(t *testing.T) {
 
 func TestBroadcastRejectsBadK(t *testing.T) {
 	fs := dfs.New(0)
-	cluster := mapreduce.NewCluster(fs, 2)
+	cluster := newCluster(t, fs, 2)
 	if _, err := Broadcast(cluster, "R", "S", "out", BroadcastOptions{K: 0}); err == nil {
 		t.Fatal("k=0 accepted")
 	}

@@ -37,7 +37,7 @@ func collectOneGroup(t *testing.T, rows int) (*GroupBlock, uint64) {
 	}
 	var gb *GroupBlock
 	var mallocs uint64
-	_, err := mapreduce.NewCluster(fs, 1).Run(&mapreduce.Job{
+	_, err := newCluster(t, fs, 1).Run(&mapreduce.Job{
 		Name: "collect", Input: []string{"in"}, Output: "out",
 		Partition: mapreduce.Uint32Partition, GroupKeyPrefix: codec.JoinKeyGroupPrefix,
 		Map: func(_ *mapreduce.TaskContext, rec dfs.Record, emit mapreduce.Emit) error {

@@ -7,7 +7,6 @@ import (
 	"knnjoin/internal/dataset"
 	"knnjoin/internal/dfs"
 	"knnjoin/internal/grouping"
-	"knnjoin/internal/mapreduce"
 	"knnjoin/internal/pivot"
 	"knnjoin/internal/vector"
 	"knnjoin/internal/voronoi"
@@ -31,7 +30,7 @@ func TestTheorem7PredictsActualShuffle(t *testing.T) {
 
 	// Run the real pipeline.
 	fs := dfs.New(128)
-	cluster := mapreduce.NewCluster(fs, nodes)
+	cluster := newCluster(t, fs, nodes)
 	dataset.ToDFS(fs, "R", objs, codec.FromR)
 	dataset.ToDFS(fs, "S", objs, codec.FromS)
 	rep, err := Run(cluster, "R", "S", "out", Options{

@@ -81,7 +81,15 @@ type pbjSpec struct {
 
 var pbjKind = mapreduce.DefineKind("pbj-block-join", buildPBJJob)
 
+// pbjTask is the block-join job's task state: the spec with its pivots
+// rebuilt into a Partitioner.
+type pbjTask struct {
+	pbjSpec
+	pp *voronoi.Partitioner
+}
+
 func buildPBJJob(s pbjSpec) *mapreduce.Job {
+	task := &pbjTask{pbjSpec: s, pp: voronoi.NewPartitioner(s.Pivots, s.Opts.Metric)}
 	return &mapreduce.Job{
 		Name:           "pbj-block-join",
 		Input:          []string{s.Input},
@@ -89,14 +97,8 @@ func buildPBJJob(s pbjSpec) *mapreduce.Job {
 		NumReducers:    s.Blocks * s.Blocks,
 		Partition:      mapreduce.Uint32Partition,
 		GroupKeyPrefix: codec.JoinKeyGroupPrefix,
-		Side: map[string]any{
-			sidePivots:  voronoi.NewPartitioner(s.Pivots, s.Opts.Metric),
-			sideSummary: s.Summary,
-			sideOpts:    s.Opts,
-			sideBlocks:  s.Blocks,
-		},
-		Map:    pbjRouteMap,
-		Reduce: pbjJoinReduce,
+		Map:            task.pbjRouteMap,
+		Reduce:         task.pbjJoinReduce,
 	}
 }
 
@@ -104,8 +106,8 @@ func buildPBJJob(s pbjSpec) *mapreduce.Job {
 // block grid: R-partition blocks join every S block and vice versa. As
 // in PGBJ's job 2, the JoinKey holds the tags and the value the
 // coordinates.
-func pbjRouteMap(ctx *mapreduce.TaskContext, rec dfs.Record, emit mapreduce.Emit) error {
-	b := ctx.Side(sideBlocks).(int)
+func (task *pbjTask) pbjRouteMap(ctx *mapreduce.TaskContext, rec dfs.Record, emit mapreduce.Emit) error {
+	b := task.Blocks
 	t, coords, err := codec.PeekTagged(rec)
 	if err != nil {
 		return err
@@ -129,11 +131,8 @@ func pbjRouteMap(ctx *mapreduce.TaskContext, rec dfs.Record, emit mapreduce.Emit
 // R-partition is derived with Algorithm 1 restricted to the S-partitions
 // this reducer received — the paper's "loose distance bound" that makes
 // PBJ slower than PGBJ (§6.2).
-func pbjJoinReduce(ctx *mapreduce.TaskContext, _ []byte, values *mapreduce.Values, emit mapreduce.Emit) error {
-	pp := ctx.Side(sidePivots).(*voronoi.Partitioner)
-	sum := ctx.Side(sideSummary).(*voronoi.Summary)
-	opts := ctx.Side(sideOpts).(Options)
-
+func (task *pbjTask) pbjJoinReduce(ctx *mapreduce.TaskContext, _ []byte, values *mapreduce.Values, emit mapreduce.Emit) error {
+	pp, sum, opts := task.pp, task.Summary, task.Opts
 	// The shuffle's composite-key sort already delivers S partitions in
 	// SortByPivotDist order and the partition ranges ascending.
 	gb, err := CollectGroupBlock(values)
@@ -154,8 +153,9 @@ func localThetas(pp *voronoi.Partitioner, sum *voronoi.Summary, k int, gb *Group
 	for i := range thetas {
 		thetas[i] = math.Inf(1)
 	}
+	sRows := gb.sRows()
 	for _, rp := range gb.RParts {
-		thetas[rp.ID] = voronoi.KNNBound(k, sum.R[rp.ID].U, len(gb.SParts), func(p int) (float64, []float64) {
+		thetas[rp.ID] = voronoi.KNNBound(k, sRows, sum.R[rp.ID].U, len(gb.SParts), func(p int) (float64, []float64) {
 			sp := gb.SParts[p]
 			return pp.PivotDist(int(rp.ID), int(sp.ID)), gb.Block.PivotDist[sp.Lo:min(sp.Lo+k, sp.Hi)]
 		})

@@ -7,7 +7,6 @@ import (
 	"knnjoin/internal/dataset"
 	"knnjoin/internal/dfs"
 	"knnjoin/internal/driver"
-	"knnjoin/internal/mapreduce"
 	"knnjoin/internal/pivot"
 	"knnjoin/internal/vector"
 )
@@ -15,7 +14,7 @@ import (
 func runPBJ(t testing.TB, rObjs, sObjs []codec.Object, opts Options, nodes int) ([]codec.Result, *reportView) {
 	t.Helper()
 	fs := dfs.New(256)
-	cluster := mapreduce.NewCluster(fs, nodes)
+	cluster := newCluster(t, fs, nodes)
 	dataset.ToDFS(fs, "R", rObjs, codec.FromR)
 	dataset.ToDFS(fs, "S", sObjs, codec.FromS)
 	rep, err := RunPBJ(cluster, "R", "S", "out", opts)
@@ -130,7 +129,7 @@ func TestPBJKLargerThanS(t *testing.T) {
 
 func TestPBJValidation(t *testing.T) {
 	fs := dfs.New(0)
-	cluster := mapreduce.NewCluster(fs, 2)
+	cluster := newCluster(t, fs, 2)
 	if _, err := RunPBJ(cluster, "R", "S", "out", Options{K: 0, NumPivots: 2}); err == nil {
 		t.Error("k=0 accepted")
 	}

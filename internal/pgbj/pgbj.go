@@ -111,17 +111,6 @@ func (o Options) validate(cluster *mapreduce.Cluster) (Options, error) {
 	return o, nil
 }
 
-// side-data keys for the MapReduce jobs.
-const (
-	sidePivots   = "pivots"
-	sideSummary  = "summary"
-	sideThetas   = "thetas"
-	sideGroupOf  = "groupOf"
-	sideGroupLBs = "groupLBs"
-	sideOpts     = "opts"
-	sideBlocks   = "blocks"
-)
-
 // partitionSpec rebuilds the map-only Voronoi-partitioning job in a
 // worker process: the Partitioner is reconstructed from the pivots and
 // metric, which is all the map function consumes.
@@ -135,20 +124,24 @@ type partitionSpec struct {
 
 var partitionKind = mapreduce.DefineKind("pgbj-partition", buildPartitionJob)
 
+// partitionTask is job 1's task state: the pivots' Partitioner.
+type partitionTask struct {
+	pp *voronoi.Partitioner
+}
+
 func buildPartitionJob(s partitionSpec) *mapreduce.Job {
+	task := &partitionTask{pp: voronoi.NewPartitioner(s.Pivots, s.Metric)}
 	return &mapreduce.Job{
 		Name:   s.Name,
 		Input:  s.Inputs,
 		Output: s.Output,
-		Side:   map[string]any{sidePivots: voronoi.NewPartitioner(s.Pivots, s.Metric)},
-		Map:    partitionMap,
+		Map:    task.partitionMap,
 	}
 }
 
 // partitionMap tags one object of R or S with its nearest pivot
 // (Figure 4).
-func partitionMap(ctx *mapreduce.TaskContext, rec dfs.Record, emit mapreduce.Emit) error {
-	pp := ctx.Side(sidePivots).(*voronoi.Partitioner)
+func (task *partitionTask) partitionMap(ctx *mapreduce.TaskContext, rec dfs.Record, emit mapreduce.Emit) error {
 	t, err := codec.DecodeTagged(rec)
 	if err != nil {
 		return err
@@ -156,8 +149,8 @@ func partitionMap(ctx *mapreduce.TaskContext, rec dfs.Record, emit mapreduce.Emi
 	// The task is charged the paper's |P| comparisons per object ("pairs",
 	// the simulated work); what the pruned scan really evaluated is kept
 	// beside it, never instead of it.
-	part, d, evaluated := pp.AssignEvaluated(t.Point)
-	n := int64(pp.NumPartitions())
+	part, d, evaluated := task.pp.AssignEvaluated(t.Point)
+	n := int64(task.pp.NumPartitions())
 	ctx.Counter("pairs", n)
 	ctx.Counter(driver.AssignEvaluatedCounter, int64(evaluated))
 	ctx.AddWork(n)
@@ -169,8 +162,8 @@ func partitionMap(ctx *mapreduce.TaskContext, rec dfs.Record, emit mapreduce.Emi
 
 // joinSpec rebuilds MapReduce job 2 in a worker process: pivots (the
 // Partitioner is reconstructed), the summary tables, the grouping
-// products and the options — exactly the side data the map and reduce
-// functions consume.
+// products and the options — exactly what the map and reduce functions
+// consume.
 type joinSpec struct {
 	Input, Output string
 	Pivots        []vector.Point
@@ -183,7 +176,15 @@ type joinSpec struct {
 
 var joinKind = mapreduce.DefineKind("pgbj-join", buildJoinJob)
 
+// joinTask is job 2's task state: the spec with its pivots rebuilt into
+// a Partitioner.
+type joinTask struct {
+	joinSpec
+	pp *voronoi.Partitioner
+}
+
 func buildJoinJob(s joinSpec) *mapreduce.Job {
+	task := &joinTask{joinSpec: s, pp: voronoi.NewPartitioner(s.Pivots, s.Opts.Metric)}
 	return &mapreduce.Job{
 		Name:           "pgbj-join",
 		Input:          []string{s.Input},
@@ -191,16 +192,8 @@ func buildJoinJob(s joinSpec) *mapreduce.Job {
 		NumReducers:    s.Opts.NumGroups,
 		Partition:      mapreduce.Uint32Partition,
 		GroupKeyPrefix: codec.JoinKeyGroupPrefix,
-		Side: map[string]any{
-			sidePivots:   voronoi.NewPartitioner(s.Pivots, s.Opts.Metric),
-			sideSummary:  s.Summary,
-			sideThetas:   s.Thetas,
-			sideGroupOf:  s.GroupOf,
-			sideGroupLBs: s.GroupLBs,
-			sideOpts:     s.Opts,
-		},
-		Map:    pgbjRouteMap,
-		Reduce: pgbjJoinReduce,
+		Map:            task.pgbjRouteMap,
+		Reduce:         task.pgbjJoinReduce,
 	}
 }
 
@@ -302,6 +295,7 @@ func Partition(cluster *mapreduce.Cluster, rep *stats.Report, job, rFile, sFile,
 	// nearest pivot (Figure 4), built through the kind registry so a
 	// distributed cluster can rebuild it in workers.
 	partFile := outFile + ".partitioned"
+	sSize := cluster.FS().Size(sFile)
 	if _, err := driver.RunJob(cluster, rep, "Data Partitioning", partitionKind.New(partitionSpec{
 		Name: job, Inputs: []string{rFile, sFile}, Output: partFile, Pivots: pivots, Metric: opts.Metric,
 	})); err != nil {
@@ -310,7 +304,7 @@ func Partition(cluster *mapreduce.Cluster, rep *stats.Report, job, rFile, sFile,
 	cluster.FS().Remove(rFile)
 	cluster.FS().Remove(sFile)
 
-	sum, err := buildSummary(cluster.FS(), partFile, pp, opts.K, cluster.Nodes(), rep)
+	sum, err := buildSummary(cluster.FS(), partFile, pp, opts.K, sSize, cluster.Nodes(), rep)
 	if err != nil {
 		cluster.FS().Remove(partFile)
 		return nil, err
@@ -350,7 +344,7 @@ func selectPivots(fs dfs.Store, rFile string, opts Options, report *stats.Report
 // merges per-split statistics when job 1 completes. The pool bound
 // matters on the disk-backed store: at most `workers` splits are
 // resident at once, preserving the out-of-core backend's memory bound.
-func buildSummary(fs dfs.Store, partFile string, pp *voronoi.Partitioner, k, workers int, report *stats.Report) (*voronoi.Summary, error) {
+func buildSummary(fs dfs.Store, partFile string, pp *voronoi.Partitioner, k, sSize, workers int, report *stats.Report) (*voronoi.Summary, error) {
 	start := time.Now()
 	splits, err := fs.Splits(partFile)
 	if err != nil {
@@ -371,7 +365,7 @@ func buildSummary(fs dfs.Store, partFile string, pp *voronoi.Partitioner, k, wor
 		go func() {
 			defer wg.Done()
 			for i := range tasks {
-				b := voronoi.NewSummaryBuilder(pp.NumPartitions(), k)
+				b := voronoi.NewSummaryBuilderAmong(pp.NumPartitions(), k, sSize)
 				recs, err := splits[i].Load()
 				if err != nil {
 					errs[i] = err
@@ -417,9 +411,8 @@ func buildSummary(fs dfs.Store, partFile string, pp *voronoi.Partitioner, k, wor
 // replicate to every group whose LB admits them. The JoinKey carries the
 // record's tags, so the value is its coordinates alone, shared with the
 // job-1 record rather than copied.
-func pgbjRouteMap(ctx *mapreduce.TaskContext, rec dfs.Record, emit mapreduce.Emit) error {
-	groupOf := ctx.Side(sideGroupOf).([]int)
-	groupLBs := ctx.Side(sideGroupLBs).([][]float64)
+func (task *joinTask) pgbjRouteMap(ctx *mapreduce.TaskContext, rec dfs.Record, emit mapreduce.Emit) error {
+	groupOf, groupLBs := task.GroupOf, task.GroupLBs
 	t, coords, err := codec.PeekTagged(rec)
 	if err != nil {
 		return err
@@ -459,6 +452,16 @@ type GroupBlock struct {
 	Block  *vector.Block
 	RParts []PartRange
 	SParts []PartRange
+}
+
+// sRows returns the number of S rows in the block, the most candidates
+// any of its R rows can have.
+func (gb *GroupBlock) sRows() int {
+	n := 0
+	for _, sp := range gb.SParts {
+		n += sp.Hi - sp.Lo
+	}
+	return n
 }
 
 // CollectGroupBlock streams one reducer group into a GroupBlock: one
@@ -523,17 +526,12 @@ func growToGroup(b *vector.Block, values *mapreduce.Values, recLen int) {
 
 // pgbjJoinReduce is the reduce function of job 2: Algorithm 3 lines 12–25
 // over one group of R-partitions and its replica set S_i.
-func pgbjJoinReduce(ctx *mapreduce.TaskContext, _ []byte, values *mapreduce.Values, emit mapreduce.Emit) error {
-	pp := ctx.Side(sidePivots).(*voronoi.Partitioner)
-	sum := ctx.Side(sideSummary).(*voronoi.Summary)
-	thetas := ctx.Side(sideThetas).([]float64)
-	opts := ctx.Side(sideOpts).(Options)
-
+func (task *joinTask) pgbjJoinReduce(ctx *mapreduce.TaskContext, _ []byte, values *mapreduce.Values, emit mapreduce.Emit) error {
 	gb, err := CollectGroupBlock(values)
 	if err != nil {
 		return err
 	}
-	joinPartitions(ctx, pp, sum, thetas, opts, gb, emit)
+	joinPartitions(ctx, task.pp, task.Summary, task.Thetas, task.Opts, gb, emit)
 	return nil
 }
 
@@ -591,7 +589,7 @@ func joinPartitions(ctx *mapreduce.TaskContext, pp *voronoi.Partitioner, sum *vo
 	const batchRows = 64
 	heaps := make([]*nnheap.KHeap, batchRows)
 	for i := range heaps {
-		heaps[i] = nnheap.NewKHeap(opts.K)
+		heaps[i] = nnheap.NewKHeapAmong(opts.K, gb.sRows())
 	}
 	qs := make([]vector.Point, batchRows)
 	walks := make([]voronoi.Walk, batchRows)

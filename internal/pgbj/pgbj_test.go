@@ -16,12 +16,22 @@ import (
 	"knnjoin/internal/vector"
 )
 
+// newCluster builds an in-process cluster of nodes nodes over fs.
+func newCluster(t testing.TB, fs dfs.Store, nodes int) *mapreduce.Cluster {
+	t.Helper()
+	c, err := mapreduce.NewCluster(fs, nodes, mapreduce.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
 // runPGBJ loads R and S into a fresh cluster, runs PGBJ, and returns the
 // sorted results plus the report.
 func runPGBJ(t testing.TB, rObjs, sObjs []codec.Object, opts Options, nodes int) ([]codec.Result, *reportView) {
 	t.Helper()
 	fs := dfs.New(256)
-	cluster := mapreduce.NewCluster(fs, nodes)
+	cluster := newCluster(t, fs, nodes)
 	dataset.ToDFS(fs, "R", rObjs, codec.FromR)
 	dataset.ToDFS(fs, "S", sObjs, codec.FromS)
 	rep, err := Run(cluster, "R", "S", "out", opts)
@@ -249,7 +259,7 @@ func TestPGBJPhaseReport(t *testing.T) {
 
 func TestPGBJOptionValidation(t *testing.T) {
 	fs := dfs.New(0)
-	cluster := mapreduce.NewCluster(fs, 2)
+	cluster := newCluster(t, fs, 2)
 	if _, err := Run(cluster, "R", "S", "out", Options{K: 0, NumPivots: 4}); err == nil {
 		t.Error("k=0 accepted")
 	}
@@ -264,7 +274,7 @@ func TestPGBJOptionValidation(t *testing.T) {
 func TestPGBJFewerPivotsThanGroupsFails(t *testing.T) {
 	objs := dataset.Uniform(100, 2, 100, 18)
 	fs := dfs.New(0)
-	cluster := mapreduce.NewCluster(fs, 8)
+	cluster := newCluster(t, fs, 8)
 	dataset.ToDFS(fs, "R", objs, codec.FromR)
 	dataset.ToDFS(fs, "S", objs, codec.FromS)
 	opts := defaultOpts()
@@ -280,7 +290,7 @@ func TestPGBJTinyInputAutoClampsGroups(t *testing.T) {
 	// default options: the derived group count clamps to the pivot count.
 	objs := dataset.Uniform(3, 2, 100, 19)
 	fs := dfs.New(0)
-	cluster := mapreduce.NewCluster(fs, 8)
+	cluster := newCluster(t, fs, 8)
 	dataset.ToDFS(fs, "R", objs, codec.FromR)
 	dataset.ToDFS(fs, "S", objs, codec.FromS)
 	opts := defaultOpts()
@@ -327,7 +337,7 @@ func TestRunConsumesInputs(t *testing.T) {
 				}
 				fs = d
 			}
-			cluster := mapreduce.NewCluster(fs, 4)
+			cluster := newCluster(t, fs, 4)
 			dataset.ToDFS(fs, "R", objs, codec.FromR)
 			dataset.ToDFS(fs, "S", objs, codec.FromS)
 			if _, err := run.fn(cluster, "R", "S", "out", Options{K: 0, NumPivots: 8}); err == nil {

@@ -68,15 +68,6 @@ func (o Options) validate(cluster *mapreduce.Cluster) (Options, error) {
 	return o, nil
 }
 
-// side-data keys for the join job.
-const (
-	sidePivots   = "pivots"
-	sideSummary  = "summary"
-	sideGroupOf  = "groupOf"
-	sideGroupLBs = "groupLBs"
-	sideOpts     = "opts"
-)
-
 // Run executes the range join on the cluster. rFile and sFile must
 // contain Tagged records (dataset.ToDFS); outFile receives one
 // codec.Result per R object that has at least one in-range partner,
@@ -158,7 +149,15 @@ type joinSpec struct {
 
 var joinKind = mapreduce.DefineKind("range-join", buildJoinJob)
 
+// joinTask is the join job's task state: the spec with its pivots
+// rebuilt into a Partitioner.
+type joinTask struct {
+	joinSpec
+	pp *voronoi.Partitioner
+}
+
 func buildJoinJob(s joinSpec) *mapreduce.Job {
+	task := &joinTask{joinSpec: s, pp: voronoi.NewPartitioner(s.Pivots, s.Opts.Metric)}
 	return &mapreduce.Job{
 		Name:           "range-join",
 		Input:          []string{s.Input},
@@ -166,15 +165,8 @@ func buildJoinJob(s joinSpec) *mapreduce.Job {
 		NumReducers:    s.Opts.NumGroups,
 		Partition:      mapreduce.Uint32Partition,
 		GroupKeyPrefix: codec.JoinKeyGroupPrefix,
-		Side: map[string]any{
-			sidePivots:   voronoi.NewPartitioner(s.Pivots, s.Opts.Metric),
-			sideSummary:  s.Summary,
-			sideGroupOf:  s.GroupOf,
-			sideGroupLBs: s.GroupLBs,
-			sideOpts:     s.Opts,
-		},
-		Map:    routeMap,
-		Reduce: joinReduce,
+		Map:            task.routeMap,
+		Reduce:         task.joinReduce,
 	}
 }
 
@@ -182,9 +174,8 @@ func buildJoinJob(s joinSpec) *mapreduce.Job {
 // every group whose Corollary-2 bound (with θ in place of θ_i) admits
 // them. The JoinKey holds the tags and the value the coordinates, as in
 // PGBJ's job 2.
-func routeMap(ctx *mapreduce.TaskContext, rec dfs.Record, emit mapreduce.Emit) error {
-	groupOf := ctx.Side(sideGroupOf).([]int)
-	groupLBs := ctx.Side(sideGroupLBs).([][]float64)
+func (task *joinTask) routeMap(ctx *mapreduce.TaskContext, rec dfs.Record, emit mapreduce.Emit) error {
+	groupOf, groupLBs := task.GroupOf, task.GroupLBs
 	t, coords, err := codec.PeekTagged(rec)
 	if err != nil {
 		return err
@@ -205,10 +196,8 @@ func routeMap(ctx *mapreduce.TaskContext, rec dfs.Record, emit mapreduce.Emit) e
 
 // joinReduce answers the range query of every r in the group against the
 // group's replica set, with Corollary-1 and Theorem-2 pruning at radius θ.
-func joinReduce(ctx *mapreduce.TaskContext, _ []byte, values *mapreduce.Values, emit mapreduce.Emit) error {
-	pp := ctx.Side(sidePivots).(*voronoi.Partitioner)
-	sum := ctx.Side(sideSummary).(*voronoi.Summary)
-	opts := ctx.Side(sideOpts).(Options)
+func (task *joinTask) joinReduce(ctx *mapreduce.TaskContext, _ []byte, values *mapreduce.Values, emit mapreduce.Emit) error {
+	pp, sum, opts := task.pp, task.Summary, task.Opts
 
 	// The composite-key stream arrives R before S with partition ids
 	// ascending, and each S partition already in SortByPivotDist order —

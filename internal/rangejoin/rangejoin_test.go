@@ -17,10 +17,20 @@ import (
 	"knnjoin/internal/voronoi"
 )
 
+// newCluster builds an in-process cluster of nodes nodes over fs.
+func newCluster(t testing.TB, fs dfs.Store, nodes int) *mapreduce.Cluster {
+	t.Helper()
+	c, err := mapreduce.NewCluster(fs, nodes, mapreduce.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
 func runRange(t testing.TB, rObjs, sObjs []codec.Object, opts Options, nodes int) ([]codec.Result, *stats.Report) {
 	t.Helper()
 	fs := dfs.New(256)
-	cluster := mapreduce.NewCluster(fs, nodes)
+	cluster := newCluster(t, fs, nodes)
 	dataset.ToDFS(fs, "R", rObjs, codec.FromR)
 	dataset.ToDFS(fs, "S", sObjs, codec.FromS)
 	rep, err := Run(cluster, "R", "S", "out", opts)
@@ -139,7 +149,7 @@ func TestPruningCutsWork(t *testing.T) {
 
 func TestValidation(t *testing.T) {
 	fs := dfs.New(0)
-	cluster := mapreduce.NewCluster(fs, 2)
+	cluster := newCluster(t, fs, 2)
 	if _, err := Run(cluster, "R", "S", "out", Options{Radius: -1, NumPivots: 4}); err == nil {
 		t.Error("negative radius accepted")
 	}
@@ -193,7 +203,10 @@ func TestAgreementQuick(t *testing.T) {
 // testing/quick properties.
 func runRangeQuiet(rObjs, sObjs []codec.Object, opts Options, nodes int) ([]codec.Result, error) {
 	fs := dfs.New(256)
-	cluster := mapreduce.NewCluster(fs, nodes)
+	cluster, err := mapreduce.NewCluster(fs, nodes, mapreduce.Config{})
+	if err != nil {
+		return nil, err
+	}
 	dataset.ToDFS(fs, "R", rObjs, codec.FromR)
 	dataset.ToDFS(fs, "S", sObjs, codec.FromS)
 	if _, err := Run(cluster, "R", "S", "out", opts); err != nil {
@@ -207,7 +220,7 @@ func BenchmarkRangeJoin(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		fs := dfs.New(0)
-		cluster := mapreduce.NewCluster(fs, 8)
+		cluster := newCluster(b, fs, 8)
 		dataset.ToDFS(fs, "R", objs, codec.FromR)
 		dataset.ToDFS(fs, "S", objs, codec.FromS)
 		if _, err := Run(cluster, "R", "S", "out", Options{Radius: 0.1, NumPivots: 200, Seed: 1}); err != nil {
@@ -221,7 +234,7 @@ func BenchmarkRangeJoin(b *testing.B) {
 func TestRunConsumesInputs(t *testing.T) {
 	objs := dataset.Uniform(300, 2, 100, 22)
 	fs := dfs.New(64)
-	cluster := mapreduce.NewCluster(fs, 4)
+	cluster := newCluster(t, fs, 4)
 	dataset.ToDFS(fs, "R", objs, codec.FromR)
 	dataset.ToDFS(fs, "S", objs, codec.FromS)
 	if _, err := Run(cluster, "R", "S", "out", Options{Radius: 5, NumPivots: 8, Seed: 1}); err != nil {
@@ -270,7 +283,7 @@ func TestPartitionSummaryMatchesSerialBuild(t *testing.T) {
 	for name, objs := range map[string][]codec.Object{"duplicate pile": pile, "integer grid": grid} {
 		for _, k := range []int{1, 10} {
 			fs := dfs.New(64)
-			cluster := mapreduce.NewCluster(fs, 4)
+			cluster := newCluster(t, fs, 4)
 			dataset.ToDFS(fs, "R", objs, codec.FromR)
 			dataset.ToDFS(fs, "S", objs, codec.FromS)
 			part, err := pgbj.Partition(cluster, &stats.Report{}, "range-partition", "R", "S", "out",

@@ -183,7 +183,7 @@ func (t *Tree) KNN(q vector.Point, k int) []nnheap.Candidate {
 	if t.root == nil || k <= 0 {
 		return nil
 	}
-	best := nnheap.NewKHeap(k)
+	best := nnheap.NewKHeapAmong(k, t.size)
 	var pq nnheap.MinHeap
 	pq.Push(nnheap.MinItem{Priority: t.root.rect.MinDist(q, t.metric), Payload: t.root})
 	t.DistCount++

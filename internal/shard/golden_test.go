@@ -78,7 +78,10 @@ func goldenJoins(t *testing.T, b, ev *strings.Builder, name string, r, s []codec
 	t.Helper()
 	run := func(label string, fn func(*mapreduce.Cluster) (*stats.Report, error)) {
 		fs := dfs.New(256)
-		cluster := mapreduce.NewCluster(fs, 4)
+		cluster, err := mapreduce.NewCluster(fs, 4, mapreduce.Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
 		dataset.ToDFS(fs, "R", r, codec.FromR)
 		dataset.ToDFS(fs, "S", s, codec.FromS)
 		rep, err := fn(cluster)

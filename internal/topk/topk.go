@@ -249,7 +249,9 @@ func Run(cluster *mapreduce.Cluster, rFile, sFile, outFile string, opts Options)
 	return pairs, report, nil
 }
 
-// pairJoinSpec rebuilds the pair-generation job in a worker process.
+// pairJoinSpec rebuilds the pair-generation job in a worker process. It
+// is also the job's task state: the map and reduce functions are its
+// methods.
 type pairJoinSpec struct {
 	RFile, SFile string
 	Output       string
@@ -268,18 +270,15 @@ func buildPairJoinJob(s pairJoinSpec) *mapreduce.Job {
 		Output:      s.Output,
 		NumReducers: len(s.Boundaries) + 1,
 		Partition:   mapreduce.Uint32Partition,
-		Side:        map[string]any{"opts": s.Opts, "tau": s.Tau, "axis": s.Axis, "boundaries": s.Boundaries},
-		Map:         slabMap,
-		Reduce:      slabReduce,
+		Map:         s.slabMap,
+		Reduce:      s.slabReduce,
 	}
 }
 
 // slabMap sends each r to its home slab and replicates each s to every
 // slab its τ-neighborhood on the axis touches.
-func slabMap(ctx *mapreduce.TaskContext, rec dfs.Record, emit mapreduce.Emit) error {
-	tau := ctx.Side("tau").(float64)
-	axis := ctx.Side("axis").(int)
-	boundaries := ctx.Side("boundaries").([]float64)
+func (s *pairJoinSpec) slabMap(ctx *mapreduce.TaskContext, rec dfs.Record, emit mapreduce.Emit) error {
+	tau, axis, boundaries := s.Tau, s.Axis, s.Boundaries
 	t, err := codec.DecodeTagged(rec)
 	if err != nil {
 		return err
@@ -299,7 +298,8 @@ func slabMap(ctx *mapreduce.TaskContext, rec dfs.Record, emit mapreduce.Emit) er
 	return nil
 }
 
-// mergeSpec rebuilds the single-reducer top-k merge job.
+// mergeSpec rebuilds the single-reducer top-k merge job; its Opts are
+// the reduce function's.
 type mergeSpec struct {
 	Input, Output string
 	Opts          Options
@@ -313,9 +313,8 @@ func buildMergeJob(s mergeSpec) *mapreduce.Job {
 		Input:       []string{s.Input},
 		Output:      s.Output,
 		NumReducers: 1,
-		Side:        map[string]any{"opts": s.Opts},
 		Map:         mergeMap,
-		Reduce:      mergeReduce,
+		Reduce:      s.mergeReduce,
 	}
 }
 
@@ -324,8 +323,8 @@ func mergeMap(_ *mapreduce.TaskContext, rec dfs.Record, emit mapreduce.Emit) err
 	return nil
 }
 
-func mergeReduce(ctx *mapreduce.TaskContext, _ []byte, values *mapreduce.Values, emit mapreduce.Emit) error {
-	opts := ctx.Side("opts").(Options)
+func (s *mergeSpec) mergeReduce(ctx *mapreduce.TaskContext, _ []byte, values *mapreduce.Values, emit mapreduce.Emit) error {
+	opts := s.Opts
 	heap := newPairHeap(opts.K)
 	for v, ok := values.Next(); ok; v, ok = values.Next() {
 		p, err := DecodePair(v)
@@ -348,10 +347,8 @@ func mergeReduce(ctx *mapreduce.TaskContext, _ []byte, values *mapreduce.Values,
 // allocations per group); the S side is axis-ordered through an index
 // permutation instead of moving coordinates, and distances run through
 // the fused block kernel.
-func slabReduce(ctx *mapreduce.TaskContext, _ []byte, values *mapreduce.Values, emit mapreduce.Emit) error {
-	opts := ctx.Side("opts").(Options)
-	tau := ctx.Side("tau").(float64)
-	axis := ctx.Side("axis").(int)
+func (s *pairJoinSpec) slabReduce(ctx *mapreduce.TaskContext, _ []byte, values *mapreduce.Values, emit mapreduce.Emit) error {
+	opts, tau, axis := s.Opts, s.Tau, s.Axis
 	rBlk, sBlk, err := driver.CollectRSBlocks(values)
 	if err != nil {
 		return err

@@ -13,10 +13,20 @@ import (
 	"knnjoin/internal/vector"
 )
 
+// newCluster builds an in-process cluster of nodes nodes over fs.
+func newCluster(t testing.TB, fs dfs.Store, nodes int) *mapreduce.Cluster {
+	t.Helper()
+	c, err := mapreduce.NewCluster(fs, nodes, mapreduce.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
 func runTopK(t testing.TB, rObjs, sObjs []codec.Object, opts Options, nodes int) ([]Pair, *runView) {
 	t.Helper()
 	fs := dfs.New(256)
-	cluster := mapreduce.NewCluster(fs, nodes)
+	cluster := newCluster(t, fs, nodes)
 	dataset.ToDFS(fs, "R", rObjs, codec.FromR)
 	dataset.ToDFS(fs, "S", sObjs, codec.FromS)
 	pairs, rep, err := Run(cluster, "R", "S", "out", opts)
@@ -153,7 +163,7 @@ func TestL1Metric(t *testing.T) {
 
 func TestValidation(t *testing.T) {
 	fs := dfs.New(0)
-	cluster := mapreduce.NewCluster(fs, 2)
+	cluster := newCluster(t, fs, 2)
 	if _, _, err := Run(cluster, "R", "S", "out", Options{K: 0}); err == nil {
 		t.Error("k=0 accepted")
 	}
@@ -274,7 +284,7 @@ func BenchmarkTopK(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		fs := dfs.New(0)
-		cluster := mapreduce.NewCluster(fs, 8)
+		cluster := newCluster(b, fs, 8)
 		dataset.ToDFS(fs, "R", objs, codec.FromR)
 		dataset.ToDFS(fs, "S", objs, codec.FromS)
 		if _, _, err := Run(cluster, "R", "S", "out", Options{K: 100, ExcludeSelf: true, Seed: 1}); err != nil {

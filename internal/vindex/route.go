@@ -43,8 +43,8 @@ func (ix *Index) Walk(own int, ownDist, theta float64) voronoi.Walk {
 // |q,p_j| is computed once: the bound reads the gaps, and q's own gap is
 // the assignment's distance, which equals Metric.Dist bit for bit. The
 // kNN lists hold at most Len entries, so a bound for more than Len
-// neighbours never fills and is +Inf: the bound is taken for at most
-// Len+1, and a k far above Len sizes no heap.
+// neighbours never fills and is +Inf, and its heap is sized by Len: a k
+// far above Len costs no more memory.
 func (ix *Index) StartKNN(q vector.Point, k int, distCount *int64) (w voronoi.Walk, order []int, gaps []float64) {
 	qPart, qDist := ix.AssignQuery(q, distCount)
 	gaps = make([]float64, ix.pp.NumPartitions())
@@ -56,7 +56,7 @@ func (ix *Index) StartKNN(q vector.Point, k int, distCount *int64) (w voronoi.Wa
 			*distCount++
 		}
 	}
-	theta := voronoi.KNNBound(min(k, ix.size+1), 0, len(ix.sum.S), func(j int) (float64, []float64) {
+	theta := voronoi.KNNBound(k, ix.size, 0, len(ix.sum.S), func(j int) (float64, []float64) {
 		kd := ix.sum.S[j].KDists
 		if len(kd) == 0 {
 			return 0, nil

@@ -24,8 +24,12 @@ func reducerTier(t *testing.T, objs []codec.Object, keyed bool, collect func(*ma
 	if err := dataset.ToDFS(fs, "S", objs, codec.FromS); err != nil {
 		t.Fatal(err)
 	}
+	cluster, err := mapreduce.NewCluster(fs, 1, mapreduce.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	var got vector.Kernel
-	_, err := mapreduce.NewCluster(fs, 1).Run(&mapreduce.Job{
+	_, err = cluster.Run(&mapreduce.Job{
 		Name:           "tier",
 		Input:          []string{"S"},
 		Output:         "out",

@@ -109,16 +109,26 @@ type SummaryBuilder struct {
 	r     []RSummary
 	s     []SSummary
 	sHeap []*nnheap.KHeap // k smallest |s, pivot| per S-partition
+	sSize int             // bounds the S objects of any one partition
 }
 
 // NewSummaryBuilder prepares a builder for numPartitions partitions and
-// the given k.
+// the given k: NewSummaryBuilderAmong(numPartitions, k, k).
 func NewSummaryBuilder(numPartitions, k int) *SummaryBuilder {
+	return NewSummaryBuilderAmong(numPartitions, k, k)
+}
+
+// NewSummaryBuilderAmong prepares a builder for numPartitions partitions
+// and the given k whose S objects number at most sSize — counting every
+// builder merged into it; |S| will do. sSize sizes the per-partition
+// heaps, so a k beyond |S| costs no more memory than |S| does.
+func NewSummaryBuilderAmong(numPartitions, k, sSize int) *SummaryBuilder {
 	if numPartitions <= 0 || k <= 0 {
 		panic("voronoi: NewSummaryBuilder needs positive numPartitions and k")
 	}
 	b := &SummaryBuilder{
 		k:     k,
+		sSize: sSize,
 		r:     make([]RSummary, numPartitions),
 		s:     make([]SSummary, numPartitions),
 		sHeap: make([]*nnheap.KHeap, numPartitions),
@@ -145,7 +155,7 @@ func (b *SummaryBuilder) Add(t codec.Tagged) {
 		row.L = math.Min(row.L, t.PivotDist)
 		row.U = math.Max(row.U, t.PivotDist)
 		if b.sHeap[i] == nil {
-			b.sHeap[i] = nnheap.NewKHeap(b.k)
+			b.sHeap[i] = nnheap.NewKHeapAmong(b.k, b.sSize)
 		}
 		b.sHeap[i].Push(nnheap.Candidate{ID: t.ID, Dist: t.PivotDist})
 	default:
@@ -167,7 +177,7 @@ func (b *SummaryBuilder) Merge(o *SummaryBuilder) {
 		b.s[i].U = math.Max(b.s[i].U, o.s[i].U)
 		if o.sHeap[i] != nil {
 			if b.sHeap[i] == nil {
-				b.sHeap[i] = nnheap.NewKHeap(b.k)
+				b.sHeap[i] = nnheap.NewKHeapAmong(b.k, b.sSize)
 			}
 			for _, c := range o.sHeap[i].Sorted() {
 				b.sHeap[i].Push(c)
@@ -242,7 +252,11 @@ func (sum *Summary) BoundKNN(partR int, pp *Partitioner) float64 {
 	if sum.R[partR].Count == 0 {
 		return 0 // no objects to bound; callers skip empty partitions
 	}
-	return KNNBound(sum.K, sum.R[partR].U, len(sum.S), func(j int) (float64, []float64) {
+	among := 0
+	for _, s := range sum.S {
+		among += len(s.KDists)
+	}
+	return KNNBound(sum.K, among, sum.R[partR].U, len(sum.S), func(j int) (float64, []float64) {
 		return pp.PivotDist(partR, j), sum.S[j].KDists
 	})
 }

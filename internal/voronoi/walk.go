@@ -203,11 +203,13 @@ func VisitOrder(order []int, key []float64) {
 // bounded set, part(j) returns the gap |p_i,p_j| and cell j's ascending
 // pivot distances d — its TS KDists, or the first rows of a sorted cell —
 // and a cell with none contributes nothing. The lists ascend, so a cell's
-// scan stops at its first bound that cannot improve the heap. KNNBound
-// returns +Inf when fewer than k bounds exist (the paper assumes
-// k ≤ |S|; +Inf keeps callers safe rather than wrong).
-func KNNBound(k int, u float64, n int, part func(j int) (gap float64, kd []float64)) float64 {
-	pq := nnheap.NewKHeap(k)
+// scan stops at its first bound that cannot improve the heap. among
+// bounds how many distances the lists hold in all and sizes the heap, so
+// a k beyond it costs no more memory than the lists. KNNBound returns
+// +Inf when fewer than k bounds exist (the paper assumes k ≤ |S|; +Inf
+// keeps callers safe rather than wrong).
+func KNNBound(k, among int, u float64, n int, part func(j int) (gap float64, kd []float64)) float64 {
+	pq := nnheap.NewKHeapAmong(k, among)
 	for j := 0; j < n; j++ {
 		gap, kd := part(j)
 		for _, d := range kd {

@@ -169,31 +169,31 @@ type candidateSpec struct {
 
 var candidateKind = mapreduce.DefineKind("zknn-candidates", buildCandidateJob)
 
+// candidateTask is the candidate job's task state: the spec with its
+// bounding box rebuilt into a quantizer.
+type candidateTask struct {
+	candidateSpec
+	q *quantizer
+}
+
 func buildCandidateJob(s candidateSpec) *mapreduce.Job {
 	nRanges := len(s.Boundaries[0]) + 1
+	task := &candidateTask{candidateSpec: s, q: newQuantizer(s.Min, s.Max, s.ShiftPad)}
 	return &mapreduce.Job{
 		Name:        "zknn-candidates",
 		Input:       []string{s.RFile, s.SFile},
 		Output:      s.Output,
 		NumReducers: s.Opts.Shifts * nRanges,
 		Partition:   mapreduce.Uint32Partition,
-		Side: map[string]any{
-			"q":          newQuantizer(s.Min, s.Max, s.ShiftPad),
-			"shifts":     s.Shifts,
-			"boundaries": s.Boundaries,
-			"opts":       s.Opts,
-		},
-		Map:    candidateMap,
-		Reduce: candidateReduce,
+		Map:         task.candidateMap,
+		Reduce:      task.candidateReduce,
 	}
 }
 
 // candidateMap emits one shifted copy per α to its curve range, with
 // boundary-adjacent replication on the S side.
-func candidateMap(ctx *mapreduce.TaskContext, rec dfs.Record, emit mapreduce.Emit) error {
-	q := ctx.Side("q").(*quantizer)
-	shifts := ctx.Side("shifts").([][]float64)
-	boundaries := ctx.Side("boundaries").([][]uint64)
+func (task *candidateTask) candidateMap(ctx *mapreduce.TaskContext, rec dfs.Record, emit mapreduce.Emit) error {
+	q, shifts, boundaries := task.q, task.Shifts, task.Boundaries
 	t, err := codec.DecodeTagged(rec)
 	if err != nil {
 		return err
@@ -226,8 +226,8 @@ func candidateMap(ctx *mapreduce.TaskContext, rec dfs.Record, emit mapreduce.Emi
 // through an index permutation instead of moving coordinates, and the
 // candidate distances run through the fused squared-L2 kernel with the
 // sqrt taken at emit time.
-func candidateReduce(ctx *mapreduce.TaskContext, _ []byte, values *mapreduce.Values, emit mapreduce.Emit) error {
-	opts := ctx.Side("opts").(Options)
+func (task *candidateTask) candidateReduce(ctx *mapreduce.TaskContext, _ []byte, values *mapreduce.Values, emit mapreduce.Emit) error {
+	opts := task.Opts
 	rBlk, sBlk := &vector.Block{}, &vector.Block{}
 	var rz, sz []uint64
 	for v, ok := values.Next(); ok; v, ok = values.Next() {
@@ -268,7 +268,7 @@ func candidateReduce(ctx *mapreduce.TaskContext, _ []byte, values *mapreduce.Val
 	}
 
 	var pairs int64
-	heap := nnheap.NewKHeap(opts.K)
+	heap := nnheap.NewKHeapAmong(opts.K, sBlk.Len())
 	var cbuf []nnheap.Candidate
 	var nbuf []codec.Neighbor
 	for row := 0; row < rBlk.Len(); row++ {

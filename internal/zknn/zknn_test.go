@@ -14,10 +14,20 @@ import (
 	"knnjoin/internal/vector"
 )
 
+// newCluster builds an in-process cluster of nodes nodes over fs.
+func newCluster(t testing.TB, fs dfs.Store, nodes int) *mapreduce.Cluster {
+	t.Helper()
+	c, err := mapreduce.NewCluster(fs, nodes, mapreduce.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
 func runZKNN(t testing.TB, rObjs, sObjs []codec.Object, opts Options, nodes int) ([]codec.Result, *runView) {
 	t.Helper()
 	fs := dfs.New(256)
-	cluster := mapreduce.NewCluster(fs, nodes)
+	cluster := newCluster(t, fs, nodes)
 	dataset.ToDFS(fs, "R", rObjs, codec.FromR)
 	dataset.ToDFS(fs, "S", sObjs, codec.FromS)
 	rep, err := Run(cluster, "R", "S", "out", opts)
@@ -151,7 +161,7 @@ func TestZKNNDeterministicPerSeed(t *testing.T) {
 
 func TestZKNNValidation(t *testing.T) {
 	fs := dfs.New(0)
-	cluster := mapreduce.NewCluster(fs, 2)
+	cluster := newCluster(t, fs, 2)
 	if _, err := Run(cluster, "R", "S", "out", Options{K: 0}); err == nil {
 		t.Error("k=0 accepted")
 	}
@@ -240,7 +250,7 @@ func BenchmarkZKNN(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		fs := dfs.New(0)
-		cluster := mapreduce.NewCluster(fs, 8)
+		cluster := newCluster(b, fs, 8)
 		dataset.ToDFS(fs, "R", objs, codec.FromR)
 		dataset.ToDFS(fs, "S", objs, codec.FromS)
 		if _, err := Run(cluster, "R", "S", "out", Options{K: 10, Shifts: 3, Seed: 1}); err != nil {

@@ -50,6 +50,28 @@ func TestAllAlgorithmsAgree(t *testing.T) {
 			t.Fatalf("%v: implausible stats %+v", alg, st)
 		}
 	}
+
+	// A k of 2⁴⁰ asks for more neighbours than S holds: every algorithm
+	// returns all of S for every r, sizing its heaps by |S|, not by k,
+	// and Stats still reports the k asked for. Two nodes give ZKNN two
+	// curve ranges, each of which also receives the other's S objects,
+	// so the approximate join sees all of S too.
+	const hugeK = 1 << 40
+	small := forest(50, 2)
+	for _, alg := range []Algorithm{PGBJ, PBJ, HBRJ, Broadcast, BruteForce, ZKNN, Auto} {
+		got, st, err := SelfJoin(small, Options{K: hugeK, Algorithm: alg, Nodes: 2, Seed: 1})
+		if err != nil {
+			t.Fatalf("%v at k=2^40: %v", alg, err)
+		}
+		if len(got) != len(small) || st.K != hugeK {
+			t.Fatalf("%v at k=2^40: %d rows, Stats.K %d", alg, len(got), st.K)
+		}
+		for _, r := range got {
+			if len(r.Neighbors) != len(small) {
+				t.Fatalf("%v at k=2^40: r %d has %d neighbours, want all %d", alg, r.RID, len(r.Neighbors), len(small))
+			}
+		}
+	}
 }
 
 func TestZKNNApproximateButPlausible(t *testing.T) {
