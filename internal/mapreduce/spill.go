@@ -514,9 +514,10 @@ func mergeToFile(rs *runState, runs []runData) (*runFile, error) {
 }
 
 // reduceFanIn repeatedly merges contiguous groups of runs until at most
-// the attempt's fan-in remain. Grouping contiguous seq ranges and breaking merge ties on
-// source order keeps the final stream identical to a flat merge of every
-// original run, so multi-pass merging never changes job output.
+// the attempt's fan-in remain. Grouping contiguous seq ranges and
+// breaking merge ties on source order keeps the final stream identical
+// to a flat merge of every original run, so multi-pass merging never
+// changes job output.
 func reduceFanIn(rs *runState, runs []runData) ([]runData, error) {
 	fanIn := rs.fanIn
 	if rs.dir == "" {

@@ -314,7 +314,7 @@ func TestSpillCrashMidMergeRetries(t *testing.T) {
 // "stays truncated" means every map attempt tears its run anew: a plan
 // with more truncations than the job's re-dispatch budget.
 func TestSpillTruncatedRunFileAbortsJob(t *testing.T) {
-	events := make([]FaultEvent, 64)
+	events := make([]FaultEvent, 128)
 	for i := range events {
 		events[i] = FaultEvent{Worker: -1, Task: "wordcount/map/*", Point: AtPostCommit,
 			Action: ActTruncateRun, TruncateBytes: 1}

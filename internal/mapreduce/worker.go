@@ -251,7 +251,8 @@ func (w *worker) execute(a *assignment, comp *completion) error {
 }
 
 // mapTask runs one map attempt: load the split, map every record into
-// per-reducer buckets, then either sort and commit the buckets as runs (resident or spilled, see runState.retainOrSpill) or, for a
+// per-reducer buckets, then either sort and commit the buckets as runs
+// (resident or spilled, see runState.retainOrSpill) or, for a
 // map-only job, return the bucket-concatenated values as the task's
 // output.
 func (w *worker) mapTask(a *assignment, ctx *TaskContext, rs *runState, comp *completion) ([]dfs.Record, error) {
