@@ -69,7 +69,7 @@ func run(args []string) error {
 	explain := fs.Bool("explain", false, "print the configuration -algo auto runs, and why, and exit without joining")
 	workers := fs.Int("workers", 0, "run MapReduce jobs on this many worker processes (0 = goroutine workers in this process)")
 	traceDir := fs.String("trace", "", "write observability spans as JSONL under this directory (render with knntrace)")
-	pprofOn := fs.Bool("pprof", false, "with -workers: expose net/http/pprof on the coordinator's HTTP server")
+	pprofOn := fs.Bool("pprof", false, "with -workers, kNN joins only: expose net/http/pprof on the coordinator's HTTP server")
 	verbose := fs.Bool("v", false, "print the per-job breakdown (shuffle, spill, map/reduce walls)")
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := fs.String("memprofile", "", "write a heap profile to this file on exit")
@@ -101,6 +101,12 @@ func run(args []string) error {
 	}
 	if !(*radius >= 0) { // NaN fails every comparison
 		return fmt.Errorf("-range must be a non-negative radius, got %g", *radius)
+	}
+	if *pprofOn && *workers <= 0 {
+		return fmt.Errorf("-pprof needs -workers: it is served by the worker coordinator")
+	}
+	if *pprofOn && (rangeSet || *pairsMode) {
+		return fmt.Errorf("-pprof works only for kNN joins, not with -range or -pairs")
 	}
 	if *rPath == "" {
 		return fmt.Errorf("-r is required")

@@ -225,6 +225,9 @@ func TestRunErrors(t *testing.T) {
 		{"-r", csv, "-self", "-k", "0"},
 		{"-r", csv, "-self", "-range", "-1"},
 		{"-r", csv, "-self", "-range", "NaN"},
+		{"-r", csv, "-self", "-pprof"}, // no coordinator without -workers
+		{"-r", csv, "-self", "-pprof", "-workers", "2", "-range", "1"},
+		{"-r", csv, "-self", "-pprof", "-workers", "2", "-pairs"},
 	} {
 		if _, err := captureStdout(t, func() error { return run(args) }); err == nil {
 			t.Errorf("run(%v): expected error", args)

@@ -31,8 +31,6 @@ type Record []byte
 // fixed-record-count input splits. FS implements it in memory; Disk
 // implements it over a spill directory.
 type Store interface {
-	// ChunkRecords returns the configured records-per-chunk (split size).
-	ChunkRecords() int
 	// Write stores records under name, replacing any existing file. The
 	// store takes ownership of records: the caller must not modify the
 	// slice or the bytes of any record afterwards.
@@ -50,10 +48,9 @@ type Store interface {
 	List() []string
 	// Size returns the number of records in the named file, or 0 if absent.
 	Size(name string) int
-	// Bytes returns the total payload bytes of the named file.
-	Bytes(name string) int64
-	// Splits chops the named files into input splits of at most
-	// ChunkRecords records each, preserving record order per file.
+	// Splits chops the named files into input splits of at most the
+	// store's chunk size in records each, preserving record order per
+	// file.
 	Splits(names ...string) ([]Split, error)
 }
 
@@ -75,9 +72,6 @@ func New(chunkRecords int) *FS {
 	}
 	return &FS{chunkSize: chunkRecords, files: make(map[string][]Record)}
 }
-
-// ChunkRecords returns the configured records-per-chunk.
-func (fs *FS) ChunkRecords() int { return fs.chunkSize }
 
 // Write stores records under name, replacing any existing file. The
 // file keeps the slice as given (see Store.Write): every writer hands
@@ -140,45 +134,39 @@ func (fs *FS) Size(name string) int {
 	return len(fs.files[name])
 }
 
-// Bytes returns the total payload bytes of the named file.
-func (fs *FS) Bytes(name string) int64 {
-	fs.mu.RLock()
-	defer fs.mu.RUnlock()
-	var total int64
-	for _, r := range fs.files[name] {
-		total += int64(len(r))
-	}
-	return total
-}
-
 // Split is one input split: a contiguous chunk of a file's records that
-// feeds exactly one map task. In-memory stores populate Records directly;
-// disk-backed stores defer to a loader so a split's records enter memory
-// only while its map task runs.
+// feeds exactly one map task. An in-memory split holds its Records; a
+// Disk split holds only their location — Count records from byte Offset
+// of the file version at Path — so its records enter memory only while
+// its map task runs, and any process that sees the file can load them.
+// Only the location crosses a process boundary (JSON), never Records.
 type Split struct {
 	File    string
 	Index   int
-	Records []Record
+	Count   int
+	Records []Record `json:"-"`
 
-	count int
-	load  func() ([]Record, error)
+	Path   string
+	Offset int64
 }
 
-// Count returns the number of records in the split without loading them.
-func (s Split) Count() int { return s.count }
-
-// Load returns the split's records, reading them from the backing store
-// if they are not already in memory. Each call to a lazy split re-reads
-// the store, so a retried map task starts from clean input.
+// Load returns the split's records, reading a Disk split from its file
+// on every call, so a retried map task starts from clean input. A file
+// that no longer holds the records fails the load, naming the DFS file
+// and the split.
 func (s Split) Load() ([]Record, error) {
-	if s.Records != nil || s.load == nil {
+	if s.Path == "" {
 		return s.Records, nil
 	}
-	return s.load()
+	recs, err := readRange(s.Path, s.Offset, s.Count)
+	if err != nil {
+		return nil, fmt.Errorf("dfs: split %d of %q: %w", s.Index, s.File, err)
+	}
+	return recs, nil
 }
 
-// Splits chops the named files into input splits of at most ChunkRecords
-// records each, preserving record order within each file. Files are
+// Splits chops the named files into input splits of at most the chunk
+// size in records each, preserving record order within each file. Files are
 // processed in the order given, matching how a job lists its inputs.
 func (fs *FS) Splits(names ...string) ([]Split, error) {
 	fs.mu.RLock()
@@ -195,7 +183,7 @@ func (fs *FS) Splits(names ...string) ([]Split, error) {
 				end = len(recs)
 			}
 			out = append(out, Split{File: name, Index: i / fs.chunkSize,
-				Records: recs[i:end], count: end - i})
+				Count: end - i, Records: recs[i:end]})
 		}
 	}
 	return out, nil

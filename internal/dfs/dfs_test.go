@@ -115,17 +115,6 @@ func TestListSorted(t *testing.T) {
 	}
 }
 
-func TestBytes(t *testing.T) {
-	fs := New(0)
-	fs.Write("a", recs("ab", "cde"))
-	if fs.Bytes("a") != 5 {
-		t.Fatalf("Bytes = %d, want 5", fs.Bytes("a"))
-	}
-	if fs.Bytes("missing") != 0 {
-		t.Fatal("Bytes of missing file should be 0")
-	}
-}
-
 func TestSplitsChunking(t *testing.T) {
 	fs := New(3)
 	var rr []Record
@@ -165,14 +154,18 @@ func TestSplitsMultipleFiles(t *testing.T) {
 }
 
 func TestDefaultChunkSize(t *testing.T) {
-	if New(0).ChunkRecords() != DefaultChunkRecords {
-		t.Fatal("default chunk size not applied")
-	}
-	if New(-5).ChunkRecords() != DefaultChunkRecords {
-		t.Fatal("negative chunk size not defaulted")
-	}
-	if New(7).ChunkRecords() != 7 {
-		t.Fatal("explicit chunk size not honored")
+	for _, tc := range []struct{ chunk, want int }{
+		{0, DefaultChunkRecords}, {-5, DefaultChunkRecords}, {7, 7},
+	} {
+		fs := New(tc.chunk)
+		fs.Write("a", make([]Record, DefaultChunkRecords+1))
+		splits, err := fs.Splits("a")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if splits[0].Count != tc.want {
+			t.Errorf("New(%d): first split holds %d records, want %d", tc.chunk, splits[0].Count, tc.want)
+		}
 	}
 }
 

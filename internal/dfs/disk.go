@@ -45,7 +45,6 @@ type Disk struct {
 type diskFile struct {
 	path    string
 	count   int      // records
-	bytes   int64    // payload bytes (excluding length prefixes)
 	offs    []int64  // byte offset of record i*chunk, one entry per chunk
 	end     int64    // byte offset past the last record
 	retired []string // paths of replaced versions, deleted on Remove
@@ -66,9 +65,6 @@ func NewDisk(dir string, chunkRecords int) (*Disk, error) {
 // Dir returns the store's spill directory.
 func (d *Disk) Dir() string { return d.dir }
 
-// ChunkRecords returns the configured records-per-chunk.
-func (d *Disk) ChunkRecords() int { return d.chunk }
-
 // pathFor maps a DFS file name to a fresh versioned on-disk path. Names
 // are percent-escaped so any name the drivers use (including separators)
 // maps to a flat, collision-free file in the spill directory; the
@@ -88,7 +84,6 @@ func writeRecords(w *bufio.Writer, meta *diskFile, chunk int, records []Record) 
 			return err
 		}
 		meta.count++
-		meta.bytes += int64(len(r))
 		meta.end += int64(uvarintLen(uint64(len(r))) + len(r))
 	}
 	return nil
@@ -176,22 +171,26 @@ func (d *Disk) Append(name string, records []Record) error {
 	return nil
 }
 
-// readRange reads records [from, to) of meta, seeking to the chunk-grid
-// offset at startOff covering record index from.
-func readRange(meta *diskFile, startOff int64, from, to int) ([]Record, error) {
-	f, err := os.Open(meta.path)
+// readRange reads count records of the file at path, starting at byte
+// offset off; a record that is missing or cut short is an error naming
+// its index within the range.
+func readRange(path string, off int64, count int) ([]Record, error) {
+	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	if _, err := f.Seek(startOff, io.SeekStart); err != nil {
+	if _, err := f.Seek(off, io.SeekStart); err != nil {
 		return nil, err
 	}
 	r := bufio.NewReaderSize(f, 64<<10)
-	out := make([]Record, 0, to-from)
-	for i := from; i < to; i++ {
+	out := make([]Record, 0, count)
+	for i := 0; i < count; i++ {
 		rec, err := ReadFrame(r)
 		if err != nil {
+			if err == io.EOF {
+				err = io.ErrUnexpectedEOF
+			}
 			return nil, fmt.Errorf("record %d: %w", i, err)
 		}
 		out = append(out, Record(rec))
@@ -209,7 +208,7 @@ func (d *Disk) Read(name string) ([]Record, error) {
 	if !ok {
 		return nil, fmt.Errorf("dfs: no such file %q", name)
 	}
-	recs, err := readRange(meta, 0, 0, meta.count)
+	recs, err := readRange(meta.path, 0, meta.count)
 	if err != nil {
 		return nil, fmt.Errorf("dfs: read %q: %w", name, err)
 	}
@@ -255,18 +254,8 @@ func (d *Disk) Size(name string) int {
 	return 0
 }
 
-// Bytes returns the total payload bytes of the named file.
-func (d *Disk) Bytes(name string) int64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if meta, ok := d.files[name]; ok {
-		return meta.bytes
-	}
-	return 0
-}
-
-// Splits chops the named files into lazy input splits of at most
-// ChunkRecords records each. A split's records are read from disk when
+// Splits chops the named files into lazy input splits of at most the
+// chunk size in records each. A split's records are read from disk when
 // its map task calls Load, so at most one split per concurrently running
 // task is resident.
 func (d *Disk) Splits(names ...string) ([]Split, error) {
@@ -283,15 +272,8 @@ func (d *Disk) Splits(names ...string) ([]Split, error) {
 			if end > meta.count {
 				end = meta.count
 			}
-			m, idx, off, from, to := meta, i/d.chunk, meta.offs[i/d.chunk], i, end
-			out = append(out, Split{File: name, Index: idx, count: to - from,
-				load: func() ([]Record, error) {
-					recs, err := readRange(m, off, from, to)
-					if err != nil {
-						return nil, fmt.Errorf("dfs: split %d of %q: %w", idx, name, err)
-					}
-					return recs, nil
-				}})
+			out = append(out, Split{File: name, Index: i / d.chunk, Count: end - i,
+				Path: meta.path, Offset: meta.offs[i/d.chunk]})
 		}
 	}
 	return out, nil

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -61,9 +62,8 @@ func TestDiskMatchesFSSemantics(t *testing.T) {
 				t.Fatalf("%q record %d: disk %q, fs %q", name, i, got[i], want[i])
 			}
 		}
-		if disk.Size(name) != mem.Size(name) || disk.Bytes(name) != mem.Bytes(name) {
-			t.Fatalf("%q: size/bytes disagree: disk %d/%d fs %d/%d",
-				name, disk.Size(name), disk.Bytes(name), mem.Size(name), mem.Bytes(name))
+		if disk.Size(name) != mem.Size(name) {
+			t.Fatalf("%q: sizes disagree: disk %d fs %d", name, disk.Size(name), mem.Size(name))
 		}
 	}
 	if fmt.Sprint(disk.List()) != fmt.Sprint(mem.List()) {
@@ -82,7 +82,7 @@ func TestDiskMatchesFSSemantics(t *testing.T) {
 		t.Fatalf("split counts disagree: disk %d fs %d", len(dsp), len(msp))
 	}
 	for i := range dsp {
-		if dsp[i].Count() != msp[i].Count() || dsp[i].Index != msp[i].Index {
+		if dsp[i].Count != msp[i].Count || dsp[i].Index != msp[i].Index {
 			t.Fatalf("split %d shape disagrees: disk %+v fs %+v", i, dsp[i], msp[i])
 		}
 		got, err := dsp[i].Load()
@@ -137,8 +137,8 @@ func TestDiskSplitsAreLazy(t *testing.T) {
 	if err := os.Truncate(paths[0], 3); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sp[1].Load(); err == nil {
-		t.Fatal("Load of a truncated file did not fail")
+	if _, err := sp[1].Load(); err == nil || !strings.Contains(err.Error(), `split 1 of "f"`) {
+		t.Fatalf("Load of a truncated file: %v, want an error naming split 1 of \"f\"", err)
 	}
 }
 

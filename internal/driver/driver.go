@@ -25,7 +25,6 @@ import (
 	"knnjoin/internal/dfs"
 	"knnjoin/internal/mapreduce"
 	"knnjoin/internal/nnheap"
-	"knnjoin/internal/obs"
 	"knnjoin/internal/stats"
 	"knnjoin/internal/vector"
 )
@@ -43,7 +42,7 @@ type Env struct {
 	FS      dfs.Store
 	Cluster *mapreduce.Cluster
 
-	ownedDir string // spill directory this Env created and must remove
+	ownedDir string // directory this Env created and must remove
 }
 
 // Config selects an environment's shape: cluster size, split size, and
@@ -67,8 +66,11 @@ type Config struct {
 	// Workers, when positive, runs every job on that many worker
 	// processes coordinated over RPC (see mapreduce.Config.Workers)
 	// instead of goroutine workers. Output is byte-identical either
-	// way. Worker processes always stage intermediate runs on disk;
-	// under a MemLimit their reducers merge within the same budget.
+	// way. The DFS then lives on disk, under SpillDir or a temporary
+	// directory removed on Close, and each worker process reads its
+	// input splits from those files. Worker processes always stage
+	// intermediate runs on disk; under a MemLimit their reducers merge
+	// within the same budget.
 	Workers int
 	// Faults is an optional deterministic fault-injection plan for the
 	// workers; nil injects nothing.
@@ -77,9 +79,6 @@ type Config struct {
 	// every worker write JSONL span files there (see internal/obs and
 	// cmd/knntrace). Tracing never changes any output byte.
 	TraceDir string
-	// TraceParent optionally parents the engine's cluster span under a
-	// caller-owned span (e.g. a CLI root span).
-	TraceParent obs.SpanContext
 	// Pprof exposes net/http/pprof on the coordinator's HTTP server.
 	// Only meaningful with Workers > 0.
 	Pprof bool
@@ -89,12 +88,14 @@ type Config struct {
 // backend configured, both the DFS chunks and the shuffle runs live on
 // disk in a private subdirectory of SpillDir (or the system temp dir),
 // created here and removed by Close — so any number of runs can share one
-// spill root without colliding. Call Close when the run's results have
-// been read.
+// spill root without colliding. With worker processes the DFS lives
+// there too, whether or not runs spill. Call Close when the run's
+// results have been read.
 func NewEnv(cfg Config) (*Env, error) {
 	env := &Env{FS: dfs.New(cfg.ChunkRecords)}
+	spill := cfg.SpillDir != "" || cfg.MemLimit > 0
 	var eng mapreduce.Engine
-	if cfg.SpillDir != "" || cfg.MemLimit > 0 {
+	if spill || cfg.Workers > 0 {
 		root := cfg.SpillDir
 		if root == "" {
 			root = os.TempDir()
@@ -110,19 +111,20 @@ func NewEnv(cfg Config) (*Env, error) {
 			env.Close()
 			return nil, err
 		}
-		eng = mapreduce.Engine{SpillDir: filepath.Join(dir, "shuffle"), MemLimit: cfg.MemLimit}
-		if err := os.MkdirAll(eng.SpillDir, 0o755); err != nil {
-			env.Close()
-			return nil, fmt.Errorf("driver: spill dir: %w", err)
+		if spill {
+			eng = mapreduce.Engine{SpillDir: filepath.Join(dir, "shuffle"), MemLimit: cfg.MemLimit}
+			if err := os.MkdirAll(eng.SpillDir, 0o755); err != nil {
+				env.Close()
+				return nil, fmt.Errorf("driver: spill dir: %w", err)
+			}
 		}
 	}
 	cluster, err := mapreduce.NewCluster(env.FS, cfg.Nodes, mapreduce.Config{
-		Engine:      eng,
-		Workers:     cfg.Workers,
-		Faults:      cfg.Faults,
-		TraceDir:    cfg.TraceDir,
-		TraceParent: cfg.TraceParent,
-		Pprof:       cfg.Pprof,
+		Engine:   eng,
+		Workers:  cfg.Workers,
+		Faults:   cfg.Faults,
+		TraceDir: cfg.TraceDir,
+		Pprof:    cfg.Pprof,
 	})
 	if err != nil {
 		env.Close()
@@ -132,10 +134,10 @@ func NewEnv(cfg Config) (*Env, error) {
 	return env, nil
 }
 
-// Close releases the environment: the private spill subdirectory the Env
-// created is removed with everything in it (a caller-provided spill root
-// itself is left in place). Closing an in-memory Env is a no-op, so
-// callers may defer it unconditionally.
+// Close releases the environment: the private directory the Env created
+// is removed with everything in it (a caller-provided spill root itself
+// is left in place). Closing an in-memory Env only closes its cluster,
+// so callers may defer it unconditionally.
 func (e *Env) Close() {
 	if e.Cluster != nil {
 		e.Cluster.Close()

@@ -281,7 +281,7 @@ func (c *Cluster) dispatchLocked(j *coordJob, t *taskState, worker int, now time
 			"worker", fmt.Sprint(worker))
 	}
 	if t.phase == "map" {
-		a.split = j.splits[t.index]
+		a.Split = &j.splits[t.index]
 		return a
 	}
 	// The fan-in list is derived at dispatch time from currently

@@ -9,7 +9,6 @@ import (
 	"os"
 	"time"
 
-	"knnjoin/internal/dfs"
 	"knnjoin/internal/obs"
 	"knnjoin/internal/proc"
 )
@@ -23,6 +22,8 @@ import (
 // plan and tracing. The zero Config is the in-process engine.
 type Config struct {
 	// Workers is the number of worker processes; zero starts none.
+	// Each reads its map tasks' input splits from the cluster store's
+	// files, which must therefore be a *dfs.Disk.
 	Workers int
 
 	// Engine says where runs live between the phases and how reducers
@@ -58,11 +59,6 @@ type Config struct {
 	// Pprof exposes net/http/pprof under /debug/pprof on the
 	// coordinator's HTTP server (Workers > 0).
 	Pprof bool
-
-	// TraceParent, when valid, parents the cluster span under a
-	// caller-owned span (e.g. a CLI root span), joining the cluster's
-	// spans to the caller's trace.
-	TraceParent obs.SpanContext
 }
 
 // defaultLease is the lease timeout when Config leaves it zero.
@@ -102,7 +98,6 @@ func (c *Cluster) startProcs() error {
 	c.mSpec = p.metrics.Counter("mr_speculative_attempts_total", "Speculative backup attempts launched against stragglers.")
 	c.mShufB = p.metrics.Counter("mr_shuffle_bytes_total", "Bytes of committed map-side shuffle runs.")
 	c.mSpillB = p.metrics.Counter("mr_spill_bytes_total", "Bytes spilled to disk under memory pressure.")
-	dfsBytes := p.metrics.Counter("mr_dfs_chunk_bytes_total", "Bytes served by the coordinator's DFS chunk service.")
 
 	dir, err := os.MkdirTemp(c.cfg.Engine.SpillDir, "knnjoin-mr-*")
 	if err != nil {
@@ -119,7 +114,6 @@ func (c *Cluster) startProcs() error {
 	mux.HandleFunc("/poll", jsonHandler(c.poll))
 	mux.HandleFunc("/done", jsonHandler(c.done))
 	mux.HandleFunc("/heartbeat", jsonHandler(c.heartbeat))
-	mux.Handle("/dfs/", http.StripPrefix("/dfs", countBytes(dfs.NewServer(c.fs), dfsBytes)))
 	metricsHandler := p.metrics.Handler()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
 		c.refreshTaskGauges()
@@ -240,26 +234,6 @@ func (c *Cluster) refreshTaskGauges() {
 	m.Gauge("mr_tasks_running", "Tasks with at least one live attempt in the current job.").Set(running)
 	m.Gauge("mr_tasks_done", "Tasks committed in the current job.").Set(done)
 	m.Gauge("mr_workers_live", "Worker processes currently alive.").Set(live)
-}
-
-// countBytes wraps a handler, adding every response body byte to c.
-func countBytes(h http.Handler, c *obs.Counter) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		h.ServeHTTP(&countingWriter{ResponseWriter: w, c: c}, r)
-	})
-}
-
-// countingWriter tallies written bytes into an obs counter.
-type countingWriter struct {
-	http.ResponseWriter
-	c *obs.Counter
-}
-
-// Write implements io.Writer, counting the bytes through.
-func (w *countingWriter) Write(p []byte) (int, error) {
-	n, err := w.ResponseWriter.Write(p)
-	w.c.Add(int64(n))
-	return n, err
 }
 
 // jsonHandler adapts a request/response function to an HTTP endpoint.

@@ -11,8 +11,8 @@ import (
 	"net/http/httptest"
 	"os"
 	"reflect"
+	"slices"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -195,6 +195,17 @@ func groupRecords(name string, n int) func(dfs.Store) {
 	}
 }
 
+// diskStore returns a dfs.Disk of chunk-record splits in a test
+// directory: the store worker processes read their input splits from.
+func diskStore(t *testing.T, chunk int) *dfs.Disk {
+	t.Helper()
+	d, err := dfs.NewDisk(t.TempDir(), chunk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
+}
+
 // runInProcess executes the spec's job on the in-process engine.
 func runInProcess(t *testing.T, spec testJobSpec, input func(dfs.Store)) ([]dfs.Record, *JobStats) {
 	t.Helper()
@@ -214,7 +225,7 @@ func runInProcess(t *testing.T, spec testJobSpec, input func(dfs.Store)) ([]dfs.
 // runDist executes the spec's job on a fresh cluster of cfg's shape.
 func runDist(t *testing.T, spec testJobSpec, input func(dfs.Store), cfg Config) ([]dfs.Record, *JobStats, error) {
 	t.Helper()
-	fs := dfs.New(8)
+	fs := diskStore(t, 8)
 	input(fs)
 	c, err := NewCluster(fs, 4, cfg)
 	if err != nil {
@@ -321,10 +332,41 @@ func TestDistEmptyInput(t *testing.T) {
 	}
 }
 
+// A worker reads its map task's split from the input file itself, so a
+// file torn after the store cut its splits must fail the job with an
+// error naming the file and the split — no panic, no hang, no output.
+func TestDistTornInputFailsJob(t *testing.T) {
+	spec := testJobSpec{In: "in", Out: "out", NumReducers: 2, Mode: "wordcount"}
+	onBothTransports(t, Config{Workers: 2}, func(t *testing.T, cfg Config) {
+		var store dfs.Store
+		var torn dfs.Split
+		tear := func(fs dfs.Store) {
+			store = fs
+			wordRecords(spec.In, 60)(fs) // 8 splits of 8 records
+			splits, err := fs.Splits(spec.In)
+			if err != nil {
+				t.Fatal(err)
+			}
+			torn = splits[len(splits)-1]
+			if err := os.Truncate(torn.Path, torn.Offset+3); err != nil {
+				t.Fatal(err)
+			}
+		}
+		_, _, err := runDist(t, spec, tear, cfg)
+		want := fmt.Sprintf("split %d of %q", torn.Index, spec.In)
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("job over a torn input: error %v, want one naming %s", err, want)
+		}
+		if slices.Contains(store.List(), spec.Out) {
+			t.Fatalf("failed job wrote %d output records", store.Size(spec.Out))
+		}
+	})
+}
+
 // A job without a kind cannot be rebuilt in another process: on a
 // distributed cluster it runs on goroutine workers of the same scheduler.
 func TestDistKindlessJobFallsBackInProcess(t *testing.T) {
-	fs := dfs.New(8)
+	fs := diskStore(t, 8)
 	wordRecords("in", 40)(fs)
 	c, err := NewCluster(fs, 4, Config{Workers: 2})
 	if err != nil {
@@ -417,7 +459,7 @@ func TestDistFanInMultiPassMerge(t *testing.T) {
 	}
 	spec := testJobSpec{In: "in", Out: "out", NumReducers: 4, Mode: "wordcount"}
 	run := func(cfg Config) ([]dfs.Record, *JobStats) {
-		fs := dfs.New(4) // 60 map tasks
+		fs := diskStore(t, 4) // 60 map tasks
 		writeLines(fs, "in", randomLines(240)...)
 		c, err := NewCluster(fs, 4, cfg)
 		if err != nil {
@@ -450,7 +492,7 @@ func TestDistFanInMultiPassMerge(t *testing.T) {
 }
 
 func TestDistSequentialJobsOneCluster(t *testing.T) {
-	fs := dfs.New(8)
+	fs := diskStore(t, 8)
 	wordRecords("in", 80)(fs)
 	c, err := NewCluster(fs, 4, Config{Workers: 2})
 	if err != nil {
@@ -477,7 +519,7 @@ func TestDistSequentialJobsOneCluster(t *testing.T) {
 }
 
 func TestDistClusterCloseIsIdempotent(t *testing.T) {
-	c, err := NewCluster(dfs.New(8), 2, Config{Workers: 1})
+	c, err := NewCluster(diskStore(t, 8), 2, Config{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -515,61 +557,6 @@ func TestFaultEventMatching(t *testing.T) {
 	}
 	if !pinned.matches(1, "x", 5, AtTaskStart) {
 		t.Fatal("pinned worker should match any task/attempt")
-	}
-}
-
-// metaCountingStore counts the chunk service's /meta requests per file:
-// the service answers each with one Bytes call.
-type metaCountingStore struct {
-	dfs.Store
-	mu    sync.Mutex
-	metas map[string]int
-}
-
-func (s *metaCountingStore) Bytes(name string) int64 {
-	s.mu.Lock()
-	s.metas[name]++
-	s.mu.Unlock()
-	return s.Store.Bytes(name)
-}
-
-// A worker process fetches a job's split list once, with its first map
-// task, not once per map task: at most one /meta per input file per
-// worker and job, with the in-process output unchanged.
-func TestDistWorkerFetchesSplitsOncePerJob(t *testing.T) {
-	if testing.Short() {
-		t.Skip("spawns worker processes")
-	}
-	spec := testJobSpec{In: "in", Out: "out", NumReducers: 2, Mode: "wordcount"}
-	input := wordRecords("in", 200) // 25 splits of 8 records
-	want, _ := runInProcess(t, spec, input)
-
-	store := &metaCountingStore{Store: dfs.New(8), metas: map[string]int{}}
-	input(store)
-	const workers = 2
-	c, err := NewCluster(store, 4, Config{Workers: workers})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	js, err := c.Run(testKind.New(spec))
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := store.Read(spec.Out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("output differs from in-process: %s", firstDiff(got, want))
-	}
-	if js.MapTasks < 20 || js.WorkerTasks == 0 {
-		t.Fatalf("%d map tasks, %d on workers: the test needs many map tasks on worker processes", js.MapTasks, js.WorkerTasks)
-	}
-	store.mu.Lock()
-	defer store.mu.Unlock()
-	if n := store.metas["in"]; n > workers {
-		t.Fatalf("%d /meta requests for the input over %d map tasks, want at most one per worker (%d)", n, js.MapTasks, workers)
 	}
 }
 

@@ -107,7 +107,7 @@ func TestFaultDeadWorkerSeenNotWaitedOut(t *testing.T) {
 		func(t *testing.T, cfg Config) {
 			cfg.TraceDir = t.TempDir()
 			want, _ := runInProcess(t, spec, wordRecords("in", 60))
-			fs := dfs.New(8)
+			fs := diskStore(t, 8)
 			wordRecords("in", 60)(fs)
 			c, err := NewCluster(fs, 4, cfg)
 			if err != nil {

@@ -313,16 +313,20 @@ type Cluster struct {
 // NewCluster creates a cluster of n nodes over fs, configured by cfg;
 // the zero Config is the in-process engine with an in-memory shuffle.
 // With cfg.Workers > 0 it also starts the worker processes, polling a
-// coordinator on loopback. The caller must Close the cluster to reap the
-// workers, the scratch directory and the trace files. n must be
-// positive; it governs NumReducers defaults, makespan accounting and the
-// number of goroutine workers, whether or not there are processes.
+// coordinator on loopback; they read input splits from fs's files, so
+// fs must then be a *dfs.Disk. The caller must Close the cluster to
+// reap the workers, the scratch directory and the trace files. n must
+// be positive; it governs NumReducers defaults, makespan accounting and
+// the number of goroutine workers, whether or not there are processes.
 func NewCluster(fs dfs.Store, n int, cfg Config) (*Cluster, error) {
 	if n <= 0 {
 		panic("mapreduce: cluster needs at least one node")
 	}
 	if cfg.Workers < 0 {
 		return nil, fmt.Errorf("mapreduce: Config.Workers must not be negative, got %d", cfg.Workers)
+	}
+	if _, disk := fs.(*dfs.Disk); cfg.Workers > 0 && !disk {
+		return nil, fmt.Errorf("mapreduce: worker processes read input splits from files; Config.Workers needs a *dfs.Disk store, got %T", fs)
 	}
 	if err := cfg.Engine.validate(); err != nil {
 		return nil, err
@@ -343,7 +347,7 @@ func NewCluster(fs dfs.Store, n int, cfg Config) (*Cluster, error) {
 				return nil, err
 			}
 		}
-		c.rootSpan = c.tracer.StartSpan("cluster", cfg.TraceParent)
+		c.rootSpan = c.tracer.StartSpan("cluster", obs.SpanContext{})
 		c.rootSpan.SetAttr("workers", fmt.Sprint(cfg.Workers))
 	}
 	if cfg.Workers > 0 {

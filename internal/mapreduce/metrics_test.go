@@ -5,7 +5,6 @@ import (
 	"net/http"
 	"testing"
 
-	"knnjoin/internal/dfs"
 	"knnjoin/internal/obs"
 )
 
@@ -16,7 +15,7 @@ func TestCoordinatorMetricsParse(t *testing.T) {
 	if testing.Short() {
 		t.Skip("distributed cluster spawns worker processes; skipped with -short")
 	}
-	fs := dfs.New(8)
+	fs := diskStore(t, 8)
 	wordRecords("in", 60)(fs)
 	c, err := NewCluster(fs, 4, Config{Workers: 2})
 	if err != nil {

@@ -336,11 +336,20 @@ func TestSpillTruncatedRunFileAbortsJob(t *testing.T) {
 	}
 }
 
-// The engine must reject configurations that cannot spill, and clean its
+// The engine must reject configurations that cannot spill, or whose
+// worker processes could not read their input splits, and clean its
 // per-job directories up after a successful run.
 func TestSpillEngineValidationAndCleanup(t *testing.T) {
-	if _, err := NewCluster(dfs.New(0), 2, Config{Engine: Engine{MemLimit: 1 << 20}}); err == nil {
-		t.Fatal("MemLimit without SpillDir was accepted")
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"MemLimit without SpillDir", Config{Engine: Engine{MemLimit: 1 << 20}}},
+		{"worker processes over dfs.New", Config{Workers: 1}},
+	} {
+		if _, err := NewCluster(dfs.New(8), 2, tc.cfg); err == nil {
+			t.Errorf("%s was accepted", tc.name)
+		}
 	}
 
 	spillRoot := t.TempDir()

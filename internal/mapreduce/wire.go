@@ -5,20 +5,20 @@ import "knnjoin/internal/dfs"
 // What passes between the scheduler and a worker: an assignment out, a
 // completion (and heartbeats) back. A goroutine worker receives and
 // returns these structs by pointer and reads their unexported fields —
-// the job itself, its input split, resident runs, output records, the
-// error value. A worker process speaks HTTP POSTs with JSON bodies,
-// in the style of internal/serve, and sees only the exported fields:
+// the job itself, resident runs, output records, the error value. A
+// worker process speaks HTTP POSTs with JSON bodies, in the style of
+// internal/serve, and sees only the exported fields:
 //
 //	POST /poll      pollRequest      → pollResponse (a task, or a wait)
 //	POST /done      completion       → completionResponse
 //	POST /heartbeat heartbeatMsg     → heartbeatResponse
-//	GET  /dfs/...   chunk service    (dfs.Server over the cluster store)
 //
-// Processes pull — the coordinator never dials a worker. Intermediate
-// run files are exchanged by path: coordinator and workers share the
-// cluster's scratch directory (one machine, many processes — the shape
-// of the paper's one-box "cluster"), while job input records go through
-// the mounted dfs chunk service.
+// Processes pull — the coordinator never dials a worker. Every byte of
+// a job goes by path, named in these messages: coordinator and workers
+// share one filesystem (one machine, many processes — the shape of the
+// paper's one-box "cluster"). A map task's input split is a range of a
+// dfs.Disk file, run files and output files live in the cluster's
+// scratch directory.
 
 // assignment is one task attempt handed to a worker, self-contained.
 type assignment struct {
@@ -32,6 +32,10 @@ type assignment struct {
 	Phase   string // "map" or "reduce"
 	Index   int    // task index; a map task's input split has the same index
 	Attempt int
+
+	// Split is a map task's input: its records on a goroutine worker,
+	// their location in a dfs.Disk file for a worker process.
+	Split *dfs.Split
 
 	NumReducers int
 	MapOnly     bool
@@ -61,10 +65,9 @@ type assignment struct {
 	TraceID    string
 	SpanParent string
 
-	job   *Job
-	split dfs.Split   // a map task's input
-	mem   *memAccount // the job's resident-memory account
-	id    string      // taskID's memo
+	job *Job
+	mem *memAccount // the job's resident-memory account
+	id  string      // taskID's memo
 }
 
 // pollRequest asks for a task.

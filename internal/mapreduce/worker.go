@@ -59,15 +59,12 @@ type worker struct {
 	tracer  *obs.Tracer
 	curSpan *obs.Span
 
-	// A worker process reads input through the coordinator's chunk
-	// service and rebuilds jobs from the kind registry — the cluster
-	// runs them one at a time, so caching one suffices. The job's split
-	// list is fetched by its first map task here and kept with it: the
-	// input of a job does not change while it runs.
-	store        *dfs.Remote
-	cachedJobID  int64
-	cachedJob    *Job
-	cachedSplits []dfs.Split
+	// process marks a worker process: it rebuilds jobs from the kind
+	// registry — the cluster runs them one at a time, so caching one
+	// suffices — and hands its output over as a file.
+	process     bool
+	cachedJobID int64
+	cachedJob   *Job
 }
 
 // loop is the worker's life: next task → execute → report.
@@ -206,7 +203,7 @@ func (a *assignment) taskID() string {
 // job's functions run. It fills comp with what the attempt produced; a
 // returned error fails the attempt.
 func (w *worker) execute(a *assignment, comp *completion) error {
-	if w.store != nil {
+	if w.process {
 		if err := w.localize(a); err != nil {
 			return err
 		}
@@ -237,7 +234,7 @@ func (w *worker) execute(a *assignment, comp *completion) error {
 	if err := w.checkpoint(a, AtPreCommit, nil); err != nil {
 		return err
 	}
-	if w.store != nil {
+	if w.process {
 		// A worker process hands its output over as a file.
 		path := filepath.Join(a.RunDir, "out")
 		if err := writeFramedFile(path, out); err != nil {
@@ -257,7 +254,7 @@ func (w *worker) execute(a *assignment, comp *completion) error {
 // output.
 func (w *worker) mapTask(a *assignment, ctx *TaskContext, rs *runState, comp *completion) ([]dfs.Record, error) {
 	job := a.job
-	records, err := a.split.Load()
+	records, err := a.Split.Load()
 	if err != nil {
 		return nil, fmt.Errorf("map input: %w", err)
 	}
@@ -388,33 +385,19 @@ func (w *worker) reduceTask(a *assignment, ctx *TaskContext, rs *runState, comp 
 }
 
 // localize fills in what an assignment decoded off the wire lacks: the
-// job, rebuilt from the kind registry; a map task's split, located in
-// the job's split list as the chunk service cuts it (identically to the
-// coordinator's store) — both cached per job; a private memory account;
-// the attempt's directory.
+// job, rebuilt from the kind registry and cached per job; a private
+// memory account; the attempt's directory. A map task's split arrives
+// as the location of its records, which Split.Load reads again on every
+// attempt.
 func (w *worker) localize(a *assignment) error {
 	if w.cachedJob == nil || w.cachedJobID != a.JobID {
 		job, err := buildKindJob(a.Kind, a.Spec)
 		if err != nil {
 			return err
 		}
-		w.cachedJobID, w.cachedJob, w.cachedSplits = a.JobID, job, nil
+		w.cachedJobID, w.cachedJob = a.JobID, job
 	}
 	a.job, a.mem = w.cachedJob, &memAccount{}
-	if a.Phase == "map" {
-		if w.cachedSplits == nil {
-			splits, err := w.store.Splits(a.job.Input...)
-			if err != nil {
-				return err
-			}
-			w.cachedSplits = splits
-		}
-		if a.Index < 0 || a.Index >= len(w.cachedSplits) {
-			return fmt.Errorf("mapreduce: split %d out of range (%d splits)", a.Index, len(w.cachedSplits))
-		}
-		// Split.Load fetches the chunk again on every attempt.
-		a.split = w.cachedSplits[a.Index]
-	}
 	return os.MkdirAll(a.RunDir, 0o755)
 }
 
@@ -438,6 +421,7 @@ func runWorker(cfg workerConfig) error {
 		index: cfg.Index, link: l, inj: newInjector(cfg.Index, cfg.Faults),
 		kill:    func() { os.Exit(proc.FaultKillExitCode) },
 		hbEvery: time.Duration(cfg.HeartbeatMs) * time.Millisecond,
+		process: true,
 	}
 	if cfg.TraceDir != "" {
 		tr, err := obs.NewTracer(cfg.TraceDir, fmt.Sprintf("worker-%d", cfg.Index))
@@ -447,11 +431,6 @@ func runWorker(cfg workerConfig) error {
 		w.tracer = tr
 		defer tr.Close()
 	}
-	store, err := dfs.NewRemote(cfg.URL + "/dfs")
-	if err != nil {
-		return fmt.Errorf("mapreduce worker %d: chunk service: %w", cfg.Index, err)
-	}
-	w.store = store
 	w.loop()
 	return nil
 }

@@ -180,10 +180,13 @@ type Options struct {
 	// Workers, when positive, executes the MapReduce jobs on that many
 	// separate worker processes coordinated over RPC instead of on
 	// goroutines of this process. Results are byte-identical either
-	// way. Worker processes always exchange shuffle runs as files; a
-	// MemLimit still bounds their reduce-side merge buffers. The
-	// program's main (or TestMain) must call RunWorkerIfSpawned first
-	// so re-executions of the binary can serve as workers.
+	// way. The datasets then live on disk (under SpillDir, or a
+	// temporary directory removed when the join returns), and each
+	// worker process reads its input splits from those files. Worker
+	// processes always exchange shuffle runs as files; a MemLimit still
+	// bounds their reduce-side merge buffers. The program's main (or
+	// TestMain) must call RunWorkerIfSpawned first so re-executions of
+	// the binary can serve as workers.
 	Workers int
 	// Faults is an optional deterministic fault-injection plan applied
 	// to the workers, goroutines or processes — testing hook; nil

@@ -129,15 +129,46 @@ func TestSpillBackendAgainstBruteForce(t *testing.T) {
 	}
 	assertAgree(t, got, want)
 
-	entries, err := os.ReadDir(spillRoot)
+	assertEmptyDir(t, spillRoot, "the caller's spill root")
+
+	// Worker processes read their splits from a disk DFS, which the Env
+	// keeps in a temporary directory when no spill root is given: the
+	// join must remove it, whether it succeeds or fails.
+	if testing.Short() {
+		return
+	}
+	for _, fail := range []bool{false, true} {
+		tmp := t.TempDir()
+		t.Setenv("TMPDIR", tmp)
+		opts := Options{K: 5, Algorithm: PGBJ, Nodes: 6, Seed: 2, Workers: 2}
+		if fail {
+			opts.Faults = &FaultPlan{Events: []FaultEvent{
+				{Worker: -1, Task: "pgbj-join/map/0", Point: AtTaskStart, Action: ActError},
+			}}
+		}
+		got, _, err := Join(r, s, opts)
+		if (err != nil) != fail {
+			t.Fatalf("join on 2 workers (fault planted: %v): %v", fail, err)
+		}
+		if !fail {
+			assertAgree(t, got, want)
+		}
+		assertEmptyDir(t, tmp, "TMPDIR")
+	}
+}
+
+// assertEmptyDir fails unless dir exists and holds nothing.
+func assertEmptyDir(t *testing.T, dir, what string) {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
 	if err != nil {
-		t.Fatalf("caller-provided spill root was removed: %v", err)
+		t.Fatalf("%s was removed: %v", what, err)
 	}
 	if len(entries) != 0 {
 		names := make([]string, len(entries))
 		for i, e := range entries {
 			names[i] = e.Name()
 		}
-		t.Fatalf("join left spill debris in the caller's root: %v", names)
+		t.Fatalf("join left debris in %s: %v", what, names)
 	}
 }
